@@ -7,7 +7,7 @@ tools (regime classification, convergence studies, staircase checks)
 that connect the two ends.
 """
 
-from .backend import ACTIVE as BACKEND, USING_NUMBA
+from .backend import ACTIVE as BACKEND
 from .drivers import BVFunction
 from .fields import ScalarField, check_field_constants
 from .mollify import (
@@ -78,7 +78,6 @@ __all__ = [
     "ScalarField",
     "StepLimitError",
     "StudyResult",
-    "USING_NUMBA",
     "XiGrid",
     "check_field_constants",
     "classify_regime",

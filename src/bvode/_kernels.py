@@ -1,10 +1,10 @@
-"""Numerical kernels shared by the numba and pure-python execution lanes.
+"""Serial numerical kernels: field evaluation and the step-by-step integrators.
 
 Everything inside :func:`build_kernels` is written in nopython-compatible
-style (scalar loops, preallocated outputs, no Python objects).  The factory is
-instantiated twice: once undecorated, giving the reference lane, and once under
-``numba.njit`` in :mod:`bvode.backend`.  Both lanes therefore run the exact
-same arithmetic, which the backend tests exploit.
+style (scalar loops, preallocated outputs, no Python objects).  ``PLAIN`` is
+the factory run undecorated; :mod:`bvode.backend` runs it under
+``numba.njit`` instead when numba imports.  Both run the exact same
+arithmetic, which the backend tests exploit.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ FIELD_AFFINE = 1
 FIELD_RAMP = 2
 FIELD_SIN = 3
 FIELD_TANH = 4
-
-PROFILE_UNIFORM = 0
-PROFILE_TRIANGULAR = 1
-PROFILE_TABLE = 2
-
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-GL_NODES = np.ascontiguousarray(GL_NODES)
-GL_WEIGHTS = np.ascontiguousarray(GL_WEIGHTS)
 
 
 def build_kernels(jit):
@@ -47,133 +39,6 @@ def build_kernels(jit):
         if kind == FIELD_SIN:
             return p[0] * np.sin(p[1] * x + p[2] * t + p[3]) + p[4]
         return p[0] * np.tanh(p[1] * x) + p[2]
-
-    @jit
-    def rho_base(code, cnorm, s):
-        # base mollifier density on [0, 1]
-        if code == PROFILE_UNIFORM:
-            if 0.0 <= s <= 1.0:
-                return 1.0
-            return 0.0
-        if code == PROFILE_TRIANGULAR:
-            if s < 0.0 or s > 1.0:
-                return 0.0
-            if s <= 0.5:
-                return 4.0 * s
-            return 4.0 * (1.0 - s)
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
-        return cnorm * np.exp(-1.0 / (s * (1.0 - s)))
-
-    @jit
-    def tail_base(code, cnorm, tbl_x, tbl_tail, y):
-        # tail mass of the base profile: integral of rho over [y, 1]
-        if y <= 0.0:
-            return 1.0
-        if y >= 1.0:
-            return 0.0
-        if code == PROFILE_UNIFORM:
-            return 1.0 - y
-        if code == PROFILE_TRIANGULAR:
-            if y <= 0.5:
-                return 1.0 - 2.0 * y * y
-            w = 1.0 - y
-            return 2.0 * w * w
-        # dense table, linear interpolation
-        lo = 0
-        hi = tbl_x.size - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if tbl_x[mid] <= y:
-                lo = mid
-            else:
-                hi = mid
-        w = (y - tbl_x[lo]) / (tbl_x[hi] - tbl_x[lo])
-        return tbl_tail[lo] * (1.0 - w) + tbl_tail[hi] * w
-
-    @jit
-    def _seg_index(breaks, t):
-        hi = breaks.size - 1
-        if t <= breaks[0]:
-            return 0
-        if t >= breaks[hi]:
-            return hi - 1
-        lo = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if breaks[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    @jit
-    def lc_value(dom_a, dom_b, breaks, coefs, t):
-        # continuous part with constant extension beyond the domain
-        tt = t
-        if tt < dom_a:
-            tt = dom_a
-        if tt > dom_b:
-            tt = dom_b
-        i = _seg_index(breaks, tt)
-        u = tt - breaks[i]
-        return ((coefs[i, 3] * u + coefs[i, 2]) * u + coefs[i, 1]) * u + coefs[i, 0]
-
-    @jit
-    def driver_lattice(ts, n, code, cnorm, kinks, tbl_x, tbl_tail,
-                       dom_a, dom_b, breaks, coefs, jpos, jsize, gl_x, gl_w):
-        """Mollified driver values L_n(t) for every t in ts, by quadrature.
-
-        Reference oracle for the exact kernel
-        :func:`bvode._blocks.driver_lattice`, which the package runs; only
-        the tests call this one.  Jump part is a finite tail-mass sum; the
-        continuous part is a Gauss-Legendre convolution split at profile
-        kinks and driver breakpoints falling inside the window [t, t + 1/n].
-        """
-        inv = 1.0 / n
-        m = breaks.size
-        nk = kinks.size
-        out = np.empty(ts.size)
-        sp = np.empty(2 + nk + m)
-        for i in range(ts.size):
-            t = ts[i]
-            acc = 0.0
-            for j in range(jpos.size):
-                acc += jsize[j] * tail_base(code, cnorm, tbl_x, tbl_tail, (jpos[j] - t) * n)
-            cnt = 0
-            sp[cnt] = 0.0
-            cnt += 1
-            for k in range(nk):
-                sp[cnt] = kinks[k] * inv
-                cnt += 1
-            for k in range(m):
-                s = breaks[k] - t
-                if 0.0 < s < inv:
-                    sp[cnt] = s
-                    cnt += 1
-            sp[cnt] = inv
-            cnt += 1
-            for a in range(1, cnt):
-                key = sp[a]
-                b = a - 1
-                while b >= 0 and sp[b] > key:
-                    sp[b + 1] = sp[b]
-                    b -= 1
-                sp[b + 1] = key
-            conv = 0.0
-            for a in range(cnt - 1):
-                lo = sp[a]
-                hi = sp[a + 1]
-                if hi - lo <= 0.0:
-                    continue
-                half = 0.5 * (hi - lo)
-                mid = 0.5 * (hi + lo)
-                for q in range(gl_x.size):
-                    s = mid + half * gl_x[q]
-                    conv += (gl_w[q] * half * (n * rho_base(code, cnorm, s * n))
-                             * lc_value(dom_a, dom_b, breaks, coefs, t + s))
-            out[i] = acc + conv
-        return out
 
     @jit
     def euler_exact(kind, p, tau, h, dLn, x0):
@@ -278,10 +143,6 @@ def build_kernels(jit):
 
     return SimpleNamespace(
         field_value=field_value,
-        rho_base=rho_base,
-        tail_base=tail_base,
-        lc_value=lc_value,
-        driver_lattice=driver_lattice,
         euler_exact=euler_exact,
         euler_mollified=euler_mollified,
         flow_mass=flow_mass,

@@ -1,67 +1,128 @@
-"""Execution-lane selection for the hot numerical kernels.
+"""Entry points of the hot numerical kernels.
 
-The environment variable ``BVODE_BACKEND`` picks the lane:
-
-* ``numba`` (default when numba imports): kernels from
-  :mod:`bvode._kernels` compiled with ``numba.njit``;
-* ``numpy``: vectorized batch implementations from :mod:`bvode._blocks`
-  plus the plain-python reference kernels for the sequential integrators.
-
-The mollified driver lattice is lane-independent: both lanes evaluate it
-with the exact vectorized kernel in :mod:`bvode._blocks`.  The other
-kernels run the same arithmetic on both lanes and are cross-checked by the
-test suite.
-The flag is read once at import time.
+The serial kernels of :mod:`bvode._kernels` (the generic Euler recursions,
+the RK4 jump-map substeps and the Heun steps) are compiled with
+``numba.njit`` when numba imports, which the ``jit`` extra installs, and
+run as plain Python otherwise.  ``ACTIVE`` records which of the two was
+picked at import.  The mollified driver lattice and the Euler recursion for
+fields affine in x are vectorized numpy either way.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-from . import _blocks, _kernels
+from . import _kernels
+from ._kernels import FIELD_AFFINE, FIELD_CONST
+from .drivers import _poly_eval
 
-_flag = os.environ.get("BVODE_BACKEND", "").strip().lower()
-if _flag not in ("", "numba", "numpy"):
-    raise RuntimeError(
-        f"BVODE_BACKEND={_flag!r} not recognized; use 'numba' or 'numpy'"
-    )
+try:
+    import numba
+except ImportError:
+    ACTIVE = "numpy"
+    _K = _kernels.PLAIN
+else:
+    ACTIVE = "numba"
+    _K = _kernels.build_kernels(numba.njit(nogil=True))
 
-ACTIVE = "numpy"
-_K = _kernels.PLAIN
+# lattice points evaluated per vectorized pass; bounds the temporaries
+LATTICE_CHUNK = 16384
 
-if _flag in ("", "numba"):
-    try:
-        import numba
 
-        _K = _kernels.build_kernels(numba.njit(nogil=True))
-        ACTIVE = "numba"
-    except ImportError:
-        if _flag == "numba":
-            raise
-        warnings.warn("numba unavailable; falling back to the numpy lane")
+def _taylor(pc, origin, p, t, n):
+    """Coefficients d_m n^-m of piece p's polynomial expanded at t, m = 0..3.
 
-USING_NUMBA = ACTIVE == "numba"
+    With u0 = t - origin[p], d_m = sum_k c_k C(k, m) u0^(k-m), so the piece
+    reads sum_m d_m n^-m y^m at time t + y/n.
+    """
+    c = pc[p]
+    u = t - origin[p]
+    c1, c2, c3 = c[:, 1], c[:, 2], c[:, 3]
+    out = np.empty((t.size, 4))
+    out[:, 0] = _poly_eval(c.T, u)
+    out[:, 1] = ((3.0 * c3 * u + 2.0 * c2) * u + c1) / n
+    out[:, 2] = (3.0 * c3 * u + c2) / (n * n)
+    out[:, 3] = c3 / (n * n * n)
+    return out
 
 
 def driver_lattice_values(ts, n, profile, driver):
-    """Mollified driver L_n evaluated at every t in ``ts``.
+    """Mollified driver L_n(t) = integral of rho(y) L(t + y/n) over [0, 1], exact.
 
-    Both lanes run the exact incomplete-moment kernel
-    :func:`bvode._blocks.driver_lattice`.
+    The continuous part is piecewise cubic, with the constant extensions
+    left of a and right of b as two more pieces, so on each piece the
+    window integral is sum_m d_m n^-m (I_m(y_hi) - I_m(y_lo)) with the
+    profile's incomplete moments I_m.  Summed by parts over the pieces of
+    [t, t + 1/n], this is the last piece's coefficients against the full
+    moments plus, at each breakpoint e strictly inside the window, the
+    change of coefficients across e against I_m(n (e - t)).  Jumps at or
+    before t count in full; a jump inside the window adds
+    size * F_n(epoch - t).  Only breakpoints and jumps inside a window are
+    visited, located with ``searchsorted``.
     """
-    return _blocks.driver_lattice(np.ascontiguousarray(ts, dtype=np.float64),
-                                  int(n), profile, driver)
+    ts = np.ascontiguousarray(ts, dtype=np.float64)
+    n = float(int(n))  # n**3 below must not overflow an integer type
+    inv = 1.0 / n
+    breaks, coefs = driver.seg_breaks, driver.seg_coefs
+    # piece p covers [breaks[p - 1], breaks[p]); pieces 0 and S + 1 are the
+    # constant extensions, piece i + 1 is segment i
+    right = float(driver.continuous_value(breaks[-1]))
+    pc = np.vstack(([coefs[0, 0], 0.0, 0.0, 0.0], coefs, [right, 0.0, 0.0, 0.0]))
+    origin = np.concatenate((breaks[:1], breaks[:-1], breaks[-1:]))
+    full = profile.moments(1.0)
+    jpos, jsize = driver.jump_epochs, driver.jump_sizes
+    jcum = np.concatenate(([0.0], np.cumsum(jsize)))
+    out = np.empty(ts.size)
+    for start in range(0, ts.size, LATTICE_CHUNK):
+        t = ts[start:start + LATTICE_CHUNK]
+        first = np.searchsorted(breaks, t, side="right")
+        last = np.searchsorted(breaks, t + inv, side="left")
+        k0 = np.searchsorted(jpos, t, side="right")
+        k1 = np.searchsorted(jpos, t + inv, side="left")
+        val = _taylor(pc, origin, last, t, n) @ full + jcum[k0]
+        for r in range(int(np.max(last - first, initial=0))):
+            i = np.nonzero(last - first > r)[0]
+            p = first[i] + r
+            ti = t[i]
+            step = _taylor(pc, origin, p, ti, n) - _taylor(pc, origin, p + 1, ti, n)
+            val[i] += np.sum(step * profile.moments((breaks[p] - ti) * n), axis=-1)
+        for r in range(int(np.max(k1 - k0, initial=0))):
+            i = np.nonzero(k1 - k0 > r)[0]
+            k = k0[i] + r
+            val[i] += jsize[k] * profile.tail((jpos[k] - t[i]) * n)
+        out[start:start + LATTICE_CHUNK] = val
+    return out
 
 
 def euler_exact(field, tau, h, dLn, x0):
-    """Explicit recurrence x_{k+1} = x_k + f(t_k, x_k) dL_k."""
+    """Explicit recurrence x_{k+1} = x_k + f(t_k, x_k) dL_k.
+
+    Fields affine in x run a closed-form scan (cumulative sums and
+    products); the rest, and affine scans whose products degenerate, run
+    the serial kernel.
+    """
     dLn = np.ascontiguousarray(dLn, dtype=np.float64)
-    if USING_NUMBA:
-        return _K.euler_exact(field.kind, field.packed, tau, h, dLn, x0)
-    return _blocks.euler_exact_vec(field.kind, field.packed, tau, h, dLn, x0)
+    kind, p = field.kind, field.packed
+    K = dLn.size
+    if kind == FIELD_CONST:
+        x = np.empty(K + 1)
+        x[0] = x0
+        np.cumsum(p[0] * dLn, out=x[1:])
+        x[1:] += x0
+        return x
+    if kind == FIELD_AFFINE:
+        A = 1.0 + p[1] * dLn
+        if K == 0:
+            return np.full(1, float(x0))
+        if np.min(np.abs(A)) > 1e-12:
+            P = np.cumprod(A)
+            if np.all(np.isfinite(P)) and np.min(np.abs(P)) > 1e-290 and np.max(np.abs(P)) < 1e290:
+                S = np.cumsum(p[0] * dLn / P)
+                x = np.empty(K + 1)
+                x[0] = x0
+                x[1:] = P * (x0 + S)
+                return x
+    return _K.euler_exact(kind, p, tau, h, dLn, x0)
 
 
 def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
@@ -86,7 +147,7 @@ def heun_path(field, s_grid, L_grid, x0):
 
 
 def warmup() -> None:
-    """Compile (numba lane) or exercise every kernel on toy inputs."""
+    """Compile (numba) or exercise every kernel on toy inputs."""
     from .drivers import BVFunction
     from .fields import ScalarField
     from .mollify import get_profile
@@ -99,6 +160,7 @@ def warmup() -> None:
         driver_lattice_values(np.linspace(0.0, 1.0, 5), 8, prof, drv)
     dln = np.array([0.1, 0.2])
     euler_exact(fld, 0.0, 0.5, dln, 1.0)
+    euler_exact(rmp, 0.0, 0.5, dln, 1.0)
     nodes, weights = get_profile("uniform").convolution_rule(8)
     euler_mollified(fld, 0.0, 0.5, dln, 1.0, nodes, weights)
     flow_mass(fld, 1.0, 0.01, 1e-3)

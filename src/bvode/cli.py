@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .analysis import convergence_study, sigma_n_check  # noqa: F401  (sigma_n_check: library parity)
+from .analysis import convergence_study
 from .config import ConfigError, ExperimentConfig, load_config
 from .jumpmap import JumpMeasure, measure_from_sigma, phi_solve, phi_explicit_ramp, ramp_z
 from .limit import solve_limit

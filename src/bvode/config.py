@@ -50,6 +50,13 @@ class _Section:
         self.seen.add(key)
         return self.items.get(key, default)
 
+    def check_all_read(self) -> None:
+        """Reject the first key no accessor has read: it would be ignored."""
+        for key in self.items:
+            if key not in self.seen:
+                raise ConfigError(self.name, key,
+                                  f"unknown key; this section reads {sorted(self.seen)}")
+
     def require(self, key: str) -> str:
         val = self.raw(key)
         if val is None:
@@ -285,16 +292,17 @@ def load_config(path: str) -> ExperimentConfig:
         if name not in known:
             raise ConfigError(name, "*", f"unknown section; choose from {sorted(known)}")
 
-    if parser.has_section("driver"):
-        cfg.driver = _parse_driver(_Section("driver", parser["driver"]))
-    if parser.has_section("field"):
-        cfg.field = _parse_field(_Section("field", parser["field"]))
-    if parser.has_section("mollifier"):
-        cfg.profile, cfg.schedule = _parse_mollifier(_Section("mollifier", parser["mollifier"]))
-    if parser.has_section("sigma"):
-        cfg.sigma = _parse_sigma(_Section("sigma", parser["sigma"]))
+    secs = {name: _Section(name, parser[name]) for name in parser.sections()}
+    if "driver" in secs:
+        cfg.driver = _parse_driver(secs["driver"])
+    if "field" in secs:
+        cfg.field = _parse_field(secs["field"])
+    if "mollifier" in secs:
+        cfg.profile, cfg.schedule = _parse_mollifier(secs["mollifier"])
+    if "sigma" in secs:
+        cfg.sigma = _parse_sigma(secs["sigma"])
 
-    run = _Section("run", parser["run"] if parser.has_section("run") else {})
+    run = secs.get("run", _Section("run", {}))
     cfg.x0 = run.floatval("x0", cfg.x0)
     cfg.n = run.intval("n")
     cfg.zeta = run.floatval("zeta")
@@ -330,4 +338,6 @@ def load_config(path: str) -> ExperimentConfig:
     if raw_mu is not None:
         cfg.mu_name = raw_mu.strip()
         cfg.mu = _parse_mu(raw_mu, cfg.sigma, "run")
+    for sec in secs.values():
+        sec.check_all_read()
     return cfg

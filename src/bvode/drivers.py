@@ -121,8 +121,7 @@ class BVFunction:
         idx = np.clip(np.searchsorted(self.seg_breaks, tt, side="right") - 1,
                       0, self.seg_coefs.shape[0] - 1)
         u = tt - self.seg_breaks[idx]
-        c = self.seg_coefs[idx]
-        out = ((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]
+        out = _poly_eval(np.moveaxis(self.seg_coefs[idx], -1, 0), u)
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):

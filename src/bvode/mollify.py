@@ -17,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from ._kernels import PROFILE_TABLE, PROFILE_TRIANGULAR, PROFILE_UNIFORM
 from .jumpmap import SigmaG
+
+# values of MollifierProfile.code
+PROFILE_UNIFORM = 0
+PROFILE_TRIANGULAR = 1
+PROFILE_TABLE = 2
 
 DEFAULT_MESHES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)

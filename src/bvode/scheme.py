@@ -25,20 +25,34 @@ class StepLimitError(RuntimeError):
     """Raised when a run would need more lattice steps than the cap allows."""
 
 
-def _step_count(a: float, b: float, tau: float, h: float) -> int:
-    """Smallest K with tau + K h >= b, robust to rounding."""
-    k = int(math.ceil((b - tau) / h))
+STEP_CAP = 10 ** 8
+
+
+def _step_count(b: float, tau: float, h: float, step_cap: int = STEP_CAP) -> int:
+    """Smallest K >= 0 with tau + K h >= b, robust to rounding.
+
+    Raises StepLimitError when K would exceed ``step_cap``.  The float
+    estimate is checked before the rounding loops, which could not advance
+    an index too large for k h to change with k.
+    """
+    est = (b - tau) / h
+    if not est <= step_cap + 1:
+        raise StepLimitError(f"run needs {est:.6g} steps, cap is {step_cap}")
+    k = int(math.ceil(est))
     while tau + k * h < b:
         k += 1
     while k >= 1 and tau + (k - 1) * h >= b:
         k -= 1
-    return max(k, 0)
+    k = max(k, 0)
+    if k > step_cap:
+        raise StepLimitError(f"run needs {k} steps, cap is {step_cap}")
+    return k
 
 
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                  n: int, h: float, tau: float, x0: float,
                  mollify_coefficient: bool = False, conv_points: int = 16,
-                 step_cap: int = 10 ** 8) -> np.ndarray:
+                 step_cap: int = STEP_CAP) -> np.ndarray:
     """Run one lattice and return the state sequence x_0 .. x_K.
 
     The lattice is t_k = tau + k h with tau in [a, a + h); the driver is
@@ -53,9 +67,7 @@ def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
         raise ValueError(f"offset tau={tau!r} must lie in [{a!r}, {a + h!r})")
     if n < 1:
         raise ValueError("sharpness n must be a positive integer")
-    K = _step_count(a, b, tau, h)
-    if K > step_cap:
-        raise StepLimitError(f"run needs {K} steps, cap is {step_cap}")
+    K = _step_count(b, tau, h, step_cap)
     ts = tau + h * np.arange(K + 1, dtype=np.float64)
     Ln = backend.driver_lattice_values(ts, n, profile, L)
     dLn = np.diff(Ln)
@@ -161,7 +173,8 @@ def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
     xi_k = F_n(zeta - t_{j+k}) for k = 0 .. p + 2 (p = floor(1/(n h)))
     rise from exactly 0 to exactly 1: they are the fractions of the
     smoothed jump already consumed at each step the scheme takes while
-    crossing it.
+    crossing it.  Raises StepLimitError when j or the p + 3 fractions
+    exceed the default step cap.
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
@@ -170,13 +183,11 @@ def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
     width = 1.0 / n
     if zeta - width <= tau:
         raise ValueError("epoch must sit at least one smoothing width past tau")
-    jj = int(math.ceil((zeta - width - tau) / h))
-    while tau + jj * h < zeta - width:
-        jj += 1
-    while jj >= 1 and tau + (jj - 1) * h >= zeta - width:
-        jj -= 1
-    j = jj - 1
-    p = int(math.floor(1.0 / (n * h) + 1e-9))
+    j = _step_count(zeta - width, tau, h) - 1
+    est = 1.0 / (n * h) + 1e-9
+    if not est < STEP_CAP - 2:  # p + 3 > STEP_CAP
+        raise StepLimitError(f"crossing grid needs {est + 3:.6g} points, cap is {STEP_CAP}")
+    p = int(math.floor(est))
     ks = np.arange(p + 3, dtype=np.float64)
     xi = F_n(profile, n, zeta - (tau + (j + ks) * h))
     return XiGrid(xi, clamp=True)

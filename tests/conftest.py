@@ -6,7 +6,7 @@ from bvode import backend
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_backend():
-    # compile the jit lane once (no-op cost on the numpy lane)
+    # compile the serial kernels once when numba is installed
     backend.warmup()
 
 

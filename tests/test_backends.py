@@ -1,9 +1,9 @@
-"""Cross-checks between the execution lanes of the hot kernels.
+"""Cross-checks of the hot kernels against their references.
 
-The plain-python reference kernels, the vectorized numpy blocks, and the
-active lane (numba when available) must produce the same numbers.  The
-quadrature driver lattice of the reference kernels is the oracle for the
-exact incomplete-moment lattice that both lanes run.
+The backend entry points (numba-compiled serial kernels when numba imports)
+must match the plain-python kernels and explicit recurrences.  The
+quadrature lattice of :mod:`oracle` is the reference for the exact
+incomplete-moment lattice.
 """
 
 import os
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bvode import BVFunction, ScalarField, backend, get_profile
-from bvode import _blocks
-from bvode._kernels import GL_NODES, GL_WEIGHTS, PLAIN
+import oracle
+from bvode import BVFunction, ScalarField, backend, get_profile, solve_offset
+from bvode._kernels import PLAIN
 
 FIELDS = [
     ScalarField.constant(0.7),
@@ -52,7 +52,7 @@ def lattice_args(ts, n, profile, driver):
     return (ts, n, profile.code, profile.cnorm, profile.kinks,
             profile.table_x, profile.table_tail,
             a, b, driver.seg_breaks, driver.seg_coefs,
-            driver.jump_epochs, driver.jump_sizes, GL_NODES, GL_WEIGHTS)
+            driver.jump_epochs, driver.jump_sizes, oracle.GL_NODES, oracle.GL_WEIGHTS)
 
 
 def lattice_points(driver, n):
@@ -75,8 +75,8 @@ class TestDriverLattice:
         for drv in (mixed_driver(), cubic_driver()):
             for n in (3, 8, 64):
                 ts = lattice_points(drv, n)
-                ref = PLAIN.driver_lattice(*lattice_args(ts, n, prof, drv))
-                got = _blocks.driver_lattice(ts, n, prof, drv)
+                ref = oracle.driver_lattice(*lattice_args(ts, n, prof, drv))
+                got = backend.driver_lattice_values(ts, n, prof, drv)
                 np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
 
     def test_active_dispatch_agrees(self):
@@ -84,16 +84,17 @@ class TestDriverLattice:
         ts = np.linspace(0.0, 1.0, 33)
         prof = get_profile("triangular")
         got = backend.driver_lattice_values(ts, 16, prof, drv)
-        ref = PLAIN.driver_lattice(*lattice_args(ts, 16, prof, drv))
+        ref = oracle.driver_lattice(*lattice_args(ts, 16, prof, drv))
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
-    def test_chunked_equals_unchunked(self):
+    def test_chunked_equals_unchunked(self, monkeypatch):
         drv = cubic_driver()
         ts = lattice_points(drv, 4)
         prof = get_profile("bump")
-        np.testing.assert_array_equal(
-            _blocks.driver_lattice(ts, 4, prof, drv, chunk=64),
-            _blocks.driver_lattice(ts, 4, prof, drv))
+        whole = backend.driver_lattice_values(ts, 4, prof, drv)
+        assert ts.size > 64 and ts.size <= backend.LATTICE_CHUNK
+        monkeypatch.setattr(backend, "LATTICE_CHUNK", 64)
+        np.testing.assert_array_equal(backend.driver_lattice_values(ts, 4, prof, drv), whole)
 
 
 class TestEulerExact:
@@ -101,9 +102,7 @@ class TestEulerExact:
     def test_lanes_agree(self, f, rng):
         dLn = rng.normal(0.0, 0.3, size=200)
         ref = PLAIN.euler_exact(f.kind, f.packed, 0.1, 0.01, dLn, 0.8)
-        vec = _blocks.euler_exact_vec(f.kind, f.packed, 0.1, 0.01, dLn, 0.8)
         act = backend.euler_exact(f, 0.1, 0.01, dLn, 0.8)
-        np.testing.assert_allclose(vec, ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(act, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
@@ -122,7 +121,7 @@ class TestEulerExact:
         f = ScalarField.affine(0.5, -3.0)
         dLn = rng.uniform(-0.8, 0.8, size=120)
         ref = PLAIN.euler_exact(f.kind, f.packed, 0.0, 0.1, dLn, 1.0)
-        vec = _blocks.euler_exact_vec(f.kind, f.packed, 0.0, 0.1, dLn, 1.0)
+        vec = backend.euler_exact(f, 0.0, 0.1, dLn, 1.0)
         np.testing.assert_allclose(vec, ref, rtol=1e-11, atol=1e-11)
 
     def test_empty_step_list(self):
@@ -207,42 +206,35 @@ class TestLaneSelection:
     def test_flag_consistency(self):
         import bvode
 
-        assert bvode.BACKEND in ("numba", "numpy")
-        assert bvode.USING_NUMBA == (bvode.BACKEND == "numba")
+        try:
+            import numba  # noqa: F401
+        except ImportError:
+            has_numba = False
+        else:
+            has_numba = True
+        assert bvode.BACKEND == ("numba" if has_numba else "numpy")
+        assert backend.ACTIVE == bvode.BACKEND
 
-    def test_numpy_flag_selects_numpy(self):
+    def test_import_is_silent(self):
+        subprocess.run([sys.executable, "-W", "error", "-c", "import bvode"], check=True)
+
+    def test_importable_numba_is_used(self, tmp_path):
+        # a stand-in numba whose njit leaves functions as they are
+        (tmp_path / "numba.py").write_text(
+            "def njit(**options):\n    return lambda fn: fn\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tmp_path)] + sys.path)}
         out = subprocess.run(
             [sys.executable, "-c",
-             "import bvode; print(bvode.BACKEND, bvode.USING_NUMBA)"],
-            env={**os.environ, "BVODE_BACKEND": "numpy"},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["numpy", "False"]
+             "import bvode; from bvode import backend; backend.warmup(); print(bvode.BACKEND)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["numba"]
 
-    def test_unknown_flag_rejected(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "import bvode"],
-            env={**os.environ, "BVODE_BACKEND": "cuda"},
-            capture_output=True, text=True)
-        assert out.returncode != 0
-        assert "not recognized" in out.stderr
-
-    def test_lanes_agree_across_processes(self):
-        """Full scheme solve on the numpy lane matches the active lane."""
-        script = (
-            "import numpy as np\n"
-            "from bvode import BVFunction, ScalarField, get_profile, solve_offset\n"
-            "L = BVFunction.from_segments([0.0, 0.5, 1.0], [[0.0, 2.0], [1.0, 0.0, -4.0]],\n"
-            "                             jumps=((0.25, 1.5), (0.75, -0.5)))\n"
-            "f = ScalarField.bounded_tanh(0.8, 2.5, offset=0.1)\n"
-            "x = solve_offset(f, L, get_profile('triangular'), 64, 1.0 / 4096, 0.0, 1.0)\n"
-            "print(repr(float(x[-1])))\n"
-        )
-        outs = []
-        for lane in ("numpy", "numba") if backend.USING_NUMBA else ("numpy",):
-            r = subprocess.run([sys.executable, "-c", script],
-                               env={**os.environ, "BVODE_BACKEND": lane},
-                               capture_output=True, text=True, check=True)
-            outs.append(float(r.stdout.strip()))
-        here = outs[0]
-        for other in outs[1:]:
-            assert other == pytest.approx(here, rel=1e-12)
+    def test_plain_kernels_match_active(self, monkeypatch):
+        """Full scheme solve with the plain kernels matches the active ones."""
+        L = mixed_driver()
+        f = ScalarField.bounded_tanh(0.8, 2.5, offset=0.1)
+        args = (f, L, get_profile("triangular"), 64, 1.0 / 4096, 0.0, 1.0)
+        active = solve_offset(*args)[-1]
+        monkeypatch.setattr(backend, "_K", PLAIN)
+        assert solve_offset(*args)[-1] == pytest.approx(active, rel=1e-12)

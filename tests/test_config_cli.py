@@ -1,12 +1,16 @@
 """INI config parsing and the command line entry points."""
 
+import importlib
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvode import ConfigError, load_config
 from bvode.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FULL = """
 [driver]
@@ -121,6 +125,16 @@ class TestLoadConfig:
             load_config(write(tmp_path, text))
         assert needle in str(err.value)
 
+    def test_documented_configs_load(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        cfg = load_config(write(tmp_path, readme.split("```ini\n")[1].split("```")[0]))
+        assert cfg.zeta == 0.5 and cfg.sigma is not None
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        configs = workloads.scheme_inputs(0)["configs"] | workloads.diag_inputs(0)["configs"]
+        for label, text in configs.items():
+            load_config(write(tmp_path, text, f"{label}.ini"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "nope.ini"))
@@ -221,6 +235,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: [mollifier].profile" in err
 
+    @pytest.mark.parametrize("section,key,text", [
+        ("driver", "jump", "[driver]\nbreakpoints = 0, 1\ncoefficients = 0\njump = 0.5:1\n"),
+        ("field", "slop", "[field]\nname = tanh\nslop = 2\n"),
+        ("field", "value", "[field]\nname = linear\nvalue = 2\n"),
+        ("mollifier", "mesh", "[mollifier]\nprofile = uniform\nalpha = 2\nmesh = 8, 16\n"),
+        ("sigma", "interval", "[sigma]\nintervals = 0.2:0.5\ninterval = 0.1:0.2\n"),
+        ("run", "n_offset", "[run]\nn_offset = 64\n"),
+    ])
+    def test_unread_key_exits_one(self, tmp_path, capsys, section, key, text):
+        assert main(["classify", "--config", write(tmp_path, text)]) == 1
+        assert f"config error: [{section}].{key}: unknown key" in capsys.readouterr().err
+
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         assert main(["study", "--config", str(tmp_path / "missing.ini")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -240,6 +266,23 @@ class TestCli:
             [run]
             n = 16
             step_cap = 1000
+            """)
+        assert main(["solve-scheme", "--config", cfg,
+                     "--out", str(tmp_path / "res")]) == 2
+        assert "step limit" in capsys.readouterr().err
+
+    def test_subnormal_step_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 1
+            [field]
+            name = linear
+            [mollifier]
+            profile = uniform
+            table = 16:1e-320
+            [run]
+            n = 16
             """)
         assert main(["solve-scheme", "--config", cfg,
                      "--out", str(tmp_path / "res")]) == 2

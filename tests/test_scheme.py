@@ -67,6 +67,21 @@ class TestSolveOffset:
                          get_profile("uniform"), 8, 1e-6, 0.0, 1.0,
                          step_cap=1000)
 
+    def test_step_cap_boundary(self):
+        # the lattice 0, 0.1, .., 1.0 takes exactly 10 steps
+        args = (ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0)),
+                get_profile("uniform"), 8, 0.1, 0.0, 1.0)
+        assert solve_offset(*args, step_cap=10).size == 11
+        with pytest.raises(StepLimitError, match="needs 10 steps"):
+            solve_offset(*args, step_cap=9)
+
+    @pytest.mark.parametrize("h", [1e-30, 1e-320])
+    def test_tiny_step_raises_before_counting(self, h):
+        # 1e-30 used to hang in the rounding loop, 1e-320 to overflow
+        with pytest.raises(StepLimitError):
+            solve_offset(ScalarField.constant(0.0), mixed_driver(),
+                         get_profile("uniform"), 8, h, 0.0, 1.0)
+
     def test_deterministic(self):
         f = ScalarField.bounded_sin(0.9, 2.0, freq_t=0.5)
         a = solve_offset(f, mixed_driver(), get_profile("bump"), 32, 0.003,
@@ -191,6 +206,16 @@ class TestXiGrid:
                                    F_n(get_profile("triangular"), n,
                                        zeta - (tau + (j + ks) * h)),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-30, 1e-320])
+    def test_tiny_step_raises(self, h):
+        with pytest.raises(StepLimitError):
+            xi_grid_for_offset(get_profile("uniform"), 4, h, 0.0, 0.5)
+
+    def test_oversized_crossing_grid_raises(self):
+        # the epoch sits 5e7 steps in, but one crossing needs 1e12 fractions
+        with pytest.raises(StepLimitError, match="crossing grid"):
+            xi_grid_for_offset(get_profile("uniform"), 1, 1e-12, 0.0, 1.00005)
 
     def test_epoch_too_close_rejected(self):
         with pytest.raises(ValueError, match="smoothing width"):
