@@ -52,27 +52,6 @@ def build_kernels(jit):
         return x
 
     @jit
-    def euler_mollified(kind, p, tau, h, dLn, x0, conv_s, conv_w):
-        # conv_s/conv_w: quadrature rule for the window [0, 1/n] with the
-        # mollifier density folded into the weights (sum of conv_w is 1).
-        K = dLn.size
-        Q = conv_s.size
-        x = np.empty(K + 1)
-        x[0] = x0
-        cur = x0
-        for k in range(K):
-            t = tau + k * h
-            fn = 0.0
-            for a in range(Q):
-                wa = conv_w[a]
-                sa = conv_s[a]
-                for b in range(Q):
-                    fn += wa * conv_w[b] * field_value(kind, p, t + sa, cur + conv_s[b])
-            cur = cur + fn * dLn[k]
-            x[k + 1] = cur
-        return x
-
-    @jit
     def _rk4_step(kind, p, x, dm):
         k1 = field_value(kind, p, 0.0, x)
         k2 = field_value(kind, p, 0.0, x + 0.5 * dm * k1)
@@ -144,7 +123,6 @@ def build_kernels(jit):
     return SimpleNamespace(
         field_value=field_value,
         euler_exact=euler_exact,
-        euler_mollified=euler_mollified,
         flow_mass=flow_mass,
         heun_path=heun_path,
     )

@@ -1,11 +1,12 @@
 """Entry points of the hot numerical kernels.
 
-The serial kernels of :mod:`bvode._kernels` (the generic Euler recursions,
+The serial kernels of :mod:`bvode._kernels` (the generic Euler recursion,
 the RK4 jump-map substeps and the Heun steps) are compiled with
 ``numba.njit`` when numba imports, which the ``jit`` extra installs, and
 run as plain Python otherwise.  ``ACTIVE`` records which of the two was
-picked at import.  The mollified driver lattice and the Euler recursion for
-fields affine in x are vectorized numpy either way.
+picked at import.  The mollified driver lattice, the Euler recursion for
+fields affine in x and the mollified-coefficient recursion are vectorized
+numpy either way.
 """
 
 from __future__ import annotations
@@ -126,10 +127,26 @@ def euler_exact(field, tau, h, dLn, x0):
 
 
 def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
-    """Explicit recurrence with the mollified coefficient f_n."""
-    dLn = np.ascontiguousarray(dLn, dtype=np.float64)
-    return _K.euler_mollified(field.kind, field.packed, tau, h, dLn, x0,
-                              np.ascontiguousarray(conv_s), np.ascontiguousarray(conv_w))
+    """Explicit recurrence with the mollified coefficient f_n, over a fan of offsets.
+
+    ``tau`` and ``x0`` have shape (J,) and ``dLn`` shape (J, K); the result
+    holds the states, shape (J, K + 1).  Each step evaluates f once on the
+    (J, Q, Q) window grid (t_k + s_a, x_k + s_b) and contracts it with the
+    tensor-product weights outer(w, w).  A zero increment keeps the state.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    dLn = np.asarray(dLn, dtype=np.float64)
+    conv_s = np.asarray(conv_s, dtype=np.float64)
+    J, K = dLn.shape
+    shift_t = conv_s[:, None]
+    ww = np.outer(conv_w, conv_w).ravel()
+    x = np.empty((J, K + 1))
+    x[:, 0] = x0
+    for k in range(K):
+        cur = x[:, k]
+        grid = field((tau + k * h)[:, None, None] + shift_t, cur[:, None, None] + conv_s)
+        x[:, k + 1] = cur + (grid.reshape(J, -1) @ ww) * dLn[:, k]
+    return x
 
 
 def flow_mass(field, x, mass, substep):
@@ -161,8 +178,6 @@ def warmup() -> None:
     dln = np.array([0.1, 0.2])
     euler_exact(fld, 0.0, 0.5, dln, 1.0)
     euler_exact(rmp, 0.0, 0.5, dln, 1.0)
-    nodes, weights = get_profile("uniform").convolution_rule(8)
-    euler_mollified(fld, 0.0, 0.5, dln, 1.0, nodes, weights)
     flow_mass(fld, 1.0, 0.01, 1e-3)
     flow_mass(rmp, 0.4, 0.3, 1e-3)
     heun_path(fld, np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.4, 1.0]), 1.0)

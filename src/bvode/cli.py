@@ -2,12 +2,14 @@
 
 Every subcommand reads one INI config, writes CSV into an output
 directory (atomically, via a temp file and rename), and prints a one
-line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap.
+line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap,
+3 non-finite scheme state (``solve-scheme`` writes no CSV then).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -21,26 +23,32 @@ from .mollify import classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+# rows formatted and written per block; bounds the text held in memory
+CSV_BLOCK = 16384
+
+
+def _spec(value) -> str:
+    """%-format of one CSV column, chosen from its first value."""
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+        return "%.17g"
+    return "%s"
 
 
 def _write_csv(out_dir: str, filename: str, header, rows) -> str:
+    """Write header and tuple rows as CSV; every row has the column types of the first."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    count = 0
+    rows = iter(rows)
+    block = list(itertools.islice(rows, CSV_BLOCK))
+    line = ",".join(_spec(v) for v in block[0]) + "\n" if block else ""
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
+        while block:
+            fh.write("".join([line % row for row in block]))
+            block = list(itertools.islice(rows, CSV_BLOCK))
     os.replace(tmp, path)
     return path
 
@@ -66,9 +74,19 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, out_dir: str, args) -> int:
     sched = cfg.need("schedule", "mollifier", "alpha")
     n = cfg.need("n", "run", "n")
     h = sched.h(n)
-    gp = solve_grid(f, L, profile, n, h, cfg.x0, n_offsets=cfg.n_offsets,
-                    mollify_coefficient=cfg.mollify_coefficient,
-                    conv_points=cfg.conv_points, step_cap=cfg.step_cap)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        gp = solve_grid(f, L, profile, n, h, cfg.x0, n_offsets=cfg.n_offsets,
+                        mollify_coefficient=cfg.mollify_coefficient,
+                        conv_points=cfg.conv_points, step_cap=cfg.step_cap)
+    bad = ~np.isfinite(gp.values)
+    if bad.any():
+        # the earliest non-finite step over the fan, lowest offset first
+        first = np.where(bad.any(axis=1), bad.argmax(axis=1), gp.values.shape[1])
+        j = int(np.argmin(first))
+        k = int(first[j])
+        print(f"non-finite state: offset {j}, step {k}, t={float(gp.offsets[j] + k * h)!r}",
+              file=sys.stderr)
+        return 3
     path = _write_csv(out_dir, "grid_path.csv",
                       ("offset_index", "tau", "k", "t", "x"), gp.rows())
     finals = gp.final_values()

@@ -68,9 +68,12 @@ class _Section:
         if raw is None:
             return default
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError as exc:
             raise ConfigError(self.name, key, f"expected a number, got {raw!r}") from exc
+        if not np.isfinite(val):
+            raise ConfigError(self.name, key, f"expected a finite number, got {raw!r}")
+        return val
 
     def intval(self, key: str, default=None) -> Optional[int]:
         raw = self.raw(key)

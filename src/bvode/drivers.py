@@ -41,6 +41,8 @@ class BVFunction:
         breaks = np.asarray(breakpoints, dtype=np.float64)
         if breaks.ndim != 1 or breaks.size < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(breaks)):
+            raise ValueError("breakpoints must be finite")
         if not np.all(np.diff(breaks) > 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         rows = [np.atleast_1d(np.asarray(row, dtype=np.float64)) for row in coefficients]
@@ -50,6 +52,8 @@ class BVFunction:
         coefs = np.zeros((len(rows), 4), dtype=np.float64)
         for i, r in enumerate(rows):
             coefs[i, : r.size] = r
+        if not np.all(np.isfinite(coefs)):
+            raise ValueError("coefficients must be finite")
         for i in range(coefs.shape[0] - 1):
             end = _poly_eval(coefs[i], breaks[i + 1] - breaks[i])
             nxt = coefs[i + 1, 0]
@@ -67,6 +71,8 @@ class BVFunction:
             size = float(size)
             if size == 0.0:
                 raise ValueError(f"zero-size jump at t={epoch!r}")
+            if not np.isfinite(size):
+                raise ValueError(f"jump size {size!r} at t={epoch!r} is not finite")
             if not (self.domain[0] < epoch <= self.domain[1]):
                 raise ValueError(f"jump epoch {epoch!r} outside ({self.domain[0]}, {self.domain[1]}]")
             merged[epoch] = merged.get(epoch, 0.0) + size

@@ -22,6 +22,15 @@ from ._kernels import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TA
 
 _PARAM_SLOTS = 5
 
+
+def _finite(*values) -> tuple:
+    """The values as floats; ValueError when one is not finite."""
+    out = tuple(map(float, values))
+    if not all(np.isfinite(out)):
+        raise ValueError(f"field parameters must be finite, got {out!r}")
+    return out
+
+
 _KIND_NAMES = {
     FIELD_CONST: "constant",
     FIELD_AFFINE: "affine",
@@ -45,14 +54,13 @@ class ScalarField:
 
     @classmethod
     def constant(cls, value: float) -> "ScalarField":
-        value = float(value)
+        (value,) = _finite(value)
         return cls(FIELD_CONST, (value,), 0.0, abs(value), f"const({value:g})")
 
     @classmethod
     def affine(cls, offset: float, slope: float) -> "ScalarField":
         """f(t, x) = offset + slope * x."""
-        offset = float(offset)
-        slope = float(slope)
+        offset, slope = _finite(offset, slope)
         return cls(
             FIELD_AFFINE,
             (offset, slope),
@@ -70,11 +78,9 @@ class ScalarField:
     def ramp(cls, threshold: float, width: float, height: float = 1.0) -> "ScalarField":
         """Plateau of ``height`` for x <= threshold, linear to 0 on
         (threshold, threshold + width], 0 beyond."""
-        width = float(width)
+        threshold, width, height = _finite(threshold, width, height)
         if width <= 0.0:
             raise ValueError("ramp width must be positive")
-        threshold = float(threshold)
-        height = float(height)
         return cls(
             FIELD_RAMP,
             (threshold, width, height),
@@ -87,7 +93,7 @@ class ScalarField:
     def bounded_sin(cls, amp: float, freq_x: float, freq_t: float = 0.0,
                     phase: float = 0.0, offset: float = 0.0) -> "ScalarField":
         """f(t, x) = amp * sin(freq_x * x + freq_t * t + phase) + offset."""
-        amp, freq_x, freq_t, phase, offset = map(float, (amp, freq_x, freq_t, phase, offset))
+        amp, freq_x, freq_t, phase, offset = _finite(amp, freq_x, freq_t, phase, offset)
         lip = abs(amp) * max(abs(freq_x), abs(freq_t))
         return cls(
             FIELD_SIN,
@@ -100,7 +106,7 @@ class ScalarField:
     @classmethod
     def bounded_tanh(cls, amp: float, slope: float, offset: float = 0.0) -> "ScalarField":
         """f(t, x) = amp * tanh(slope * x) + offset."""
-        amp, slope, offset = map(float, (amp, slope, offset))
+        amp, slope, offset = _finite(amp, slope, offset)
         return cls(
             FIELD_TANH,
             (amp, slope, offset),

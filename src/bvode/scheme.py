@@ -9,6 +9,7 @@ offset grid and the discrete jump map expose.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ class StepLimitError(RuntimeError):
 
 
 STEP_CAP = 10 ** 8
+# CSV rows materialized per block by GridPath.rows; bounds its temporaries
+ROW_BLOCK = 65536
 
 
 def _step_count(b: float, tau: float, h: float, step_cap: int = STEP_CAP) -> int:
@@ -49,6 +52,44 @@ def _step_count(b: float, tau: float, h: float, step_cap: int = STEP_CAP) -> int
     return k
 
 
+def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
+         h: float, taus: np.ndarray, x0s: np.ndarray,
+         mollify_coefficient: bool = False, conv_points: int = 16,
+         step_cap: int = STEP_CAP):
+    """Run the lattices of every offset in ``taus``; return (values, lengths).
+
+    ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
+    the row repeats its final state.  The increments of all offsets share
+    one (J, Kmax) array whose steps past an offset's own K_j are zero, so
+    the mollified-coefficient recursion steps the whole fan at once and
+    pads by keeping the final state; the exact recursion runs per offset.
+    """
+    a, b = L.domain
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("step size h must be positive and finite")
+    for tau in taus:
+        if not a <= tau < a + h:
+            raise ValueError(f"offset tau={float(tau)!r} must lie in [{a!r}, {a + h!r})")
+    if n < 1:
+        raise ValueError("sharpness n must be a positive integer")
+    if not np.all(np.isfinite(x0s)):
+        raise ValueError("initial states must be finite")
+    Ks = [_step_count(b, float(tau), h, step_cap) for tau in taus]
+    dLn = np.zeros((taus.size, max(Ks)))
+    for j, K in enumerate(Ks):
+        ts = taus[j] + h * np.arange(K + 1, dtype=np.float64)
+        dLn[j, :K] = np.diff(backend.driver_lattice_values(ts, n, profile, L))
+    lengths = np.array(Ks, dtype=np.int64) + 1
+    if mollify_coefficient:
+        s, w = profile.convolution_rule(n, conv_points)
+        return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
+    values = np.empty((taus.size, dLn.shape[1] + 1))
+    for j, K in enumerate(Ks):
+        values[j, :K + 1] = backend.euler_exact(f, float(taus[j]), h, dLn[j, :K], float(x0s[j]))
+        values[j, K + 1:] = values[j, K]
+    return values, lengths
+
+
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                  n: int, h: float, tau: float, x0: float,
                  mollify_coefficient: bool = False, conv_points: int = 16,
@@ -60,21 +101,9 @@ def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     ``mollify_coefficient`` the coefficient is averaged with the same
     kernel in both arguments instead of evaluated pointwise.
     """
-    a, b = L.domain
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("step size h must be positive and finite")
-    if not a <= tau < a + h:
-        raise ValueError(f"offset tau={tau!r} must lie in [{a!r}, {a + h!r})")
-    if n < 1:
-        raise ValueError("sharpness n must be a positive integer")
-    K = _step_count(b, tau, h, step_cap)
-    ts = tau + h * np.arange(K + 1, dtype=np.float64)
-    Ln = backend.driver_lattice_values(ts, n, profile, L)
-    dLn = np.diff(Ln)
-    if mollify_coefficient:
-        s, w = profile.convolution_rule(n, conv_points)
-        return backend.euler_mollified(f, tau, h, dLn, float(x0), s, w)
-    return backend.euler_exact(f, tau, h, dLn, float(x0))
+    values, _ = _fan(f, L, profile, n, h, np.array([float(tau)]), np.array([float(x0)]),
+                     mollify_coefficient, conv_points, step_cap)
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -133,11 +162,14 @@ class GridPath:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
 
     def rows(self):
-        """CSV rows (offset_index, tau, k, t, x)."""
+        """CSV rows (offset_index, tau, k, t, x), built a block of columns at a time."""
         for j in range(self.offsets.size):
-            tau = float(self.offsets[j])
-            for k in range(int(self.lengths[j])):
-                yield j, tau, k, tau + k * self.h, float(self.values[j, k])
+            tau, m = self.offsets[j], int(self.lengths[j])
+            for start in range(0, m, ROW_BLOCK):
+                k = np.arange(start, min(start + ROW_BLOCK, m))
+                yield from zip(itertools.repeat(j), itertools.repeat(float(tau)), k.tolist(),
+                               (tau + k * self.h).tolist(),
+                               self.values[j, start:start + k.size].tolist())
 
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
@@ -146,21 +178,16 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h).
 
     ``x0`` is a number or a callable of the offset tau.  Keyword arguments
-    are forwarded to :func:`solve_offset`.
+    (``mollify_coefficient``, ``conv_points``, ``step_cap``) are those of
+    :func:`solve_offset`.
     """
     if n_offsets < 1:
         raise ValueError("need at least one offset")
     a, _ = L.domain
     taus = a + (h / n_offsets) * np.arange(n_offsets, dtype=np.float64)
-    runs = []
-    for tau in taus:
-        start = x0(float(tau)) if callable(x0) else float(x0)
-        runs.append(solve_offset(f, L, profile, n, h, float(tau), start, **kwargs))
-    lengths = np.array([r.size for r in runs], dtype=np.int64)
-    values = np.empty((n_offsets, int(lengths.max())), dtype=np.float64)
-    for j, r in enumerate(runs):
-        values[j, :r.size] = r
-        values[j, r.size:] = r[-1]
+    x0s = np.array([x0(float(tau)) if callable(x0) else float(x0) for tau in taus],
+                   dtype=np.float64)
+    values, lengths = _fan(f, L, profile, n, h, taus, x0s, **kwargs)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)
 

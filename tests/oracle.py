@@ -1,15 +1,23 @@
-"""Quadrature reference for the mollified driver lattice.
+"""Scalar references the tests compare the vectorized package code against.
 
 The package evaluates L_n exactly from incomplete moments
 (:func:`bvode.backend.driver_lattice_values`).  This module keeps the scalar
 loop it replaced, which convolves the base density with the continuous part
-by Gauss-Legendre quadrature and sums tail masses for the jumps, as the
-oracle the tests compare the exact kernel against.
+by Gauss-Legendre quadrature and sums tail masses for the jumps.  It also
+keeps the serial mollified-coefficient recursion that
+:func:`bvode.backend.euler_mollified` replaced, and the value-by-value CSV
+writer that :func:`bvode.cli._write_csv` and :meth:`bvode.GridPath.rows`
+replaced.
 """
+
+import os
 
 import numpy as np
 
+from bvode._kernels import PLAIN
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM
+
+field_value = PLAIN.field_value
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 GL_NODES = np.ascontiguousarray(GL_NODES)
@@ -140,3 +148,56 @@ def driver_lattice(ts, n, code, cnorm, kinks, tbl_x, tbl_tail,
                          * lc_value(dom_a, dom_b, breaks, coefs, t + s))
         out[i] = acc + conv
     return out
+
+
+def euler_mollified(kind, p, tau, h, dLn, x0, conv_s, conv_w):
+    # conv_s/conv_w: quadrature rule for the window [0, 1/n] with the
+    # mollifier density folded into the weights (sum of conv_w is 1).
+    K = dLn.size
+    Q = conv_s.size
+    x = np.empty(K + 1)
+    x[0] = x0
+    cur = x0
+    for k in range(K):
+        t = tau + k * h
+        fn = 0.0
+        for a in range(Q):
+            wa = conv_w[a]
+            sa = conv_s[a]
+            for b in range(Q):
+                fn += wa * conv_w[b] * field_value(kind, p, t + sa, cur + conv_s[b])
+        cur = cur + fn * dLn[k]
+        x[k + 1] = cur
+    return x
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _write_csv(out_dir: str, filename: str, header, rows) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, filename)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    count = 0
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            count += 1
+    os.replace(tmp, path)
+    return path
+
+
+def grid_rows(gp):
+    """CSV rows (offset_index, tau, k, t, x) of a GridPath, value by value."""
+    for j in range(gp.offsets.size):
+        tau = float(gp.offsets[j])
+        for k in range(int(gp.lengths[j])):
+            yield j, tau, k, tau + k * gp.h, float(gp.values[j, k])

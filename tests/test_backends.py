@@ -144,8 +144,21 @@ class TestEulerMollified:
         for k, d in enumerate(dLn):
             x = x + mollify_f(f, prof, n, tau + k * h, x) * d
             xs.append(x)
-        got = backend.euler_mollified(f, tau, h, dLn, 0.4, s, w)
+        got = backend.euler_mollified(f, [tau], h, dLn[None], [0.4], s, w)[0]
         np.testing.assert_allclose(got, xs, rtol=1e-11, atol=1e-13)
+
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+    def test_fan_matches_serial_oracle(self, f, rng):
+        s, w = get_profile("bump").convolution_rule(8)
+        taus = np.array([0.1, 0.12, 0.14])
+        x0s = np.array([0.4, -0.3, 1.1])
+        dLn = rng.normal(0.0, 0.2, size=(3, 30))
+        dLn[2, 25:] = 0.0   # a shorter run, padded with zero increments
+        got = backend.euler_mollified(f, taus, 0.05, dLn, x0s, s, w)
+        for j in range(3):
+            ref = oracle.euler_mollified(f.kind, f.packed, taus[j], 0.05, dLn[j], x0s[j], s, w)
+            np.testing.assert_allclose(got[j], ref, rtol=1e-11, atol=1e-13)
+        np.testing.assert_array_equal(got[2, 26:], got[2, 25])
 
 
 class TestFlowMass:

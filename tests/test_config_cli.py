@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvode import ConfigError, load_config
+import oracle
+from bvode import ConfigError, GridPath, cli, load_config, scheme
 from bvode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -288,6 +289,51 @@ class TestCli:
                      "--out", str(tmp_path / "res")]) == 2
         assert "step limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,line", [
+        ("run", "x0 = nan"),
+        ("run", "x0 = inf"),
+        ("field", "amp = nan"),
+        ("driver", "jumps = 0.25:nan"),
+        ("driver", "jumps = 0.25:inf"),
+        ("driver", "coefficients = 0, 2; 1, nan, -4"),
+        ("driver", "breakpoints = 0, 0.5, inf"),
+    ])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, section, line):
+        key, cur, lines = line.split(" = ")[0], None, []
+        for ln in FULL.splitlines():
+            cur = ln.strip("[]") if ln.startswith("[") else cur
+            lines.append(line if cur == section and ln.startswith(key + " =") else ln)
+        text = "\n".join(lines)
+        assert line in text.split("\n")
+        assert main(["solve-scheme", "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    def test_non_finite_state_exits_three(self, tmp_path, capsys):
+        # x_{k+1} = x_k (1 + 1000 dL_k) with dL_k ~ 20/256 overflows within 256 steps
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 20
+            [field]
+            name = affine
+            offset = 0
+            slope = 1000
+            [mollifier]
+            profile = uniform
+            alpha = 2
+            [run]
+            x0 = 1
+            n = 16
+            n_offsets = 4
+            """)
+        out = tmp_path / "res"
+        assert main(["solve-scheme", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite state: offset 0, step " in err and ", t=" in err
+        assert not out.exists()
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = write(tmp_path, FULL)
         out = tmp_path / "res"
@@ -299,3 +345,58 @@ class TestCli:
         cfg = write(tmp_path, FULL + f"out = {target}\n")
         assert main(["solve-limit", "--config", cfg]) == 0
         assert (target / "limit_path.csv").exists()
+
+
+class TestCsvWriter:
+    """The block writer is byte-identical to the value-by-value oracle."""
+
+    @staticmethod
+    def both(tmp_path, header, make_rows, new_rows=None):
+        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, (new_rows or make_rows)())
+        old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, make_rows())
+        return Path(new).read_bytes(), Path(old).read_bytes()
+
+    @pytest.mark.parametrize("blocks", [None, (5, 7)], ids=["default", "small-blocks"])
+    def test_grid_path(self, tmp_path, monkeypatch, blocks):
+        if blocks:
+            monkeypatch.setattr(scheme, "ROW_BLOCK", blocks[0])
+            monkeypatch.setattr(cli, "CSV_BLOCK", blocks[1])
+        values = np.array([[-0.0, 0.1, 1e-310, -1e300, 2.5, 2.5],
+                           [0.0, -1.0 / 3.0, np.nan, np.inf, 7.0, 1e22]])
+        gp = GridPath(offsets=np.array([0.0, 0.0125]), values=values,
+                      lengths=np.array([5, 6]), n=8, h=0.025, profile_name="uniform",
+                      domain=(0.0, 0.1))
+        header = ("offset_index", "tau", "k", "t", "x")
+        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp), gp.rows)
+        assert new == old
+        assert b"\n0,0,0,0,-0\n" in new
+
+    def test_mixed_scalar_types(self, tmp_path):
+        def rows():
+            for i in range(40):
+                yield (bool(i % 2), np.bool_(i % 3 == 0), np.int64(-i), i * 10 ** 15,
+                       np.float64(i) / 7.0, -0.0 if i % 2 else 1e-300, f"gap@{i / 8:g}")
+        new, old = self.both(tmp_path, tuple("abcdefg"), rows)
+        assert new == old
+
+    def test_empty_table(self, tmp_path):
+        new, old = self.both(tmp_path, ("a", "b"), lambda: iter(()))
+        assert new == old == b"a,b\n"
+
+    @pytest.mark.parametrize("command,csv", [
+        ("solve-scheme", "grid_path.csv"),
+        ("solve-limit", "limit_path.csv"),
+        ("study", "study.csv"),
+        ("jumpmap", "jumpmap.csv"),
+        ("sigma", "sigma_probes.csv"),
+        ("classify", "classify_evidence.csv"),
+    ])
+    def test_commands(self, tmp_path, monkeypatch, command, csv):
+        cfg = write(tmp_path, FULL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(cli, "_write_csv", oracle._write_csv)
+        monkeypatch.setattr(GridPath, "rows", oracle.grid_rows)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "old")]) == 0
+        new = (tmp_path / "new" / csv).read_bytes()
+        assert new == (tmp_path / "old" / csv).read_bytes()
+        assert new.count(b"\n") > 2

@@ -106,6 +106,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             BVFunction.from_segments([0.0, 0.0, 1.0], [[1.0], [1.0]])
 
+    @pytest.mark.parametrize("breaks,coefs,jumps,needle", [
+        ([0.0, 1.0], [[0.0, 1.0]], ((0.5, np.nan),), "jump size"),
+        ([0.0, 1.0], [[0.0, 1.0]], ((0.5, np.inf),), "jump size"),
+        ([0.0, 1.0], [[0.0, np.nan]], (), "coefficients must be finite"),
+        ([0.0, np.inf], [[0.0, 1.0]], (), "breakpoints must be finite"),
+    ], ids=["nan-jump", "inf-jump", "nan-coefficient", "inf-breakpoint"])
+    def test_non_finite_input_rejected(self, breaks, coefs, jumps, needle):
+        with pytest.raises(ValueError, match=needle):
+            BVFunction(breaks, coefs, jumps=jumps)
+
 
 class TestVariation:
     def test_linear(self):

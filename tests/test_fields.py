@@ -51,6 +51,18 @@ def test_sin_tanh_closed_forms(rng):
     np.testing.assert_allclose(g(ts, xs), 2.0 * np.tanh(0.8 * xs) - 0.4, atol=1e-15)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ScalarField.constant(np.nan),
+    lambda: ScalarField.affine(0.0, np.inf),
+    lambda: ScalarField.ramp(np.nan, 0.5),
+    lambda: ScalarField.bounded_sin(1.0, 2.0, freq_t=-np.inf),
+    lambda: ScalarField.bounded_tanh(np.nan, 1.0),
+], ids=["constant", "affine", "ramp", "sin", "tanh"])
+def test_non_finite_parameter_rejected(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_ramp_validation():
     with pytest.raises(ValueError):
         ScalarField.ramp(0.0, 0.0)

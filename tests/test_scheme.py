@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import oracle
 from bvode import (
     BVFunction,
     ScalarField,
     StepLimitError,
+    backend,
     discrete_jump_map,
     get_profile,
     mollify_L,
@@ -16,6 +18,7 @@ from bvode import (
     solve_offset,
     xi_grid_for_offset,
 )
+from bvode.scheme import _step_count
 
 
 def mixed_driver():
@@ -171,6 +174,62 @@ class TestGridPath:
         j, tau, k, t, x = rows[0]
         assert (j, k, x) == (0, 0, 2.0)
         assert t == tau
+
+
+FAN_FIELDS = [
+    ScalarField.constant(0.7),
+    ScalarField.affine(0.3, -1.2),
+    ScalarField.ramp(0.2, 0.5),
+    ScalarField.bounded_sin(1.1, 2.0, freq_t=0.7, phase=0.3, offset=-0.2),
+    ScalarField.bounded_tanh(0.8, 2.5, offset=0.1),
+]
+
+
+def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
+    """One offset's run, stepped one offset at a time: the exact recursion as
+    solve_offset ran it before the fan routine, the mollified one by the
+    serial oracle."""
+    K = _step_count(L.domain[1], tau, h)
+    ts = tau + h * np.arange(K + 1, dtype=np.float64)
+    dLn = np.diff(backend.driver_lattice_values(ts, n, prof, L))
+    if mollify_coefficient:
+        s, w = prof.convolution_rule(n)
+        return oracle.euler_mollified(f.kind, f.packed, tau, h, dLn, x0, s, w)
+    return backend.euler_exact(f, tau, h, dLn, x0)
+
+
+class TestFanOracle:
+    @pytest.mark.parametrize("mollify", [False, True], ids=["exact", "mollified"])
+    @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
+    @pytest.mark.parametrize("f", FAN_FIELDS, ids=lambda f: f.name)
+    def test_matches_serial_runs(self, f, name, mollify):
+        # h = 0.03 leaves K_j = 34 for the first offsets and 33 for the rest
+        L, prof, n, h = mixed_driver(), get_profile(name), 8, 0.03
+        x0 = lambda tau: 0.4 - 3.0 * tau
+        gp = solve_grid(f, L, prof, n, h, x0, n_offsets=5, mollify_coefficient=mollify)
+        assert len(set(gp.lengths.tolist())) == 2
+        for j, tau in enumerate(gp.offsets):
+            want = serial_offset(f, L, prof, n, h, float(tau), x0(float(tau)), mollify)
+            assert gp.lengths[j] == want.size
+            got = gp.values[j, :want.size]
+            if mollify:
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+            else:
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(gp.values[j, want.size:], got[-1])
+
+    @pytest.mark.parametrize("mollify", [False, True], ids=["exact", "mollified"])
+    def test_single_offset_fan(self, mollify):
+        f, L, prof = FAN_FIELDS[3], mixed_driver(), get_profile("triangular")
+        gp = solve_grid(f, L, prof, 16, 0.01, 0.3, n_offsets=1, mollify_coefficient=mollify)
+        want = serial_offset(f, L, prof, 16, 0.01, 0.0, 0.3, mollify)
+        assert gp.values.shape == (1, want.size)
+        assert np.all(np.abs(gp.values[0] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            solve_grid(FAN_FIELDS[4], mixed_driver(), get_profile("uniform"), 8, 0.05,
+                       lambda tau: np.nan if tau > 0.0 else 1.0, n_offsets=3)
 
 
 class TestXiGrid:
