@@ -13,6 +13,7 @@ from .fields import ScalarField, check_field_constants
 from .mollify import (
     DEFAULT_DELTAS,
     DEFAULT_MESHES,
+    DEFAULT_U_PROBES,
     F_n,
     F_n_inv,
     MollifierProfile,
@@ -63,6 +64,7 @@ __all__ = [
     "ConfigError",
     "DEFAULT_DELTAS",
     "DEFAULT_MESHES",
+    "DEFAULT_U_PROBES",
     "ExperimentConfig",
     "F_n",
     "F_n_inv",

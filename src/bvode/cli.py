@@ -3,7 +3,8 @@
 Every subcommand reads one INI config, writes CSV into an output
 directory (atomically, via a temp file and rename), and prints a one
 line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap,
-3 non-finite scheme state (``solve-scheme`` writes no CSV then).
+3 non-finite state (``solve-scheme`` and ``solve-limit`` write no CSV
+then).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .analysis import convergence_study
 from .config import ConfigError, ExperimentConfig, load_config
 from .jumpmap import JumpMeasure, measure_from_sigma, phi_solve, phi_explicit_ramp, ramp_z
 from .limit import solve_limit
-from .mollify import classify_regime, sigma_delta_limit
+from .mollify import DEFAULT_U_PROBES, classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
@@ -56,7 +57,7 @@ def _write_csv(out_dir: str, filename: str, header, rows) -> str:
 def _default_u_probes(cfg: ExperimentConfig):
     if cfg.u_probes is not None:
         return cfg.u_probes
-    return tuple(np.linspace(0.0, 1.0, 21))
+    return DEFAULT_U_PROBES
 
 
 def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
@@ -99,8 +100,13 @@ def _cmd_solve_limit(cfg: ExperimentConfig, out_dir: str, args) -> int:
     L = cfg.need("driver", "driver", "breakpoints")
     f = cfg.need("field", "field", "name")
     mu = _mu_for(cfg)
-    lp = solve_limit(f, L, mu, cfg.x0, sample_times=cfg.sample_times,
-                     v_max=cfg.v_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        lp = solve_limit(f, L, mu, cfg.x0, sample_times=cfg.sample_times,
+                         v_max=cfg.v_max)
+    bad = ~(np.isfinite(lp.x_left) & np.isfinite(lp.x))
+    if bad.any():
+        print(f"non-finite state: t={float(lp.t[bad.argmax()])!r}", file=sys.stderr)
+        return 3
     path = _write_csv(out_dir, "limit_path.csv",
                       ("t", "x_left", "x", "is_jump"), lp.rows())
     print(f"solve-limit: {lp.t.size} samples, final x={lp.x[-1]:.10g} -> {path}")
@@ -110,19 +116,12 @@ def _cmd_solve_limit(cfg: ExperimentConfig, out_dir: str, args) -> int:
 def _cmd_sigma(cfg: ExperimentConfig, out_dir: str, args) -> int:
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
-    rows = []
-    n_conv = 0
-    probes = [u for u in _default_u_probes(cfg)]
-    for delta in cfg.deltas:
-        for u in probes:
-            probe = sigma_delta_limit(profile, sched, delta, u)
-            n_conv += int(probe.converged)
-            for n, v in zip(probe.n_values, probe.values):
-                rows.append((delta, u, n, v))
+    deltas = np.asarray(cfg.deltas, dtype=np.float64)
+    us = np.asarray(_default_u_probes(cfg), dtype=np.float64)
+    probe = sigma_delta_limit(profile, sched, deltas[:, None], us[None, :])
     path = _write_csv(out_dir, "sigma_probes.csv",
-                      ("delta", "u", "n", "value"), rows)
-    total = len(cfg.deltas) * len(probes)
-    print(f"sigma: {total} probes ({n_conv} converged), "
+                      ("delta", "u", "n", "value"), probe.rows())
+    print(f"sigma: {probe.converged.size} probes ({int(probe.converged.sum())} converged), "
           f"{len(sched.meshes)} meshes each -> {path}")
     return 0
 

@@ -26,6 +26,7 @@ PROFILE_TABLE = 2
 
 DEFAULT_MESHES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+DEFAULT_U_PROBES = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -365,42 +366,62 @@ def mollify_f(f, profile: MollifierProfile, n: int, t, x, points=16):
 
 @dataclass(frozen=True)
 class SigmaProbe:
-    """One shift-probe trajectory F_n(F_n_inv(u) - delta*h(n)) along a schedule."""
+    """Shift-probe trajectories F_n(F_n_inv(u) - delta*h(n)) along a schedule.
 
-    delta: float
-    u: float
+    For scalar delta and u, ``values`` has one entry per mesh and the other
+    fields are Python scalars.  For array arguments, ``values`` has shape
+    ``broadcast(delta, u).shape + (len(n_values),)`` and ``limit``,
+    ``tail_estimate`` and ``converged`` are arrays of the broadcast shape.
+    """
+
+    delta: object
+    u: object
     n_values: tuple
     values: np.ndarray
-    limit: float
-    tail_estimate: float
-    converged: bool
+    limit: object
+    tail_estimate: object
+    converged: object
+
+    def rows(self):
+        """CSV rows (delta, u, n, value), delta-major, then u, then n."""
+        cols = np.broadcast_arrays(np.asarray(self.delta)[..., None],
+                                   np.asarray(self.u)[..., None],
+                                   np.asarray(self.n_values), self.values)
+        return zip(*(c.ravel().tolist() for c in cols))
 
 
 def sigma_delta_limit(profile: MollifierProfile, sched: Schedule,
-                      delta: float, u: float) -> SigmaProbe:
+                      delta, u) -> SigmaProbe:
     """Probe the small-scale limit sigma(u) along the schedule.
 
-    The tail counts as contracting when, over the last three meshes, the
-    two successive differences do not grow and the final one is below 1e-3.
+    delta and u broadcast against each other; the tail inverse is taken
+    once per u and the tail once on the whole (delta, u, n) array.  A
+    probe's tail counts as contracting when, over the last three meshes,
+    the two successive differences do not grow and the final one is below
+    1e-3; with fewer than three meshes no probe converges.
     """
-    delta = float(delta)
-    u = float(u)
-    if not 0.0 < delta < 1.0:
+    d = np.asarray(delta, dtype=np.float64)
+    uu = np.asarray(u, dtype=np.float64)
+    if not np.all((0.0 < d) & (d < 1.0)):
         raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 <= u <= 1.0:
+    if not np.all((0.0 <= uu) & (uu <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    values = np.array([float(F_n(profile, n, F_n_inv(profile, n, u) - delta * sched.h(n)))
-                       for n in sched.meshes])
-    if values.size >= 3:
-        d1 = abs(values[-2] - values[-3])
-        d2 = abs(values[-1] - values[-2])
-        converged = bool(d2 <= d1 and d2 < 1e-3)
-        tail_estimate = d2
+    n = np.asarray(sched.meshes, dtype=np.float64)
+    h = np.array([sched.h(m) for m in sched.meshes])
+    y = np.asarray(profile.tail_inv(uu))[..., None]
+    values = profile.tail((y / n - d[..., None] * h) * n)
+    limit = values[..., -1]
+    if n.size >= 3:
+        d1 = np.abs(values[..., -2] - values[..., -3])
+        tail_estimate = np.abs(limit - values[..., -2])
+        converged = (tail_estimate <= d1) & (tail_estimate < 1e-3)
     else:
-        converged = False
-        tail_estimate = float("nan")
-    return SigmaProbe(delta, u, tuple(sched.meshes), values,
-                      float(values[-1]), tail_estimate, converged)
+        tail_estimate = np.full(np.shape(limit), np.nan)
+        converged = np.zeros(np.shape(limit), dtype=bool)
+    if values.ndim > 1:
+        return SigmaProbe(d, uu, sched.meshes, values, limit, tail_estimate, converged)
+    return SigmaProbe(float(d), float(uu), sched.meshes, values, float(limit),
+                      tail_estimate if n.size >= 3 else float("nan"), bool(converged))
 
 
 @dataclass(frozen=True)
@@ -435,15 +456,12 @@ def classify_regime(profile: MollifierProfile, sched: Schedule,
     (0, 1] (Ito), and finally fitted as a staircase (GeneralSigma).
     """
     deltas = tuple(float(d) for d in deltas)
-    us = (np.linspace(0.0, 1.0, 21) if u_probes is None
-          else np.asarray(u_probes, dtype=np.float64))
-    probes = [[sigma_delta_limit(profile, sched, d, u) for u in us]
-              for d in deltas]
-    limits = np.array([[p.limit for p in row] for row in probes])
-    conv = np.array([[p.converged for p in row] for row in probes])
-    evidence = [(p.delta, p.u, n, v)
-                for row in probes for p in row
-                for n, v in zip(p.n_values, p.values)]
+    us = np.asarray(DEFAULT_U_PROBES if u_probes is None else u_probes,
+                    dtype=np.float64)
+    probe = sigma_delta_limit(profile, sched, np.asarray(deltas)[:, None], us[None, :])
+    limits = probe.limit
+    conv = probe.converged
+    evidence = list(probe.rows())
     estimates = limits.mean(axis=0)
     spread = limits.max(axis=0) - limits.min(axis=0)
     max_spread = float(spread.max())

@@ -5,9 +5,10 @@ The package evaluates L_n exactly from incomplete moments
 loop it replaced, which convolves the base density with the continuous part
 by Gauss-Legendre quadrature and sums tail masses for the jumps.  It also
 keeps the serial mollified-coefficient recursion that
-:func:`bvode.backend.euler_mollified` replaced, and the value-by-value CSV
+:func:`bvode.backend.euler_mollified` replaced, the value-by-value CSV
 writer that :func:`bvode.cli._write_csv` and :meth:`bvode.GridPath.rows`
-replaced.
+replaced, and the per-probe shift-probe loop that the broadcast
+:func:`bvode.mollify.sigma_delta_limit` replaced.
 """
 
 import os
@@ -15,7 +16,7 @@ import os
 import numpy as np
 
 from bvode._kernels import PLAIN
-from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM
+from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
 field_value = PLAIN.field_value
 
@@ -201,3 +202,53 @@ def grid_rows(gp):
         tau = float(gp.offsets[j])
         for k in range(int(gp.lengths[j])):
             yield j, tau, k, tau + k * gp.h, float(gp.values[j, k])
+
+
+def scalar_probe(profile, sched, delta, u):
+    """One shift-probe trajectory F_n(F_n_inv(u) - delta*h(n)), mesh by mesh."""
+    delta = float(delta)
+    u = float(u)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must lie in [0, 1]")
+    values = np.array([float(F_n(profile, n, F_n_inv(profile, n, u) - delta * sched.h(n)))
+                       for n in sched.meshes])
+    if values.size >= 3:
+        d1 = abs(values[-2] - values[-3])
+        d2 = abs(values[-1] - values[-2])
+        converged = bool(d2 <= d1 and d2 < 1e-3)
+        tail_estimate = d2
+    else:
+        converged = False
+        tail_estimate = float("nan")
+    return SigmaProbe(delta, u, tuple(sched.meshes), values,
+                      float(values[-1]), tail_estimate, converged)
+
+
+def probe_grid(profile, sched, deltas, us):
+    """The classifier's probe loop: one scalar probe per (delta, u)."""
+    return [[scalar_probe(profile, sched, d, u) for u in us] for d in deltas]
+
+
+def evidence(probes):
+    """(delta, u, n, value) samples of a probe grid, in the classifier's order."""
+    return [(p.delta, p.u, n, v)
+            for row in probes for p in row
+            for n, v in zip(p.n_values, p.values)]
+
+
+def sigma_delta_limit(profile, sched, delta, u):
+    """Broadcast signature of the package probe, computed one scalar probe at a time."""
+    d, u = np.broadcast_arrays(np.asarray(delta, dtype=np.float64),
+                               np.asarray(u, dtype=np.float64))
+    if d.ndim == 0:
+        return scalar_probe(profile, sched, d, u)
+    probes = [scalar_probe(profile, sched, a, b) for a, b in zip(d.ravel(), u.ravel())]
+
+    def field(name):
+        return np.array([getattr(p, name) for p in probes]).reshape(d.shape)
+
+    values = np.array([p.values for p in probes]).reshape(d.shape + (len(sched.meshes),))
+    return SigmaProbe(d, u, tuple(sched.meshes), values, field("limit"),
+                      field("tail_estimate"), field("converged"))

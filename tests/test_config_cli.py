@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from bvode import ConfigError, GridPath, cli, load_config, scheme
+from bvode import ConfigError, GridPath, cli, load_config, mollify, scheme
 from bvode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -334,6 +334,28 @@ class TestCli:
         assert "non-finite state: offset 0, step " in err and ", t=" in err
         assert not out.exists()
 
+    def test_non_finite_limit_exits_three(self, tmp_path, capsys):
+        # dx = 1000 x dL with L = 20 t: each Heun step multiplies x by about 160,
+        # so the path overflows long before t = 1
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 20
+            [field]
+            name = affine
+            offset = 0
+            slope = 1000
+            [run]
+            x0 = 1
+            """)
+        out = tmp_path / "res"
+        assert main(["solve-limit", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("non-finite state: t=")
+        t = float(err.split("t=")[1])
+        assert 0.0 < t < 1.0
+        assert not out.exists()
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = write(tmp_path, FULL)
         out = tmp_path / "res"
@@ -400,3 +422,29 @@ class TestCsvWriter:
         new = (tmp_path / "new" / csv).read_bytes()
         assert new == (tmp_path / "old" / csv).read_bytes()
         assert new.count(b"\n") > 2
+
+
+class TestProbeCsv:
+    """sigma and classify CSVs are byte-identical with the per-probe oracle patched in."""
+
+    @pytest.mark.parametrize("mollifier", [
+        "profile = uniform\nalpha = 2",
+        "profile = triangular\nalpha = 1",
+        "profile = bump\nalpha = 0.5",
+        None,
+    ], ids=["uniform-2", "triangular-1", "bump-0.5", "full"])
+    @pytest.mark.parametrize("command,csv", [
+        ("sigma", "sigma_probes.csv"),
+        ("classify", "classify_evidence.csv"),
+    ])
+    def test_matches_oracle(self, tmp_path, monkeypatch, capsys, mollifier, command, csv):
+        text = FULL if mollifier is None else f"[mollifier]\n{mollifier}\n"
+        cfg = write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(mollify, "sigma_delta_limit", oracle.sigma_delta_limit)
+        monkeypatch.setattr(cli, "sigma_delta_limit", oracle.sigma_delta_limit)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "old")]) == 0
+        new = (tmp_path / "new" / csv).read_bytes()
+        assert new == (tmp_path / "old" / csv).read_bytes()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].replace("/new/", "/old/") == lines[1]

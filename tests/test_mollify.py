@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import oracle
 from bvode import (
     BVFunction,
     F_n,
@@ -19,6 +20,7 @@ from bvode import (
     mollify_f,
     sigma_delta_limit,
 )
+from bvode.mollify import DEFAULT_DELTAS, DEFAULT_U_PROBES
 
 PROFILE_NAMES = ("uniform", "triangular", "bump")
 
@@ -304,6 +306,108 @@ class TestSigmaDeltaLimit:
                                   0.25, 0.37)
         assert probe.converged
         assert probe.limit == pytest.approx(0.62, abs=1e-12)
+
+
+class TestBroadcastProbe:
+    """The broadcast probe is bitwise equal to the per-probe oracle loop."""
+
+    FIELDS = ("delta", "u", "n_values", "limit", "tail_estimate", "converged")
+
+    @staticmethod
+    def assert_same(new, old):
+        assert new.n_values == old.n_values
+        assert new.values.shape == old.values.shape
+        assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.limit, old.limit)
+        assert np.array_equal(new.tail_estimate, old.tail_estimate, equal_nan=True)
+        assert np.array_equal(new.converged, old.converged)
+
+    @pytest.mark.parametrize("alpha", (2.0, 1.0, 0.5))
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_default_grid(self, name, alpha):
+        p, sched = get_profile(name), Schedule.power(alpha)
+        d = np.asarray(DEFAULT_DELTAS)[:, None]
+        u = np.asarray(DEFAULT_U_PROBES)[None, :]
+        new = sigma_delta_limit(p, sched, d, u)
+        assert new.values.shape == (len(DEFAULT_DELTAS), len(DEFAULT_U_PROBES),
+                                    len(sched.meshes))
+        self.assert_same(new, oracle.sigma_delta_limit(p, sched, d, u))
+
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_edge_u_probes(self, name):
+        # u = 0 goes through tail_inv = inf
+        p, sched = get_profile(name), Schedule.power(1.0)
+        d = np.array([[0.1], [0.5], [0.9]])
+        u = np.array([0.0, 1e-12, 0.5, 1.0])
+        new = sigma_delta_limit(p, sched, d, u)
+        self.assert_same(new, oracle.sigma_delta_limit(p, sched, d, u))
+        assert np.all(new.values[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_table_schedule(self, name):
+        p = get_profile(name)
+        sched = Schedule.from_table({16: 0.02, 64: 0.004, 256: 3e-4, 1024: 1e-5})
+        d = np.asarray(DEFAULT_DELTAS)[:, None]
+        u = np.asarray(DEFAULT_U_PROBES)
+        self.assert_same(sigma_delta_limit(p, sched, d, u),
+                         oracle.sigma_delta_limit(p, sched, d, u))
+
+    @pytest.mark.parametrize("meshes", [(16, 64, 256), (16, 32)])
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_scalar_arguments_keep_scalar_probe(self, name, meshes):
+        p, sched = get_profile(name), Schedule.power(1.5, meshes=meshes)
+        for delta, u in [(0.5, 0.0), (0.25, 0.37), (0.9, 1.0), (np.float64(0.1), 1e-12)]:
+            new = sigma_delta_limit(p, sched, delta, u)
+            old = oracle.scalar_probe(p, sched, delta, u)
+            for f in self.FIELDS:
+                a, b = getattr(new, f), getattr(old, f)
+                assert type(a) is type(b), f
+                assert a == b or (np.isnan(a) and np.isnan(b)), f
+            assert new.values.dtype == old.values.dtype
+            assert np.array_equal(new.values, old.values)
+
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_classify_evidence_matches_probe_loop(self, name):
+        p, sched = get_profile(name), Schedule.power(1.0)
+        us = np.array([0.0, 1e-12, 0.3, 0.5, 1.0])
+        rep = classify_regime(p, sched, u_probes=us)
+        old = oracle.probe_grid(p, sched, DEFAULT_DELTAS, us)
+        assert rep.evidence == oracle.evidence(old)
+        assert np.array_equal(rep.limits, [[q.limit for q in row] for row in old])
+        assert np.array_equal(rep.converged, [[q.converged for q in row] for row in old])
+
+    def test_default_u_grid(self):
+        assert DEFAULT_U_PROBES == tuple(np.linspace(0.0, 1.0, 21))
+        rep = classify_regime(get_profile("uniform"), Schedule.power(2.0))
+        assert np.array_equal(rep.u_probes, DEFAULT_U_PROBES)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, np.nan])
+    def test_bad_delta_in_array(self, delta):
+        p, sched = get_profile("uniform"), Schedule.power(2.0)
+        deltas = np.array([0.25, delta, 0.75])
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            sigma_delta_limit(p, sched, deltas[:, None], np.array([0.5, 0.6]))
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            classify_regime(p, sched, deltas=deltas)
+
+    @pytest.mark.parametrize("u", [-0.1, 1.5, np.nan])
+    def test_bad_u_in_array(self, u):
+        p, sched = get_profile("bump"), Schedule.power(2.0)
+        us = np.array([0.0, 0.5, u, 1.0])
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            sigma_delta_limit(p, sched, np.array([[0.5]]), us)
+        with pytest.raises(ValueError, match=r"u must lie in \[0, 1\]"):
+            classify_regime(p, sched, u_probes=us)
+
+    @pytest.mark.parametrize("meshes", [(16,), (16, 32)])
+    def test_short_schedules_never_converge(self, meshes):
+        p, sched = get_profile("triangular"), Schedule.power(2.0, meshes=meshes)
+        probe = sigma_delta_limit(p, sched, np.array([[0.25], [0.5]]), np.array([0.0, 0.5]))
+        assert probe.converged.shape == (2, 2) and not probe.converged.any()
+        assert np.all(np.isnan(probe.tail_estimate))
+        rep = classify_regime(p, sched)
+        assert rep.verdict == "NoLimit"
+        assert not rep.converged.any()
 
 
 class TestClassifyRegime:
