@@ -7,7 +7,6 @@ tools (regime classification, convergence studies, staircase checks)
 that connect the two ends.
 """
 
-from .backend import ACTIVE as BACKEND
 from .drivers import BVFunction
 from .fields import ScalarField, check_field_constants
 from .mollify import (
@@ -59,7 +58,6 @@ from .config import ConfigError, ExperimentConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BVFunction",
     "ConfigError",
     "DEFAULT_DELTAS",

@@ -1,30 +1,21 @@
-"""Entry points of the hot numerical kernels.
+"""Entry points of the hot numerical kernels, all numpy and plain Python.
 
-The serial kernels of :mod:`bvode._kernels` (the generic Euler recursion,
-the RK4 jump-map substeps and the Heun steps) are compiled with
-``numba.njit`` when numba imports, which the ``jit`` extra installs, and
-run as plain Python otherwise.  ``ACTIVE`` records which of the two was
-picked at import.  The mollified driver lattice, the Euler recursion for
-fields affine in x and the mollified-coefficient recursion are vectorized
-numpy either way.
+The mollified driver lattice is a vectorized numpy kernel.  The Euler
+recursions step a whole fan of lattice offsets at once: fields affine in x
+by a closed-form scan per offset, the rest, and the mollified coefficient,
+one numpy step over the fan at a time.  The RK4 jump-map flow and the Heun
+steps are plain-Python loops over the field's evaluator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import FIELD_AFFINE, FIELD_CONST
 from .drivers import _poly_eval
+from .fields import FIELD_AFFINE, FIELD_CONST
 
-try:
-    import numba
-except ImportError:
-    ACTIVE = "numpy"
-    _K = _kernels.PLAIN
-else:
-    ACTIVE = "numba"
-    _K = _kernels.build_kernels(numba.njit(nogil=True))
+# the one lane; the benchmark manifest records it
+ACTIVE = "numpy"
 
 # lattice points evaluated per vectorized pass; bounds the temporaries
 LATTICE_CHUNK = 16384
@@ -95,35 +86,60 @@ def driver_lattice_values(ts, n, profile, driver):
     return out
 
 
-def euler_exact(field, tau, h, dLn, x0):
-    """Explicit recurrence x_{k+1} = x_k + f(t_k, x_k) dL_k.
+def _step_fan(rate, tau, h, dLn, x0):
+    """x_{k+1} = x_k + rate(t_k, x_k) dLn[:, k] for every row of the fan at once."""
+    J, K = dLn.shape
+    x = np.empty((J, K + 1))
+    x[:, 0] = x0
+    for k in range(K):
+        cur = x[:, k]
+        x[:, k + 1] = cur + rate(tau + k * h, cur) * dLn[:, k]
+    return x
 
-    Fields affine in x run a closed-form scan (cumulative sums and
-    products); the rest, and affine scans whose products degenerate, run
-    the serial kernel.
+
+def _affine_scan(a, b, dL, x0):
+    """States of x_{k+1} = x_k + (a + b x_k) dL_k in closed form, or None.
+
+    With A_k = 1 + b dL_k and P_k = A_0 ... A_k, x_{k+1} = P_k (x0 + S_k)
+    where S_k sums a dL_i / P_i.  None when the products degenerate.
     """
-    dLn = np.ascontiguousarray(dLn, dtype=np.float64)
-    kind, p = field.kind, field.packed
-    K = dLn.size
-    if kind == FIELD_CONST:
-        x = np.empty(K + 1)
-        x[0] = x0
-        np.cumsum(p[0] * dLn, out=x[1:])
-        x[1:] += x0
-        return x
-    if kind == FIELD_AFFINE:
-        A = 1.0 + p[1] * dLn
-        if K == 0:
-            return np.full(1, float(x0))
-        if np.min(np.abs(A)) > 1e-12:
-            P = np.cumprod(A)
-            if np.all(np.isfinite(P)) and np.min(np.abs(P)) > 1e-290 and np.max(np.abs(P)) < 1e290:
-                S = np.cumsum(p[0] * dLn / P)
-                x = np.empty(K + 1)
-                x[0] = x0
-                x[1:] = P * (x0 + S)
-                return x
-    return _K.euler_exact(kind, p, tau, h, dLn, x0)
+    A = 1.0 + b * dL
+    if not np.min(np.abs(A)) > 1e-12:
+        return None
+    P = np.cumprod(A)
+    if not (np.all(np.isfinite(P)) and np.min(np.abs(P)) > 1e-290
+            and np.max(np.abs(P)) < 1e290):
+        return None
+    return P * (x0 + np.cumsum(a * dL / P))
+
+
+def euler_exact(field, tau, h, dLn, x0):
+    """Explicit recurrence x_{k+1} = x_k + f(t_k, x_k) dL_k, over a fan of offsets.
+
+    ``tau`` and ``x0`` have shape (J,) and ``dLn`` shape (J, K); the result
+    holds the states, shape (J, K + 1).  Fields affine in x (a constant is
+    slope 0) run a closed-form scan row by row; the rest, and rows whose
+    products degenerate, step the fan together.  A zero increment keeps
+    the state.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    dLn = np.asarray(dLn, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    if field.kind not in (FIELD_CONST, FIELD_AFFINE) or dLn.shape[1] == 0:
+        return _step_fan(field._eval, tau, h, dLn, x0)
+    a, b = field.params if field.kind == FIELD_AFFINE else (field.params[0], 0.0)
+    x = np.empty((dLn.shape[0], dLn.shape[1] + 1))
+    x[:, 0] = x0
+    rest = []
+    for j in range(dLn.shape[0]):
+        row = _affine_scan(a, b, dLn[j], x0[j])
+        if row is None:
+            rest.append(j)
+        else:
+            x[j, 1:] = row
+    if rest:
+        x[rest] = _step_fan(field._eval, tau[rest], h, dLn[rest], x0[rest])
+    return x
 
 
 def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
@@ -137,47 +153,71 @@ def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
     tau = np.asarray(tau, dtype=np.float64)
     dLn = np.asarray(dLn, dtype=np.float64)
     conv_s = np.asarray(conv_s, dtype=np.float64)
-    J, K = dLn.shape
+    J = dLn.shape[0]
     shift_t = conv_s[:, None]
     ww = np.outer(conv_w, conv_w).ravel()
-    x = np.empty((J, K + 1))
-    x[:, 0] = x0
-    for k in range(K):
-        cur = x[:, k]
-        grid = field((tau + k * h)[:, None, None] + shift_t, cur[:, None, None] + conv_s)
-        x[:, k + 1] = cur + (grid.reshape(J, -1) @ ww) * dLn[:, k]
-    return x
+
+    def rate(t, cur):
+        grid = field(t[:, None, None] + shift_t, cur[:, None, None] + conv_s)
+        return grid.reshape(J, -1) @ ww
+
+    return _step_fan(rate, tau, h, dLn, x0)
+
+
+def _rk4_step(z, x, dm):
+    k1 = z(0.0, x)
+    k2 = z(0.0, x + 0.5 * dm * k1)
+    k3 = z(0.0, x + 0.5 * dm * k2)
+    k4 = z(0.0, x + dm * k3)
+    return x + (dm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow_mass(field, x, mass, substep):
-    """Integrate dphi/dm = z(phi) over the given Lebesgue mass."""
-    kinks = np.asarray(field.x_kinks(), dtype=np.float64)
-    return _K.flow_mass(field.kind, field.packed, float(x), float(mass),
-                        float(substep), kinks)
+    """Integrate dphi/dm = z(phi) over Lebesgue mass ``mass`` by RK4 substeps.
+
+    A substep that would straddle a declared x-kink of z is shortened by
+    bisection to land on the kink, so no step crosses a derivative
+    discontinuity.
+    """
+    z = field._eval
+    kinks = field.x_kinks()
+    cur, rem, substep = float(x), float(mass), float(substep)
+    if rem <= 0.0:
+        return cur
+    while rem > 1e-15:
+        dm = substep if substep < rem else rem
+        nxt = _rk4_step(z, cur, dm)
+        up = cur < nxt
+        inside = [v for v in kinks if min(cur, nxt) < v < max(cur, nxt)]
+        if not inside:
+            cur = nxt
+            rem -= dm
+            continue
+        cross = min(inside) if up else max(inside)
+        a, b = 0.0, dm
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            xm = _rk4_step(z, cur, mid)
+            if (xm < cross) if up else (xm > cross):
+                a = mid
+            else:
+                b = mid
+        cur = cross
+        rem -= 0.5 * (a + b)
+    return cur
 
 
 def heun_path(field, s_grid, L_grid, x0):
-    """Heun predictor-corrector along a grid of (s, L(s)) samples."""
-    s_grid = np.ascontiguousarray(s_grid, dtype=np.float64)
-    L_grid = np.ascontiguousarray(L_grid, dtype=np.float64)
-    return _K.heun_path(field.kind, field.packed, s_grid, L_grid, float(x0))
-
-
-def warmup() -> None:
-    """Compile (numba) or exercise every kernel on toy inputs."""
-    from .drivers import BVFunction
-    from .fields import ScalarField
-    from .mollify import get_profile
-
-    drv = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0), jumps=((0.5, 1.0),))
-    fld = ScalarField.affine(0.1, 1.0)
-    rmp = ScalarField.ramp(0.5, 0.25)
-    for name in ("uniform", "triangular", "bump"):
-        prof = get_profile(name)
-        driver_lattice_values(np.linspace(0.0, 1.0, 5), 8, prof, drv)
-    dln = np.array([0.1, 0.2])
-    euler_exact(fld, 0.0, 0.5, dln, 1.0)
-    euler_exact(rmp, 0.0, 0.5, dln, 1.0)
-    flow_mass(fld, 1.0, 0.01, 1e-3)
-    flow_mass(rmp, 0.4, 0.3, 1e-3)
-    heun_path(fld, np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.4, 1.0]), 1.0)
+    """Heun predictor-corrector for dx = f(s, x) dL along a grid of (s, L(s)) samples."""
+    f = field._eval
+    s = np.asarray(s_grid, dtype=np.float64).tolist()
+    L = np.asarray(L_grid, dtype=np.float64).tolist()
+    cur = float(x0)
+    x = [cur]
+    for i in range(len(s) - 1):
+        dL = L[i + 1] - L[i]
+        f0 = f(s[i], cur)
+        pred = cur + f0 * dL
+        cur = cur + 0.5 * (f0 + f(s[i + 1], pred)) * dL
+        x.append(cur)
+    return np.array(x, dtype=np.float64)

@@ -3,8 +3,10 @@
 Every subcommand reads one INI config, writes CSV into an output
 directory (atomically, via a temp file and rename), and prints a one
 line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap,
-3 non-finite state (``solve-scheme`` and ``solve-limit`` write no CSV
-then).
+3 non-finite result (``solve-scheme`` and ``solve-limit`` on a state,
+``study`` on an L1 error; no CSV is written then).  ``jumpmap`` cannot
+reach a non-finite ``phi``: ``ramp_z`` has values in [0, 1] and the
+measure has unit mass, so ``phi`` lies in [x, x + 1].
 """
 
 from __future__ import annotations
@@ -145,11 +147,16 @@ def _cmd_study(cfg: ExperimentConfig, out_dir: str, args) -> int:
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     mu = _mu_for(cfg)
-    result = convergence_study(f, L, profile, sched, mu, cfg.x0,
-                               n_offsets=cfg.n_offsets, threads=args.threads,
-                               mollify_coefficient=cfg.mollify_coefficient,
-                               conv_points=cfg.conv_points,
-                               step_cap=cfg.step_cap)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        result = convergence_study(f, L, profile, sched, mu, cfg.x0,
+                                   n_offsets=cfg.n_offsets, threads=args.threads,
+                                   mollify_coefficient=cfg.mollify_coefficient,
+                                   conv_points=cfg.conv_points,
+                                   step_cap=cfg.step_cap)
+    bad = ~np.isfinite(result.l1_errors)
+    if bad.any():
+        print(f"non-finite l1: mesh n={result.ns[bad.argmax()]}", file=sys.stderr)
+        return 3
     path = _write_csv(out_dir, "study.csv", ("n", "h_n", "metric", "value"),
                       result.rows())
     print(f"study: {len(result.ns)} meshes, final l1={result.l1_errors[-1]:.6g} "

@@ -1,8 +1,9 @@
 """Scalar coefficient fields f(t, x) with declared Lipschitz and growth constants.
 
-Fields are stored as a small integer kind plus a parameter tuple so that the
-numerical kernels can evaluate them without Python callbacks.  Every
-constructor computes the constants
+Fields are stored as a small integer kind plus a parameter tuple.  Each
+field builds one evaluator specialized to its kind when it is constructed;
+``__call__``, the Euler recursions, the Heun steps and the jump-map flow all
+evaluate through it.  Every constructor computes the constants
 
     |f(t, x) - f(t, y)| <= M |x - y|        (``lipschitz_const``)
     |f(t, x)|          <= K (1 + |x|)       (``growth_const``)
@@ -14,13 +15,15 @@ need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from ._kernels import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
-
-_PARAM_SLOTS = 5
+FIELD_CONST = 0
+FIELD_AFFINE = 1
+FIELD_RAMP = 2
+FIELD_SIN = 3
+FIELD_TANH = 4
 
 
 def _finite(*values) -> tuple:
@@ -29,6 +32,38 @@ def _finite(*values) -> tuple:
     if not all(np.isfinite(out)):
         raise ValueError(f"field parameters must be finite, got {out!r}")
     return out
+
+
+def _evaluator(kind: int, params: tuple):
+    """f(t, x) of one field kind, on floats or on arrays (t and x not broadcast).
+
+    The ramp branches on a float, which costs a fraction of ``np.where``
+    on a scalar; the RK4 flow and the Heun steps evaluate one float at a time.
+    """
+    if kind == FIELD_CONST:
+        (c,) = params
+        return lambda t, x: c
+    if kind == FIELD_AFFINE:
+        a, b = params
+        return lambda t, x: a + b * x
+    if kind == FIELD_RAMP:
+        top, width, height = params
+
+        def ramp(t, x):
+            if isinstance(x, float):
+                if x <= top:
+                    return height
+                d = x - top
+                return 0.0 if d >= width else height * (1.0 - d / width)
+            d = x - top
+            return np.where(d <= 0.0, height,
+                            np.where(d >= width, 0.0, height * (1.0 - d / width)))
+        return ramp
+    if kind == FIELD_SIN:
+        amp, wx, wt, phase, off = params
+        return lambda t, x: amp * np.sin(wx * x + wt * t + phase) + off
+    amp, slope, off = params
+    return lambda t, x: amp * np.tanh(slope * x) + off
 
 
 _KIND_NAMES = {
@@ -49,6 +84,16 @@ class ScalarField:
     lipschitz_const: float
     growth_const: float
     name: str = ""
+    # the kind's evaluator, built from the parameters; see _evaluator
+    _eval: object = _dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_eval", _evaluator(self.kind, self.params))
+
+    def __reduce__(self):
+        # the evaluator is a closure, which pickle cannot store; rebuild it
+        return (ScalarField, (self.kind, self.params, self.lipschitz_const,
+                              self.growth_const, self.name))
 
     # -- constructors ------------------------------------------------------
 
@@ -120,30 +165,11 @@ class ScalarField:
     def __call__(self, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.kind == FIELD_CONST:
-            out = np.broadcast_to(np.float64(p[0]), np.broadcast_shapes(t.shape, x.shape)).copy()
-        elif self.kind == FIELD_AFFINE:
-            out = p[0] + p[1] * x + 0.0 * t
-        elif self.kind == FIELD_RAMP:
-            d = x - p[0]
-            out = np.where(d <= 0.0, p[2], np.where(d >= p[1], 0.0, p[2] * (1.0 - d / p[1])))
-            out = out + 0.0 * t
-        elif self.kind == FIELD_SIN:
-            out = p[0] * np.sin(p[1] * x + p[2] * t + p[3]) + p[4]
-        else:
-            out = p[0] * np.tanh(p[1] * x) + p[2] + 0.0 * t
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    # -- kernel marshalling ------------------------------------------------
-
-    @property
-    def packed(self) -> np.ndarray:
-        buf = np.zeros(_PARAM_SLOTS, dtype=np.float64)
-        buf[: len(self.params)] = self.params
-        return buf
+        out = self._eval(t, x)
+        shape = np.broadcast_shapes(t.shape, x.shape)
+        if np.shape(out) != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return float(out) if np.ndim(out) == 0 else out
 
     @property
     def is_autonomous(self) -> bool:
@@ -162,7 +188,7 @@ class ScalarField:
         """Return the autonomous field x -> scale * f(t0, x).
 
         Used to turn a coefficient field into the jump field z(p) = dL * f(zeta, p).
-        The result stays within the coded field family, so kernels can run it.
+        The result stays within the coded field family.
         """
         t0 = float(t0)
         scale = float(scale)

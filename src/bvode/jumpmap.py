@@ -209,7 +209,8 @@ def phi_recursion(z: ScalarField, x: float, grid: XiGrid) -> np.ndarray:
     Returns the whole sequence phi_0 .. phi_last.
     """
     _require_autonomous(z)
-    return backend.euler_exact(z, 0.0, 0.0, np.diff(grid.values), float(x))
+    return backend.euler_exact(z, np.zeros(1), 0.0, np.diff(grid.values)[None],
+                               np.array([float(x)]))[0]
 
 
 def sigma_staircase(grid: XiGrid, u):

@@ -61,8 +61,8 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
     the row repeats its final state.  The increments of all offsets share
     one (J, Kmax) array whose steps past an offset's own K_j are zero, so
-    the mollified-coefficient recursion steps the whole fan at once and
-    pads by keeping the final state; the exact recursion runs per offset.
+    both recursions step the whole fan at once and pad by keeping the
+    final state.
     """
     a, b = L.domain
     if not (h > 0.0 and math.isfinite(h)):
@@ -83,11 +83,7 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     if mollify_coefficient:
         s, w = profile.convolution_rule(n, conv_points)
         return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
-    values = np.empty((taus.size, dLn.shape[1] + 1))
-    for j, K in enumerate(Ks):
-        values[j, :K + 1] = backend.euler_exact(f, float(taus[j]), h, dLn[j, :K], float(x0s[j]))
-        values[j, K + 1:] = values[j, K]
-    return values, lengths
+    return backend.euler_exact(f, taus, h, dLn, x0s), lengths
 
 
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,

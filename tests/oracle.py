@@ -1,5 +1,12 @@
 """Scalar references the tests compare the vectorized package code against.
 
+The serial kernels below (field evaluation by kind over five packed
+parameter slots, the per-offset Euler recursion, the kink-aligned RK4 jump
+flow and the Heun steps) are the loops the package ran before each field
+got its own evaluator and the Euler recursion stepped the whole fan;
+:func:`euler_exact_offset` is the per-offset entry point that chose
+between the affine scan and the serial recursion.
+
 The package evaluates L_n exactly from incomplete moments
 (:func:`bvode.backend.driver_lattice_values`).  This module keeps the scalar
 loop it replaced, which convolves the base density with the continuous part
@@ -15,10 +22,140 @@ import os
 
 import numpy as np
 
-from bvode._kernels import PLAIN
+from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
-field_value = PLAIN.field_value
+
+def pack(field):
+    """A field's parameters in the five slots the serial kernels read."""
+    buf = np.zeros(5, dtype=np.float64)
+    buf[: len(field.params)] = field.params
+    return buf
+
+
+def field_value(kind, p, t, x):
+    if kind == FIELD_CONST:
+        return p[0]
+    if kind == FIELD_AFFINE:
+        return p[0] + p[1] * x
+    if kind == FIELD_RAMP:
+        if x <= p[0]:
+            return p[2]
+        d = x - p[0]
+        if d >= p[1]:
+            return 0.0
+        return p[2] * (1.0 - d / p[1])
+    if kind == FIELD_SIN:
+        return p[0] * np.sin(p[1] * x + p[2] * t + p[3]) + p[4]
+    return p[0] * np.tanh(p[1] * x) + p[2]
+
+
+def euler_exact(kind, p, tau, h, dLn, x0):
+    K = dLn.size
+    x = np.empty(K + 1)
+    x[0] = x0
+    cur = x0
+    for k in range(K):
+        cur = cur + field_value(kind, p, tau + k * h, cur) * dLn[k]
+        x[k + 1] = cur
+    return x
+
+
+def _rk4_step(kind, p, x, dm):
+    k1 = field_value(kind, p, 0.0, x)
+    k2 = field_value(kind, p, 0.0, x + 0.5 * dm * k1)
+    k3 = field_value(kind, p, 0.0, x + 0.5 * dm * k2)
+    k4 = field_value(kind, p, 0.0, x + dm * k3)
+    return x + (dm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def flow_mass(kind, p, x, mass, substep, kinks):
+    """Integrate dphi/dm = z(phi) over Lebesgue mass ``mass``.
+
+    Steps are realigned to land exactly on declared x-kinks of z so that
+    the integrator never straddles a derivative discontinuity.
+    """
+    if mass <= 0.0:
+        return x
+    cur = x
+    rem = mass
+    while rem > 1e-15:
+        dm = substep if substep < rem else rem
+        nxt = _rk4_step(kind, p, cur, dm)
+        lo = cur if cur < nxt else nxt
+        hi = cur if cur > nxt else nxt
+        cross = np.nan
+        for kk in range(kinks.size):
+            v = kinks[kk]
+            if lo < v < hi:
+                if cross != cross:
+                    cross = v
+                elif cur < nxt:
+                    if v < cross:
+                        cross = v
+                else:
+                    if v > cross:
+                        cross = v
+        if cross == cross:
+            a = 0.0
+            b = dm
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                xm = _rk4_step(kind, p, cur, mid)
+                if (cur < nxt and xm < cross) or (cur > nxt and xm > cross):
+                    a = mid
+                else:
+                    b = mid
+            cur = cross
+            rem -= 0.5 * (a + b)
+        else:
+            cur = nxt
+            rem -= dm
+    return cur
+
+
+def heun_path(kind, p, sg, Lg, x0):
+    """Predictor-corrector path for dx = f(s, x) dL along grid sg."""
+    npts = sg.size
+    x = np.empty(npts)
+    x[0] = x0
+    cur = x0
+    for i in range(npts - 1):
+        dL = Lg[i + 1] - Lg[i]
+        f0 = field_value(kind, p, sg[i], cur)
+        pred = cur + f0 * dL
+        f1 = field_value(kind, p, sg[i + 1], pred)
+        cur = cur + 0.5 * (f0 + f1) * dL
+        x[i + 1] = cur
+    return x
+
+
+def euler_exact_offset(field, tau, h, dLn, x0):
+    """One offset's exact recursion as the package ran it before the fan form:
+    closed-form scan for fields affine in x, the serial kernel otherwise."""
+    dLn = np.ascontiguousarray(dLn, dtype=np.float64)
+    kind, p = field.kind, pack(field)
+    K = dLn.size
+    if kind == FIELD_CONST:
+        x = np.empty(K + 1)
+        x[0] = x0
+        np.cumsum(p[0] * dLn, out=x[1:])
+        x[1:] += x0
+        return x
+    if kind == FIELD_AFFINE:
+        A = 1.0 + p[1] * dLn
+        if K == 0:
+            return np.full(1, float(x0))
+        if np.min(np.abs(A)) > 1e-12:
+            P = np.cumprod(A)
+            if np.all(np.isfinite(P)) and np.min(np.abs(P)) > 1e-290 and np.max(np.abs(P)) < 1e290:
+                S = np.cumsum(p[0] * dLn / P)
+                x = np.empty(K + 1)
+                x[0] = x0
+                x[1:] = P * (x0 + S)
+                return x
+    return euler_exact(kind, p, tau, h, dLn, x0)
+
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 GL_NODES = np.ascontiguousarray(GL_NODES)

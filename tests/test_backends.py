@@ -1,22 +1,21 @@
 """Cross-checks of the hot kernels against their references.
 
-The backend entry points (numba-compiled serial kernels when numba imports)
-must match the plain-python kernels and explicit recurrences.  The
-quadrature lattice of :mod:`oracle` is the reference for the exact
+The backend entry points must match the serial kernels of :mod:`oracle`
+(bit for bit where they run the same arithmetic) and explicit recurrences.
+The quadrature lattice of :mod:`oracle` is the reference for the exact
 incomplete-moment lattice.
 """
 
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import oracle
 from bvode import BVFunction, ScalarField, backend, get_profile, solve_offset
-from bvode._kernels import PLAIN
 
 FIELDS = [
     ScalarField.constant(0.7),
@@ -97,12 +96,17 @@ class TestDriverLattice:
         np.testing.assert_array_equal(backend.driver_lattice_values(ts, 4, prof, drv), whole)
 
 
+def euler_one(f, tau, h, dLn, x0):
+    """backend.euler_exact on a fan of one offset."""
+    return backend.euler_exact(f, [tau], h, np.asarray(dLn)[None], [x0])[0]
+
+
 class TestEulerExact:
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_lanes_agree(self, f, rng):
         dLn = rng.normal(0.0, 0.3, size=200)
-        ref = PLAIN.euler_exact(f.kind, f.packed, 0.1, 0.01, dLn, 0.8)
-        act = backend.euler_exact(f, 0.1, 0.01, dLn, 0.8)
+        ref = oracle.euler_exact(f.kind, oracle.pack(f), 0.1, 0.01, dLn, 0.8)
+        act = euler_one(f, 0.1, 0.01, dLn, 0.8)
         np.testing.assert_allclose(act, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
@@ -113,21 +117,33 @@ class TestEulerExact:
         for k, d in enumerate(dLn):
             x = x + f(tau + k * h, x) * d
             xs.append(x)
-        np.testing.assert_allclose(backend.euler_exact(f, tau, h, dLn, -0.5),
+        np.testing.assert_allclose(euler_one(f, tau, h, dLn, -0.5),
                                    xs, rtol=1e-12, atol=1e-14)
 
     def test_affine_scan_handles_sign_flips(self, rng):
         # steps large enough that 1 + slope*dL changes sign
         f = ScalarField.affine(0.5, -3.0)
         dLn = rng.uniform(-0.8, 0.8, size=120)
-        ref = PLAIN.euler_exact(f.kind, f.packed, 0.0, 0.1, dLn, 1.0)
-        vec = backend.euler_exact(f, 0.0, 0.1, dLn, 1.0)
+        ref = oracle.euler_exact(f.kind, oracle.pack(f), 0.0, 0.1, dLn, 1.0)
+        vec = euler_one(f, 0.0, 0.1, dLn, 1.0)
         np.testing.assert_allclose(vec, ref, rtol=1e-11, atol=1e-11)
 
     def test_empty_step_list(self):
         f = ScalarField.linear_x()
-        out = backend.euler_exact(f, 0.0, 0.1, np.empty(0), 2.0)
-        np.testing.assert_array_equal(out, [2.0])
+        out = backend.euler_exact(f, [0.0, 0.05], 0.1, np.empty((2, 0)), [2.0, -1.0])
+        np.testing.assert_array_equal(out, [[2.0], [-1.0]])
+
+    def test_degenerate_scan_rows_step_the_fan(self, rng):
+        # 1 + slope * dL = 0 exactly in row 1: that row leaves the scan and is
+        # stepped like a generic field, the others keep the closed form
+        f = ScalarField.affine(0.5, -2.0)
+        dLn = rng.uniform(-0.2, 0.2, size=(3, 20))
+        dLn[1, 7] = 0.5
+        taus, x0s = np.array([0.0, 0.01, 0.02]), np.array([1.0, -0.5, 0.3])
+        got = backend.euler_exact(f, taus, 0.05, dLn, x0s)
+        for j in range(3):
+            want = oracle.euler_exact_offset(f, taus[j], 0.05, dLn[j], x0s[j])
+            np.testing.assert_array_equal(got[j], want)
 
 
 class TestEulerMollified:
@@ -156,7 +172,7 @@ class TestEulerMollified:
         dLn[2, 25:] = 0.0   # a shorter run, padded with zero increments
         got = backend.euler_mollified(f, taus, 0.05, dLn, x0s, s, w)
         for j in range(3):
-            ref = oracle.euler_mollified(f.kind, f.packed, taus[j], 0.05, dLn[j], x0s[j], s, w)
+            ref = oracle.euler_mollified(f.kind, oracle.pack(f), taus[j], 0.05, dLn[j], x0s[j], s, w)
             np.testing.assert_allclose(got[j], ref, rtol=1e-11, atol=1e-13)
         np.testing.assert_array_equal(got[2, 26:], got[2, 25])
 
@@ -216,38 +232,69 @@ class TestHeunPath:
 
 
 class TestLaneSelection:
-    def test_flag_consistency(self):
-        import bvode
-
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            has_numba = False
-        else:
-            has_numba = True
-        assert bvode.BACKEND == ("numba" if has_numba else "numpy")
-        assert backend.ACTIVE == bvode.BACKEND
-
     def test_import_is_silent(self):
         subprocess.run([sys.executable, "-W", "error", "-c", "import bvode"], check=True)
 
-    def test_importable_numba_is_used(self, tmp_path):
-        # a stand-in numba whose njit leaves functions as they are
-        (tmp_path / "numba.py").write_text(
-            "def njit(**options):\n    return lambda fn: fn\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(tmp_path)] + sys.path)}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import bvode; from bvode import backend; backend.warmup(); print(bvode.BACKEND)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["numba"]
-
-    def test_plain_kernels_match_active(self, monkeypatch):
-        """Full scheme solve with the plain kernels matches the active ones."""
+    def test_plain_kernels_match_active(self):
+        """A full scheme solve equals the serial oracle recursion over its lattice."""
         L = mixed_driver()
         f = ScalarField.bounded_tanh(0.8, 2.5, offset=0.1)
-        args = (f, L, get_profile("triangular"), 64, 1.0 / 4096, 0.0, 1.0)
-        active = solve_offset(*args)[-1]
-        monkeypatch.setattr(backend, "_K", PLAIN)
-        assert solve_offset(*args)[-1] == pytest.approx(active, rel=1e-12)
+        prof, n, h = get_profile("triangular"), 64, 1.0 / 4096
+        got = solve_offset(f, L, prof, n, h, 0.0, 1.0)
+        ts = h * np.arange(got.size, dtype=np.float64)
+        dLn = np.diff(backend.driver_lattice_values(ts, n, prof, L))
+        np.testing.assert_array_equal(
+            got, oracle.euler_exact(f.kind, oracle.pack(f), 0.0, h, dLn, 1.0))
+
+
+# every field kind, with bounded parameters
+FIELD_KINDS = st.one_of(
+    st.builds(ScalarField.constant, st.floats(-2.0, 2.0)),
+    st.builds(ScalarField.affine, st.floats(-1.0, 1.0), st.floats(-1.5, 1.5)),
+    st.builds(ScalarField.ramp, st.floats(-1.0, 1.0), st.floats(0.1, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(ScalarField.bounded_sin, st.floats(-1.5, 1.5), st.floats(-3.0, 3.0),
+              st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+    st.builds(ScalarField.bounded_tanh, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+              st.floats(-1.0, 1.0)),
+)
+
+
+class TestOracleProperties:
+    """The package kernels are bitwise equal to the serial oracle on every field kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=FIELD_KINDS, x=st.floats(-3.0, 3.0), mass=st.floats(0.0, 1.0),
+           substep=st.sampled_from((1e-3, 1e-2, 0.1)))
+    def test_flow_mass(self, f, x, mass, substep):
+        want = oracle.flow_mass(f.kind, oracle.pack(f), x, mass, substep,
+                                np.asarray(f.x_kinks(), dtype=np.float64))
+        assert backend.flow_mass(f, x, mass, substep) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 60),
+           x0=st.floats(-3.0, 3.0))
+    def test_heun_path(self, f, seed, size, x0):
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(0.0, 1.0, size))
+        Lg = np.cumsum(rng.normal(0.0, 0.1, size))
+        want = oracle.heun_path(f.kind, oracle.pack(f), s, Lg, x0)
+        np.testing.assert_array_equal(backend.heun_path(f, s, Lg, x0), want)
+
+    @pytest.mark.parametrize("J", [1, 3, 17])
+    @settings(max_examples=40, deadline=None)
+    @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), kmax=st.integers(0, 40))
+    def test_euler_exact_fan(self, J, f, seed, kmax):
+        # ragged runs: row j has K_j steps, then zero increments up to kmax
+        rng = np.random.default_rng(seed)
+        h = 0.05
+        taus = rng.uniform(0.0, h, J)
+        x0s = rng.uniform(-2.0, 2.0, J)
+        Ks = rng.integers(0, kmax + 1, J)
+        dLn = rng.normal(0.0, 0.3, (J, kmax))
+        dLn[np.arange(kmax) >= Ks[:, None]] = 0.0
+        got = backend.euler_exact(f, taus, h, dLn, x0s)
+        assert got.shape == (J, kmax + 1)
+        for j, K in enumerate(Ks):
+            want = oracle.euler_exact_offset(f, taus[j], h, dLn[j, :K], x0s[j])
+            np.testing.assert_array_equal(got[j, :K + 1], want)
+            np.testing.assert_array_equal(got[j, K + 1:], want[-1])

@@ -356,6 +356,30 @@ class TestCli:
         assert 0.0 < t < 1.0
         assert not out.exists()
 
+    def test_non_finite_study_exits_three(self, tmp_path, capsys):
+        # the scheme overflows on every mesh of this schedule (see
+        # test_non_finite_state_exits_three), so every L1 error is non-finite
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 20
+            [field]
+            name = affine
+            offset = 0
+            slope = 1000
+            [mollifier]
+            profile = uniform
+            alpha = 2
+            meshes = 8, 16, 32
+            [run]
+            x0 = 1
+            n_offsets = 4
+            """)
+        out = tmp_path / "res"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "non-finite l1: mesh n=8\n"
+        assert not out.exists()
+
     def test_no_temp_files_left(self, tmp_path):
         cfg = write(tmp_path, FULL)
         out = tmp_path / "res"

@@ -1,5 +1,7 @@
 """Coefficient fields: closed forms, declared constants, freezing."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,9 @@ def test_autonomy_flag():
     assert ScalarField.linear_x().is_autonomous is True
 
 
-def test_packed_slots():
-    for f in ALL_FIELDS:
-        buf = f.packed
-        assert buf.shape == (5,) and buf.dtype == np.float64
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_pickle_roundtrip(field, rng):
+    back = pickle.loads(pickle.dumps(field))
+    assert back == field
+    ts, xs = rng.normal(size=(2, 20))
+    np.testing.assert_array_equal(back(ts, xs), field(ts, xs))

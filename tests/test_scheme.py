@@ -194,8 +194,8 @@ def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
     dLn = np.diff(backend.driver_lattice_values(ts, n, prof, L))
     if mollify_coefficient:
         s, w = prof.convolution_rule(n)
-        return oracle.euler_mollified(f.kind, f.packed, tau, h, dLn, x0, s, w)
-    return backend.euler_exact(f, tau, h, dLn, x0)
+        return oracle.euler_mollified(f.kind, oracle.pack(f), tau, h, dLn, x0, s, w)
+    return oracle.euler_exact_offset(f, tau, h, dLn, x0)
 
 
 class TestFanOracle:
