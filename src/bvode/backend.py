@@ -3,16 +3,19 @@
 The mollified driver lattice is a vectorized numpy kernel.  The Euler
 recursions step a whole fan of lattice offsets at once: fields affine in x
 by a closed-form scan per offset, the rest, and the mollified coefficient,
-one numpy step over the fan at a time.  The RK4 jump-map flow and the Heun
-steps are plain-Python loops over the field's evaluator.
+one numpy step over the fan at a time.  The jump-map flow is in closed form
+per field kind (a Newton solve for tanh), and the Heun steps are a
+plain-Python loop over the field's evaluator.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .drivers import _poly_eval
-from .fields import FIELD_AFFINE, FIELD_CONST
+from .fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN
 
 # the one lane; the benchmark manifest records it
 ACTIVE = "numpy"
@@ -164,47 +167,252 @@ def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
     return _step_fan(rate, tau, h, dLn, x0)
 
 
-def _rk4_step(z, x, dm):
-    k1 = z(0.0, x)
-    k2 = z(0.0, x + 0.5 * dm * k1)
-    k3 = z(0.0, x + 0.5 * dm * k2)
-    k4 = z(0.0, x + dm * k3)
-    return x + (dm / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _ratio_expm1(r):
+    """expm1(r) / r, 1 at r = 0."""
+    return math.expm1(r) / r if r != 0.0 else 1.0
 
 
-def flow_mass(field, x, mass, substep):
-    """Integrate dphi/dm = z(phi) over Lebesgue mass ``mass`` by RK4 substeps.
+def _ratio_log1p(r):
+    """log1p(r) / r, 1 at r = 0."""
+    return math.log1p(r) / r if r != 0.0 else 1.0
 
-    A substep that would straddle a declared x-kink of z is shortened by
-    bisection to land on the kink, so no step crosses a derivative
-    discontinuity.
+
+def _flow_ramp(top, width, height, x, m):
+    """Ramp flow: linear on the plateau x <= top, exponential on the slope.
+
+    On the slope z = height * gap / width with gap = top + width - x, so
+    the gap scales by exp(-height m / width).  A rising state enters the
+    slope once its linear overshoot past the top turns positive; a falling
+    one leaves it once the gap exceeds the width, after log(width / gap)
+    of the exponent.
     """
-    z = field._eval
-    kinks = field.x_kinks()
-    cur, rem, substep = float(x), float(mass), float(substep)
-    if rem <= 0.0:
-        return cur
-    while rem > 1e-15:
-        dm = substep if substep < rem else rem
-        nxt = _rk4_step(z, cur, dm)
-        up = cur < nxt
-        inside = [v for v in kinks if min(cur, nxt) < v < max(cur, nxt)]
-        if not inside:
-            cur = nxt
-            rem -= dm
-            continue
-        cross = min(inside) if up else max(inside)
-        a, b = 0.0, dm
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            xm = _rk4_step(z, cur, mid)
-            if (xm < cross) if up else (xm > cross):
-                a = mid
-            else:
-                b = mid
-        cur = cross
-        rem -= 0.5 * (a + b)
-    return cur
+    d = x - top
+    if d >= width or height == 0.0:
+        return x
+    if d <= 0.0:
+        over = height * m + d
+        if height < 0.0 or over <= 0.0:
+            return x + height * m
+        return top - width * math.expm1(-over / width)
+    gap = width - d
+    k = -height * m / width
+    if height < 0.0:
+        room = math.log(width / gap)
+        if k > room:
+            return top - width * (k - room)
+    return x - gap * math.expm1(k)
+
+
+def _flow_sin(amp, w, phase, off, x, m, z0):
+    """Sine flow through the projective linearization of tan(theta / 2).
+
+    With theta = w x + phase, (sin theta/2, cos theta/2) evolves linearly
+    under N = (w/2) [[amp, off], [-off, -amp]].  N^2 = (w/2)^2 (amp^2 -
+    off^2) I, so exp(mN) = C I + S N: cos/sin when |off| > |amp| (theta
+    winds, pi of half-angle per half period), cosh/sinh scaled by
+    exp(-angle) when |off| < |amp| (the state settles on a fixed point),
+    and I + mN when they are equal.  The half-angle moved is
+    atan2(S (w/2) z0, C - S (w/2) amp cos theta0); where it is small, its
+    ratio to w is formed without dividing by w.
+    """
+    gap = (abs(amp) - abs(off)) * (abs(amp) + abs(off))
+    angle = 0.5 * abs(w) * math.sqrt(abs(gap)) * m
+    turns = 0.0
+    if angle == 0.0:
+        C, S = 1.0, m
+    elif gap < 0.0:
+        turns, r = divmod(angle, math.pi)
+        C, S = math.cos(r), m * (math.sin(r) / angle)
+    else:
+        C, S = 0.5 * (1.0 + math.exp(-2.0 * angle)), m * _ratio_expm1(-2.0 * angle)
+    sn = S * 0.5 * w
+    num = sn * z0
+    den = C - sn * amp * math.cos(w * x + phase)
+    if den > 0.0 and abs(num) <= den:
+        t = num / den
+        dy = S * z0 / den * (math.atan(t) / t if t != 0.0 else 1.0)
+    else:
+        dy = 2.0 * math.atan2(num, den) / w
+    if turns:
+        dy += 2.0 * math.pi * turns * math.copysign(1.0, off) / abs(w)
+    return x + dy
+
+
+def _flow_tanh(amp, slope, off, x, m, z0):
+    """Tanh flow.  With amp or slope 0 the field is the constant off.
+    A tanh(s y) = (-A) tanh(-s y), and y -> -y maps off to -off, so every
+    other case is a rising state under a positive slope (_tanh_up)."""
+    if amp == 0.0 or slope == 0.0:
+        return x + z0 * m
+    if slope < 0.0:
+        amp, slope = -amp, -slope
+    if z0 > 0.0:
+        return _tanh_up(amp, slope, off, x, m, z0)
+    return -_tanh_up(amp, slope, -off, -x, m, -z0)
+
+
+def _tanh_up(A, s, o, x, m, z0):
+    """Flow of z(y) = A tanh(s y) + o from x over mass m, for s > 0 < z0 = z(x).
+
+    With u = exp(2 s y), z = (P u + Q) / (1 + u) where P = A + o = z(+inf)
+    and Q = o - A = z(-inf).  The mass needed to move up by d is
+
+        T(d) = d/Q - A / (s Q P) log1p(P e expm1(w) / D0),  w = 2 s d,
+
+    with e = exp(2 s x) and D0 = P e + Q = (1 + e) z0.  It is evaluated in
+    whichever of two forms is regular in the case at hand:
+
+        |Q| <= |P|:  T = d/P (1 + 2 A/D0 E(-w) L(b expm1(-w))),  b = Q/D0,
+        |P| <  |Q|:  T = d/Q (1 - 2 A e/D0 E(w) L(P g)),  g = e expm1(w)/D0,
+
+    where E(r) = expm1(r)/r and L(r) = log1p(r)/r.  Each sums terms at
+    most three times T, so T keeps its relative accuracy as s -> 0, as
+    d -> 0 and at o = +-A (Q = 0 or P = 0); exp(2 s x) enters as
+    exp(-|2 s x|), and a g past overflow through its log.
+
+    T(d) = m is solved by Newton (dT/dd = 1/z) inside a bracket, with
+    bisection when a step leaves it or is not below half the move before
+    last (rtsafe, Numerical Recipes 9.4).  The bracket runs from 0 to
+    m max(z0, P), capped at the fixed point atanh(-o/A)/s - x when P < 0;
+    there Newton and bisection work on the log of the distance to the
+    fixed point, where Newton is exact for a linear field.  The iteration
+    stops when a step is a few ulp, when the bracket collapses, or when a
+    rejected step is below 2^-42 d, the rounding floor of T.
+    """
+    P, Q = A + o, o - A
+    # first guess: the flow of z linearized at x
+    th = math.tanh(s * x)
+    guess = z0 * m * _ratio_expm1(A * s * (1.0 - th * th) * m)
+    # D0 = (1 + e) z0 has no cancellation, unlike P e + Q
+    t0 = 2.0 * s * x
+    q = math.exp(-abs(t0))
+    den = (1.0 + q) * z0                    # D0 / max(e, 1)
+    if den < 2.0 ** -900:
+        return x + guess  # the path stays where z is linear to rounding
+    if t0 > 0.0:
+        inv_d0, e_d0 = q / den, 1.0 / den   # 1/D0, e/D0
+    else:
+        inv_d0, e_d0 = 1.0 / den, q / den
+    log_inv_d0 = -max(t0, 0.0) - math.log(den)
+    log_e_d0 = log_inv_d0 + t0
+    b = Q * inv_d0                          # and a = P e/D0 = 1 - b
+
+    def log_rest(w):
+        """log(a + b exp(-w)), None where it is not positive (past the fixed
+        point).  With |a| >= 1 the two terms exceed their sum and it is
+        log1p(b expm1(-w)), which keeps expm1's digits; otherwise the terms
+        are summed from their logs, which keeps the digits of a small a or
+        of terms that underflow."""
+        if abs(P * e_d0) >= 1.0:
+            bc = b * math.expm1(-w)
+            return math.log1p(bc) if bc > -1.0 else None
+        la = math.log(abs(P)) + log_e_d0
+        lb = math.log(abs(Q)) + log_inv_d0 - w
+        top = max(la, lb)
+        inner = math.copysign(math.exp(la - top), P) + math.copysign(math.exp(lb - top), Q)
+        return top + math.log(inner) if inner > 0.0 else None
+
+    def excess(d):
+        """T(d) - m; +inf at or past the fixed point."""
+        w = 2.0 * s * d
+        if abs(Q) <= abs(P):
+            bc = b * math.expm1(-w)
+            if bc > -0.5:
+                ratio = _ratio_log1p(bc)
+            else:  # 1 + bc = a + b exp(-w)
+                r = log_rest(w)
+                if r is None:
+                    return math.inf
+                ratio = r / bc
+            return d / P * (1.0 + 2.0 * A * inv_d0 * _ratio_expm1(-w) * ratio) - m
+        if w < 700.0 and t0 > -700.0:
+            g = e_d0 * math.expm1(w)
+        else:
+            lg = log_e_d0 + w + math.log(-math.expm1(-w))
+            g = math.exp(lg) if lg < 700.0 else math.inf
+        pg = P * g
+        if -0.5 < pg < math.inf and w <= 1.0:
+            return d / Q * (1.0 - 2.0 * A * e_d0 * _ratio_expm1(w) * _ratio_log1p(pg)) - m
+        if -0.5 < pg < math.inf:
+            h = g * _ratio_log1p(pg)           # log1p(P g) / P
+        elif P == 0.0:
+            return math.inf
+        else:  # log1p(P g) = w + log(a + b exp(-w))
+            r = log_rest(w)
+            if r is None:
+                return math.inf
+            h = (w + r) / P
+        return (d - A / s * h) / Q - m
+
+    hi = m * max(z0, P) * (1.0 + 2.0 ** -40)
+    dist = math.inf  # to the fixed point, where it caps the bracket
+    if P < 0.0 and math.atanh(-o / A) / s - x < hi:
+        dist = hi = math.atanh(-o / A) / s - x
+        if not guess < dist:  # the flow linearized at the fixed point
+            guess = -dist * math.expm1(A * s * (1.0 - (o / A) ** 2) * m)
+    below = math.nextafter(dist, 0.0)  # the last state short of the fixed point
+    lo, f_lo, z_lo = 0.0, -m, z0
+    last = before = hi  # the last two moves
+    d = min(guess, below) if 0.0 < guess <= hi else 0.5 * hi
+    for _ in range(100):
+        f = excess(d)
+        zd = A * math.tanh(s * (x + d)) + o
+        if f < 0.0:
+            lo, f_lo, z_lo = d, f, zd
+        elif f > 0.0:
+            hi = d
+        else:
+            break
+        # Newton from d, or from lo where d is numerically past the fixed point
+        base, fb, zb = (d, f, zd) if f < math.inf and zd > 0.0 else (lo, f_lo, z_lo)
+        if dist == math.inf:
+            new = base - fb * zb
+        else:
+            r = dist - base
+            new = min(dist - r * math.exp(min(fb * zb / r, 700.0)), below)
+        step = abs(new - base)
+        tol = 4.0 * math.ulp(max(abs(x + new), new))
+        if step <= tol:
+            return x + new
+        if not (lo < new < hi and (base != d or step <= 0.5 * before)):
+            if base == d and step <= 2.0 ** -42 * d:
+                break
+            if dist == math.inf:
+                new = 0.5 * (lo + hi)
+            else:  # bisect the log of the distance to the fixed point
+                new = dist - math.sqrt((dist - lo) * max(dist - hi, dist - below))
+        before, last, d = last, abs(new - d), new
+        if hi - lo <= tol:
+            break
+    return x + d
+
+
+def flow_mass(field, x, mass, substep=1e-3):
+    """Exact flow of dphi/dm = z(phi) over Lebesgue mass ``mass``, z = f(0, .).
+
+    Per kind: constant x + c m; affine x + (a + b x) expm1(b m) / b, formed
+    without dividing by b; ramp (_flow_ramp), sin (_flow_sin) and tanh
+    (_flow_tanh) as documented there.  A nonpositive mass and z(x) = 0
+    return x unchanged.  ``substep`` is accepted and ignored; it is kept
+    for the benchmark harness, whose flow counter binds it by name.  The
+    RK4 integrator this replaced is the reference ``flow_mass`` in
+    ``tests/oracle.py``.
+    """
+    x, m = float(x), float(mass)
+    z0 = float(field._eval(0.0, x))
+    if not m > 0.0 or z0 == 0.0:
+        return x
+    p = field.params
+    kind = field.kind
+    if kind == FIELD_CONST:
+        return x + z0 * m
+    if kind == FIELD_AFFINE:
+        return x + z0 * m * _ratio_expm1(p[1] * m)
+    if kind == FIELD_RAMP:
+        return _flow_ramp(p[0], p[1], p[2], x, m)
+    if kind == FIELD_SIN:
+        return _flow_sin(p[0], p[1], p[3], p[4], x, m, z0)
+    return _flow_tanh(p[0], p[1], p[2], x, m, z0)
 
 
 def heun_path(field, s_grid, L_grid, x0):

@@ -38,7 +38,7 @@ def _evaluator(kind: int, params: tuple):
     """f(t, x) of one field kind, on floats or on arrays (t and x not broadcast).
 
     The ramp branches on a float, which costs a fraction of ``np.where``
-    on a scalar; the RK4 flow and the Heun steps evaluate one float at a time.
+    on a scalar; the jump map and the Heun steps evaluate one float at a time.
     """
     if kind == FIELD_CONST:
         (c,) = params
@@ -177,12 +177,6 @@ class ScalarField:
         if self.kind == FIELD_SIN:
             return self.params[2] == 0.0
         return True
-
-    def x_kinks(self) -> tuple:
-        """x-values where f( . , x) is not smooth (used for step alignment)."""
-        if self.kind == FIELD_RAMP:
-            return (self.params[0], self.params[0] + self.params[1])
-        return ()
 
     def scaled_frozen(self, t0: float, scale: float) -> "ScalarField":
         """Return the autonomous field x -> scale * f(t0, x).

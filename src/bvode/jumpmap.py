@@ -173,14 +173,14 @@ def _require_autonomous(z) -> None:
         raise ValueError("z must not depend on t; freeze the time argument first")
 
 
-def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure,
-              substep: float = 1e-3) -> float:
+def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure) -> float:
     """Jump-map value phi(z, x, u): integrate dphi = z(phi) d(mu) over [0, u).
 
     Event-driven walk in increasing position: each atom strictly below u
     applies the explicit increment phi += z(phi) * mass, each Lebesgue
-    stretch advances the flow dphi/dm = z(phi) by kink-aligned RK4.  An
-    atom exactly at u is excluded by the half-open convention.
+    stretch advances the exact flow dphi/dm = z(phi)
+    (:func:`bvode.backend.flow_mass`).  An atom exactly at u is excluded
+    by the half-open convention.
     """
     _require_autonomous(z)
     u = float(u)
@@ -189,17 +189,14 @@ def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure,
     phi = float(x)
     if u == 0.0:
         return phi
-    alocs = [v for v, _ in mu.atoms if v < u]
-    amass = {v: m for v, m in mu.atoms}
-    edges = np.unique(np.concatenate((np.asarray([0.0]), np.asarray(alocs, dtype=np.float64),
-                                      np.asarray([u]))))
-    for k in range(edges.size - 1):
-        p0, p1 = float(edges[k]), float(edges[k + 1])
-        if p0 in amass and p0 < u:
-            phi = phi + float(z(0.0, phi)) * amass[p0]
+    amass = dict(mu.atoms)
+    edges = [0.0] + [v for v, _ in mu.atoms if 0.0 < v < u] + [u]
+    for p0, p1 in zip(edges[:-1], edges[1:]):
+        if p0 in amass:
+            phi = phi + float(z._eval(0.0, phi)) * amass[p0]
         leb = mu.lebesgue_mass(p0, p1)
         if leb > 0.0:
-            phi = float(backend.flow_mass(z, phi, leb, substep))
+            phi = backend.flow_mass(z, phi, leb)
     return phi
 
 

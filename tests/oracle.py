@@ -5,7 +5,9 @@ parameter slots, the per-offset Euler recursion, the kink-aligned RK4 jump
 flow and the Heun steps) are the loops the package ran before each field
 got its own evaluator and the Euler recursion stepped the whole fan;
 :func:`euler_exact_offset` is the per-offset entry point that chose
-between the affine scan and the serial recursion.
+between the affine scan and the serial recursion.  The RK4 flow, with the
+kinks from :func:`kinks`, is also the reference for the exact per-kind
+flows of :func:`bvode.backend.flow_mass`.
 
 The package evaluates L_n exactly from incomplete moments
 (:func:`bvode.backend.driver_lattice_values`).  This module keeps the scalar
@@ -59,6 +61,13 @@ def euler_exact(kind, p, tau, h, dLn, x0):
         cur = cur + field_value(kind, p, tau + k * h, cur) * dLn[k]
         x[k + 1] = cur
     return x
+
+
+def kinks(field):
+    """x-values where a field is not smooth, which the RK4 flow steps onto."""
+    if field.kind == FIELD_RAMP:
+        return np.array([field.params[0], field.params[0] + field.params[1]])
+    return np.empty(0)
 
 
 def _rk4_step(kind, p, x, dm):

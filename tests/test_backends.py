@@ -6,6 +6,7 @@ The quadrature lattice of :mod:`oracle` is the reference for the exact
 incomplete-moment lattice.
 """
 
+import math
 import subprocess
 import sys
 
@@ -259,16 +260,24 @@ FIELD_KINDS = st.one_of(
 )
 
 
-class TestOracleProperties:
-    """The package kernels are bitwise equal to the serial oracle on every field kind."""
+def rk4_tolerance(mass, substep, value):
+    """Error bound of the RK4 oracle flow: each of its ceil(mass / substep)
+    substeps rounds the state once, by at most half an ulp of |value| + 1
+    (stage roundings included); at substep 1e-4 the h^4 truncation error
+    of these bounded fields stays below 1e-15."""
+    return (math.ceil(mass / substep) + 1) * 2.0 ** -52 * (1.0 + abs(value))
 
-    @settings(max_examples=150, deadline=None)
-    @given(f=FIELD_KINDS, x=st.floats(-3.0, 3.0), mass=st.floats(0.0, 1.0),
-           substep=st.sampled_from((1e-3, 1e-2, 0.1)))
-    def test_flow_mass(self, f, x, mass, substep):
-        want = oracle.flow_mass(f.kind, oracle.pack(f), x, mass, substep,
-                                np.asarray(f.x_kinks(), dtype=np.float64))
-        assert backend.flow_mass(f, x, mass, substep) == want
+
+class TestOracleProperties:
+    """The package kernels match the serial oracle on every field kind: the
+    Heun steps and the Euler fan bitwise, the exact flow within RK4's error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=FIELD_KINDS, x=st.floats(-3.0, 3.0), mass=st.floats(0.0, 1.0))
+    def test_flow_mass(self, f, x, mass):
+        want = oracle.flow_mass(f.kind, oracle.pack(f), x, mass, 1e-4, oracle.kinks(f))
+        got = backend.flow_mass(f, x, mass)
+        assert abs(got - want) <= rk4_tolerance(mass, 1e-4, want)
 
     @settings(max_examples=100, deadline=None)
     @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 60),
@@ -298,3 +307,132 @@ class TestOracleProperties:
             want = oracle.euler_exact_offset(f, taus[j], h, dLn[j, :K], x0s[j])
             np.testing.assert_array_equal(got[j, :K + 1], want)
             np.testing.assert_array_equal(got[j, K + 1:], want[-1])
+
+
+class TestExactFlow:
+    """Laws of the exact flow, and parameters at the edges of each closed form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=FIELD_KINDS, x=st.floats(-3.0, 3.0), m1=st.floats(0.0, 1.0),
+           m2=st.floats(0.0, 1.0))
+    def test_semigroup(self, f, x, m1, m2):
+        whole = backend.flow_mass(f, x, m1 + m2)
+        split = backend.flow_mass(f, backend.flow_mass(f, x, m1), m2)
+        assert abs(whole - split) <= 1e-14 * (1.0 + abs(whole))
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=FIELD_KINDS, x=st.floats(-3.0, 3.0))
+    def test_monotone_toward_fixed_point(self, f, x):
+        """The path moves the way z(x) points and stops short of any zero of z."""
+        sign = np.sign(f(0.0, x))
+        path = np.array([backend.flow_mass(f, x, m) for m in np.linspace(0.0, 4.0, 41)])
+        ulps = 4.0 * np.spacing(np.abs(path))
+        assert np.all(sign * np.diff(path) >= -ulps[1:])
+        assert np.all(sign * f(0.0, path) >= -f.lipschitz_const * ulps)
+
+    @pytest.mark.parametrize("f, x, fixed", [
+        (ScalarField.affine(1.0, -0.5), -3.0, 2.0),
+        (ScalarField.ramp(0.2, 0.5, 1.5), -1.0, 0.7),
+        (ScalarField.bounded_tanh(-1.5, 2.0, 0.3), -2.0, np.arctanh(0.2) / 2.0),
+        (ScalarField.bounded_sin(1.2, 2.0, phase=0.3, offset=0.4), 0.0,
+         (np.pi + np.arcsin(0.4 / 1.2) - 0.3) / 2.0),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_settles_on_fixed_point(self, f, x, fixed):
+        assert backend.flow_mass(f, x, 100.0) == pytest.approx(fixed, abs=1e-14)
+
+    @pytest.mark.parametrize("f, x", [
+        (ScalarField.constant(0.0), 0.3),
+        (ScalarField.affine(0.5, -0.25), 2.0),
+        (ScalarField.ramp(0.2, 0.5, 1.0), 0.75),
+        (ScalarField.ramp(0.2, 0.5, -1.0), 1.5),
+        (ScalarField.bounded_sin(1.0, 2.0, phase=0.0), 0.0),
+        (ScalarField.bounded_tanh(1.0, 2.0, 0.0), 0.0),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_zero_field_keeps_state(self, f, x):
+        assert f(0.0, x) == 0.0
+        assert backend.flow_mass(f, x, 0.8) == x
+
+    @pytest.mark.parametrize("f, x, m, want", [
+        # subnormal and tiny freq_x: z is constant at amp sin(phase) + offset
+        (ScalarField.bounded_sin(1.2, 8.6e-173, phase=0.4, offset=0.3), 0.7, 0.9,
+         0.7 + 0.9 * (1.2 * np.sin(0.4) + 0.3)),
+        (ScalarField.bounded_sin(1.2, -2.2e-311, phase=0.4, offset=0.3), 0.7, 0.9,
+         0.7 + 0.9 * (1.2 * np.sin(0.4) + 0.3)),
+        (ScalarField.bounded_sin(0.5, -2.2e-320, phase=0.4, offset=1.3), 0.7, 0.9,
+         0.7 + 0.9 * (0.5 * np.sin(0.4) + 1.3)),
+        # subnormal and tiny slope: z is the offset
+        (ScalarField.bounded_tanh(1.3, 5e-324, 0.2), 0.7, 0.9, 0.7 + 0.9 * 0.2),
+        (ScalarField.bounded_tanh(1.3, 1e-300, 0.2), 0.7, 0.9, 0.7 + 0.9 * 0.2),
+        # H = 0 and subnormal H
+        (ScalarField.ramp(0.2, 0.5, 0.0), 0.1, 0.9, 0.1),
+        (ScalarField.ramp(0.2, 0.5, 5e-324), 0.3, 0.9, 0.3),
+        # b = 0 and subnormal b
+        (ScalarField.affine(0.3, 0.0), 0.1, 0.9, 0.1 + 0.3 * 0.9),
+        (ScalarField.affine(0.3, 5e-324), 0.1, 0.9, 0.1 + 0.3 * 0.9),
+        # |s x| > 350, saturated at z = 1.5 and z = -0.5
+        (ScalarField.bounded_tanh(1.0, 1000.0, 0.5), 0.5, 0.3, 0.5 + 0.3 * 1.5),
+        (ScalarField.bounded_tanh(1.0, -1000.0, 0.5), 0.5, 0.5, 0.5 - 0.5 * 0.5),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_degenerate_parameters(self, f, x, m, want):
+        assert backend.flow_mass(f, x, m) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("f, x, m", [
+        # ramp: plateau then slope; falling off the slope; falling on the plateau
+        (ScalarField.ramp(0.2, 0.5, 1.5), -0.5, 0.9),
+        (ScalarField.ramp(0.2, 0.5, -1.5), 0.3, 0.9),
+        (ScalarField.ramp(0.2, 0.5, -1.5), 0.1, 0.9),
+        # sin: winding up and down, settling (freq_x < 0), |offset| = |amp|
+        (ScalarField.bounded_sin(0.5, 3.0, phase=0.3, offset=1.0), 0.7, 5.0),
+        (ScalarField.bounded_sin(-0.5, -3.0, phase=0.3, offset=-1.0), 0.7, 5.0),
+        (ScalarField.bounded_sin(1.2, -2.0, phase=0.3, offset=0.4), 0.7, 2.0),
+        (ScalarField.bounded_sin(1.0, 2.0, phase=0.4, offset=1.0), 0.7, 2.0),
+        (ScalarField.bounded_sin(1.0, 2.0, phase=0.4, offset=-1.0), 0.7, 2.0),
+        # tanh: toward a fixed point, and offset = +-amp, where z tends to 0
+        # at one end and a form with 1/(offset -+ amp) fails
+        (ScalarField.bounded_tanh(-1.5, 2.0, 0.3), -2.0, 0.9),
+        (ScalarField.bounded_tanh(1.3, 2.0, 1.3), -0.7, 0.9),
+        (ScalarField.bounded_tanh(1.3, 2.0, -1.3), 0.4, 0.9),
+        (ScalarField.bounded_tanh(-1.3, 2.0, 1.3), -0.7, 0.9),
+        (ScalarField.bounded_tanh(1.3, -2.0, -1.3), 0.4, 0.9),
+        (ScalarField.bounded_tanh(1.0, 1.0, 1.0000000000000002), -0.7, 0.9),
+        (ScalarField.bounded_tanh(1.0000000000000002, 1.0, 1.0), -0.7, 0.9),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_branches_against_oracle(self, f, x, m):
+        want = oracle.flow_mass(f.kind, oracle.pack(f), x, m, 1e-4, oracle.kinks(f))
+        assert abs(backend.flow_mass(f, x, m) - want) <= rk4_tolerance(m, 1e-4, want)
+
+    @pytest.mark.parametrize("amp, off", [(0.5, 1.0), (-0.5, 1.0), (1.2, -1.3)])
+    @pytest.mark.parametrize("w", [3.0, -2.0])
+    def test_sin_period(self, amp, off, w):
+        """theta gains 2 pi per period 2 pi / (|w| sqrt(off^2 - amp^2))."""
+        f = ScalarField.bounded_sin(amp, w, phase=0.3, offset=off)
+        period = 2.0 * np.pi / (abs(w) * np.sqrt(off * off - amp * amp))
+        step = 2.0 * np.pi / abs(w) * np.sign(off)
+        for k in (1, 3):
+            assert backend.flow_mass(f, 0.7, k * period) == pytest.approx(0.7 + k * step, abs=1e-13)
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-104])
+    def test_tanh_near_unstable_fixed_point(self, x):
+        """z(y) = tanh(y) ~ y near 0, so the state grows like x e^m; P e + Q
+        (here 1 - exp(-2x)) would lose the digits of z(x)."""
+        f = ScalarField.bounded_tanh(1.0, 1.0, 0.0)
+        assert backend.flow_mass(f, x, 1.0) == pytest.approx(x * np.e, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m", [0.5, 2.0, 4.0])
+    def test_tanh_near_stable_fixed_point(self, m):
+        """z(y) = 1e-15 - tanh(y) ~ 1e-15 - y: the state settles like
+        1e-15 (1 - e^-m), though the two terms of 1 + P g are near 5e14."""
+        f = ScalarField.bounded_tanh(1.0, -1.0, 1e-15)
+        want = 1e-15 * -np.expm1(-m)
+        assert backend.flow_mass(f, 0.0, m) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("amp, slope, off, x, m", [
+        (-1.0, 1000.0, 1.5, -0.5, 0.5),   # crosses from z = 2.5 to z = 0.5
+        (-1.0, 1000.0, 0.5, -0.5, 0.5),   # settles at atanh(0.5) / 1000
+        (2.0, -400.0, 0.5, 1.0, 0.8),     # exp(2 s x) underflows
+    ])
+    def test_tanh_steep_against_adaptive_integrator(self, amp, slope, off, x, m):
+        f = ScalarField.bounded_tanh(amp, slope, off)
+        sol = solve_ivp(lambda t, y: f(0.0, y[0]), (0.0, m), [x], method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert backend.flow_mass(f, x, m) == pytest.approx(sol.y[0, -1], abs=1e-12)

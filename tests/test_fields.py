@@ -41,7 +41,6 @@ def test_ramp_shape():
     assert f(0.0, 1.25) == pytest.approx(1.0)
     assert f(0.0, 1.5) == 0.0
     assert f(0.0, 3.0) == 0.0
-    assert f.x_kinks() == (1.0, 1.5)
 
 
 def test_sin_tanh_closed_forms(rng):

@@ -261,9 +261,28 @@ class TestRampOracle:
             mu = measure_from_sigma(sigma)
             for t in (0.1, 0.45, 0.8, 1.0):
                 z = ramp_z(q, eps, 0.75)
-                got = phi_solve(z, 0.75, t, mu, substep=1e-4)
+                got = phi_solve(z, 0.75, t, mu)
                 want = phi_explicit_ramp(sigma, q, eps, 0.75, t)
                 assert got == pytest.approx(want, abs=1e-8), (sigma, t)
+
+    def test_exact_flow_on_criterion_4_grid(self):
+        """The exact ramp flow meets the explicit formula to rounding on
+        acceptance criterion 4's grid, whose own bound is 1e-8."""
+        configs = [
+            (SigmaG(), (0.0, 0.15, 0.35, 0.6, 0.85)),
+            (SigmaG([(0.0, 1.0)]), (0.0, 1.0)),
+            (SigmaG([(0.2, 0.5)]), (0.0, 0.1, 0.2, 0.55, 0.8)),
+        ]
+        worst = 0.0
+        for sigma, qs in configs:
+            mu = measure_from_sigma(sigma)
+            for q in qs:
+                for eps in (0.1, 0.2, 0.35, 0.5):
+                    z = ramp_z(q, eps, 0.75)
+                    for t in np.linspace(0.0, 1.0, 9):
+                        want = phi_explicit_ramp(sigma, q, eps, 0.75, float(t))
+                        worst = max(worst, abs(phi_solve(z, 0.75, float(t), mu) - want))
+        assert worst <= 1e-13
 
     def test_large_atom_freezes_state(self):
         sigma = SigmaG([(0.3, 0.9)])
@@ -271,5 +290,5 @@ class TestRampOracle:
         frozen = phi_explicit_ramp(sigma, q, eps, 0.0, 0.95)
         assert phi_explicit_ramp(sigma, q, eps, 0.0, 1.0) == frozen
         mu = measure_from_sigma(sigma)
-        got = phi_solve(ramp_z(q, eps, 0.0), 0.0, 1.0, mu, substep=1e-4)
+        got = phi_solve(ramp_z(q, eps, 0.0), 0.0, 1.0, mu)
         assert got == pytest.approx(frozen, abs=1e-8)
