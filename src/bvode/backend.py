@@ -172,6 +172,14 @@ def _ratio_expm1(r):
     return math.expm1(r) / r if r != 0.0 else 1.0
 
 
+def _exp_sat(r):
+    """exp(r), inf past overflow."""
+    try:
+        return math.exp(r)
+    except OverflowError:
+        return math.inf
+
+
 def _ratio_log1p(r):
     """log1p(r) / r, 1 at r = 0."""
     return math.log1p(r) / r if r != 0.0 else 1.0
@@ -280,9 +288,10 @@ def _tanh_up(A, s, o, x, m, z0):
     rejected step is below 2^-42 d, the rounding floor of T.
     """
     P, Q = A + o, o - A
-    # first guess: the flow of z linearized at x
+    # first guess: the flow of z linearized at x; the exponent is capped
+    # where expm1 would overflow, and a guess past the bracket is bisected
     th = math.tanh(s * x)
-    guess = z0 * m * _ratio_expm1(A * s * (1.0 - th * th) * m)
+    guess = z0 * m * _ratio_expm1(min(A * s * (1.0 - th * th) * m, 700.0))
     # D0 = (1 + e) z0 has no cancellation, unlike P e + Q
     t0 = 2.0 * s * x
     q = math.exp(-abs(t0))
@@ -391,8 +400,9 @@ def flow_mass(field, x, mass, substep=1e-3):
     """Exact flow of dphi/dm = z(phi) over Lebesgue mass ``mass``, z = f(0, .).
 
     Per kind: constant x + c m; affine x + (a + b x) expm1(b m) / b, formed
-    without dividing by b; ramp (_flow_ramp), sin (_flow_sin) and tanh
-    (_flow_tanh) as documented there.  A nonpositive mass and z(x) = 0
+    without dividing by b and through its log where expm1(b m) overflows
+    (an overflowing flow is +-inf, not an error); ramp (_flow_ramp), sin
+    (_flow_sin) and tanh (_flow_tanh) as documented there.  A nonpositive mass and z(x) = 0
     return x unchanged.  ``substep`` is accepted and ignored; it is kept
     for the benchmark harness, whose flow counter binds it by name.  The
     RK4 integrator this replaced is the reference ``flow_mass`` in
@@ -407,7 +417,11 @@ def flow_mass(field, x, mass, substep=1e-3):
     if kind == FIELD_CONST:
         return x + z0 * m
     if kind == FIELD_AFFINE:
-        return x + z0 * m * _ratio_expm1(p[1] * m)
+        r = p[1] * m
+        if r > 700.0:  # expm1(r) / r overflows: z0 m exp(r) / r through its log
+            lv = math.log(abs(z0)) + math.log(m) + r - math.log(r)
+            return x + math.copysign(_exp_sat(lv), z0)
+        return x + z0 * m * _ratio_expm1(r)
     if kind == FIELD_RAMP:
         return _flow_ramp(p[0], p[1], p[2], x, m)
     if kind == FIELD_SIN:

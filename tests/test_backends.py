@@ -426,10 +426,27 @@ class TestExactFlow:
         want = 1e-15 * -np.expm1(-m)
         assert backend.flow_mass(f, 0.0, m) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("x, m, want", [
+        # x e^(1000 m) through its log: finite though expm1(1000 m) overflows
+        (1e-300, 0.75, 1e-300 * np.exp(60.0) * np.exp(690.0)),
+        (-1e-300, 0.75, -1e-300 * np.exp(60.0) * np.exp(690.0)),
+        # past overflow the flow is inf, which callers report as non-finite
+        (1.0, 1.0, np.inf),
+        (-1.0, 1.0, -np.inf),
+    ])
+    def test_affine_steep_growth(self, x, m, want):
+        got = backend.flow_mass(ScalarField.affine(0.0, 1000.0), x, m)
+        assert got == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("amp, slope, off, x, m", [
         (-1.0, 1000.0, 1.5, -0.5, 0.5),   # crosses from z = 2.5 to z = 0.5
         (-1.0, 1000.0, 0.5, -0.5, 0.5),   # settles at atanh(0.5) / 1000
         (2.0, -400.0, 0.5, 1.0, 0.8),     # exp(2 s x) underflows
+        # started at the centre, where the linearized guess's exponent
+        # A s (1 - tanh^2) m is far past expm1's overflow
+        (1.0, 1000.0, 0.5, 0.0, 1.0),
+        (1.0, 1000.0, 0.5, -1e-4, 1.0),
+        (-1.0, 1000.0, -0.5, 0.0, 1.0),
     ])
     def test_tanh_steep_against_adaptive_integrator(self, amp, slope, off, x, m):
         f = ScalarField.bounded_tanh(amp, slope, off)

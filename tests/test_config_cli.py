@@ -356,6 +356,27 @@ class TestCli:
         assert 0.0 < t < 1.0
         assert not out.exists()
 
+    def test_non_finite_jump_flow_exits_three(self, tmp_path, capsys):
+        # L is flat but jumps by 1 at t = 0.5; across it the Lebesgue flow of
+        # z(x) = 1000 x takes x = 1 to e^1000, past the largest float
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 0
+            jumps = 0.5:1
+            [field]
+            name = affine
+            offset = 0
+            slope = 1000
+            [run]
+            x0 = 1
+            mu = lebesgue
+            """)
+        out = tmp_path / "res"
+        assert main(["solve-limit", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("non-finite state: t=0.5")
+        assert not out.exists()
+
     def test_non_finite_study_exits_three(self, tmp_path, capsys):
         # the scheme overflows on every mesh of this schedule (see
         # test_non_finite_state_exits_three), so every L1 error is non-finite
