@@ -2,11 +2,12 @@
 
 Every subcommand reads one INI config, writes CSV into an output
 directory (atomically, via a temp file and rename), and prints a one
-line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap,
-3 non-finite result (``solve-scheme`` and ``solve-limit`` on a state,
-``study`` on an L1 error; no CSV is written then).  ``jumpmap`` cannot
-reach a non-finite ``phi``: ``ramp_z`` has values in [0, 1] and the
-measure has unit mass, so ``phi`` lies in [x, x + 1].
+line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap or
+argparse usage error, 3 non-finite result (``solve-scheme`` and
+``solve-limit`` on a state, ``study`` on an L1 error; no CSV is written
+then).  ``jumpmap`` cannot reach a non-finite ``phi``: ``ramp_z`` has
+values in [0, 1] and the measure has unit mass, so ``phi`` lies in
+[x, x + 1].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .analysis import convergence_study
 from .config import ConfigError, ExperimentConfig, load_config
 from .jumpmap import JumpMeasure, measure_from_sigma, phi_solve, phi_explicit_ramp, ramp_z
 from .limit import solve_limit
-from .mollify import DEFAULT_U_PROBES, classify_regime, sigma_delta_limit
+from .mollify import classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
@@ -54,12 +55,6 @@ def _write_csv(out_dir: str, filename: str, header, rows) -> str:
             block = list(itertools.islice(rows, CSV_BLOCK))
     os.replace(tmp, path)
     return path
-
-
-def _default_u_probes(cfg: ExperimentConfig):
-    if cfg.u_probes is not None:
-        return cfg.u_probes
-    return DEFAULT_U_PROBES
 
 
 def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
@@ -119,7 +114,7 @@ def _cmd_sigma(cfg: ExperimentConfig, out_dir: str, args) -> int:
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     deltas = np.asarray(cfg.deltas, dtype=np.float64)
-    us = np.asarray(_default_u_probes(cfg), dtype=np.float64)
+    us = np.asarray(cfg.u_probes, dtype=np.float64)
     probe = sigma_delta_limit(profile, sched, deltas[:, None], us[None, :])
     path = _write_csv(out_dir, "sigma_probes.csv",
                       ("delta", "u", "n", "value"), probe.rows())
@@ -132,7 +127,7 @@ def _cmd_classify(cfg: ExperimentConfig, out_dir: str, args) -> int:
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     report = classify_regime(profile, sched, deltas=cfg.deltas,
-                             u_probes=_default_u_probes(cfg))
+                             u_probes=cfg.u_probes)
     path = _write_csv(out_dir, "classify_evidence.csv",
                       ("delta", "u", "n", "value"), report.evidence)
     detail = f" ({report.detail})" if report.detail else ""
@@ -223,8 +218,10 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory (default: config or .)")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for study rows")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized probe grids")
+        if name == "study":
+            sp.add_argument("--threads", type=int, default=1, help="worker threads for study rows")
+        if name == "jumpmap":
+            sp.add_argument("--seed", type=int, default=0, help="seed for randomized probe grids")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

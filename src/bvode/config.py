@@ -19,7 +19,8 @@ import numpy as np
 from .drivers import BVFunction
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG, measure_from_sigma
-from .mollify import DEFAULT_DELTAS, DEFAULT_MESHES, MollifierProfile, Schedule, get_profile
+from .mollify import (DEFAULT_DELTAS, DEFAULT_MESHES, DEFAULT_U_PROBES, MollifierProfile,
+                      Schedule, get_profile)
 
 
 class ConfigError(ValueError):
@@ -141,7 +142,7 @@ class ExperimentConfig:
     conv_points: int = 16
     step_cap: int = 10 ** 8
     deltas: tuple = DEFAULT_DELTAS
-    u_probes: Optional[tuple] = None
+    u_probes: tuple = DEFAULT_U_PROBES
     sample_times: Optional[tuple] = None
     jump_q: Optional[tuple] = None
     jump_eps: Optional[tuple] = None

@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 _CONT_TOL = 1e-9
+STEP_CAP = 10 ** 8
+
+
+class StepLimitError(RuntimeError):
+    """Raised when a run would need more steps or grid points than the cap allows."""
 
 
 def _poly_eval(coefs, u):
@@ -155,18 +160,20 @@ class BVFunction:
 
     # -- variation ---------------------------------------------------------
 
-    def _segment_variation(self, u, v) -> float:
-        total = 0.0
+    def _monotone_pieces(self, u, v):
+        """Yield (coefficients, segment origin, e0, e1) for each monotone
+        polynomial piece of the continuous part on [u, v]; e0 and e1 are
+        local to the segment and split it at its stationary points."""
         for i in range(self.seg_coefs.shape[0]):
             lo = max(u, self.seg_breaks[i])
             hi = min(v, self.seg_breaks[i + 1])
             if hi <= lo:
                 continue
-            llo, lhi = lo - self.seg_breaks[i], hi - self.seg_breaks[i]
-            pts = [llo] + _stationary_points(self.seg_coefs[i], llo, lhi) + [lhi]
-            vals = [_poly_eval(self.seg_coefs[i], p) for p in pts]
-            total += float(np.sum(np.abs(np.diff(vals))))
-        return total
+            origin, coef = self.seg_breaks[i], self.seg_coefs[i]
+            llo, lhi = lo - origin, hi - origin
+            edges = [llo] + _stationary_points(coef, llo, lhi) + [lhi]
+            for e0, e1 in zip(edges[:-1], edges[1:]):
+                yield coef, origin, e0, e1
 
     def total_variation(self, u=None, v=None) -> float:
         """Variation over [u, v] (clamped to the domain): continuous
@@ -179,16 +186,20 @@ class BVFunction:
         u, v = max(u, a), min(v, b)
         if v <= u:
             return 0.0
+        total = 0.0
+        for coef, _, e0, e1 in self._monotone_pieces(u, v):
+            total += abs(float(_poly_eval(coef, e1) - _poly_eval(coef, e0)))
         jl = np.searchsorted(self.jump_epochs, u, side="right")
         jr = np.searchsorted(self.jump_epochs, v, side="right")
-        return self._segment_variation(u, v) + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
+        return total + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
 
     def variation_steps(self, u: float, v: float, v_max: float) -> np.ndarray:
         """Grid over [u, v] whose cells each carry continuous variation <= v_max.
 
         On each monotone polynomial piece the cumulative variation from the left
         edge is |p(t) - p(e0)|, so cut points are located by bisection and every
-        cell carries at most 0.85 * v_max exactly.
+        cell carries at most 0.85 * v_max exactly.  Raises StepLimitError when
+        the cuts would exceed STEP_CAP.
         """
         if v_max <= 0.0:
             raise ValueError("v_max must be positive")
@@ -196,31 +207,27 @@ class BVFunction:
             raise ValueError("need u <= v")
         pts = [u, v]
         v_eff = 0.85 * v_max
-        for i in range(self.seg_coefs.shape[0]):
-            lo = max(u, self.seg_breaks[i])
-            hi = min(v, self.seg_breaks[i + 1])
-            if hi <= lo:
-                continue
-            llo, lhi = lo - self.seg_breaks[i], hi - self.seg_breaks[i]
-            edges = [llo] + _stationary_points(self.seg_coefs[i], llo, lhi) + [lhi]
-            coef = self.seg_coefs[i]
-            for e0, e1 in zip(edges[:-1], edges[1:]):
-                pts.append(self.seg_breaks[i] + e0)
-                p0 = _poly_eval(coef, e0)
-                var = abs(_poly_eval(coef, e1) - p0)
-                if var <= v_eff or e1 <= e0:
-                    continue
-                n_cuts = int(np.ceil(var / v_eff)) - 1
-                sign = 1.0 if _poly_eval(coef, e1) > p0 else -1.0
-                goal = p0 + sign * v_eff * np.arange(1, n_cuts + 1)
-                t_lo = np.full(n_cuts, e0)
-                t_hi = np.full(n_cuts, e1)
-                for _ in range(60):
-                    mid = 0.5 * (t_lo + t_hi)
-                    below = sign * (_poly_eval(coef, mid) - goal) < 0.0
-                    t_lo = np.where(below, mid, t_lo)
-                    t_hi = np.where(below, t_hi, mid)
-                pts.extend(self.seg_breaks[i] + 0.5 * (t_lo + t_hi))
+        cut = []
+        for coef, origin, e0, e1 in self._monotone_pieces(u, v):
+            pts.append(origin + e0)
+            p0, p1 = _poly_eval(coef, e0), _poly_eval(coef, e1)
+            var = abs(p1 - p0)
+            if var > v_eff and e1 > e0:
+                cut.append((coef, origin, e0, e1, p0, 1.0 if p1 > p0 else -1.0,
+                            np.ceil(var / v_eff) - 1.0))
+        n_total = sum(piece[-1] for piece in cut)
+        if not n_total <= STEP_CAP:
+            raise StepLimitError(f"variation grid needs {n_total:.6g} cuts, cap is {STEP_CAP}")
+        for coef, origin, e0, e1, p0, sign, n_cuts in cut:
+            goal = p0 + sign * v_eff * np.arange(1, int(n_cuts) + 1)
+            t_lo = np.full(goal.size, e0)
+            t_hi = np.full(goal.size, e1)
+            for _ in range(60):
+                mid = 0.5 * (t_lo + t_hi)
+                below = sign * (_poly_eval(coef, mid) - goal) < 0.0
+                t_lo = np.where(below, mid, t_lo)
+                t_hi = np.where(below, t_hi, mid)
+            pts.extend(origin + 0.5 * (t_lo + t_hi))
         grid = np.unique(np.asarray(pts, dtype=np.float64))
         return grid[(grid >= u) & (grid <= v)]
 

@@ -9,6 +9,8 @@ variation of the driver.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import backend
@@ -27,22 +29,15 @@ class LimitPath:
 
     def __init__(self, rows, domain):
         # rows: (t, x_left, x, is_jump) at strictly increasing times
-        self.t = np.array([r[0] for r in rows], dtype=np.float64)
-        self.x_left = np.array([r[1] for r in rows], dtype=np.float64)
-        self.x = np.array([r[2] for r in rows], dtype=np.float64)
-        self.is_jump = np.array([r[3] for r in rows], dtype=bool)
+        cols = list(zip(*rows)) or [()] * 4
+        self.t, self.x_left, self.x = (np.array(c, dtype=np.float64) for c in cols[:3])
+        self.is_jump = np.array(cols[3], dtype=bool)
         self.domain = (float(domain[0]), float(domain[1]))
         if self.t.size < 1 or np.any(np.diff(self.t) <= 0.0):
             raise ValueError("path times must be strictly increasing")
-        td, xd = [], []
-        for k in range(self.t.size):
-            if self.is_jump[k]:
-                td.append(self.t[k])
-                xd.append(self.x_left[k])
-            td.append(self.t[k])
-            xd.append(self.x[k])
-        self._t_dbl = np.asarray(td, dtype=np.float64)
-        self._x_dbl = np.asarray(xd, dtype=np.float64)
+        jumps = np.flatnonzero(self.is_jump)
+        self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
+        self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
 
     def _interp(self, t, side: str):
         a, b = self.domain
@@ -76,9 +71,8 @@ class LimitPath:
 
     def rows(self):
         """CSV rows (t, x_left, x, is_jump)."""
-        for k in range(self.t.size):
-            yield (float(self.t[k]), float(self.x_left[k]), float(self.x[k]),
-                   int(self.is_jump[k]))
+        return zip(self.t.tolist(), self.x_left.tolist(), self.x.tolist(),
+                   self.is_jump.astype(int).tolist())
 
 
 def stieltjes_integrate(g, Lc: BVFunction, a: float, t: float,
@@ -134,21 +128,16 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     edges = [a] + sorted(epochs) + ([b] if b not in epochs else [])
     rows = []
     x_cur = float(x0)
-    first = True
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            grid = Lc.variation_steps(lo, hi, v_max)
-            sel = extra[(extra > lo) & (extra < hi)]
-            if sel.size:
-                grid = np.unique(np.concatenate((grid, sel)))
-            xs = backend.heun_path(f, grid, Lc(grid), x_cur)
-        else:
-            grid = np.asarray([lo], dtype=np.float64)
-            xs = np.asarray([x_cur], dtype=np.float64)
-        start = 0 if first else 1
-        for k in range(start, grid.size):
-            rows.append((float(grid[k]), float(xs[k]), float(xs[k]), False))
-        first = False
+        grid = Lc.variation_steps(lo, hi, v_max)
+        sel = extra[(extra > lo) & (extra < hi)]
+        if sel.size:
+            grid = np.unique(np.concatenate((grid, sel)))
+        xs = backend.heun_path(f, grid, Lc(grid), x_cur)
+        # each segment after the first starts where the last one ended
+        start = 1 if rows else 0
+        xl = xs[start:].tolist()
+        rows.extend(zip(grid[start:].tolist(), xl, xl, itertools.repeat(False)))
         x_cur = float(xs[-1])
         if hi in epochs:
             dL = L.jump_at(hi)

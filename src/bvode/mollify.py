@@ -68,9 +68,10 @@ def _scalar(out):
 class MollifierProfile:
     """One-sided mollifier: base density rho on [0, 1] with unit mass.
 
-    ``code`` selects the kernel-level evaluation branch; ``kinks`` lists
-    interior points where rho is not smooth (quadrature panels split
-    there); table profiles carry dense tail-mass and incomplete-moment
+    ``code`` (one of the ``PROFILE_*`` values) selects the closed forms
+    of rho, its tail and its incomplete moments; ``kinks`` lists
+    interior points where rho is not smooth (the panels of
+    ``convolution_rule`` split there); table profiles carry dense tail-mass and incomplete-moment
     tables on one grid for lookup.
     """
 

@@ -16,17 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .drivers import BVFunction
+from .drivers import STEP_CAP, BVFunction, StepLimitError
 from .fields import ScalarField
 from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
 
 
-class StepLimitError(RuntimeError):
-    """Raised when a run would need more lattice steps than the cap allows."""
-
-
-STEP_CAP = 10 ** 8
 # CSV rows materialized per block by GridPath.rows; bounds its temporaries
 ROW_BLOCK = 65536
 

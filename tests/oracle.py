@@ -18,13 +18,23 @@ keeps the serial mollified-coefficient recursion that
 writer that :func:`bvode.cli._write_csv` and :meth:`bvode.GridPath.rows`
 replaced, and the per-probe shift-probe loop that the broadcast
 :func:`bvode.mollify.sigma_delta_limit` replaced.
+
+The limit layer's references are the segment-by-segment variation walk
+(:func:`total_variation`, :func:`variation_steps`) that
+:meth:`bvode.BVFunction._monotone_pieces` replaced, and the per-point row
+builder of the limit solve with the per-row doubled arrays of its path
+(:func:`limit_rows`, :func:`limit_columns`) that the column-wise
+:func:`bvode.solve_limit` and :class:`bvode.LimitPath` replaced.
 """
 
 import os
 
 import numpy as np
 
+from bvode import backend
+from bvode.drivers import _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
+from bvode.jumpmap import phi_solve
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
 
@@ -398,3 +408,125 @@ def sigma_delta_limit(profile, sched, delta, u):
     values = np.array([p.values for p in probes]).reshape(d.shape + (len(sched.meshes),))
     return SigmaProbe(d, u, tuple(sched.meshes), values, field("limit"),
                       field("tail_estimate"), field("converged"))
+
+
+def _segment_variation(L, u, v):
+    total = 0.0
+    for i in range(L.seg_coefs.shape[0]):
+        lo = max(u, L.seg_breaks[i])
+        hi = min(v, L.seg_breaks[i + 1])
+        if hi <= lo:
+            continue
+        llo, lhi = lo - L.seg_breaks[i], hi - L.seg_breaks[i]
+        pts = [llo] + _stationary_points(L.seg_coefs[i], llo, lhi) + [lhi]
+        vals = [_poly_eval(L.seg_coefs[i], p) for p in pts]
+        total += float(np.sum(np.abs(np.diff(vals))))
+    return total
+
+
+def total_variation(L, u=None, v=None):
+    """Variation of driver L over [u, v], summed segment by segment."""
+    a, b = L.domain
+    u = a if u is None else float(u)
+    v = b if v is None else float(v)
+    if u > v:
+        raise ValueError(f"total_variation needs u <= v, got {u!r} > {v!r}")
+    u, v = max(u, a), min(v, b)
+    if v <= u:
+        return 0.0
+    jl = np.searchsorted(L.jump_epochs, u, side="right")
+    jr = np.searchsorted(L.jump_epochs, v, side="right")
+    return _segment_variation(L, u, v) + float(np.sum(np.abs(L.jump_sizes[jl:jr])))
+
+
+def variation_steps(L, u, v, v_max):
+    """Variation-equidistributed grid of L over [u, v], one segment at a time."""
+    if v_max <= 0.0:
+        raise ValueError("v_max must be positive")
+    if v < u:
+        raise ValueError("need u <= v")
+    pts = [u, v]
+    v_eff = 0.85 * v_max
+    for i in range(L.seg_coefs.shape[0]):
+        lo = max(u, L.seg_breaks[i])
+        hi = min(v, L.seg_breaks[i + 1])
+        if hi <= lo:
+            continue
+        llo, lhi = lo - L.seg_breaks[i], hi - L.seg_breaks[i]
+        edges = [llo] + _stationary_points(L.seg_coefs[i], llo, lhi) + [lhi]
+        coef = L.seg_coefs[i]
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            pts.append(L.seg_breaks[i] + e0)
+            p0 = _poly_eval(coef, e0)
+            var = abs(_poly_eval(coef, e1) - p0)
+            if var <= v_eff or e1 <= e0:
+                continue
+            n_cuts = int(np.ceil(var / v_eff)) - 1
+            sign = 1.0 if _poly_eval(coef, e1) > p0 else -1.0
+            goal = p0 + sign * v_eff * np.arange(1, n_cuts + 1)
+            t_lo = np.full(n_cuts, e0)
+            t_hi = np.full(n_cuts, e1)
+            for _ in range(60):
+                mid = 0.5 * (t_lo + t_hi)
+                below = sign * (_poly_eval(coef, mid) - goal) < 0.0
+                t_lo = np.where(below, mid, t_lo)
+                t_hi = np.where(below, t_hi, mid)
+            pts.extend(L.seg_breaks[i] + 0.5 * (t_lo + t_hi))
+    grid = np.unique(np.asarray(pts, dtype=np.float64))
+    return grid[(grid >= u) & (grid <= v)]
+
+
+def limit_rows(f, L, mu, x0, sample_times=None, v_max=None):
+    """(t, x_left, x, is_jump) rows of the limit solve, built point by point."""
+    a, b = L.domain
+    Lc = L.continuous_part()
+    if v_max is None:
+        tv = total_variation(Lc)
+        v_max = 1e-3 * tv if tv > 0.0 else 1.0
+    if sample_times is None:
+        extra = np.empty(0, dtype=np.float64)
+    else:
+        extra = np.asarray(sample_times, dtype=np.float64).reshape(-1)
+    epochs = {float(e) for e in L.jump_epochs}
+    edges = [a] + sorted(epochs) + ([b] if b not in epochs else [])
+    rows = []
+    x_cur = float(x0)
+    first = True
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        grid = variation_steps(Lc, lo, hi, v_max)
+        sel = extra[(extra > lo) & (extra < hi)]
+        if sel.size:
+            grid = np.unique(np.concatenate((grid, sel)))
+        xs = backend.heun_path(f, grid, Lc(grid), x_cur)
+        start = 0 if first else 1
+        for k in range(start, grid.size):
+            rows.append((float(grid[k]), float(xs[k]), float(xs[k]), False))
+        first = False
+        x_cur = float(xs[-1])
+        if hi in epochs:
+            z = f.scaled_frozen(hi, L.jump_at(hi))
+            x_new = phi_solve(z, x_cur, 1.0, mu)
+            rows[-1] = (float(hi), x_cur, float(x_new), True)
+            x_cur = x_new
+    return rows
+
+
+def limit_columns(rows):
+    """Arrays of a LimitPath built from rows one row at a time: t, x_left,
+    x, is_jump, the doubled t_dbl/x_dbl and the CSV rows."""
+    t = np.array([r[0] for r in rows], dtype=np.float64)
+    x_left = np.array([r[1] for r in rows], dtype=np.float64)
+    x = np.array([r[2] for r in rows], dtype=np.float64)
+    is_jump = np.array([r[3] for r in rows], dtype=bool)
+    td, xd = [], []
+    for k in range(t.size):
+        if is_jump[k]:
+            td.append(t[k])
+            xd.append(x_left[k])
+        td.append(t[k])
+        xd.append(x[k])
+    csv = [(float(t[k]), float(x_left[k]), float(x[k]), int(is_jump[k]))
+           for k in range(t.size)]
+    return {"t": t, "x_left": x_left, "x": x, "is_jump": is_jump,
+            "_t_dbl": np.asarray(td, dtype=np.float64),
+            "_x_dbl": np.asarray(xd, dtype=np.float64), "rows": csv}

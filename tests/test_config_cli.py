@@ -75,6 +75,7 @@ class TestLoadConfig:
         assert cfg.n_offsets == 16
         assert cfg.driver is None
         assert cfg.mu is None
+        assert cfg.u_probes == mollify.DEFAULT_U_PROBES
         assert cfg.out_dir == "."
 
     def test_field_constant_overrides(self, tmp_path):
@@ -271,6 +272,31 @@ class TestCli:
         assert main(["solve-scheme", "--config", cfg,
                      "--out", str(tmp_path / "res")]) == 2
         assert "step limit" in capsys.readouterr().err
+
+    def test_variation_grid_cap_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, """
+            [driver]
+            breakpoints = 0, 1
+            coefficients = 0, 1
+            [field]
+            name = linear
+            [run]
+            v_max = 1e-13
+            """)
+        assert main(["solve-limit", "--config", cfg,
+                     "--out", str(tmp_path / "res")]) == 2
+        assert "step limit: variation grid needs" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("argv", [["classify", "--seed", "1"],
+                                      ["jumpmap", "--threads", "2"]])
+    def test_flag_of_another_subcommand_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path, FULL)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", cfg, "--out", str(tmp_path / "res")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_subnormal_step_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, """

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvode import BVFunction
+import bvode
+import oracle
+from bvode import BVFunction, StepLimitError, drivers, stieltjes_integrate
 
 
 def make_mixed():
@@ -204,6 +206,62 @@ class TestVariationSteps:
         L = BVFunction.constant((0.0, 1.0), 3.0)
         grid = L.variation_steps(0.2, 0.8, 0.1)
         assert grid[0] == 0.2 and grid[-1] == 0.8
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_segment_walk_oracle(self, data):
+        """The monotone-piece walk gives the oracle's grids bit for bit, and
+        its variation within 4 ulp (the sum is associated piece by piece)."""
+        L = data.draw(piecewise_cubics())
+        a, b = L.domain
+        p, q = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+        u, v = a + p * (b - a), a + q * (b - a)
+        v_frac = data.draw(st.floats(1e-3, 2.0))
+        # a cubic coefficient near zero puts one root of p' past the float
+        # range (+-inf, outside every piece), and numpy warns on that overflow
+        with np.errstate(over="ignore"):
+            want = oracle.total_variation(L, u, v)
+            got = L.total_variation(u, v)
+            assert abs(got - want) <= 4 * 2.0 ** -52 * want
+            v_max = max(want, 1.0) * v_frac
+            np.testing.assert_array_equal(L.variation_steps(u, v, v_max),
+                                          oracle.variation_steps(L, u, v, v_max))
+
+
+class TestVariationStepCap:
+    """The cuts are counted before any grid is allocated."""
+
+    def test_tiny_budget_raises(self):
+        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(StepLimitError, match="variation grid needs 1.17647e\\+13 cuts"):
+            L.variation_steps(0.0, 1.0, 1e-13)
+        with pytest.raises(StepLimitError):
+            stieltjes_integrate(lambda s: s, L, 0.0, 1.0, 1e-13)
+        assert bvode.StepLimitError is drivers.StepLimitError
+
+    def test_cap_boundary(self, monkeypatch):
+        # variation 1 in cells of 0.85 v_max = 1 / 10.5: 10 cuts
+        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        v_max = 1.0 / 10.5 / 0.85
+        monkeypatch.setattr(drivers, "STEP_CAP", 10)
+        assert L.variation_steps(0.0, 1.0, v_max).size == 12
+        monkeypatch.setattr(drivers, "STEP_CAP", 9)
+        with pytest.raises(StepLimitError, match="needs 10 cuts, cap is 9"):
+            L.variation_steps(0.0, 1.0, v_max)
+
+
+@st.composite
+def piecewise_cubics(draw):
+    """Continuous piecewise cubic with one to four segments."""
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    breaks = draw(st.floats(-1.0, 1.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+    coef = st.floats(-3.0, 3.0)
+    rows, start = [], draw(coef)
+    for w in np.diff(breaks):
+        row = [start] + draw(st.lists(coef, min_size=3, max_size=3))
+        rows.append(row)
+        start = ((row[3] * w + row[2]) * w + row[1]) * w + row[0]
+    return BVFunction(breaks, rows)
 
 
 def test_step_function_constructor():

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+import oracle
 from bvode import (
     BVFunction,
     JumpMeasure,
     LimitPath,
     ScalarField,
+    SigmaG,
+    measure_from_sigma,
     solve_limit,
     stieltjes_integrate,
 )
+from test_acceptance import BOUND_CORPUS
 
 
 def mixed_driver():
@@ -63,6 +67,8 @@ class TestLimitPath:
         with pytest.raises(ValueError, match="strictly increasing"):
             LimitPath([(0.0, 1.0, 1.0, False), (0.0, 1.0, 1.0, False)],
                       domain=(0.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LimitPath([], domain=(0.0, 1.0))
 
     def test_rows_roundtrip(self):
         rows = list(self.path().rows())
@@ -182,3 +188,39 @@ class TestSolveLimit:
         jumps = float(np.sum(path.x[path.is_jump] - path.x_left[path.is_jump]))
         resid = path.eval(1.0) - 0.4 - integral - jumps
         assert abs(resid) <= 5.0 * v_max * (1.0 + np.max(np.abs(path.x)))
+
+
+ORACLE_FIELDS = [
+    ScalarField.constant(0.7),
+    ScalarField.affine(0.3, -1.2),
+    ScalarField.linear_x(),
+    ScalarField.ramp(0.2, 0.5),
+    ScalarField.bounded_sin(1.1, 2.0, freq_t=0.7, phase=0.3, offset=-0.2),
+    ScalarField.bounded_tanh(0.8, 2.5, offset=0.1),
+]
+ORACLE_MEASURES = {
+    "lebesgue": JumpMeasure.lebesgue(),
+    "dirac": JumpMeasure.dirac(0.0),
+    "staircase": measure_from_sigma(SigmaG([(0.2, 0.5)])),
+}
+
+
+@pytest.mark.parametrize("mu_name", list(ORACLE_MEASURES))
+@pytest.mark.parametrize("fi", range(len(ORACLE_FIELDS)),
+                         ids=["const", "affine", "linear", "ramp", "sin", "tanh"])
+@pytest.mark.parametrize("di", range(len(BOUND_CORPUS)))
+def test_solve_limit_matches_row_oracle(di, fi, mu_name):
+    """Criterion 8's drivers give the per-point row builder's path bit for
+    bit, with the default grid and with report points and a coarse budget."""
+    L, f, mu = BOUND_CORPUS[di], ORACLE_FIELDS[fi], ORACLE_MEASURES[mu_name]
+    a, b = L.domain
+    samples = np.linspace(a, b, 7)[1:-1]
+    for kwargs in ({}, {"sample_times": samples, "v_max": 0.02}):
+        path = solve_limit(f, L, mu, 0.4, **kwargs)
+        want = oracle.limit_columns(oracle.limit_rows(f, L, mu, 0.4, **kwargs))
+        for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
+            np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
+            assert getattr(path, name).dtype == want[name].dtype
+        got_rows = list(path.rows())
+        assert got_rows == want["rows"]
+        assert [type(v) for v in got_rows[0]] == [float, float, float, int]
