@@ -15,10 +15,10 @@ import numpy as np
 
 from .drivers import BVFunction
 from .fields import ScalarField
-from .jumpmap import JumpMeasure, SigmaG, sigma_staircase
+from .jumpmap import JumpMeasure, SigmaG
 from .limit import LimitPath, solve_limit
 from .mollify import MollifierProfile, Schedule
-from .scheme import GridPath, solve_grid, xi_grid_for_offset
+from .scheme import GridPath, _crossing_fractions, solve_grid
 
 DEFAULT_PROBES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -36,8 +36,7 @@ def l1_distance(p: GridPath, q: LimitPath) -> float:
     a, b = q.domain
     total = 0.0
     for j in range(p.offsets.size):
-        K = int(p.lengths[j])
-        lattice = p.offsets[j] + p.h * np.arange(K, dtype=np.float64)
+        lattice, _ = p.path(j)
         edges = np.concatenate((np.asarray([a, b]), lattice, q.t))
         edges = np.unique(np.clip(edges, a, b))
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -136,27 +135,35 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
     For every mesh n and every lattice offset, the crossing fractions
     around zeta define a staircase sigma^n(., tau); the gap at probe u is
     the offset-quadrature value of the time integral of
-    |sigma^n(u, .) - sigma(u)|, i.e. (b - a) times the offset mean.
+    |sigma^n(u, .) - sigma(u)|, i.e. (b - a) times the offset mean.  Each
+    mesh builds one (J, p + 3) crossing array for all J offsets.
     """
     a, b = float(domain[0]), float(domain[1])
     if not a < zeta <= b:
         raise ValueError("zeta must lie inside the domain")
+    if n_offsets < 1:
+        raise ValueError("need at least one offset")
     probes = tuple(float(u) for u in probes)
     us = np.asarray(probes, dtype=np.float64)
+    if us.size == 0:
+        raise ValueError("need at least one probe")
+    if not np.all((us >= 0.0) & (us <= 1.0)):
+        raise ValueError("u must lie in [0, 1]")
     target = np.asarray(sigma(us), dtype=np.float64).reshape(-1)
     gaps = np.empty((len(sched.meshes), us.size), dtype=np.float64)
-    hs = []
+    rows = np.arange(n_offsets)
     for i, n in enumerate(sched.meshes):
         h = sched.h(n)
-        hs.append(h)
         taus = a + (h / n_offsets) * np.arange(n_offsets, dtype=np.float64)
-        acc = np.zeros(us.size, dtype=np.float64)
-        for tau in taus:
-            grid = xi_grid_for_offset(profile, n, h, float(tau), float(zeta))
-            vals = np.asarray(sigma_staircase(grid, us), dtype=np.float64)
-            acc += np.abs(vals.reshape(-1) - target)
+        xi = _crossing_fractions(profile, n, h, taus, float(zeta))
+        acc = np.empty(us.size, dtype=np.float64)
+        for k, u in enumerate(us):
+            # staircase of every row: its smallest xi with u <= xi (rows are sorted);
+            # cumsum adds the offsets in order, as a running accumulator would
+            vals = xi[rows, np.count_nonzero(xi < u, axis=1)]
+            acc[k] = np.cumsum(np.abs(vals - target[k]))[-1]
         gaps[i] = (b - a) * acc / n_offsets
     worst = gaps.max(axis=1)
     return SigmaCheckResult(ns=tuple(sched.meshes), probes=probes, gaps=gaps,
                             zeta=float(zeta), decreasing=_trend_decreasing(worst),
-                            h_values=tuple(hs))
+                            h_values=tuple(sched.h(n) for n in sched.meshes))

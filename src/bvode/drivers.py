@@ -9,6 +9,8 @@ defined.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _CONT_TOL = 1e-9
@@ -24,8 +26,12 @@ def _poly_eval(coefs, u):
 
 
 def _stationary_points(coefs, lo, hi):
-    """Real roots of the local derivative inside (lo, hi)."""
-    c1, c2, c3 = coefs[1], 2.0 * coefs[2], 3.0 * coefs[3]
+    """Real roots of the local derivative inside (lo, hi).
+
+    Roots q / c3 and c1 / q, q = -(c2 + sign(c2) sqrt(disc)) / 2, do not
+    cancel when c3 is small; Python floats overflow to inf without a warning.
+    """
+    c1, c2, c3 = float(coefs[1]), 2.0 * float(coefs[2]), 3.0 * float(coefs[3])
     roots = []
     if c3 == 0.0:
         if c2 != 0.0:
@@ -33,9 +39,8 @@ def _stationary_points(coefs, lo, hi):
     else:
         disc = c2 * c2 - 4.0 * c3 * c1
         if disc >= 0.0:
-            r = np.sqrt(disc)
-            roots.append((-c2 - r) / (2.0 * c3))
-            roots.append((-c2 + r) / (2.0 * c3))
+            q = -(c2 + math.copysign(math.sqrt(disc), c2)) / 2.0
+            roots.extend((q / c3, c1 / q) if q != 0.0 else (0.0,))
     return sorted(r for r in roots if lo < r < hi)
 
 

@@ -39,9 +39,7 @@ class SigmaG:
         self._b = np.array([b for _, b in ivals], dtype=np.float64)
 
     def __call__(self, u):
-        arr = np.asarray(u, dtype=np.float64)
-        shape = arr.shape
-        uu = np.atleast_1d(arr).reshape(-1)
+        uu = np.asarray(u, dtype=np.float64)
         if np.any((uu < 0.0) | (uu > 1.0)):
             raise ValueError("sigma argument must lie in [0, 1]")
         out = uu.copy()
@@ -50,7 +48,7 @@ class SigmaG:
             safe = np.clip(idx, 0, self._a.size - 1)
             hit = (idx >= 0) & (uu <= self._b[safe])
             out[hit] = self._b[safe][hit]
-        return _scalar(out.reshape(shape))
+        return _scalar(out)
 
     def jump_at(self, u) -> float:
         """Right jump of sigma at u: b - a when u = a_i, else 0."""
@@ -124,14 +122,10 @@ class JumpMeasure:
 class XiGrid:
     """Monotone partition 0 = xi_0 <= ... <= xi_last = 1 of the unit interval."""
 
-    def __init__(self, values, clamp=False):
+    def __init__(self, values):
         v = np.array(values, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("grid needs at least two values")
-        if clamp:
-            v = np.maximum.accumulate(np.clip(v, 0.0, 1.0))
-            v[0] = 0.0
-            v[-1] = 1.0
         if v[0] != 0.0 or v[-1] != 1.0:
             raise ValueError("grid endpoints must be exactly 0 and 1")
         if np.any(np.diff(v) < 0.0):
@@ -212,13 +206,11 @@ def phi_recursion(z: ScalarField, x: float, grid: XiGrid) -> np.ndarray:
 
 def sigma_staircase(grid: XiGrid, u):
     """Staircase read-out of a grid: the smallest xi_k with u <= xi_k."""
-    arr = np.asarray(u, dtype=np.float64)
-    shape = arr.shape
-    uu = np.atleast_1d(arr).reshape(-1)
+    uu = np.asarray(u, dtype=np.float64)
     if np.any((uu < 0.0) | (uu > 1.0)):
         raise ValueError("u must lie in [0, 1]")
     idx = np.searchsorted(grid.values, uu, side="left")
-    return _scalar(grid.values[idx].reshape(shape))
+    return _scalar(grid.values[idx])
 
 
 def ramp_z(q: float, eps: float, x_ref: float) -> ScalarField:

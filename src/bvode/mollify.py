@@ -12,12 +12,13 @@ increment, and anything else selects a staircase measure in between.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
-from .jumpmap import SigmaG
+from .jumpmap import SigmaG, _scalar
 
 # values of MollifierProfile.code
 PROFILE_UNIFORM = 0
@@ -28,14 +29,9 @@ DEFAULT_MESHES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 DEFAULT_U_PROBES = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl(points: int):
-    if points not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(points)
-        _GL_CACHE[points] = (x, w)
-    return _GL_CACHE[points]
+    return np.polynomial.legendre.leggauss(points)
 
 
 def _composite(fn, lo, hi, panels=64, points=32) -> float:
@@ -59,10 +55,6 @@ def _powers(y, first, last):
     out = np.repeat(y[..., None], last - first + 1, axis=-1)
     out[..., 0] = y ** first
     return np.cumprod(out, axis=-1)
-
-
-def _scalar(out):
-    return float(out) if np.ndim(out) == 0 else out
 
 
 class MollifierProfile:
@@ -97,9 +89,7 @@ class MollifierProfile:
 
     def rho(self, s):
         """Base density, zero outside [0, 1]."""
-        arr = np.asarray(s, dtype=np.float64)
-        shape = arr.shape
-        s = np.atleast_1d(arr).reshape(-1)
+        s = np.asarray(s, dtype=np.float64)
         out = np.zeros(s.shape)
         if self.code == PROFILE_UNIFORM:
             out[(s >= 0.0) & (s <= 1.0)] = 1.0
@@ -112,14 +102,11 @@ class MollifierProfile:
             m = (s > 0.0) & (s < 1.0)
             sm = s[m]
             out[m] = self.cnorm * np.exp(-1.0 / (sm * (1.0 - sm)))
-        out = out.reshape(shape)
         return _scalar(out)
 
     def tail(self, y):
         """Tail mass: integral of rho over [y, 1]; 1 below 0, 0 above 1."""
-        arr = np.asarray(y, dtype=np.float64)
-        shape = arr.shape
-        y = np.atleast_1d(arr).reshape(-1)
+        y = np.asarray(y, dtype=np.float64)
         if self.code == PROFILE_UNIFORM:
             out = np.clip(1.0 - y, 0.0, 1.0)
         elif self.code == PROFILE_TRIANGULAR:
@@ -131,7 +118,6 @@ class MollifierProfile:
             out[y >= 1.0] = 0.0
         else:
             out = np.interp(y, self.table_x, self.table_tail)
-        out = out.reshape(shape)
         return _scalar(out)
 
     def moments(self, y):
@@ -164,9 +150,7 @@ class MollifierProfile:
         to the supremum of the level set.  u = 0 maps to +inf because the
         tail vanishes on the whole half-line [1, inf).
         """
-        arr = np.asarray(u, dtype=np.float64)
-        shape = arr.shape
-        u = np.atleast_1d(arr).reshape(-1)
+        u = np.asarray(u, dtype=np.float64)
         if np.any((u < -1e-12) | (u > 1.0 + 1e-12)):
             raise ValueError("tail_inv argument must lie in [0, 1]")
         u = np.clip(u, 0.0, 1.0)
@@ -187,7 +171,6 @@ class MollifierProfile:
             # rightmost-crossing search at the true inverse there
             out = np.where(u == 1.0, 0.0, lo)
         out = np.where(u == 0.0, np.inf, out)
-        out = out.reshape(shape)
         return _scalar(out)
 
     def moment(self, k=1) -> float:

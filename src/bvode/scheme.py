@@ -70,10 +70,12 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     if not np.all(np.isfinite(x0s)):
         raise ValueError("initial states must be finite")
     Ks = [_step_count(b, float(tau), h, step_cap) for tau in taus]
-    dLn = np.zeros((taus.size, max(Ks)))
-    for j, K in enumerate(Ks):
-        ts = taus[j] + h * np.arange(K + 1, dtype=np.float64)
-        dLn[j, :K] = np.diff(backend.driver_lattice_values(ts, n, profile, L))
+    # one lattice call for the fan: padded times lie past b, where L_n is constant
+    ts = taus[:, None] + h * np.arange(max(Ks) + 1, dtype=np.float64)
+    Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
+    del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
+    dLn = np.diff(Ln, axis=1)
+    del Ln
     lengths = np.array(Ks, dtype=np.int64) + 1
     if mollify_coefficient:
         s, w = profile.convolution_rule(n, conv_points)
@@ -183,15 +185,16 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                     profile_name=profile.name, domain=L.domain)
 
 
-def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
-                       tau: float, zeta: float) -> XiGrid:
-    """Smoothed-jump fractions seen by one lattice around the epoch zeta.
+def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
+                        taus: np.ndarray, zeta: float) -> np.ndarray:
+    """Smoothed-jump fractions seen around the epoch zeta, one row per offset.
 
-    With t_j the last lattice point before zeta - 1/n, the values
-    xi_k = F_n(zeta - t_{j+k}) for k = 0 .. p + 2 (p = floor(1/(n h)))
-    rise from exactly 0 to exactly 1: they are the fractions of the
-    smoothed jump already consumed at each step the scheme takes while
-    crossing it.  Raises StepLimitError when j or the p + 3 fractions
+    With t_j the last point of offset tau's lattice before zeta - 1/n, the
+    row holds xi_k = F_n(zeta - t_{j+k}) for k = 0 .. p + 2
+    (p = floor(1/(n h))), clipped to [0, 1], made non-decreasing and pinned
+    to exactly 0 and 1 at its ends: the fractions of the smoothed jump
+    already consumed at each step the scheme takes while crossing it.
+    Raises StepLimitError when a j or all J (p + 3) fractions together
     exceed the default step cap.
     """
     if h <= 0.0:
@@ -199,16 +202,26 @@ def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
     if n < 1:
         raise ValueError("sharpness n must be a positive integer")
     width = 1.0 / n
-    if zeta - width <= tau:
+    if np.any(zeta - width <= taus):
         raise ValueError("epoch must sit at least one smoothing width past tau")
-    j = _step_count(zeta - width, tau, h) - 1
-    est = 1.0 / (n * h) + 1e-9
-    if not est < STEP_CAP - 2:  # p + 3 > STEP_CAP
-        raise StepLimitError(f"crossing grid needs {est + 3:.6g} points, cap is {STEP_CAP}")
-    p = int(math.floor(est))
-    ks = np.arange(p + 3, dtype=np.float64)
-    xi = F_n(profile, n, zeta - (tau + (j + ks) * h))
-    return XiGrid(xi, clamp=True)
+    js = np.array([_step_count(zeta - width, float(tau), h) - 1 for tau in taus],
+                  dtype=np.float64)
+    p = np.floor(1.0 / (n * h) + 1e-9)  # a float: inf when 1 / (n h) overflows
+    if not taus.size * (p + 3.0) <= STEP_CAP:
+        raise StepLimitError(f"crossing grid needs {taus.size * (p + 3.0):.6g} points, "
+                             f"cap is {STEP_CAP}")
+    ks = np.arange(p + 3.0)
+    xi = F_n(profile, n, zeta - (taus[:, None] + (js[:, None] + ks) * h))
+    xi = np.maximum.accumulate(np.clip(xi, 0.0, 1.0), axis=1)
+    xi[:, 0] = 0.0
+    xi[:, -1] = 1.0
+    return xi
+
+
+def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
+                       tau: float, zeta: float) -> XiGrid:
+    """Crossing fractions around zeta of the lattice with offset tau (J = 1)."""
+    return XiGrid(_crossing_fractions(profile, n, h, np.array([float(tau)]), zeta)[0])
 
 
 def discrete_jump_map(f: ScalarField, L: BVFunction, zeta: float,

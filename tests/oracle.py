@@ -24,18 +24,30 @@ The limit layer's references are the segment-by-segment variation walk
 :meth:`bvode.BVFunction._monotone_pieces` replaced, and the per-point row
 builder of the limit solve with the per-row doubled arrays of its path
 (:func:`limit_rows`, :func:`limit_columns`) that the column-wise
-:func:`bvode.solve_limit` and :class:`bvode.LimitPath` replaced.
+:func:`bvode.solve_limit` and :class:`bvode.LimitPath` replaced.  The
+walks call the package's stationary points; :func:`stationary_points` is
+the textbook quadratic formula those replaced, which cancels when the
+cubic coefficient is small.
+
+The offset fan's references are the per-offset lattice fill
+(:func:`fan_increments`) that the one padded lattice call of
+``bvode.scheme._fan`` replaced, and the per-offset crossing grids
+(:func:`crossing_grid`, clamped value by value) with the staircase gaps
+summed one offset at a time (:func:`sigma_n_gaps`) that the
+``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check` replaced.
 """
 
+import math
 import os
 
 import numpy as np
 
 from bvode import backend
-from bvode.drivers import _poly_eval, _stationary_points
+from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
-from bvode.jumpmap import phi_solve
+from bvode.jumpmap import XiGrid, phi_solve, sigma_staircase
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
+from bvode.scheme import _step_count
 
 
 def pack(field):
@@ -530,3 +542,69 @@ def limit_columns(rows):
     return {"t": t, "x_left": x_left, "x": x, "is_jump": is_jump,
             "_t_dbl": np.asarray(td, dtype=np.float64),
             "_x_dbl": np.asarray(xd, dtype=np.float64), "rows": csv}
+
+
+def stationary_points(coefs, lo, hi):
+    """Real roots of the local derivative inside (lo, hi), textbook formula."""
+    c1, c2, c3 = coefs[1], 2.0 * coefs[2], 3.0 * coefs[3]
+    roots = []
+    if c3 == 0.0:
+        if c2 != 0.0:
+            roots.append(-c1 / c2)
+    else:
+        disc = c2 * c2 - 4.0 * c3 * c1
+        if disc >= 0.0:
+            r = np.sqrt(disc)
+            roots.append((-c2 - r) / (2.0 * c3))
+            roots.append((-c2 + r) / (2.0 * c3))
+    return sorted(r for r in roots if lo < r < hi)
+
+
+def fan_increments(L, profile, n, h, taus, step_cap=STEP_CAP):
+    """(J, Kmax) lattice increments of a fan, one lattice call per offset."""
+    b = L.domain[1]
+    Ks = [_step_count(b, float(tau), h, step_cap) for tau in taus]
+    dLn = np.zeros((taus.size, max(Ks)))
+    for j, K in enumerate(Ks):
+        ts = taus[j] + h * np.arange(K + 1, dtype=np.float64)
+        dLn[j, :K] = np.diff(backend.driver_lattice_values(ts, n, profile, L))
+    return dLn
+
+
+def crossing_grid(profile, n, h, tau, zeta):
+    """Crossing fractions of one lattice around zeta, clamped into an XiGrid."""
+    if h <= 0.0:
+        raise ValueError("step size h must be positive")
+    if n < 1:
+        raise ValueError("sharpness n must be a positive integer")
+    width = 1.0 / n
+    if zeta - width <= tau:
+        raise ValueError("epoch must sit at least one smoothing width past tau")
+    j = _step_count(zeta - width, tau, h) - 1
+    est = 1.0 / (n * h) + 1e-9
+    if not est < STEP_CAP - 2:  # p + 3 > STEP_CAP
+        raise StepLimitError(f"crossing grid needs {est + 3:.6g} points, cap is {STEP_CAP}")
+    p = int(math.floor(est))
+    ks = np.arange(p + 3, dtype=np.float64)
+    v = np.maximum.accumulate(np.clip(F_n(profile, n, zeta - (tau + (j + ks) * h)), 0.0, 1.0))
+    v[0] = 0.0
+    v[-1] = 1.0
+    return XiGrid(v)
+
+
+def sigma_n_gaps(profile, sched, zeta, sigma, probes, n_offsets, domain=(0.0, 1.0)):
+    """Staircase gaps per mesh and probe, one crossing grid per offset."""
+    a, b = float(domain[0]), float(domain[1])
+    us = np.asarray(probes, dtype=np.float64)
+    target = np.asarray(sigma(us), dtype=np.float64).reshape(-1)
+    gaps = np.empty((len(sched.meshes), us.size), dtype=np.float64)
+    for i, n in enumerate(sched.meshes):
+        h = sched.h(n)
+        taus = a + (h / n_offsets) * np.arange(n_offsets, dtype=np.float64)
+        acc = np.zeros(us.size, dtype=np.float64)
+        for tau in taus:
+            grid = crossing_grid(profile, n, h, float(tau), float(zeta))
+            vals = np.asarray(sigma_staircase(grid, us), dtype=np.float64)
+            acc += np.abs(vals.reshape(-1) - target)
+        gaps[i] = (b - a) * acc / n_offsets
+    return gaps

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from bvode import (
     BVFunction,
     JumpMeasure,
@@ -142,6 +143,39 @@ class TestSigmaNCheck:
         with pytest.raises(ValueError, match="zeta"):
             sigma_n_check(get_profile("uniform"), Schedule.power(1.0),
                           0.0, SigmaG())
+
+    @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
+    @pytest.mark.parametrize("alpha, sigma", [(2.0, SigmaG()), (0.5, SigmaG([(0.0, 1.0)]))],
+                             ids=["flow", "ito"])
+    def test_criterion_6_gaps_match_per_offset_oracle(self, name, alpha, sigma):
+        """Criterion 6's schedules: the crossing array gives the per-offset gaps bit for bit."""
+        sched = Schedule.power(alpha, meshes=(64, 128, 256, 512))
+        res = sigma_n_check(get_profile(name), sched, 0.5, sigma, n_offsets=256)
+        want = oracle.sigma_n_gaps(get_profile(name), sched, 0.5, sigma,
+                                   (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), 256)
+        np.testing.assert_array_equal(res.gaps.view(np.uint64), want.view(np.uint64))
+
+    def test_single_probe_sums_offsets_in_order(self):
+        # one probe and many offsets: a pairwise sum would differ in the last bits
+        sched = Schedule.power(1.5, meshes=(16, 64, 256))
+        res = sigma_n_check(get_profile("bump"), sched, 0.7, SigmaG(), probes=(0.37,),
+                            n_offsets=1000, domain=(-0.5, 1.5))
+        want = oracle.sigma_n_gaps(get_profile("bump"), sched, 0.7, SigmaG(), (0.37,), 1000,
+                                   domain=(-0.5, 1.5))
+        np.testing.assert_array_equal(res.gaps.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n_offsets", [0, -2])
+    def test_needs_an_offset(self, n_offsets):
+        with pytest.raises(ValueError, match="need at least one offset"):
+            sigma_n_check(get_profile("uniform"), Schedule.power(2.0, meshes=(16, 32, 64)),
+                          0.5, SigmaG(), n_offsets=n_offsets)
+
+    @pytest.mark.parametrize("probes, match", [((), "need at least one probe"),
+                                               ((0.5, float("nan")), r"u must lie in \[0, 1\]")])
+    def test_needs_valid_probes(self, probes, match):
+        with pytest.raises(ValueError, match=match):
+            sigma_n_check(get_profile("uniform"), Schedule.power(2.0, meshes=(16, 32, 64)),
+                          0.5, SigmaG(), probes=probes)
 
     def test_rows_layout(self):
         sched = Schedule.power(2.0, meshes=(16, 32, 64))

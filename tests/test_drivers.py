@@ -1,5 +1,7 @@
 """Right-continuous BV drivers: evaluation, jumps, variation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,15 +219,55 @@ class TestVariationSteps:
         p, q = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
         u, v = a + p * (b - a), a + q * (b - a)
         v_frac = data.draw(st.floats(1e-3, 2.0))
-        # a cubic coefficient near zero puts one root of p' past the float
-        # range (+-inf, outside every piece), and numpy warns on that overflow
-        with np.errstate(over="ignore"):
-            want = oracle.total_variation(L, u, v)
-            got = L.total_variation(u, v)
-            assert abs(got - want) <= 4 * 2.0 ** -52 * want
-            v_max = max(want, 1.0) * v_frac
-            np.testing.assert_array_equal(L.variation_steps(u, v, v_max),
-                                          oracle.variation_steps(L, u, v, v_max))
+        want = oracle.total_variation(L, u, v)
+        got = L.total_variation(u, v)
+        assert abs(got - want) <= 4 * 2.0 ** -52 * want
+        v_max = max(want, 1.0) * v_frac
+        np.testing.assert_array_equal(L.variation_steps(u, v, v_max),
+                                      oracle.variation_steps(L, u, v, v_max))
+
+
+class TestStationaryPoints:
+    """Roots of p' from the cancellation-free form of the quadratic formula."""
+
+    def test_small_cubic_coefficient_keeps_the_root(self):
+        # p = -t + t^2 + 1e-14 t^3: p' vanishes at 0.5 - 3.75e-15, where p = -0.25 + 1.25e-15
+        L = BVFunction([0.0, 1.0], [[0.0, -1.0, 1.0, 1e-14]])
+        (root,) = drivers._stationary_points(L.seg_coefs[0], 0.0, 1.0)
+        assert root == pytest.approx(0.5 - 3.75e-15, rel=1e-15)
+        assert L.total_variation() == pytest.approx(0.5 + 7.5e-15, rel=1e-15)
+
+    def test_subnormal_cubic_coefficient(self):
+        L = BVFunction([0.0, 1.0], [[0.0, -1.0, 1.0, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert drivers._stationary_points(L.seg_coefs[0], 0.0, 1.0) == [0.5]
+            assert L.total_variation() == 0.5
+
+    def test_double_root_at_zero(self):
+        # p' = 3 t^2 has its double root at the origin of the segment
+        assert drivers._stationary_points([0.0, 0.0, 0.0, 1.0], -1.0, 1.0) == [0.0]
+        assert drivers._stationary_points([0.0, 0.0, 0.0, 1.0], 0.0, 1.0) == []
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_variation_matches_textbook_roots(self, data):
+        """Where the textbook formula is well conditioned (cubic coefficient
+        bounded away from 0), the variation moves by at most 1e-12 relative."""
+        breaks = np.cumsum([0.0] + data.draw(st.lists(st.floats(0.05, 1.0), min_size=1,
+                                                       max_size=3)))
+        coef = st.floats(-3.0, 3.0)
+        rows, start = [], data.draw(coef)
+        for w in np.diff(breaks):
+            c3 = data.draw(st.floats(0.01, 3.0)) * data.draw(st.sampled_from([-1.0, 1.0]))
+            row = [start, data.draw(coef), data.draw(coef), c3]
+            rows.append(row)
+            start = ((row[3] * w + row[2]) * w + row[1]) * w + row[0]
+        L = BVFunction(breaks, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_stationary_points", oracle.stationary_points)
+            want = oracle.total_variation(L)
+        assert L.total_variation() == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestVariationStepCap:

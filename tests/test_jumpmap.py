@@ -131,10 +131,6 @@ class TestXiGrid:
         with pytest.raises(ValueError, match="non-decreasing"):
             XiGrid([0.0, 0.6, 0.4, 1.0])
 
-    def test_clamp_repairs_noise(self):
-        g = XiGrid([-1e-9, 0.2, 0.15, 0.8, 1.0 + 1e-9], clamp=True)
-        np.testing.assert_array_equal(g.values, [0.0, 0.2, 0.2, 0.8, 1.0])
-
 
 class TestSigmaStaircase:
     def test_rounds_up_to_grid(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import oracle
@@ -14,11 +16,15 @@ from bvode import (
     get_profile,
     mollify_L,
     phi_recursion,
+    scheme,
     solve_grid,
     solve_offset,
     xi_grid_for_offset,
 )
-from bvode.scheme import _step_count
+from bvode.scheme import _crossing_fractions, _fan, _step_count
+from test_drivers import piecewise_cubics
+
+PROFILES = ("uniform", "triangular", "bump")
 
 
 def mixed_driver():
@@ -232,6 +238,39 @@ class TestFanOracle:
                        lambda tau: np.nan if tau > 0.0 else 1.0, n_offsets=3)
 
 
+@st.composite
+def jump_drivers(draw):
+    """A random continuous piecewise cubic plus up to four jumps, some at b or just before it."""
+    L = draw(piecewise_cubics())
+    a, b = L.domain
+    near_b = st.sampled_from([b, float(np.nextafter(b, a)), b - 1e-9 * (b - a), b - 1e-3 * (b - a)])
+    inside = st.floats(1e-3, 1.0).map(lambda r: a + r * (b - a))
+    epochs = draw(st.lists(st.one_of(near_b, inside), max_size=4))
+    sizes = draw(st.lists(st.floats(0.05, 2.0) | st.floats(-2.0, -0.05),
+                          min_size=len(epochs), max_size=len(epochs)))
+    return BVFunction(L.seg_breaks, L.seg_coefs, jumps=tuple(zip(epochs, sizes)))
+
+
+class TestFanLattice:
+    """One padded lattice call per fan against one call per offset."""
+
+    @given(L=jump_drivers(), name=st.sampled_from(PROFILES), n=st.integers(1, 400),
+           steps=st.floats(2.0, 300.0), J=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_increments_match_per_offset_oracle(self, L, name, n, steps, J):
+        a, b = L.domain
+        h = (b - a) / steps
+        taus = a + (h / J) * np.arange(J, dtype=np.float64)
+        prof = get_profile(name)
+        with pytest.MonkeyPatch.context() as mp:
+            # hand the increments back in place of the recursion's states
+            mp.setattr(backend, "euler_exact", lambda f, taus, h, dLn, x0s: dLn)
+            got, _ = _fan(ScalarField.constant(0.0), L, prof, n, h, taus, np.zeros(J))
+        want = oracle.fan_increments(L, prof, n, h, taus)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestXiGrid:
     @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
     def test_endpoints_exact(self, name, rng):
@@ -279,6 +318,39 @@ class TestXiGrid:
     def test_epoch_too_close_rejected(self):
         with pytest.raises(ValueError, match="smoothing width"):
             xi_grid_for_offset(get_profile("uniform"), 4, 0.01, 0.3, 0.4)
+
+    def test_clamp_repairs_noise(self, monkeypatch):
+        """Tail masses off by rounding are clipped, made monotone and pinned."""
+        noisy = np.array([[-1e-9, 0.2, 0.15, 0.8, 1.0 + 1e-9],
+                          [1e-9, 0.2, 0.15, 0.8, 1.0 - 1e-9]])
+        monkeypatch.setattr(scheme, "F_n", lambda profile, n, x: noisy + 0.0 * x)
+        # n h = 0.4, so p = 2 and every row holds p + 3 = 5 fractions
+        xi = _crossing_fractions(get_profile("uniform"), 4, 0.1, np.array([0.0, 0.05]), 0.5)
+        np.testing.assert_array_equal(xi, [[0.0, 0.2, 0.2, 0.8, 1.0]] * 2)
+
+    def test_fan_cap_counts_every_row(self):
+        # n h = 1: p + 3 = 4 fractions per offset, so 30 offsets fit a cap of 120
+        prof = get_profile("uniform")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "STEP_CAP", 120)
+            assert _crossing_fractions(prof, 4, 0.25, np.zeros(30), 0.5).shape == (30, 4)
+            with pytest.raises(StepLimitError, match="crossing grid needs 124 points, cap is 120"):
+                _crossing_fractions(prof, 4, 0.25, np.zeros(31), 0.5)
+
+    @given(name=st.sampled_from(PROFILES), n=st.integers(1, 300), ratio=st.floats(0.01, 3.0),
+           J=st.integers(1, 20), gap=st.floats(0.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_per_offset_oracle(self, name, n, ratio, J, gap):
+        h = ratio / n
+        taus = (h / J) * np.arange(J, dtype=np.float64)
+        zeta = h + (1.0 + gap) / n + 1e-9
+        prof = get_profile(name)
+        xi = _crossing_fractions(prof, n, h, taus, zeta)
+        for j in range(J):
+            want = oracle.crossing_grid(prof, n, h, float(taus[j]), zeta).values
+            np.testing.assert_array_equal(xi[j].view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(xi_grid_for_offset(prof, n, h, float(taus[-1]), zeta).values,
+                                      xi[-1])
 
 
 class TestDiscreteJumpMap:
