@@ -1,18 +1,16 @@
 """Config-driven command line: run solvers and studies, emit CSV tables.
 
-Every subcommand reads one INI config, writes CSV into an output
-directory (atomically, via a temp file and rename), and prints a one
-line summary.  Exit codes: 0 success, 1 invalid config, 2 step cap or
-argparse usage error, 3 non-finite result (``solve-scheme`` and
-``solve-limit`` on a state, ``study`` on an L1 error; no CSV is written
-then).  ``jumpmap`` cannot reach a non-finite ``phi``: ``ramp_z`` has
-values in [0, 1] and the measure has unit mass, so ``phi`` lies in
-[x, x + 1].
+Every subcommand reads one INI config; its handler returns one table and a
+summary, and :func:`main` writes the table as CSV into the output directory
+(atomically, via a temp file and rename) and prints the summary.  Exit
+codes: 0 success, 1 invalid config, 2 step cap or argparse usage error,
+3 non-finite result (no CSV is written then).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -29,6 +27,10 @@ from .scheme import StepLimitError, solve_grid
 
 # rows formatted and written per block; bounds the text held in memory
 CSV_BLOCK = 16384
+
+
+class _NonFinite(Exception):
+    """A non-finite result; the message locates it."""
 
 
 def _spec(value) -> str:
@@ -65,7 +67,9 @@ def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
     return JumpMeasure.lebesgue()
 
 
-def _cmd_solve_scheme(cfg: ExperimentConfig, out_dir: str, args) -> int:
+# Each handler takes (cfg, args) and returns (filename, header, rows, summary).
+
+def _cmd_solve_scheme(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
     f = cfg.need("field", "field", "name")
     profile = cfg.need("profile", "mollifier", "profile")
@@ -82,18 +86,15 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, out_dir: str, args) -> int:
         first = np.where(bad.any(axis=1), bad.argmax(axis=1), gp.values.shape[1])
         j = int(np.argmin(first))
         k = int(first[j])
-        print(f"non-finite state: offset {j}, step {k}, t={float(gp.offsets[j] + k * h)!r}",
-              file=sys.stderr)
-        return 3
-    path = _write_csv(out_dir, "grid_path.csv",
-                      ("offset_index", "tau", "k", "t", "x"), gp.rows())
+        raise _NonFinite(f"non-finite state: offset {j}, step {k}, "
+                         f"t={float(gp.offsets[j] + k * h)!r}")
     finals = gp.final_values()
-    print(f"solve-scheme: n={n} h={h:g} offsets={cfg.n_offsets} "
-          f"final x in [{finals.min():.6g}, {finals.max():.6g}] -> {path}")
-    return 0
+    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), gp.rows(),
+            f"n={n} h={h:g} offsets={cfg.n_offsets} "
+            f"final x in [{finals.min():.6g}, {finals.max():.6g}]")
 
 
-def _cmd_solve_limit(cfg: ExperimentConfig, out_dir: str, args) -> int:
+def _cmd_solve_limit(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
     f = cfg.need("field", "field", "name")
     mu = _mu_for(cfg)
@@ -102,45 +103,39 @@ def _cmd_solve_limit(cfg: ExperimentConfig, out_dir: str, args) -> int:
                          v_max=cfg.v_max)
     bad = ~(np.isfinite(lp.x_left) & np.isfinite(lp.x))
     if bad.any():
-        print(f"non-finite state: t={float(lp.t[bad.argmax()])!r}", file=sys.stderr)
-        return 3
-    path = _write_csv(out_dir, "limit_path.csv",
-                      ("t", "x_left", "x", "is_jump"), lp.rows())
-    print(f"solve-limit: {lp.t.size} samples, final x={lp.x[-1]:.10g} -> {path}")
-    return 0
+        raise _NonFinite(f"non-finite state: t={float(lp.t[bad.argmax()])!r}")
+    return ("limit_path.csv", ("t", "x_left", "x", "is_jump"), lp.rows(),
+            f"{lp.t.size} samples, final x={lp.x[-1]:.10g}")
 
 
-def _cmd_sigma(cfg: ExperimentConfig, out_dir: str, args) -> int:
+def _cmd_sigma(cfg: ExperimentConfig, args):
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     deltas = np.asarray(cfg.deltas, dtype=np.float64)
     us = np.asarray(cfg.u_probes, dtype=np.float64)
     probe = sigma_delta_limit(profile, sched, deltas[:, None], us[None, :])
-    path = _write_csv(out_dir, "sigma_probes.csv",
-                      ("delta", "u", "n", "value"), probe.rows())
-    print(f"sigma: {probe.converged.size} probes ({int(probe.converged.sum())} converged), "
-          f"{len(sched.meshes)} meshes each -> {path}")
-    return 0
+    return ("sigma_probes.csv", ("delta", "u", "n", "value"), probe.rows(),
+            f"{probe.converged.size} probes ({int(probe.converged.sum())} converged), "
+            f"{len(sched.meshes)} meshes each")
 
 
-def _cmd_classify(cfg: ExperimentConfig, out_dir: str, args) -> int:
+def _cmd_classify(cfg: ExperimentConfig, args):
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     report = classify_regime(profile, sched, deltas=cfg.deltas,
                              u_probes=cfg.u_probes)
-    path = _write_csv(out_dir, "classify_evidence.csv",
-                      ("delta", "u", "n", "value"), report.evidence)
     detail = f" ({report.detail})" if report.detail else ""
-    print(f"classify: {report.verdict}{detail} "
-          f"max_spread={report.max_spread:.3g} -> {path}")
-    return 0
+    return ("classify_evidence.csv", ("delta", "u", "n", "value"), report.evidence,
+            f"{report.verdict}{detail} max_spread={report.max_spread:.3g}")
 
 
-def _cmd_study(cfg: ExperimentConfig, out_dir: str, args) -> int:
+def _cmd_study(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
     f = cfg.need("field", "field", "name")
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
+    if len(sched.meshes) < 3:
+        raise ConfigError("mollifier", "meshes", "this subcommand needs at least three meshes")
     mu = _mu_for(cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = convergence_study(f, L, profile, sched, mu, cfg.x0,
@@ -150,16 +145,15 @@ def _cmd_study(cfg: ExperimentConfig, out_dir: str, args) -> int:
                                    step_cap=cfg.step_cap)
     bad = ~np.isfinite(result.l1_errors)
     if bad.any():
-        print(f"non-finite l1: mesh n={result.ns[bad.argmax()]}", file=sys.stderr)
-        return 3
-    path = _write_csv(out_dir, "study.csv", ("n", "h_n", "metric", "value"),
-                      result.rows())
-    print(f"study: {len(result.ns)} meshes, final l1={result.l1_errors[-1]:.6g} "
-          f"(rel {result.rel_errors[-1]:.3g}), decreasing={result.decreasing} -> {path}")
-    return 0
+        raise _NonFinite(f"non-finite l1: mesh n={result.ns[bad.argmax()]}")
+    return ("study.csv", ("n", "h_n", "metric", "value"), result.rows(),
+            f"{len(result.ns)} meshes, final l1={result.l1_errors[-1]:.6g} "
+            f"(rel {result.rel_errors[-1]:.3g}), decreasing={result.decreasing}")
 
 
-def _cmd_jumpmap(cfg: ExperimentConfig, out_dir: str, args) -> int:
+def _cmd_jumpmap(cfg: ExperimentConfig, args):
+    # phi cannot be non-finite: ramp_z takes values in [0, 1] and the
+    # measure has unit mass, so phi lies in [x, x + 1]
     sigma = cfg.need("sigma", "sigma", "intervals")
     mu = measure_from_sigma(sigma)
     rng = np.random.default_rng(args.seed)
@@ -183,56 +177,60 @@ def _cmd_jumpmap(cfg: ExperimentConfig, out_dir: str, args) -> int:
                 err = abs(phi - oracle)
                 max_err = max(max_err, err)
                 rows.append((q, eps, t, phi, oracle, err))
-    path = _write_csv(out_dir, "jumpmap.csv",
-                      ("q", "eps", "t", "phi", "oracle", "abs_err"), rows)
-    print(f"jumpmap: {len(rows)} evaluations ({skipped} skipped at "
-          f"staircase-interior q), max |err|={max_err:.3g} -> {path}")
-    return 0
+    return ("jumpmap.csv", ("q", "eps", "t", "phi", "oracle", "abs_err"), rows,
+            f"{len(rows)} evaluations ({skipped} skipped at "
+            f"staircase-interior q), max |err|={max_err:.3g}")
 
 
-_HANDLERS = {
-    "solve-scheme": _cmd_solve_scheme,
-    "solve-limit": _cmd_solve_limit,
-    "sigma": _cmd_sigma,
-    "classify": _cmd_classify,
-    "study": _cmd_study,
-    "jumpmap": _cmd_jumpmap,
+# subcommand: (handler, help, its one extra option as (flag, default, help) or None)
+_COMMANDS = {
+    "solve-scheme": (_cmd_solve_scheme, "run the lattice scheme over an offset fan", None),
+    "solve-limit": (_cmd_solve_limit, "solve the limit equation for a driver and measure",
+                    None),
+    "sigma": (_cmd_sigma, "tabulate shifted-inverse limits over the mesh schedule", None),
+    "classify": (_cmd_classify, "name the scheme's limiting regime for a schedule", None),
+    "study": (_cmd_study, "mesh-refinement error study against the limit path",
+              ("--threads", 1, "worker threads for study rows")),
+    "jumpmap": (_cmd_jumpmap, "jump-map evaluations against the explicit ramp oracle",
+                ("--seed", 0, "seed for randomized probe grids")),
 }
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvode",
         description="Finite-difference and limit-equation toolkit for "
                     "equations driven by bounded-variation signals.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "solve-scheme": "run the lattice scheme over an offset fan",
-        "solve-limit": "solve the limit equation for a driver and measure",
-        "sigma": "tabulate shifted-inverse limits over the mesh schedule",
-        "classify": "name the scheme's limiting regime for a schedule",
-        "study": "mesh-refinement error study against the limit path",
-        "jumpmap": "jump-map evaluations against the explicit ramp oracle",
-    }
-    for name, text in helps.items():
+    for name, (_, text, extra) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default=None, help="output directory (default: config or .)")
-        if name == "study":
-            sp.add_argument("--threads", type=int, default=1, help="worker threads for study rows")
-        if name == "jumpmap":
-            sp.add_argument("--seed", type=int, default=0, help="seed for randomized probe grids")
-    args = parser.parse_args(argv)
+        if extra is not None:
+            flag, default, text = extra
+            sp.add_argument(flag, type=int, default=default, help=text)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        return _HANDLERS[args.command](cfg, out_dir, args)
+        filename, header, rows, summary = _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except StepLimitError as exc:
         print(f"step limit: {exc}", file=sys.stderr)
         return 2
+    except _NonFinite as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    out_dir = args.out if args.out is not None else cfg.out_dir
+    path = _write_csv(out_dir, filename, header, rows)
+    print(f"{args.command}: {summary} -> {path}")
+    return 0
 
 
 if __name__ == "__main__":

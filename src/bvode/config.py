@@ -10,7 +10,6 @@ the offending key as [section].key so the CLI can point at it.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +33,12 @@ class ConfigError(ValueError):
 
 def _floats(raw: str, section: str, key: str) -> list:
     try:
-        return [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
+        vals = [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(section, key, f"expected comma-separated numbers, got {raw!r}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(section, key, f"expected finite numbers, got {raw!r}")
+    return vals
 
 
 class _Section:
@@ -132,10 +134,8 @@ class ExperimentConfig:
     schedule: Optional[Schedule] = None
     sigma: Optional[SigmaG] = None
     mu: Optional[JumpMeasure] = None
-    mu_name: str = ""
     x0: float = 1.0
     n: Optional[int] = None
-    zeta: Optional[float] = None
     n_offsets: int = 16
     v_max: Optional[float] = None
     mollify_coefficient: bool = False
@@ -199,17 +199,9 @@ def _parse_field(sec: _Section) -> ScalarField:
         raise ConfigError(sec.name, "name",
                           f"unknown field {name!r}; choose from {sorted(_FIELD_BUILDERS)}")
     try:
-        field = builder(sec)
+        return builder(sec)
     except ValueError as exc:
         raise ConfigError(sec.name, "name", str(exc)) from exc
-    lip = sec.floatval("lipschitz")
-    grow = sec.floatval("growth")
-    if lip is not None or grow is not None:
-        field = dataclasses.replace(
-            field,
-            lipschitz_const=float(lip if lip is not None else field.lipschitz_const),
-            growth_const=float(grow if grow is not None else field.growth_const))
-    return field
 
 
 def _parse_mollifier(sec: _Section):
@@ -309,7 +301,6 @@ def load_config(path: str) -> ExperimentConfig:
     run = secs.get("run", _Section("run", {}))
     cfg.x0 = run.floatval("x0", cfg.x0)
     cfg.n = run.intval("n")
-    cfg.zeta = run.floatval("zeta")
     cfg.n_offsets = run.intval("n_offsets", cfg.n_offsets)
     if cfg.n_offsets < 1:
         raise ConfigError("run", "n_offsets", "must be a positive integer")
@@ -327,6 +318,9 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.deltas = tuple(deltas)
     probes = run.floatlist("u_probes")
     if probes is not None:
+        for u in probes:
+            if not 0.0 <= u <= 1.0:
+                raise ConfigError("run", "u_probes", f"probe {u!r} outside [0, 1]")
         cfg.u_probes = tuple(probes)
     samples = run.floatlist("sample_times")
     if samples is not None:
@@ -340,7 +334,6 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.out_dir = out.strip()
     raw_mu = run.raw("mu")
     if raw_mu is not None:
-        cfg.mu_name = raw_mu.strip()
         cfg.mu = _parse_mu(raw_mu, cfg.sigma, "run")
     for sec in secs.values():
         sec.check_all_read()

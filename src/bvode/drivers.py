@@ -30,8 +30,13 @@ def _stationary_points(coefs, lo, hi):
 
     Roots q / c3 and c1 / q, q = -(c2 + sign(c2) sqrt(disc)) / 2, do not
     cancel when c3 is small; Python floats overflow to inf without a warning.
+    The coefficients are first divided by the power of two at the largest of
+    them: the roots keep every bit (unless a scaled coefficient is subnormal),
+    and disc can no longer overflow, or underflow to 0, at extreme scales.
     """
-    c1, c2, c3 = float(coefs[1]), 2.0 * float(coefs[2]), 3.0 * float(coefs[3])
+    g1, g2, g3 = float(coefs[1]), float(coefs[2]), float(coefs[3])
+    e = math.frexp(max(abs(g1), abs(g2), abs(g3)))[1]
+    c1, c2, c3 = math.ldexp(g1, -e), 2.0 * math.ldexp(g2, -e), 3.0 * math.ldexp(g3, -e)
     roots = []
     if c3 == 0.0:
         if c2 != 0.0:
@@ -206,7 +211,7 @@ class BVFunction:
         cell carries at most 0.85 * v_max exactly.  Raises StepLimitError when
         the cuts would exceed STEP_CAP.
         """
-        if v_max <= 0.0:
+        if not v_max > 0.0:
             raise ValueError("v_max must be positive")
         if v < u:
             raise ValueError("need u <= v")

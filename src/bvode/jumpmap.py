@@ -70,7 +70,7 @@ class JumpMeasure:
         for v, m in atoms:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"atom location {v!r} outside [0, 1]")
-            if m <= 0.0:
+            if not m > 0.0:
                 raise ValueError(f"atom at {v!r} has nonpositive mass {m!r}")
         for (v0, _), (v1, _) in zip(atoms[:-1], atoms[1:]):
             if v0 == v1:
@@ -128,7 +128,7 @@ class XiGrid:
             raise ValueError("grid needs at least two values")
         if v[0] != 0.0 or v[-1] != 1.0:
             raise ValueError("grid endpoints must be exactly 0 and 1")
-        if np.any(np.diff(v) < 0.0):
+        if not np.all(np.diff(v) >= 0.0):
             raise ValueError("grid values must be non-decreasing")
         self.values = v
 
@@ -181,6 +181,8 @@ def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     phi = float(x)
+    if not math.isfinite(phi):
+        raise ValueError("initial states must be finite")
     if u == 0.0:
         return phi
     amass = dict(mu.atoms)

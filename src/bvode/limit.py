@@ -84,7 +84,7 @@ def stieltjes_integrate(g, Lc: BVFunction, a: float, t: float,
     """
     if Lc.jump_epochs.size:
         raise ValueError("integrator must be jump-free; pass continuous_part()")
-    if v_max <= 0.0:
+    if not v_max > 0.0:
         raise ValueError("v_max must be positive")
     a, t = float(a), float(t)
     if t < a:
@@ -116,18 +116,20 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     if v_max is None:
         tv = Lc.total_variation()
         v_max = 1e-3 * tv if tv > 0.0 else 1.0
-    if v_max <= 0.0:
+    if not v_max > 0.0:
         raise ValueError("v_max must be positive")
     if sample_times is None:
         extra = np.empty(0, dtype=np.float64)
     else:
         extra = np.asarray(sample_times, dtype=np.float64).reshape(-1)
-        if extra.size and (extra.min() < a or extra.max() > b):
+        if extra.size and not (extra.min() >= a and extra.max() <= b):
             raise ValueError(f"sample times must lie in [{a!r}, {b!r}]")
     epochs = {float(e) for e in L.jump_epochs}
     edges = [a] + sorted(epochs) + ([b] if b not in epochs else [])
-    rows = []
     x_cur = float(x0)
+    if not np.isfinite(x_cur):
+        raise ValueError("initial states must be finite")
+    rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         grid = Lc.variation_steps(lo, hi, v_max)
         sel = extra[(extra > lo) & (extra < hi)]
@@ -142,7 +144,8 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
         if hi in epochs:
             dL = L.jump_at(hi)
             z = f.scaled_frozen(hi, dL)
-            x_new = phi_solve(z, x_cur, 1.0, mu)
+            # a state that already overflowed crosses the jump unchanged
+            x_new = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
             rows[-1] = (float(hi), x_cur, float(x_new), True)
             x_cur = x_new
     return LimitPath(rows, domain=(a, b))

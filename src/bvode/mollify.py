@@ -151,7 +151,7 @@ class MollifierProfile:
         tail vanishes on the whole half-line [1, inf).
         """
         u = np.asarray(u, dtype=np.float64)
-        if np.any((u < -1e-12) | (u > 1.0 + 1e-12)):
+        if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
             raise ValueError("tail_inv argument must lie in [0, 1]")
         u = np.clip(u, 0.0, 1.0)
         if self.code == PROFILE_UNIFORM:

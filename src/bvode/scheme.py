@@ -197,8 +197,8 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
     Raises StepLimitError when a j or all J (p + 3) fractions together
     exceed the default step cap.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("step size h must be positive and finite")
     if n < 1:
         raise ValueError("sharpness n must be a positive integer")
     width = 1.0 / n

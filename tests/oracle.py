@@ -544,6 +544,22 @@ def limit_columns(rows):
             "_x_dbl": np.asarray(xd, dtype=np.float64), "rows": csv}
 
 
+def unscaled_stationary_points(coefs, lo, hi):
+    """Real roots of the local derivative inside (lo, hi), cancellation-free
+    form without the power-of-two scaling (disc overflows past about 1e154)."""
+    c1, c2, c3 = float(coefs[1]), 2.0 * float(coefs[2]), 3.0 * float(coefs[3])
+    roots = []
+    if c3 == 0.0:
+        if c2 != 0.0:
+            roots.append(-c1 / c2)
+    else:
+        disc = c2 * c2 - 4.0 * c3 * c1
+        if disc >= 0.0:
+            q = -(c2 + math.copysign(math.sqrt(disc), c2)) / 2.0
+            roots.extend((q / c3, c1 / q) if q != 0.0 else (0.0,))
+    return sorted(r for r in roots if lo < r < hi)
+
+
 def stationary_points(coefs, lo, hi):
     """Real roots of the local derivative inside (lo, hi), textbook formula."""
     c1, c2, c3 = coefs[1], 2.0 * coefs[2], 3.0 * coefs[3]

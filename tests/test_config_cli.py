@@ -1,14 +1,18 @@
 """INI config parsing and the command line entry points."""
 
 import importlib
+import math
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from bvode import ConfigError, GridPath, cli, load_config, mollify, scheme
+from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify, scheme
 from bvode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +71,6 @@ class TestLoadConfig:
         assert cfg.deltas == (0.25, 0.75)
         assert cfg.u_probes == (0.0, 0.5, 1.0)
         assert cfg.sample_times == (0.1, 0.9)
-        assert cfg.mu_name == "sigma"
 
     def test_defaults(self, tmp_path):
         cfg = load_config(write(tmp_path, "[run]\n"))
@@ -77,18 +80,6 @@ class TestLoadConfig:
         assert cfg.mu is None
         assert cfg.u_probes == mollify.DEFAULT_U_PROBES
         assert cfg.out_dir == "."
-
-    def test_field_constant_overrides(self, tmp_path):
-        cfg = load_config(write(tmp_path, """
-            [field]
-            name = sin
-            amp = 2.0
-            freq_x = 3.0
-            lipschitz = 10.0
-            [run]
-            """))
-        assert cfg.field.lipschitz_const == 10.0
-        assert cfg.field.growth_const == 2.0
 
     def test_mu_variants(self, tmp_path):
         cfg = load_config(write(tmp_path, "[run]\nmu = dirac:0.25\n"))
@@ -115,6 +106,7 @@ class TestLoadConfig:
          "[mollifier].meshes"),
         ("[sigma]\nintervals = 0.1:0.6, 0.4:0.8\n[run]\n", "[sigma].intervals"),
         ("[run]\ndeltas = 0.5, 1.5\n", "[run].deltas"),
+        ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
         ("[run]\nn_offsets = 0\n", "[run].n_offsets"),
         ("[run]\nv_max = -1\n", "[run].v_max"),
         ("[run]\nmollify_f = maybe\n", "[run].mollify_f"),
@@ -130,7 +122,7 @@ class TestLoadConfig:
     def test_documented_configs_load(self, tmp_path, monkeypatch):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         cfg = load_config(write(tmp_path, readme.split("```ini\n")[1].split("```")[0]))
-        assert cfg.zeta == 0.5 and cfg.sigma is not None
+        assert cfg.sigma is not None
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         workloads = importlib.import_module("workloads")
         configs = workloads.scheme_inputs(0)["configs"] | workloads.diag_inputs(0)["configs"]
@@ -244,10 +236,20 @@ class TestCli:
         ("mollifier", "mesh", "[mollifier]\nprofile = uniform\nalpha = 2\nmesh = 8, 16\n"),
         ("sigma", "interval", "[sigma]\nintervals = 0.2:0.5\ninterval = 0.1:0.2\n"),
         ("run", "n_offset", "[run]\nn_offset = 64\n"),
+        ("run", "zeta", "[run]\nzeta = 0.5\n"),
+        ("field", "lipschitz", "[field]\nname = sin\nlipschitz = 10.0\n"),
+        ("field", "growth", "[field]\nname = sin\ngrowth = 3.0\n"),
     ])
     def test_unread_key_exits_one(self, tmp_path, capsys, section, key, text):
         assert main(["classify", "--config", write(tmp_path, text)]) == 1
         assert f"config error: [{section}].{key}: unknown key" in capsys.readouterr().err
+
+    def test_study_needs_three_meshes(self, tmp_path, capsys):
+        cfg = write(tmp_path, FULL.replace("meshes = 16, 32, 64", "meshes = 16, 32"))
+        assert main(["study", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+        assert "config error: [mollifier].meshes: this subcommand needs at least three" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "res").exists()
 
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         assert main(["study", "--config", str(tmp_path / "missing.ini")]) == 1
@@ -323,6 +325,8 @@ class TestCli:
         ("driver", "jumps = 0.25:inf"),
         ("driver", "coefficients = 0, 2; 1, nan, -4"),
         ("driver", "breakpoints = 0, 0.5, inf"),
+        ("run", "sample_times = 0.1, nan"),
+        ("run", "u_probes = 0, nan, 1"),
     ])
     def test_non_finite_input_exits_one(self, tmp_path, capsys, section, line):
         key, cur, lines = line.split(" = ")[0], None, []
@@ -519,3 +523,76 @@ class TestProbeCsv:
         assert new == (tmp_path / "old" / csv).read_bytes()
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].replace("/new/", "/old/") == lines[1]
+
+
+# log-uniform magnitudes in [1e-3, 1e3], either sign
+PARAM = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 3.0),
+                  st.sampled_from([-1.0, 1.0]))
+FIELD_KEYS = {"constant": ("value",), "affine": ("offset", "slope"), "linear": (),
+              "ramp": ("threshold", "width", "height"),
+              "sin": ("amp", "freq_x", "freq_t", "phase", "offset"),
+              "tanh": ("amp", "slope", "offset")}
+CSV_OF = {"solve-scheme": "grid_path.csv", "solve-limit": "limit_path.csv",
+          "study": "study.csv"}
+
+
+@st.composite
+def random_configs(draw):
+    """A config of random driver (1-3 cubic segments, 0-2 jumps), field,
+    schedule and run knobs, with the work of every subcommand bounded."""
+    widths = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
+    breaks = np.concatenate(([0.0], np.cumsum(widths)))
+    rows, start = [], draw(PARAM)
+    for w in np.diff(breaks):
+        row = [start] + [draw(PARAM | st.just(0.0)) for _ in range(3)]
+        rows.append(row)
+        start = float(((row[3] * w + row[2]) * w + row[1]) * w + row[0])
+    b = float(breaks[-1])
+    jumps = draw(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True), PARAM),
+                          max_size=2))
+    kind = draw(st.sampled_from(sorted(FIELD_KEYS)))
+    meshes = sorted(draw(st.sets(st.sampled_from([4, 8, 16, 32, 64]), min_size=1,
+                                 max_size=4)))
+    v_c = BVFunction(breaks, rows).total_variation()
+    run = {"x0": draw(PARAM | st.just(0.0)), "n": draw(st.integers(1, 64)),
+           "n_offsets": draw(st.integers(1, 8)), "step_cap": 4000,
+           "mu": draw(st.sampled_from(["lebesgue", "dirac", "dirac:0.5", "sigma"])),
+           "mollify_f": draw(st.booleans()), "conv_points": 4}
+    if v_c > 0.0:
+        run["v_max"] = v_c * 10.0 ** draw(st.floats(-4.0, 0.0))
+    sections = {
+        "driver": {"breakpoints": ", ".join(map(repr, breaks.tolist())),
+                   "coefficients": "; ".join(", ".join(map(repr, r)) for r in rows)},
+        "field": {"name": kind, **{k: repr(draw(PARAM)) for k in FIELD_KEYS[kind]}},
+        "mollifier": {"profile": draw(st.sampled_from(["uniform", "triangular", "bump"])),
+                      "alpha": repr(draw(st.floats(0.5, 3.0))),
+                      "meshes": ", ".join(map(str, meshes))},
+        "sigma": {"intervals": "0.2:0.5"},
+        "run": {k: v if isinstance(v, str) else repr(v) for k, v in run.items()},
+    }
+    if jumps:
+        sections["driver"]["jumps"] = ", ".join(f"{u * b!r}:{s!r}" for u, s in jumps)
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                   for name, items in sections.items())
+
+
+class TestCliProperty:
+    """Random configs end in an exit code, never a traceback, and a CSV is
+    written, finite, exactly when the code is 0."""
+
+    @given(text=random_configs(), command=st.sampled_from(sorted(CSV_OF)))
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_and_finite_csv(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "exp.ini", Path(tmp) / "res"
+            cfg.write_text(text)
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            csv = out / CSV_OF[command]
+            assert csv.exists() == (code == 0)
+            if code == 0:
+                header, rows = read_csv(csv)
+                assert rows
+                for row in rows:
+                    assert all(math.isfinite(float(v))
+                               for name, v in zip(header, row) if name != "metric")

@@ -209,6 +209,10 @@ class TestVariationSteps:
         grid = L.variation_steps(0.2, 0.8, 0.1)
         assert grid[0] == 0.2 and grid[-1] == 0.8
 
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="v_max must be positive"):
+            make_mixed().variation_steps(0.0, 1.0, np.nan)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_segment_walk_oracle(self, data):
@@ -243,6 +247,27 @@ class TestStationaryPoints:
             warnings.simplefilter("error")
             assert drivers._stationary_points(L.seg_coefs[0], 0.0, 1.0) == [0.5]
             assert L.total_variation() == 0.5
+
+    @pytest.mark.parametrize("row,want", [
+        ([0.0, -1e200, 1e200, 1e-100], 5e199),    # unscaled, disc overflows to inf
+        ([0.0, -1e-200, 1e-200, 1e-300], 5e-201),  # unscaled, disc underflows to 0
+    ])
+    def test_extreme_scales_keep_the_root(self, row, want):
+        # p ~ s (t^2 - t): the minimum -s / 4 sits at t = 0.5
+        L = BVFunction([0.0, 1.0], [row])
+        assert L.total_variation() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_keeps_every_bit(self, data):
+        """Where no product overflows or underflows, the scaled roots are the
+        unscaled ones bit for bit."""
+        coef = st.one_of(st.just(0.0), st.builds(
+            lambda m, e: m * 2.0 ** e,
+            st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-150, 150)))
+        row = [0.0] + [data.draw(coef) for _ in range(3)]
+        assert (drivers._stationary_points(row, -np.inf, np.inf)
+                == oracle.unscaled_stationary_points(row, -np.inf, np.inf))
 
     def test_double_root_at_zero(self):
         # p' = 3 t^2 has its double root at the origin of the segment

@@ -98,6 +98,10 @@ class TestJumpMeasure:
         with pytest.raises(ValueError, match="overlap"):
             JumpMeasure(segments=((0.0, 0.6), (0.4, 0.8)))
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="nonpositive mass"):
+            JumpMeasure(atoms=((0.0, np.nan),))
+
 
 class TestMeasureFromSigma:
     def test_identity_gives_lebesgue(self):
@@ -130,6 +134,10 @@ class TestXiGrid:
             XiGrid([0.0, 0.5, 0.9])
         with pytest.raises(ValueError, match="non-decreasing"):
             XiGrid([0.0, 0.6, 0.4, 1.0])
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            XiGrid([0.0, np.nan, 1.0])
 
 
 class TestSigmaStaircase:
@@ -201,6 +209,11 @@ class TestPhiSolve:
         z = ScalarField.constant(1.0)
         with pytest.raises(ValueError, match="0, 1"):
             phi_solve(z, 0.0, 1.2, JumpMeasure.lebesgue())
+
+    @pytest.mark.parametrize("x", [np.nan, -np.inf])
+    def test_rejects_non_finite_start(self, x):
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            phi_solve(ScalarField.constant(1.0), x, 1.0, JumpMeasure.lebesgue())
 
 
 class TestPhiRecursion:

@@ -111,6 +111,11 @@ class TestStieltjesIntegrate:
             stieltjes_integrate(lambda s: s, Lc, 0.5, 0.2, 1e-3)
         assert stieltjes_integrate(lambda s: s, Lc, 0.3, 0.3, 1e-3) == 0.0
 
+    def test_nan_budget_rejected(self):
+        Lc = mixed_driver().continuous_part()
+        with pytest.raises(ValueError, match="v_max must be positive"):
+            stieltjes_integrate(lambda s: s, Lc, 0.0, 1.0, np.nan)
+
 
 class TestSolveLimit:
     def test_smooth_exponential(self):
@@ -161,6 +166,12 @@ class TestSolveLimit:
             solve_limit(ScalarField.constant(1.0), L, JumpMeasure.lebesgue(),
                         0.0, sample_times=[1.5])
 
+    def test_nan_sample_time_rejected(self):
+        # a NaN sample time used to pass the range check and be dropped
+        with pytest.raises(ValueError, match="sample times"):
+            solve_limit(ScalarField.constant(1.0), mixed_driver(), JumpMeasure.lebesgue(),
+                        0.0, sample_times=[0.5, np.nan])
+
     def test_constant_driver_keeps_state(self):
         L = BVFunction.from_segments([0.0, 2.0], [[4.0]])
         path = solve_limit(ScalarField.bounded_sin(1.0, 1.0), L,
@@ -171,6 +182,27 @@ class TestSolveLimit:
         with pytest.raises(ValueError, match="v_max"):
             solve_limit(ScalarField.constant(1.0), mixed_driver(),
                         JumpMeasure.lebesgue(), 0.0, v_max=-1.0)
+
+    def test_nan_v_max_rejected(self):
+        # a NaN budget used to pass the check and cut no cells: 5 samples
+        with pytest.raises(ValueError, match="v_max must be positive"):
+            solve_limit(ScalarField.bounded_tanh(1.0, 1.0, 0.2), mixed_driver(),
+                        JumpMeasure.lebesgue(), 0.3, v_max=np.nan)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf])
+    def test_non_finite_start_rejected(self, x0):
+        with pytest.raises(ValueError, match="initial states must be finite"):
+            solve_limit(ScalarField.constant(1.0), mixed_driver(),
+                        JumpMeasure.lebesgue(), x0)
+
+    def test_overflowed_state_crosses_jump_unchanged(self):
+        # dx = 1000 x dL overflows before the jump at 0.5; the jump map
+        # (which rejects a non-finite start) is skipped and the state stays inf
+        L = BVFunction.from_segments([0.0, 1.0], [[0.0, 20.0]], jumps=((0.5, 1.0),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = solve_limit(ScalarField.affine(0.0, 1000.0), L, JumpMeasure.lebesgue(), 1.0)
+        k = int(np.flatnonzero(path.is_jump)[0])
+        assert path.x_left[k] == path.x[k] == np.inf
 
     @pytest.mark.parametrize("mu_name,mu", [
         ("flow", JumpMeasure.lebesgue()),

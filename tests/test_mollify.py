@@ -149,6 +149,11 @@ class TestScaledTail:
         assert F_n_inv(p, 4, 0.6) == pytest.approx(0.1, abs=1e-14)
         assert F_n_inv(p, 4, 0.0) == np.inf
 
+    @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
+    def test_F_n_inv_rejects_nan(self, name):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            F_n_inv(get_profile(name), 4, np.nan)
+
     @pytest.mark.parametrize("bad", [0, -3])
     def test_positive_n_required(self, bad):
         p = get_profile("uniform")

@@ -315,6 +315,11 @@ class TestXiGrid:
         with pytest.raises(StepLimitError, match="crossing grid"):
             xi_grid_for_offset(get_profile("uniform"), 1, 1e-12, 0.0, 1.00005)
 
+    @pytest.mark.parametrize("h", [np.inf, np.nan])
+    def test_non_finite_step_rejected(self, h):
+        with pytest.raises(ValueError, match="step size h must be positive and finite"):
+            xi_grid_for_offset(get_profile("uniform"), 4, h, 0.0, 0.5)
+
     def test_epoch_too_close_rejected(self):
         with pytest.raises(ValueError, match="smoothing width"):
             xi_grid_for_offset(get_profile("uniform"), 4, 0.01, 0.3, 0.4)
