@@ -8,7 +8,7 @@ that connect the two ends.
 """
 
 from .drivers import BVFunction
-from .fields import ScalarField, check_field_constants
+from .fields import ScalarField
 from .mollify import (
     DEFAULT_DELTAS,
     DEFAULT_MESHES,
@@ -79,7 +79,6 @@ __all__ = [
     "StepLimitError",
     "StudyResult",
     "XiGrid",
-    "check_field_constants",
     "classify_regime",
     "convergence_study",
     "discrete_jump_map",

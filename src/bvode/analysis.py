@@ -8,7 +8,6 @@ the staircase check probes which limit staircase a schedule produces.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,30 +75,20 @@ class StudyResult:
 def convergence_study(f: ScalarField, L: BVFunction,
                       profile: MollifierProfile, sched: Schedule,
                       mu_expected: JumpMeasure, x0: float,
-                      n_offsets: int = 16, threads: int = 1,
-                      **kwargs) -> StudyResult:
+                      n_offsets: int = 16, **kwargs) -> StudyResult:
     """Sweep the schedule and measure the scheme's L1 distance to the limit.
 
     The limit path is solved once under ``mu_expected``; each mesh then
-    contributes one row.  Rows are computed concurrently when ``threads``
-    allows, and assembled in schedule order either way.
+    contributes one row, in schedule order.
     """
     if len(sched.meshes) < 3:
         raise ValueError("schedule needs at least three meshes")
     limit = solve_limit(f, L, mu_expected, float(x0))
     norm = limit.l1_norm()
-
-    def one(n: int) -> float:
-        gp = solve_grid(f, L, profile, n, sched.h(n), float(x0),
-                        n_offsets=n_offsets, **kwargs)
-        return l1_distance(gp, limit)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            errs = list(ex.map(one, sched.meshes))
-    else:
-        errs = [one(n) for n in sched.meshes]
-    errs = np.asarray(errs, dtype=np.float64)
+    errs = np.empty(len(sched.meshes), dtype=np.float64)
+    for i, n in enumerate(sched.meshes):
+        gp = solve_grid(f, L, profile, n, sched.h(n), float(x0), n_offsets=n_offsets, **kwargs)
+        errs[i] = l1_distance(gp, limit)
     rels = errs / norm if norm > 0.0 else errs.copy()
     return StudyResult(ns=tuple(sched.meshes),
                        h_values=tuple(sched.h(n) for n in sched.meshes),

@@ -139,7 +139,7 @@ def _cmd_study(cfg: ExperimentConfig, args):
     mu = _mu_for(cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = convergence_study(f, L, profile, sched, mu, cfg.x0,
-                                   n_offsets=cfg.n_offsets, threads=args.threads,
+                                   n_offsets=cfg.n_offsets,
                                    mollify_coefficient=cfg.mollify_coefficient,
                                    conv_points=cfg.conv_points,
                                    step_cap=cfg.step_cap)
@@ -189,8 +189,7 @@ _COMMANDS = {
                     None),
     "sigma": (_cmd_sigma, "tabulate shifted-inverse limits over the mesh schedule", None),
     "classify": (_cmd_classify, "name the scheme's limiting regime for a schedule", None),
-    "study": (_cmd_study, "mesh-refinement error study against the limit path",
-              ("--threads", 1, "worker threads for study rows")),
+    "study": (_cmd_study, "mesh-refinement error study against the limit path", None),
     "jumpmap": (_cmd_jumpmap, "jump-map evaluations against the explicit ramp oracle",
                 ("--seed", 0, "seed for randomized probe grids")),
 }

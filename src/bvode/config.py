@@ -167,10 +167,17 @@ def _parse_driver(sec: _Section) -> BVFunction:
         if tok:
             rows.append(_floats(tok, sec.name, "coefficients"))
     jumps = sec.pairs("jumps") or ()
+    # BVFunction checks breakpoints, coefficients and jumps in that order; build
+    # it up the same way so that an error names the key whose check failed
+    key = "breakpoints"
     try:
+        BVFunction(bp, [[0.0]] * (len(bp) - 1))
+        key = "coefficients"
+        BVFunction(bp, rows)
+        key = "jumps"
         return BVFunction(bp, rows, jumps=jumps)
     except ValueError as exc:
-        raise ConfigError(sec.name, "coefficients", str(exc)) from exc
+        raise ConfigError(sec.name, key, str(exc)) from exc
 
 
 _FIELD_BUILDERS = {
@@ -302,33 +309,30 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.x0 = run.floatval("x0", cfg.x0)
     cfg.n = run.intval("n")
     cfg.n_offsets = run.intval("n_offsets", cfg.n_offsets)
-    if cfg.n_offsets < 1:
-        raise ConfigError("run", "n_offsets", "must be a positive integer")
+    cfg.conv_points = run.intval("conv_points", cfg.conv_points)
+    for key in ("n", "n_offsets", "conv_points"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise ConfigError("run", key, "must be a positive integer")
     cfg.v_max = run.floatval("v_max")
     if cfg.v_max is not None and cfg.v_max <= 0.0:
         raise ConfigError("run", "v_max", "must be positive")
     cfg.mollify_coefficient = run.boolval("mollify_f", False)
-    cfg.conv_points = run.intval("conv_points", cfg.conv_points)
     cfg.step_cap = run.intval("step_cap", cfg.step_cap)
-    deltas = run.floatlist("deltas")
-    if deltas is not None:
-        for d in deltas:
-            if not 0.0 < d < 1.0:
-                raise ConfigError("run", "deltas", f"delta {d!r} outside (0, 1)")
-        cfg.deltas = tuple(deltas)
-    probes = run.floatlist("u_probes")
-    if probes is not None:
-        for u in probes:
-            if not 0.0 <= u <= 1.0:
-                raise ConfigError("run", "u_probes", f"probe {u!r} outside [0, 1]")
-        cfg.u_probes = tuple(probes)
-    samples = run.floatlist("sample_times")
-    if samples is not None:
-        cfg.sample_times = tuple(samples)
-    for key, attr in (("jump_q", "jump_q"), ("jump_eps", "jump_eps"), ("jump_t", "jump_t")):
+    # comma-separated [run] lists: (key and attribute, entry name, range check, range)
+    for key, name, inside, where in (
+            ("deltas", "delta", lambda v: 0.0 < v < 1.0, "outside (0, 1)"),
+            ("u_probes", "probe", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
+            ("sample_times", "time", None, ""),
+            ("jump_q", "q", None, ""),
+            ("jump_eps", "eps", lambda v: v > 0.0, "must be positive"),
+            ("jump_t", "t", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")):
         vals = run.floatlist(key)
-        if vals is not None:
-            setattr(cfg, attr, tuple(vals))
+        if vals is None:
+            continue
+        for v in vals:
+            if inside is not None and not inside(v):
+                raise ConfigError("run", key, f"{name} {v!r} {where}")
+        setattr(cfg, key, tuple(vals))
     out = run.raw("out")
     if out is not None:
         cfg.out_dir = out.strip()

@@ -123,11 +123,6 @@ class BVFunction:
     def constant(cls, domain, value=0.0, jumps=()) -> "BVFunction":
         return cls.from_poly(domain, [float(value)], jumps)
 
-    @classmethod
-    def step_function(cls, domain, jumps, base_value=0.0) -> "BVFunction":
-        """Pure-jump driver on a constant base."""
-        return cls.constant(domain, base_value, jumps)
-
     # -- basic queries -----------------------------------------------------
 
     @property

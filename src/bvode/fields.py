@@ -213,19 +213,3 @@ class ScalarField:
     def __repr__(self) -> str:  # pragma: no cover
         return f"ScalarField<{_KIND_NAMES[self.kind]}:{self.name}>"
 
-
-def check_field_constants(field: ScalarField, rng: np.random.Generator,
-                          trials: int = 200, t_span=(-2.0, 2.0), x_span=(-5.0, 5.0)) -> None:
-    """Spot-check the declared Lipschitz and growth constants by sampling.
-
-    Raises AssertionError on a violation; used by the test suite and available
-    for user-defined sanity checks.
-    """
-    ts = rng.uniform(*t_span, size=trials)
-    xs = rng.uniform(*x_span, size=trials)
-    ys = rng.uniform(*x_span, size=trials)
-    fx = np.asarray(field(ts, xs))
-    fy = np.asarray(field(ts, ys))
-    tol = 1e-12
-    assert np.all(np.abs(fx - fy) <= field.lipschitz_const * np.abs(xs - ys) + tol)
-    assert np.all(np.abs(fx) <= field.growth_const * (1.0 + np.abs(xs)) + tol)

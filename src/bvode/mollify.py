@@ -68,7 +68,7 @@ class MollifierProfile:
     """
 
     def __init__(self, name, code, cnorm=1.0, kinks=(), table_x=None,
-                 table_tail=None, table_moments=None, analytic=True):
+                 table_tail=None, table_moments=None):
         self.name = str(name)
         self.code = int(code)
         self.cnorm = float(cnorm)
@@ -79,7 +79,6 @@ class MollifierProfile:
                            else np.ascontiguousarray(table_tail, dtype=np.float64))
         self.table_moments = (np.zeros((0, 4)) if table_moments is None
                               else np.ascontiguousarray(table_moments, dtype=np.float64))
-        self.analytic = bool(analytic)
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         mass = _composite(self.rho, 0.0, 1.0)
         if abs(mass - 1.0) > 1e-12:
@@ -241,7 +240,7 @@ def _build_bump() -> MollifierProfile:
     moments = np.concatenate((np.zeros((4, 1)), np.cumsum(cells, axis=1)), axis=1).T / tail[0]
     tail /= tail[0]
     return MollifierProfile("bump", PROFILE_TABLE, cnorm=cnorm, table_x=xs,
-                            table_tail=tail, table_moments=moments, analytic=False)
+                            table_tail=tail, table_moments=moments)
 
 
 _BUILDERS = {"uniform": _build_uniform, "triangular": _build_triangular,
@@ -266,7 +265,6 @@ class Schedule:
 
     meshes: tuple
     rule: object
-    label: str = "custom"
 
     def __post_init__(self):
         meshes = tuple(int(n) for n in self.meshes)
@@ -290,11 +288,10 @@ class Schedule:
         alpha, coef = float(alpha), float(coef)
         if alpha <= 0.0 or coef <= 0.0:
             raise ValueError("power rule needs alpha > 0 and coef > 0")
-        return cls(tuple(meshes), lambda n: coef * float(n) ** -alpha,
-                   label=f"h={coef:g}*n^-{alpha:g}")
+        return cls(tuple(meshes), lambda n: coef * float(n) ** -alpha)
 
     @classmethod
-    def from_table(cls, table, label="table") -> "Schedule":
+    def from_table(cls, table) -> "Schedule":
         """Explicit {n: h} pairs; meshes are the sorted keys."""
         tbl = {int(k): float(v) for k, v in dict(table).items()}
 
@@ -303,7 +300,7 @@ class Schedule:
                 raise ValueError(f"schedule table has no entry for n={n}")
             return tbl[n]
 
-        return cls(tuple(sorted(tbl)), rule, label=label)
+        return cls(tuple(sorted(tbl)), rule)
 
 
 def F_n(profile: MollifierProfile, n: int, x):

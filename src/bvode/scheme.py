@@ -26,25 +26,30 @@ from .mollify import F_n, MollifierProfile
 ROW_BLOCK = 65536
 
 
-def _step_count(b: float, tau: float, h: float, step_cap: int = STEP_CAP) -> int:
-    """Smallest K >= 0 with tau + K h >= b, robust to rounding.
+def _step_counts(b: float, taus: np.ndarray, h: float, step_cap: int = STEP_CAP) -> np.ndarray:
+    """Smallest K_j >= 0 with taus[j] + K_j h >= b for every offset, robust to rounding.
 
-    Raises StepLimitError when K would exceed ``step_cap``.  The float
-    estimate is checked before the rounding loops, which could not advance
-    an index too large for k h to change with k.
+    Raises StepLimitError for the first offset whose K_j would exceed
+    ``step_cap``.  The float estimates are checked before the rounding
+    passes, which could not advance an index too large for k h to change
+    with k.  Passes step every offset that still moves, until none does.
     """
-    est = (b - tau) / h
-    if not est <= step_cap + 1:
-        raise StepLimitError(f"run needs {est:.6g} steps, cap is {step_cap}")
-    k = int(math.ceil(est))
-    while tau + k * h < b:
-        k += 1
-    while k >= 1 and tau + (k - 1) * h >= b:
-        k -= 1
-    k = max(k, 0)
-    if k > step_cap:
-        raise StepLimitError(f"run needs {k} steps, cap is {step_cap}")
-    return k
+    with np.errstate(over="ignore"):  # an overflowed estimate fails the cap check
+        est = (b - taus) / h
+    # an int64 count stops at 2**63; no lattice near 2**62 steps could be allocated
+    fits = est <= min(step_cap, 2 ** 62) + 1
+    ks = np.ceil(np.where(fits, est, 0.0)).astype(np.int64)
+    while (up := fits & (taus + ks * h < b)).any():
+        ks += up
+    while (down := fits & (ks >= 1) & (taus + (ks - 1) * h >= b)).any():
+        ks -= down
+    ks = np.maximum(ks, 0)
+    bad = ~fits | (ks > step_cap)
+    if bad.any():
+        j = int(np.argmax(bad))
+        need = f"{est[j]:.6g}" if not fits[j] else ks[j]
+        raise StepLimitError(f"run needs {need} steps, cap is {step_cap}")
+    return ks
 
 
 def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
@@ -62,21 +67,22 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     a, b = L.domain
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("step size h must be positive and finite")
-    for tau in taus:
-        if not a <= tau < a + h:
-            raise ValueError(f"offset tau={float(tau)!r} must lie in [{a!r}, {a + h!r})")
+    outside = ~((a <= taus) & (taus < a + h))
+    if outside.any():
+        tau = float(taus[np.argmax(outside)])
+        raise ValueError(f"offset tau={tau!r} must lie in [{a!r}, {a + h!r})")
     if n < 1:
         raise ValueError("sharpness n must be a positive integer")
     if not np.all(np.isfinite(x0s)):
         raise ValueError("initial states must be finite")
-    Ks = [_step_count(b, float(tau), h, step_cap) for tau in taus]
+    ks = _step_counts(b, taus, h, step_cap)
     # one lattice call for the fan: padded times lie past b, where L_n is constant
-    ts = taus[:, None] + h * np.arange(max(Ks) + 1, dtype=np.float64)
+    ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
     Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
     del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
     dLn = np.diff(Ln, axis=1)
     del Ln
-    lengths = np.array(Ks, dtype=np.int64) + 1
+    lengths = ks + 1
     if mollify_coefficient:
         s, w = profile.convolution_rule(n, conv_points)
         return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
@@ -129,27 +135,6 @@ class GridPath:
         k = np.floor((t - self.offsets[j]) / self.h).astype(np.int64)
         k = np.clip(k, 0, int(self.lengths[j]) - 1)
         return self.values[j, k]
-
-    def eval_nearest(self, t) -> np.ndarray:
-        """Value at arbitrary t via the split t = tau_t + m h.
-
-        tau_t snaps to the nearest stored offset, m indexes into that
-        offset's run; the snap error is one offset spacing, O(h).
-        """
-        arr = np.asarray(t, dtype=np.float64)
-        shape = arr.shape
-        tt = np.atleast_1d(arr).reshape(-1)
-        a = self.domain[0]
-        J = self.offsets.size
-        r = (tt - a) / self.h
-        m = np.floor(r).astype(np.int64)
-        j = np.rint((r - m) * J).astype(np.int64)
-        wrap = j >= J
-        j[wrap] = 0
-        m[wrap] += 1
-        k = np.clip(m, 0, self.lengths[j] - 1)
-        out = self.values[j, k].reshape(shape)
-        return float(out) if shape == () else out
 
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
@@ -204,8 +189,7 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
     width = 1.0 / n
     if np.any(zeta - width <= taus):
         raise ValueError("epoch must sit at least one smoothing width past tau")
-    js = np.array([_step_count(zeta - width, float(tau), h) - 1 for tau in taus],
-                  dtype=np.float64)
+    js = (_step_counts(zeta - width, taus, h) - 1).astype(np.float64)
     p = np.floor(1.0 / (n * h) + 1e-9)  # a float: inf when 1 / (n h) overflows
     if not taus.size * (p + 3.0) <= STEP_CAP:
         raise StepLimitError(f"crossing grid needs {taus.size * (p + 3.0):.6g} points, "

@@ -29,12 +29,14 @@ walks call the package's stationary points; :func:`stationary_points` is
 the textbook quadratic formula those replaced, which cancels when the
 cubic coefficient is small.
 
-The offset fan's references are the per-offset lattice fill
-(:func:`fan_increments`) that the one padded lattice call of
-``bvode.scheme._fan`` replaced, and the per-offset crossing grids
-(:func:`crossing_grid`, clamped value by value) with the staircase gaps
-summed one offset at a time (:func:`sigma_n_gaps`) that the
-``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check` replaced.
+The offset fan's references are the per-offset step count
+(:func:`step_count`) that the whole-fan ``bvode.scheme._step_counts``
+replaced, the per-offset lattice fill (:func:`fan_increments`) that the
+one padded lattice call of ``bvode.scheme._fan`` replaced, and the
+per-offset crossing grids (:func:`crossing_grid`, clamped value by value)
+with the staircase gaps summed one offset at a time (:func:`sigma_n_gaps`)
+that the ``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check`
+replaced.
 """
 
 import math
@@ -47,7 +49,6 @@ from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_poin
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
 from bvode.jumpmap import XiGrid, phi_solve, sigma_staircase
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
-from bvode.scheme import _step_count
 
 
 def pack(field):
@@ -576,10 +577,31 @@ def stationary_points(coefs, lo, hi):
     return sorted(r for r in roots if lo < r < hi)
 
 
+def step_count(b, tau, h, step_cap=STEP_CAP):
+    """Smallest K >= 0 with tau + K h >= b, robust to rounding, one offset at a time.
+
+    Raises StepLimitError when K would exceed ``step_cap``.  The float
+    estimate is checked before the rounding loops, which could not advance
+    an index too large for k h to change with k.
+    """
+    est = (b - tau) / h
+    if not est <= step_cap + 1:
+        raise StepLimitError(f"run needs {est:.6g} steps, cap is {step_cap}")
+    k = int(math.ceil(est))
+    while tau + k * h < b:
+        k += 1
+    while k >= 1 and tau + (k - 1) * h >= b:
+        k -= 1
+    k = max(k, 0)
+    if k > step_cap:
+        raise StepLimitError(f"run needs {k} steps, cap is {step_cap}")
+    return k
+
+
 def fan_increments(L, profile, n, h, taus, step_cap=STEP_CAP):
     """(J, Kmax) lattice increments of a fan, one lattice call per offset."""
     b = L.domain[1]
-    Ks = [_step_count(b, float(tau), h, step_cap) for tau in taus]
+    Ks = [step_count(b, float(tau), h, step_cap) for tau in taus]
     dLn = np.zeros((taus.size, max(Ks)))
     for j, K in enumerate(Ks):
         ts = taus[j] + h * np.arange(K + 1, dtype=np.float64)
@@ -596,7 +618,7 @@ def crossing_grid(profile, n, h, tau, zeta):
     width = 1.0 / n
     if zeta - width <= tau:
         raise ValueError("epoch must sit at least one smoothing width past tau")
-    j = _step_count(zeta - width, tau, h) - 1
+    j = step_count(zeta - width, tau, h) - 1
     est = 1.0 / (n * h) + 1e-9
     if not est < STEP_CAP - 2:  # p + 3 > STEP_CAP
         raise StepLimitError(f"crossing grid needs {est + 3:.6g} points, cap is {STEP_CAP}")

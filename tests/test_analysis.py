@@ -89,17 +89,6 @@ class TestConvergenceStudy:
                                JumpMeasure.dirac(0.3), 0.5, **kw)
         assert r1.l1_errors == r2.l1_errors
 
-    def test_threads_do_not_change_numbers(self):
-        f, L = self.jump_setup()
-        sched = Schedule.power(2.0, meshes=(16, 32, 64))
-        kw = dict(n_offsets=4)
-        seq = convergence_study(f, L, get_profile("uniform"), sched,
-                                JumpMeasure.lebesgue(), 1.0, threads=1, **kw)
-        par = convergence_study(f, L, get_profile("uniform"), sched,
-                                JumpMeasure.lebesgue(), 1.0, threads=3, **kw)
-        assert seq.l1_errors == par.l1_errors
-        assert seq.rel_errors == par.rel_errors
-
     def test_rows_layout(self):
         f, L = self.jump_setup()
         sched = Schedule.power(2.0, meshes=(8, 16, 32))

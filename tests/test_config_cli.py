@@ -98,6 +98,12 @@ class TestLoadConfig:
          "[driver].coefficients"),
         ("[driver]\nbreakpoints = 0, 1\ncoefficients = 0\njumps = 0.5:bad\n",
          "[driver].jumps"),
+        ("[driver]\nbreakpoints = 1, 0\ncoefficients = 0\n",
+         "[driver].breakpoints: breakpoints must be strictly increasing"),
+        ("[driver]\nbreakpoints = 0, 0.5, 1\ncoefficients = 0, 2; 5\n",
+         "[driver].coefficients: continuous part breaks"),
+        ("[driver]\nbreakpoints = 0, 1\ncoefficients = 0\njumps = 0:1\n",
+         "[driver].jumps: jump epoch 0.0 outside"),
         ("[field]\nname = cubic\n[run]\n", "[field].name"),
         ("[mollifier]\nprofile = gaussian\n[run]\n", "[mollifier].profile"),
         ("[mollifier]\nprofile = uniform\nalpha = 1\ntable = 8:0.1\n",
@@ -107,7 +113,11 @@ class TestLoadConfig:
         ("[sigma]\nintervals = 0.1:0.6, 0.4:0.8\n[run]\n", "[sigma].intervals"),
         ("[run]\ndeltas = 0.5, 1.5\n", "[run].deltas"),
         ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
+        ("[run]\njump_eps = 0\n", "[run].jump_eps"),
+        ("[run]\njump_t = -0.1\n", "[run].jump_t"),
         ("[run]\nn_offsets = 0\n", "[run].n_offsets"),
+        ("[run]\nn = 0\n", "[run].n: must be a positive integer"),
+        ("[run]\nconv_points = 0\n", "[run].conv_points"),
         ("[run]\nv_max = -1\n", "[run].v_max"),
         ("[run]\nmollify_f = maybe\n", "[run].mollify_f"),
         ("[run]\nmu = cauchy\n", "[run].mu"),
@@ -192,12 +202,9 @@ class TestCli:
 
     def test_study_threads_reproducible(self, tmp_path):
         cfg = write(tmp_path, FULL)
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["study", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["study", "--config", cfg, "--out", str(out2),
-                     "--threads", "4"]) == 0
-        assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
-        header, rows = read_csv(out1 / "study.csv")
+        out = tmp_path / "res"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out / "study.csv")
         assert header == ["n", "h_n", "metric", "value"]
         assert len(rows) == 6
 
@@ -243,6 +250,16 @@ class TestCli:
     def test_unread_key_exits_one(self, tmp_path, capsys, section, key, text):
         assert main(["classify", "--config", write(tmp_path, text)]) == 1
         assert f"config error: [{section}].{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("jump_eps = -0.1", "[run].jump_eps: eps -0.1 must be positive"),
+        ("jump_q = 0.1\njump_eps = 0.3\njump_t = 2, 0.5", "[run].jump_t: t 2.0 outside [0, 1]"),
+    ])
+    def test_jumpmap_range_errors_exit_one(self, tmp_path, capsys, line, message):
+        cfg = write(tmp_path, FULL + line + "\n")
+        assert main(["jumpmap", "--config", cfg, "--out", str(tmp_path / "res")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
 
     def test_study_needs_three_meshes(self, tmp_path, capsys):
         cfg = write(tmp_path, FULL.replace("meshes = 16, 32, 64", "meshes = 16, 32"))
@@ -291,7 +308,8 @@ class TestCli:
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("argv", [["classify", "--seed", "1"],
-                                      ["jumpmap", "--threads", "2"]])
+                                      ["jumpmap", "--threads", "2"],
+                                      ["study", "--threads", "2"]])
     def test_flag_of_another_subcommand_is_usage_error(self, tmp_path, capsys, argv):
         cfg = write(tmp_path, FULL)
         with pytest.raises(SystemExit) as exc:
@@ -533,7 +551,9 @@ FIELD_KEYS = {"constant": ("value",), "affine": ("offset", "slope"), "linear": (
               "sin": ("amp", "freq_x", "freq_t", "phase", "offset"),
               "tanh": ("amp", "slope", "offset")}
 CSV_OF = {"solve-scheme": "grid_path.csv", "solve-limit": "limit_path.csv",
-          "study": "study.csv"}
+          "study": "study.csv", "sigma": "sigma_probes.csv",
+          "classify": "classify_evidence.csv", "jumpmap": "jumpmap.csv"}
+SCHEME_COMMANDS = ("solve-scheme", "solve-limit", "study")
 
 
 @st.composite
@@ -576,13 +596,57 @@ def random_configs(draw):
                    for name, items in sections.items())
 
 
+@st.composite
+def probe_configs(draw):
+    """A subcommand (sigma, classify or jumpmap) and a config of random
+    profile, schedule, probe grids, staircase intervals and jump-map lists;
+    at most one of the lists the subcommand reads has an entry out of range."""
+    command = draw(st.sampled_from(["sigma", "classify", "jumpmap"]))
+    lists = (["intervals", "jump_q", "jump_eps", "jump_t"] if command == "jumpmap"
+             else ["deltas", "u_probes"])
+    bad = draw(st.sampled_from([None] + lists))
+
+    def entries(key, inside, outside, max_size=3):
+        vals = draw(st.lists(inside, min_size=1, max_size=max_size))
+        if key == bad:
+            vals.insert(draw(st.integers(0, len(vals))), draw(st.sampled_from(outside)))
+        return ", ".join(map(repr, vals))
+
+    unit = st.floats(0.0, 1.0)
+    meshes = sorted(draw(st.sets(st.sampled_from([4, 8, 16, 32, 64, 128]), min_size=1,
+                                 max_size=4)))
+    run = {"x0": repr(draw(PARAM | st.just(0.0))),
+           "deltas": entries("deltas", st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             [0.0, 1.0, -1e-9, 1.0 + 1e-9]),
+           "u_probes": entries("u_probes", unit, [-1e-9, 1.0 + 1e-9], max_size=5)}
+    for key, inside, outside in (("jump_q", unit, [-0.1, 1.1]),
+                                 ("jump_eps", st.floats(0.01, 1.0), [0.0, -0.1]),
+                                 ("jump_t", unit, [-1e-9, 1.0 + 1e-9, 2.0])):
+        if key == bad or draw(st.booleans()):
+            run[key] = entries(key, inside, outside)
+    cuts = sorted(draw(st.lists(unit, max_size=6, unique=True)))
+    intervals = list(zip(cuts[::2], cuts[1::2]))
+    if bad == "intervals":  # one interval reversed or past [0, 1]
+        a, b = intervals[0] if intervals else (0.2, 0.5)
+        intervals.insert(0, draw(st.sampled_from([(b, a), (-0.1, b), (a, 1.1)])))
+    sections = {
+        "mollifier": {"profile": draw(st.sampled_from(["uniform", "triangular", "bump"])),
+                      "alpha": repr(draw(st.floats(0.5, 3.0))),
+                      "meshes": ", ".join(map(str, meshes))},
+        "sigma": {"intervals": ", ".join(f"{a!r}:{b!r}" for a, b in intervals)},
+        "run": run,
+    }
+    return command, "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                            for name, items in sections.items())
+
+
 class TestCliProperty:
     """Random configs end in an exit code, never a traceback, and a CSV is
     written, finite, exactly when the code is 0."""
 
-    @given(text=random_configs(), command=st.sampled_from(sorted(CSV_OF)))
-    @settings(max_examples=50, deadline=None)
-    def test_exit_code_and_finite_csv(self, text, command):
+    @staticmethod
+    def run(text, command):
+        """Exit code and CSV (header, rows) of one run; the CSV is None unless the code is 0."""
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "exp.ini", Path(tmp) / "res"
             cfg.write_text(text)
@@ -590,9 +654,27 @@ class TestCliProperty:
             assert code in (0, 1, 2, 3)
             csv = out / CSV_OF[command]
             assert csv.exists() == (code == 0)
-            if code == 0:
-                header, rows = read_csv(csv)
-                assert rows
-                for row in rows:
-                    assert all(math.isfinite(float(v))
-                               for name, v in zip(header, row) if name != "metric")
+            if code != 0:
+                return code, None
+            header, rows = read_csv(csv)
+            for row in rows:
+                assert all(math.isfinite(float(v))
+                           for name, v in zip(header, row) if name != "metric")
+            return code, (header, rows)
+
+    @given(text=random_configs(), command=st.sampled_from(SCHEME_COMMANDS))
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_and_finite_csv(self, text, command):
+        code, table = self.run(text, command)
+        if code == 0:
+            assert table[1]
+
+    @given(run=probe_configs())
+    @settings(max_examples=50, deadline=None)
+    def test_probe_commands(self, run):
+        command, text = run
+        code, table = self.run(text, command)
+        if code == 0 and command != "jumpmap":
+            header, rows = table
+            assert rows
+            assert all(0.0 <= float(row[header.index("value")]) <= 1.0 for row in rows)

@@ -330,10 +330,3 @@ def piecewise_cubics(draw):
         start = ((row[3] * w + row[2]) * w + row[1]) * w + row[0]
     return BVFunction(breaks, rows)
 
-
-def test_step_function_constructor():
-    L = BVFunction.step_function((0.0, 2.0), ((0.5, 1.0), (1.5, -2.0)), base_value=1.0)
-    assert L(0.0) == 1.0
-    assert L(0.5) == 2.0
-    assert L(2.0) == 0.0
-    assert L.continuous_part()(1.7) == 1.0

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from bvode import ScalarField, check_field_constants
+from bvode import ScalarField
 
 ALL_FIELDS = [
     ScalarField.constant(2.5),
@@ -15,6 +15,18 @@ ALL_FIELDS = [
     ScalarField.bounded_sin(1.5, 2.0, 0.7, 0.3, 0.1),
     ScalarField.bounded_tanh(2.0, 0.8, -0.4),
 ]
+
+
+def check_field_constants(field: ScalarField, rng: np.random.Generator, trials: int) -> None:
+    """Spot-check the declared Lipschitz and growth constants by sampling."""
+    ts = rng.uniform(-2.0, 2.0, size=trials)
+    xs = rng.uniform(-5.0, 5.0, size=trials)
+    ys = rng.uniform(-5.0, 5.0, size=trials)
+    fx = np.asarray(field(ts, xs))
+    fy = np.asarray(field(ts, ys))
+    tol = 1e-12
+    assert np.all(np.abs(fx - fy) <= field.lipschitz_const * np.abs(xs - ys) + tol)
+    assert np.all(np.abs(fx) <= field.growth_const * (1.0 + np.abs(xs)) + tol)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)

@@ -1,8 +1,10 @@
 """Mollified finite-difference scheme: lattices, offset fans, jump crossings."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -21,7 +23,7 @@ from bvode import (
     solve_offset,
     xi_grid_for_offset,
 )
-from bvode.scheme import _crossing_fractions, _fan, _step_count
+from bvode.scheme import _crossing_fractions, _fan, _step_counts
 from test_drivers import piecewise_cubics
 
 PROFILES = ("uniform", "triangular", "bump")
@@ -157,20 +159,6 @@ class TestGridPath:
         assert gp.eval(0, np.array([5.0])) == xs[-1]
         assert gp.eval(0, np.array([-5.0])) == xs[0]
 
-    def test_eval_nearest_snaps_to_offset(self):
-        """With f = 0 and x0(tau) = tau the read-out is the snapped offset."""
-        h, J = 0.1, 5
-        gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
-                        get_profile("uniform"), 8, h, lambda tau: tau,
-                        n_offsets=J)
-        for m in (0, 3, 7):
-            for j in (0, 2, 4):
-                t = m * h + j * h / J + 0.2 * h / J
-                assert gp.eval_nearest(t) == gp.offsets[j]
-        # past the midpoint between offsets the snap wraps to the next run
-        assert gp.eval_nearest(0.3 + 4.6 * h / J) == gp.offsets[0]
-        assert gp.eval_nearest(np.array([0.02]))[0] == gp.offsets[1]
-
     def test_rows_layout(self):
         gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
                         get_profile("uniform"), 8, 0.4, 2.0, n_offsets=2)
@@ -195,13 +183,58 @@ def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
     """One offset's run, stepped one offset at a time: the exact recursion as
     solve_offset ran it before the fan routine, the mollified one by the
     serial oracle."""
-    K = _step_count(L.domain[1], tau, h)
+    K = oracle.step_count(L.domain[1], tau, h)
     ts = tau + h * np.arange(K + 1, dtype=np.float64)
     dLn = np.diff(backend.driver_lattice_values(ts, n, prof, L))
     if mollify_coefficient:
         s, w = prof.convolution_rule(n)
         return oracle.euler_mollified(f.kind, oracle.pack(f), tau, h, dLn, x0, s, w)
     return oracle.euler_exact_offset(f, tau, h, dLn, x0)
+
+
+class TestStepCounts:
+    """The whole-fan step count against the scalar count, one offset at a time."""
+
+    @staticmethod
+    def outcome(count):
+        try:
+            return count()
+        except StepLimitError as exc:
+            return str(exc)
+
+    @given(a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0), log_h=st.floats(-7.0, 0.0),
+           steps=st.integers(1, 10 ** 6) | st.none(), ulps=st.integers(-4, 4),
+           J=st.integers(1, 64), cap_shift=st.integers(-3, 3), shuffle=st.randoms())
+    @example(a=0.0, length=7.767054460308638, log_h=0.0, steps=362851, ulps=0, J=3,
+             cap_shift=0, shuffle=random.Random(0))  # ceil((b - a) / h) steps fall short of b
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_oracle(self, a, length, log_h, steps, ulps, J, cap_shift, shuffle):
+        # h a few ulps off length / steps lands lattices on b up to rounding,
+        # where the corrections act
+        if steps is None:
+            h = 10.0 ** log_h
+        else:
+            h = max(length / steps * (1.0 + ulps * 2.0 ** -53), 1e-7)
+        b = a + length
+        taus = a + (h / J) * np.arange(J, dtype=np.float64)
+        # caps on both sides of the largest count, offset 0's
+        cap = oracle.step_count(b, float(taus[0]), h, step_cap=10 ** 9) + cap_shift
+        for fan in (taus, np.array(shuffle.sample(list(taus), J))):
+            want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in fan])
+            got = self.outcome(lambda: _step_counts(b, fan, h, cap).tolist())
+            assert got == want
+
+    @pytest.mark.parametrize("h", [1e-30, 1e-320])
+    def test_estimate_checked_first(self, h):
+        taus = np.array([0.0, 0.0])
+        want = self.outcome(lambda: oracle.step_count(1.0, 0.0, h))
+        assert self.outcome(lambda: _step_counts(1.0, taus, h)) == want
+        assert want.startswith("run needs ")
+
+    def test_fan_names_first_offset_outside(self):
+        with pytest.raises(ValueError, match=r"offset tau=0\.2 must lie in \[0\.0, 0\.1\)"):
+            _fan(ScalarField.constant(0.0), mixed_driver(), get_profile("uniform"), 8, 0.1,
+                 np.array([0.05, 0.2, -0.05]), np.zeros(3))
 
 
 class TestFanOracle:
