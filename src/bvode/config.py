@@ -236,13 +236,15 @@ def _parse_mollifier(sec: _Section):
     schedule = None
     if table is not None and alpha is not None:
         raise ConfigError(sec.name, "table", "give either alpha or table, not both")
+    key = "meshes"  # an error names the key whose check failed
     try:
+        Schedule(mesh_list, lambda n: 1.0)  # checks the meshes alone
+        key = "table" if table is not None else "alpha"
         if table is not None:
             schedule = Schedule.from_table({int(n): h for n, h in table})
         elif alpha is not None:
             schedule = Schedule.power(alpha, sec.floatval("c", 1.0), meshes=mesh_list)
     except ValueError as exc:
-        key = "table" if table is not None else "alpha"
         raise ConfigError(sec.name, key, str(exc)) from exc
     return profile, schedule
 
@@ -323,7 +325,7 @@ def load_config(path: str) -> ExperimentConfig:
             ("deltas", "delta", lambda v: 0.0 < v < 1.0, "outside (0, 1)"),
             ("u_probes", "probe", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
             ("sample_times", "time", None, ""),
-            ("jump_q", "q", None, ""),
+            ("jump_q", "q", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]"),
             ("jump_eps", "eps", lambda v: v > 0.0, "must be positive"),
             ("jump_t", "t", lambda v: 0.0 <= v <= 1.0, "outside [0, 1]")):
         vals = run.floatlist(key)

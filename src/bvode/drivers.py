@@ -9,12 +9,14 @@ defined.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 _CONT_TOL = 1e-9
 STEP_CAP = 10 ** 8
+_CHUNK = 16384  # cuts bisected together; bounds the bisection's temporaries
 
 
 class StepLimitError(RuntimeError):
@@ -70,14 +72,19 @@ class BVFunction:
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
         for i in range(coefs.shape[0] - 1):
-            end = _poly_eval(coefs[i], breaks[i + 1] - breaks[i])
-            nxt = coefs[i + 1, 0]
+            end = float(_poly_eval(coefs[i], breaks[i + 1] - breaks[i]))
+            nxt = float(coefs[i + 1, 0])
             if abs(end - nxt) > _CONT_TOL * max(1.0, abs(end), abs(nxt)):
-                raise ValueError(
-                    f"continuous part breaks at t={breaks[i + 1]!r}: {end!r} vs {nxt!r}"
-                )
+                raise ValueError(f"continuous part breaks at t={float(breaks[i + 1])!r}: "
+                                 f"{end!r} vs {nxt!r}")
         self.seg_breaks = breaks
         self.seg_coefs = np.ascontiguousarray(coefs)
+        # monotone pieces of the continuous part: segment, local start and end;
+        # a segment's last piece ends at +inf, so it reaches every window on it
+        table = np.array([
+            (i, e0, e1) for i, (coef, h) in enumerate(zip(coefs, np.diff(breaks)))
+            for e0, e1 in itertools.pairwise([0.0, *_stationary_points(coef, 0.0, h), np.inf])]).T
+        self._piece_seg, self._piece_ends = table[0].astype(np.intp), table[1:]
         self.domain = (float(breaks[0]), float(breaks[-1]))
 
         merged: dict[float, float] = {}
@@ -125,11 +132,6 @@ class BVFunction:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def base_value(self) -> float:
-        """L(a)."""
-        return float(self.seg_coefs[0, 0])
-
     def continuous_value(self, t):
         """Continuous part only, with constant extension outside the domain."""
         t = np.asarray(t, dtype=np.float64)
@@ -165,20 +167,16 @@ class BVFunction:
 
     # -- variation ---------------------------------------------------------
 
-    def _monotone_pieces(self, u, v):
-        """Yield (coefficients, segment origin, e0, e1) for each monotone
-        polynomial piece of the continuous part on [u, v]; e0 and e1 are
-        local to the segment and split it at its stationary points."""
-        for i in range(self.seg_coefs.shape[0]):
-            lo = max(u, self.seg_breaks[i])
-            hi = min(v, self.seg_breaks[i + 1])
-            if hi <= lo:
-                continue
-            origin, coef = self.seg_breaks[i], self.seg_coefs[i]
-            llo, lhi = lo - origin, hi - origin
-            edges = [llo] + _stationary_points(coef, llo, lhi) + [lhi]
-            for e0, e1 in zip(edges[:-1], edges[1:]):
-                yield coef, origin, e0, e1
+    def _clip_pieces(self, us, vs):
+        """(window, segment, ends) of each monotone piece met by a window [us[w], vs[w]];
+        ends[0] and ends[1] are local to the segment and clipped to the window."""
+        seg, (t0, t1) = self._piece_seg, self._piece_ends
+        b0 = self.seg_breaks[seg]
+        lo, hi = np.maximum(us[:, None], b0), np.minimum(vs[:, None], self.seg_breaks[seg + 1])
+        llo, lhi = lo - b0, hi - b0
+        # the piece holding llo starts by it, even where llo rounds up to lhi
+        w, k = np.nonzero((hi > lo) & (t1 > llo) & ((t0 <= llo) | (t0 < lhi)))
+        return w, seg[k], np.minimum(np.maximum(self._piece_ends[:, k], llo[w, k]), lhi[w, k])
 
     def total_variation(self, u=None, v=None) -> float:
         """Variation over [u, v] (clamped to the domain): continuous
@@ -191,12 +189,12 @@ class BVFunction:
         u, v = max(u, a), min(v, b)
         if v <= u:
             return 0.0
-        total = 0.0
-        for coef, _, e0, e1 in self._monotone_pieces(u, v):
-            total += abs(float(_poly_eval(coef, e1) - _poly_eval(coef, e0)))
+        _, seg, ends = self._clip_pieces(np.array([u]), np.array([v]))
+        p0, p1 = _poly_eval(self.seg_coefs[seg].T[:, None], ends)
+        total = np.cumsum(np.abs(p1 - p0))[-1]  # summed left to right
         jl = np.searchsorted(self.jump_epochs, u, side="right")
         jr = np.searchsorted(self.jump_epochs, v, side="right")
-        return total + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
+        return float(total) + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
 
     def variation_steps(self, u: float, v: float, v_max: float) -> np.ndarray:
         """Grid over [u, v] whose cells each carry continuous variation <= v_max.
@@ -210,31 +208,41 @@ class BVFunction:
             raise ValueError("v_max must be positive")
         if v < u:
             raise ValueError("need u <= v")
-        pts = [u, v]
-        v_eff = 0.85 * v_max
-        cut = []
-        for coef, origin, e0, e1 in self._monotone_pieces(u, v):
-            pts.append(origin + e0)
-            p0, p1 = _poly_eval(coef, e0), _poly_eval(coef, e1)
-            var = abs(p1 - p0)
-            if var > v_eff and e1 > e0:
-                cut.append((coef, origin, e0, e1, p0, 1.0 if p1 > p0 else -1.0,
-                            np.ceil(var / v_eff) - 1.0))
-        n_total = sum(piece[-1] for piece in cut)
+        return self._variation_grid(np.array([u, v], dtype=np.float64), v_max)
+
+    def _variation_grid(self, edges, v_max) -> np.ndarray:
+        """Sorted union of the variation_steps grids of the windows between
+        consecutive ``edges``; the cuts of all windows are bisected together,
+        _CHUNK at a time, and counted against STEP_CAP before any is made."""
+        us, vs = edges[:-1], edges[1:]
+        w, seg, ends = self._clip_pieces(us, vs)
+        origin, coef = self.seg_breaks[seg], self.seg_coefs[seg].T
+        starts = origin + ends[0]
+        pts = [us, vs, starts[(starts >= us[w]) & (starts <= vs[w])]]
+        p0, p1 = _poly_eval(coef[:, None], ends)
+        var, v_eff = np.abs(p1 - p0), 0.85 * v_max
+        cut = np.flatnonzero((var > v_eff) & (ends[1] > ends[0]))
+        n_cuts = np.ceil(var[cut] / v_eff) - 1.0
+        n_total = n_cuts.sum()
         if not n_total <= STEP_CAP:
             raise StepLimitError(f"variation grid needs {n_total:.6g} cuts, cap is {STEP_CAP}")
-        for coef, origin, e0, e1, p0, sign, n_cuts in cut:
-            goal = p0 + sign * v_eff * np.arange(1, int(n_cuts) + 1)
-            t_lo = np.full(goal.size, e0)
-            t_hi = np.full(goal.size, e1)
+        last = np.cumsum(n_cuts)
+        for s in range(0, int(n_total), _CHUNK):
+            i = np.arange(s, min(s + _CHUNK, int(n_total)))
+            j = np.searchsorted(last, i, side="right")
+            k = cut[j[:1]] if j[0] == j[-1] else cut[j]  # one piece broadcasts
+            # a falling piece is negated, so that every bisection asks p(t) < goal
+            sign = np.sign(p1[k] - p0[k])
+            c, goal = coef[:, k] * sign, p0[k] * sign + v_eff * (i - last[j] + n_cuts[j] + 1.0)
+            t_lo, t_hi = ends[0, k], ends[1, k]
             for _ in range(60):
                 mid = 0.5 * (t_lo + t_hi)
-                below = sign * (_poly_eval(coef, mid) - goal) < 0.0
+                below = _poly_eval(c, mid) < goal
                 t_lo = np.where(below, mid, t_lo)
                 t_hi = np.where(below, t_hi, mid)
-            pts.extend(origin + 0.5 * (t_lo + t_hi))
-        grid = np.unique(np.asarray(pts, dtype=np.float64))
-        return grid[(grid >= u) & (grid <= v)]
+            t = origin[k] + 0.5 * (t_lo + t_hi)
+            pts.append(t[(t >= us[w[k]]) & (t <= vs[w[k]])])
+        return np.unique(np.concatenate(pts))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"BVFunction(domain={self.domain}, segments={self.seg_coefs.shape[0]}, "

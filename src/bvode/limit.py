@@ -124,28 +124,26 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
         extra = np.asarray(sample_times, dtype=np.float64).reshape(-1)
         if extra.size and not (extra.min() >= a and extra.max() <= b):
             raise ValueError(f"sample times must lie in [{a!r}, {b!r}]")
-    epochs = {float(e) for e in L.jump_epochs}
-    edges = [a] + sorted(epochs) + ([b] if b not in epochs else [])
     x_cur = float(x0)
     if not np.isfinite(x_cur):
         raise ValueError("initial states must be finite")
-    rows = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        grid = Lc.variation_steps(lo, hi, v_max)
-        sel = extra[(extra > lo) & (extra < hi)]
-        if sel.size:
-            grid = np.unique(np.concatenate((grid, sel)))
-        xs = backend.heun_path(f, grid, Lc(grid), x_cur)
-        # each segment after the first starts where the last one ended
-        start = 1 if rows else 0
-        xl = xs[start:].tolist()
-        rows.extend(zip(grid[start:].tolist(), xl, xl, itertools.repeat(False)))
+    # one grid over every stretch between jumps; report points other than the edges join it
+    edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
+    grid = Lc._variation_grid(edges, v_max)
+    if extra.size:
+        grid = np.unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
+    Lg = Lc(grid)
+    x, xl = np.empty_like(grid), np.full_like(grid, x_cur)
+    is_jump = np.zeros(grid.shape, dtype=bool)
+    for i0, i1 in itertools.pairwise(np.searchsorted(grid, edges).tolist()):
+        # each stretch starts where the last one ended, and x_left keeps that end
+        xs = backend.heun_path(f, grid[i0:i1 + 1], Lg[i0:i1 + 1], x_cur)
+        x[i0:i1 + 1], xl[i0 + 1:i1 + 1] = xs, xs[1:]
         x_cur = float(xs[-1])
-        if hi in epochs:
-            dL = L.jump_at(hi)
-            z = f.scaled_frozen(hi, dL)
+        dL = L.jump_at(grid[i1])
+        if dL:
+            z = f.scaled_frozen(float(grid[i1]), dL)
             # a state that already overflowed crosses the jump unchanged
-            x_new = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
-            rows[-1] = (float(hi), x_cur, float(x_new), True)
-            x_cur = x_new
-    return LimitPath(rows, domain=(a, b))
+            x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
+            x[i1], is_jump[i1] = x_cur, True
+    return LimitPath(zip(grid.tolist(), xl.tolist(), x.tolist(), is_jump.tolist()), (a, b))

@@ -20,14 +20,16 @@ replaced, and the per-probe shift-probe loop that the broadcast
 :func:`bvode.mollify.sigma_delta_limit` replaced.
 
 The limit layer's references are the segment-by-segment variation walk
-(:func:`total_variation`, :func:`variation_steps`) that
-:meth:`bvode.BVFunction._monotone_pieces` replaced, and the per-point row
-builder of the limit solve with the per-row doubled arrays of its path
-(:func:`limit_rows`, :func:`limit_columns`) that the column-wise
-:func:`bvode.solve_limit` and :class:`bvode.LimitPath` replaced.  The
-walks call the package's stationary points; :func:`stationary_points` is
-the textbook quadratic formula those replaced, which cancels when the
-cubic coefficient is small.
+(:func:`total_variation`, :func:`variation_steps`), the monotone-piece
+walk that followed it (:func:`monotone_pieces`, with its piece-by-piece
+sum :func:`piece_total_variation`), both replaced by the piece table that
+:class:`bvode.BVFunction` builds once and clips to every window, and the
+per-point row builder of the limit solve with the per-row doubled arrays
+of its path (:func:`limit_rows`, :func:`limit_columns`) that the
+column-wise :func:`bvode.solve_limit` and :class:`bvode.LimitPath`
+replaced.  The walks call the package's stationary points;
+:func:`stationary_points` is the textbook quadratic formula those
+replaced, which cancels when the cubic coefficient is small.
 
 The offset fan's references are the per-offset step count
 (:func:`step_count`) that the whole-fan ``bvode.scheme._step_counts``
@@ -437,8 +439,9 @@ def _segment_variation(L, u, v):
     return total
 
 
-def total_variation(L, u=None, v=None):
-    """Variation of driver L over [u, v], summed segment by segment."""
+def total_variation(L, u=None, v=None, continuous=_segment_variation):
+    """Variation of driver L over [u, v]: the continuous part summed
+    segment by segment (or by ``continuous``) plus the jumps in (u, v]."""
     a, b = L.domain
     u = a if u is None else float(u)
     v = b if v is None else float(v)
@@ -449,7 +452,35 @@ def total_variation(L, u=None, v=None):
         return 0.0
     jl = np.searchsorted(L.jump_epochs, u, side="right")
     jr = np.searchsorted(L.jump_epochs, v, side="right")
-    return _segment_variation(L, u, v) + float(np.sum(np.abs(L.jump_sizes[jl:jr])))
+    return continuous(L, u, v) + float(np.sum(np.abs(L.jump_sizes[jl:jr])))
+
+
+def monotone_pieces(L, u, v):
+    """Yield (coefficients, segment origin, e0, e1) for each monotone
+    polynomial piece of L's continuous part on [u, v]; e0 and e1 are local
+    to the segment and split it at its stationary points."""
+    for i in range(L.seg_coefs.shape[0]):
+        lo = max(u, L.seg_breaks[i])
+        hi = min(v, L.seg_breaks[i + 1])
+        if hi <= lo:
+            continue
+        origin, coef = L.seg_breaks[i], L.seg_coefs[i]
+        llo, lhi = lo - origin, hi - origin
+        edges = [llo] + _stationary_points(coef, llo, lhi) + [lhi]
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            yield coef, origin, e0, e1
+
+
+def _piece_variation(L, u, v):
+    total = 0.0
+    for coef, _, e0, e1 in monotone_pieces(L, u, v):
+        total += abs(float(_poly_eval(coef, e1) - _poly_eval(coef, e0)))
+    return total
+
+
+def piece_total_variation(L, u=None, v=None):
+    """Variation of driver L over [u, v], summed one monotone piece at a time."""
+    return total_variation(L, u, v, continuous=_piece_variation)
 
 
 def variation_steps(L, u, v, v_max):

@@ -102,6 +102,8 @@ class TestLoadConfig:
          "[driver].breakpoints: breakpoints must be strictly increasing"),
         ("[driver]\nbreakpoints = 0, 0.5, 1\ncoefficients = 0, 2; 5\n",
          "[driver].coefficients: continuous part breaks"),
+        ("[driver]\nbreakpoints = 0, 1, 2\ncoefficients = 0, 1; 5\n",
+         "[driver].coefficients: continuous part breaks at t=1.0: 1.0 vs 5.0"),
         ("[driver]\nbreakpoints = 0, 1\ncoefficients = 0\njumps = 0:1\n",
          "[driver].jumps: jump epoch 0.0 outside"),
         ("[field]\nname = cubic\n[run]\n", "[field].name"),
@@ -110,9 +112,15 @@ class TestLoadConfig:
          "[mollifier].table"),
         ("[mollifier]\nprofile = uniform\nmeshes = 8, x\nalpha = 1\n",
          "[mollifier].meshes"),
+        ("[mollifier]\nprofile = uniform\nmeshes = 0, 16, 32\nalpha = 1\n",
+         "[mollifier].meshes: meshes must be strictly increasing positive integers"),
+        ("[mollifier]\nprofile = uniform\nmeshes = 32, 16\ntable = 16:0.1, 32:0.05\n",
+         "[mollifier].meshes: meshes must be strictly increasing positive integers"),
         ("[sigma]\nintervals = 0.1:0.6, 0.4:0.8\n[run]\n", "[sigma].intervals"),
         ("[run]\ndeltas = 0.5, 1.5\n", "[run].deltas"),
         ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
+        ("[run]\njump_q = -0.5\n", "[run].jump_q: q -0.5 outside [0, 1]"),
+        ("[run]\njump_q = 0.5, 1.5\n", "[run].jump_q: q 1.5 outside [0, 1]"),
         ("[run]\njump_eps = 0\n", "[run].jump_eps"),
         ("[run]\njump_t = -0.1\n", "[run].jump_t"),
         ("[run]\nn_offsets = 0\n", "[run].n_offsets"),
@@ -254,6 +262,7 @@ class TestCli:
     @pytest.mark.parametrize("line,message", [
         ("jump_eps = -0.1", "[run].jump_eps: eps -0.1 must be positive"),
         ("jump_q = 0.1\njump_eps = 0.3\njump_t = 2, 0.5", "[run].jump_t: t 2.0 outside [0, 1]"),
+        ("jump_q = -0.5\njump_eps = 0.3\njump_t = 0.5, 0.9", "[run].jump_q: q -0.5 outside [0, 1]"),
     ])
     def test_jumpmap_range_errors_exit_one(self, tmp_path, capsys, line, message):
         cfg = write(tmp_path, FULL + line + "\n")

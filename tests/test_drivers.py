@@ -1,5 +1,6 @@
 """Right-continuous BV drivers: evaluation, jumps, variation."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -229,6 +230,89 @@ class TestVariationSteps:
         v_max = max(want, 1.0) * v_frac
         np.testing.assert_array_equal(L.variation_steps(u, v, v_max),
                                       oracle.variation_steps(L, u, v, v_max))
+
+
+def window_edges(draw, L, max_size=6):
+    """Sorted window edges over L's domain and a little beyond it: random
+    points, breakpoints, stationary points and their float neighbours, with
+    repeats."""
+    a, b = L.domain
+    special = list(L.seg_breaks)
+    for coef, origin, h in zip(L.seg_coefs, L.seg_breaks, np.diff(L.seg_breaks)):
+        special += [origin + r for r in drivers._stationary_points(coef, 0.0, h)]
+    special += [np.nextafter(x, s) for x in special for s in (-np.inf, np.inf)]
+    point = st.floats(a - 0.1, b + 0.1) | st.sampled_from(special)
+    return sorted(float(x) for x in draw(st.lists(point, min_size=2, max_size=max_size)))
+
+
+def union_of_oracle_grids(L, edges, v_max):
+    return np.unique(np.concatenate([oracle.variation_steps(L, u, v, v_max)
+                                     for u, v in itertools.pairwise(edges)]))
+
+
+class TestPieceTable:
+    """The monotone pieces are tabulated once per driver and clipped to each
+    window; every sum and grid is the per-window walk's, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_total_variation_matches_piece_walk(self, data):
+        L = data.draw(piecewise_cubics())
+        u, v = window_edges(data.draw, L, max_size=2)
+        assert L.total_variation(u, v) == oracle.piece_total_variation(L, u, v)
+        assert L.total_variation() == oracle.piece_total_variation(L)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_windows_match_union_of_oracle_grids(self, data):
+        L = data.draw(piecewise_cubics())
+        edges = window_edges(data.draw, L)
+        v_max = max(oracle.total_variation(L), 1.0) * data.draw(st.floats(1e-3, 2.0))
+        got = L._variation_grid(np.array(edges), v_max)
+        np.testing.assert_array_equal(got, union_of_oracle_grids(L, edges, v_max))
+
+    # windows whose local edges round: u - origin up to the segment's width
+    # (the piece ending the segment still starts the window), u and v onto
+    # one stationary point (the piece starting there covers the window), v
+    # onto one (no piece starts at v), and cuts 1e-17 apart rounding below u
+    R = 1.0 + 2.0 ** -52
+
+    @pytest.mark.parametrize("L,edges,v_max", [
+        (BVFunction([-1.0, 2.0 ** -52], [[0.0, 1.0]]), [1.5 * 2.0 ** -53, 1.0], 1.0),
+        (BVFunction([-1.0, 1.0], [[0.0, -2.0 * R, 1.0]]),
+         [1.5 * 2.0 ** -53, 2.5 * 2.0 ** -53], 1.0),
+        (BVFunction([-1.0, 1.0], [[0.0, -2.0 * R, 1.0]]), [-0.5, 1.25 * 2.0 ** -52], 1.0),
+        (BVFunction.from_poly((-1.0, 1.0), (0.0, 1e12)),
+         [0.6095693498571635, 0.6095693498571645], 1e-5),
+    ])
+    def test_rounded_window_edges(self, L, edges, v_max):
+        np.testing.assert_array_equal(L._variation_grid(np.array(edges), v_max),
+                                      union_of_oracle_grids(L, edges, v_max))
+        assert L.total_variation(*edges) == oracle.piece_total_variation(L, *edges)
+
+    def test_many_pieces_sum_left_to_right(self):
+        # 16 segments, seed 3: numpy's pairwise sum of the pieces differs
+        rng = np.random.default_rng(3)
+        breaks = np.linspace(0.0, 1.0, 17)
+        rows, start = [], 0.0
+        for w in np.diff(breaks):
+            rows.append([start, *rng.uniform(-3.0, 3.0, 3)])
+            start = ((rows[-1][3] * w + rows[-1][2]) * w + rows[-1][1]) * w + rows[-1][0]
+        L = BVFunction(breaks, rows)
+        pieces = [abs(float(drivers._poly_eval(c, e1) - drivers._poly_eval(c, e0)))
+                  for c, _, e0, e1 in oracle.monotone_pieces(L, 0.0, 1.0)]
+        assert float(np.sum(pieces)) != oracle.piece_total_variation(L)
+        assert L.total_variation() == oracle.piece_total_variation(L)
+
+    def test_chunk_size_leaves_grid_unchanged(self, monkeypatch):
+        L = make_mixed().continuous_part()
+        edges = np.array([-0.1, 0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.2])
+        want = L._variation_grid(edges, 0.013)
+        assert want.size > 100
+        monkeypatch.setattr(drivers, "_CHUNK", 7)
+        got = L._variation_grid(edges, 0.013)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, union_of_oracle_grids(L, edges, 0.013))
 
 
 class TestStationaryPoints:

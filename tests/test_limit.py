@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from bvode import (
@@ -15,6 +17,7 @@ from bvode import (
     stieltjes_integrate,
 )
 from test_acceptance import BOUND_CORPUS
+from test_drivers import piecewise_cubics
 
 
 def mixed_driver():
@@ -256,3 +259,29 @@ def test_solve_limit_matches_row_oracle(di, fi, mu_name):
         got_rows = list(path.rows())
         assert got_rows == want["rows"]
         assert [type(v) for v in got_rows[0]] == [float, float, float, int]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_drivers_match_row_oracle(data):
+    """Random piecewise cubics with jumps (at breakpoints and at the right
+    end too) and report points (at epochs and the ends too) give the row
+    builder's path bit for bit."""
+    Lc = data.draw(piecewise_cubics())
+    a, b = Lc.domain
+    times = st.floats(a, b) | st.sampled_from([*Lc.seg_breaks[1:].tolist(), b])
+    size = st.floats(-2.0, 2.0).filter(lambda x: x != 0.0)
+    jumps = [(t, data.draw(size)) for t in data.draw(st.lists(times, max_size=4))
+             if t > a]
+    L = BVFunction(Lc.seg_breaks, Lc.seg_coefs, jumps)
+    samples = data.draw(st.lists(times | st.sampled_from([a, *L.jump_epochs.tolist()]),
+                                 max_size=6))
+    v_max = max(Lc.total_variation(), 1e-3) * data.draw(st.floats(5e-3, 2.0))
+    f = data.draw(st.sampled_from(ORACLE_FIELDS))
+    mu = data.draw(st.sampled_from(list(ORACLE_MEASURES.values())))
+    path = solve_limit(f, L, mu, 0.4, sample_times=samples, v_max=v_max)
+    want = oracle.limit_columns(oracle.limit_rows(f, L, mu, 0.4, sample_times=samples,
+                                                  v_max=v_max))
+    for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
+        np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
+    assert list(path.rows()) == want["rows"]
