@@ -4,7 +4,10 @@ Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
 (atomically, via a temp file and rename) and prints the summary.  Exit
 codes: 0 success, 1 invalid config, 2 step cap or argparse usage error,
-3 non-finite result (no CSV is written then).
+3 non-finite result (no CSV is written then).  A table is an iterable of
+blocks ``(line_format, values)``, each written as ``line_format % values``:
+tuple rows go through :func:`_row_blocks`, and :meth:`bvode.GridPath.csv_blocks`
+gives one block per offset with its constant columns already formatted.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .mollify import classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
-# rows formatted and written per block; bounds the text held in memory
+# rows per block of _row_blocks; bounds the text held in memory
 CSV_BLOCK = 16384
 
 
@@ -42,19 +45,23 @@ def _spec(value) -> str:
     return "%s"
 
 
-def _write_csv(out_dir: str, filename: str, header, rows) -> str:
-    """Write header and tuple rows as CSV; every row has the column types of the first."""
+def _row_blocks(rows):
+    """CSV blocks of tuple rows, CSV_BLOCK rows each; every row has the column types of the first."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK)):
+        line = ",".join(map(_spec, block[0])) + "\n"
+        yield line * len(block), tuple(itertools.chain.from_iterable(block))
+
+
+def _write_csv(out_dir: str, filename: str, header, blocks) -> str:
+    """Write the header and then each block ``(line_format, values)`` as CSV text."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    rows = iter(rows)
-    block = list(itertools.islice(rows, CSV_BLOCK))
-    line = ",".join(_spec(v) for v in block[0]) + "\n" if block else ""
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while block:
-            fh.write("".join([line % row for row in block]))
-            block = list(itertools.islice(rows, CSV_BLOCK))
+        for line, values in blocks:
+            fh.write(line % values)
     os.replace(tmp, path)
     return path
 
@@ -67,7 +74,7 @@ def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
     return JumpMeasure.lebesgue()
 
 
-# Each handler takes (cfg, args) and returns (filename, header, rows, summary).
+# Each handler takes (cfg, args) and returns (filename, header, blocks, summary).
 
 def _cmd_solve_scheme(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
@@ -89,7 +96,7 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, args):
         raise _NonFinite(f"non-finite state: offset {j}, step {k}, "
                          f"t={float(gp.offsets[j] + k * h)!r}")
     finals = gp.final_values()
-    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), gp.rows(),
+    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), gp.csv_blocks(),
             f"n={n} h={h:g} offsets={cfg.n_offsets} "
             f"final x in [{finals.min():.6g}, {finals.max():.6g}]")
 
@@ -104,7 +111,7 @@ def _cmd_solve_limit(cfg: ExperimentConfig, args):
     bad = ~(np.isfinite(lp.x_left) & np.isfinite(lp.x))
     if bad.any():
         raise _NonFinite(f"non-finite state: t={float(lp.t[bad.argmax()])!r}")
-    return ("limit_path.csv", ("t", "x_left", "x", "is_jump"), lp.rows(),
+    return ("limit_path.csv", ("t", "x_left", "x", "is_jump"), _row_blocks(lp.rows()),
             f"{lp.t.size} samples, final x={lp.x[-1]:.10g}")
 
 
@@ -114,7 +121,7 @@ def _cmd_sigma(cfg: ExperimentConfig, args):
     deltas = np.asarray(cfg.deltas, dtype=np.float64)
     us = np.asarray(cfg.u_probes, dtype=np.float64)
     probe = sigma_delta_limit(profile, sched, deltas[:, None], us[None, :])
-    return ("sigma_probes.csv", ("delta", "u", "n", "value"), probe.rows(),
+    return ("sigma_probes.csv", ("delta", "u", "n", "value"), _row_blocks(probe.rows()),
             f"{probe.converged.size} probes ({int(probe.converged.sum())} converged), "
             f"{len(sched.meshes)} meshes each")
 
@@ -125,7 +132,8 @@ def _cmd_classify(cfg: ExperimentConfig, args):
     report = classify_regime(profile, sched, deltas=cfg.deltas,
                              u_probes=cfg.u_probes)
     detail = f" ({report.detail})" if report.detail else ""
-    return ("classify_evidence.csv", ("delta", "u", "n", "value"), report.evidence,
+    return ("classify_evidence.csv", ("delta", "u", "n", "value"),
+            _row_blocks(report.evidence),
             f"{report.verdict}{detail} max_spread={report.max_spread:.3g}")
 
 
@@ -146,7 +154,7 @@ def _cmd_study(cfg: ExperimentConfig, args):
     bad = ~np.isfinite(result.l1_errors)
     if bad.any():
         raise _NonFinite(f"non-finite l1: mesh n={result.ns[bad.argmax()]}")
-    return ("study.csv", ("n", "h_n", "metric", "value"), result.rows(),
+    return ("study.csv", ("n", "h_n", "metric", "value"), _row_blocks(result.rows()),
             f"{len(result.ns)} meshes, final l1={result.l1_errors[-1]:.6g} "
             f"(rel {result.rel_errors[-1]:.3g}), decreasing={result.decreasing}")
 
@@ -177,7 +185,7 @@ def _cmd_jumpmap(cfg: ExperimentConfig, args):
                 err = abs(phi - oracle)
                 max_err = max(max_err, err)
                 rows.append((q, eps, t, phi, oracle, err))
-    return ("jumpmap.csv", ("q", "eps", "t", "phi", "oracle", "abs_err"), rows,
+    return ("jumpmap.csv", ("q", "eps", "t", "phi", "oracle", "abs_err"), _row_blocks(rows),
             f"{len(rows)} evaluations ({skipped} skipped at "
             f"staircase-interior q), max |err|={max_err:.3g}")
 
@@ -216,7 +224,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        filename, header, rows, summary = _COMMANDS[args.command][0](cfg, args)
+        filename, header, blocks, summary = _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -227,7 +235,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 3
     out_dir = args.out if args.out is not None else cfg.out_dir
-    path = _write_csv(out_dir, filename, header, rows)
+    path = _write_csv(out_dir, filename, header, blocks)
     print(f"{args.command}: {summary} -> {path}")
     return 0
 

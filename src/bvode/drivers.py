@@ -9,6 +9,7 @@ defined.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -55,7 +56,7 @@ class BVFunction:
     """Bounded-variation driver: piecewise-cubic continuous part plus jumps."""
 
     def __init__(self, breakpoints, coefficients, jumps=()):
-        breaks = np.asarray(breakpoints, dtype=np.float64)
+        breaks = np.array(breakpoints, dtype=np.float64)
         if breaks.ndim != 1 or breaks.size < 2:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.isfinite(breaks)):
@@ -77,14 +78,15 @@ class BVFunction:
             if abs(end - nxt) > _CONT_TOL * max(1.0, abs(end), abs(nxt)):
                 raise ValueError(f"continuous part breaks at t={float(breaks[i + 1])!r}: "
                                  f"{end!r} vs {nxt!r}")
-        self.seg_breaks = breaks
-        self.seg_coefs = np.ascontiguousarray(coefs)
+        self.seg_breaks, self.seg_coefs = breaks, coefs
         # monotone pieces of the continuous part: segment, local start and end;
         # a segment's last piece ends at +inf, so it reaches every window on it
         table = np.array([
             (i, e0, e1) for i, (coef, h) in enumerate(zip(coefs, np.diff(breaks)))
             for e0, e1 in itertools.pairwise([0.0, *_stationary_points(coef, 0.0, h), np.inf])]).T
         self._piece_seg, self._piece_ends = table[0].astype(np.intp), table[1:]
+        for arr in (breaks, coefs, self._piece_seg, self._piece_ends):
+            arr.flags.writeable = False  # continuous_part shares them
         self.domain = (float(breaks[0]), float(breaks[-1]))
 
         merged: dict[float, float] = {}
@@ -163,7 +165,10 @@ class BVFunction:
         return float(self(t)) - self.jump_at(t)
 
     def continuous_part(self) -> "BVFunction":
-        return BVFunction(self.seg_breaks, self.seg_coefs)
+        """The driver without its jumps, sharing this driver's checked read-only arrays."""
+        out = copy.copy(self)
+        out.jump_epochs, out.jump_sizes, out._jump_cum = np.empty(0), np.empty(0), np.zeros(1)
+        return out
 
     # -- variation ---------------------------------------------------------
 

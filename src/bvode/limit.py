@@ -27,13 +27,13 @@ class LimitPath:
     right-continuous and ``eval_left`` the left limit.
     """
 
-    def __init__(self, rows, domain):
-        # rows: (t, x_left, x, is_jump) at strictly increasing times
-        cols = list(zip(*rows)) or [()] * 4
-        self.t, self.x_left, self.x = (np.array(c, dtype=np.float64) for c in cols[:3])
-        self.is_jump = np.array(cols[3], dtype=bool)
+    def __init__(self, t, x_left, x, is_jump, domain):
+        self.t, self.x_left, self.x = (np.array(c, dtype=np.float64) for c in (t, x_left, x))
+        self.is_jump = np.array(is_jump, dtype=bool)
         self.domain = (float(domain[0]), float(domain[1]))
-        if self.t.size < 1 or np.any(np.diff(self.t) <= 0.0):
+        if not self.t.shape == self.x_left.shape == self.x.shape == self.is_jump.shape:
+            raise ValueError("path columns must have one entry per time")
+        if self.t.ndim != 1 or self.t.size < 1 or np.any(np.diff(self.t) <= 0.0):
             raise ValueError("path times must be strictly increasing")
         jumps = np.flatnonzero(self.is_jump)
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
@@ -146,4 +146,4 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
             # a state that already overflowed crosses the jump unchanged
             x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
             x[i1], is_jump[i1] = x_cur, True
-    return LimitPath(zip(grid.tolist(), xl.tolist(), x.tolist(), is_jump.tolist()), (a, b))
+    return LimitPath(grid, xl, x, is_jump, (a, b))

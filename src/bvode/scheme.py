@@ -9,7 +9,6 @@ offset grid and the discrete jump map expose.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
 
 
-# CSV rows materialized per block by GridPath.rows; bounds its temporaries
+# CSV rows per block of GridPath.csv_blocks; bounds its temporaries
 ROW_BLOCK = 65536
 
 
@@ -139,15 +138,19 @@ class GridPath:
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
 
-    def rows(self):
-        """CSV rows (offset_index, tau, k, t, x), built a block of columns at a time."""
+    def csv_blocks(self):
+        """CSV blocks (line_format, values) of rows (offset_index, tau, k, t, x), one per
+        offset and ROW_BLOCK rows; offset_index and tau are formatted into the line."""
         for j in range(self.offsets.size):
             tau, m = self.offsets[j], int(self.lengths[j])
+            line = ("%d,%.17g," % (j, tau)).replace("%", "%%") + "%d,%.17g,%.17g\n"
             for start in range(0, m, ROW_BLOCK):
                 k = np.arange(start, min(start + ROW_BLOCK, m))
-                yield from zip(itertools.repeat(j), itertools.repeat(float(tau)), k.tolist(),
-                               (tau + k * self.h).tolist(),
-                               self.values[j, start:start + k.size].tolist())
+                values = [None] * (3 * k.size)
+                values[0::3] = k.tolist()
+                values[1::3] = (tau + k * self.h).tolist()
+                values[2::3] = self.values[j, start:start + k.size].tolist()
+                yield line * k.size, tuple(values)
 
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,

@@ -61,7 +61,7 @@ def test_criterion_1_continuous_driver(report):
     n = 256
     gp = solve_grid(f, L, get_profile("uniform"), n, float(n) ** -2, 1.0)
     ts = np.linspace(0.0, 1.0, 2001)
-    exact = LimitPath([(t, np.exp(t), np.exp(t), False) for t in ts],
+    exact = LimitPath(ts, np.exp(ts), np.exp(ts), np.zeros(ts.size, dtype=bool),
                       domain=(0.0, 1.0))
     rel = l1_distance(gp, exact) / exact.l1_norm()
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import oracle
-from bvode import BVFunction, ScalarField, backend, get_profile, solve_offset
+from bvode import BVFunction, ScalarField, XiGrid, backend, get_profile, phi_recursion, solve_offset
 
 FIELDS = [
     ScalarField.constant(0.7),
@@ -128,6 +128,19 @@ class TestEulerExact:
         ref = oracle.euler_exact(f.kind, oracle.pack(f), 0.0, 0.1, dLn, 1.0)
         vec = euler_one(f, 0.0, 0.1, dLn, 1.0)
         np.testing.assert_allclose(vec, ref, rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+    def test_fan_of_one_matches_serial_kernel(self, f, rng):
+        """A one-offset fan steps Python floats: bit for bit the serial kernel,
+        directly and through the jump map's recursion over crossing fractions."""
+        for size in (0, 1, 1024):
+            dLn = rng.normal(0.0, 0.3, size=size)
+            np.testing.assert_array_equal(euler_one(f, 0.1, 0.01, dLn, 0.8),
+                                          oracle.euler_exact_offset(f, 0.1, 0.01, dLn, 0.8))
+            z = f.scaled_frozen(0.4, -1.3)
+            xi = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size)), [1.0]))
+            np.testing.assert_array_equal(phi_recursion(z, 0.8, XiGrid(xi)),
+                                          oracle.euler_exact_offset(z, 0.0, 0.0, np.diff(xi), 0.8))
 
     def test_empty_step_list(self):
         f = ScalarField.linear_x()

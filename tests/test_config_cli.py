@@ -475,8 +475,9 @@ class TestCsvWriter:
     """The block writer is byte-identical to the value-by-value oracle."""
 
     @staticmethod
-    def both(tmp_path, header, make_rows, new_rows=None):
-        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, (new_rows or make_rows)())
+    def both(tmp_path, header, make_rows, new_blocks=None):
+        blocks = new_blocks() if new_blocks else cli._row_blocks(make_rows())
+        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, blocks)
         old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, make_rows())
         return Path(new).read_bytes(), Path(old).read_bytes()
 
@@ -491,9 +492,37 @@ class TestCsvWriter:
                       lengths=np.array([5, 6]), n=8, h=0.025, profile_name="uniform",
                       domain=(0.0, 0.1))
         header = ("offset_index", "tau", "k", "t", "x")
-        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp), gp.rows)
+        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp), gp.csv_blocks)
         assert new == old
         assert b"\n0,0,0,0,-0\n" in new
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grid_path_property(self, data):
+        """Random fans (J = 1..6 offsets whose lengths differ by one, special
+        floats among states, offsets and step) and block sizes 1..9: the
+        per-offset blocks and the row blocks both write the oracle's bytes."""
+        J = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, 12))
+        lengths = m + np.array(data.draw(st.lists(st.integers(0, 1), min_size=J, max_size=J)))
+        special = st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e22, -1e22, np.nan, np.inf, -np.inf])
+        value = st.floats(allow_nan=True, allow_infinity=True) | special
+        values = np.array(data.draw(st.lists(value, min_size=J * (m + 1), max_size=J * (m + 1))))
+        offsets = np.array(data.draw(st.lists(st.floats(-1e3, 1e3) | special,
+                                              min_size=J, max_size=J)))
+        h = data.draw(st.floats(5e-324, 1e3) | st.sampled_from([1e22, 0.1]))
+        gp = GridPath(offsets=offsets, values=values.reshape(J, m + 1), lengths=lengths, n=8,
+                      h=h, profile_name="uniform", domain=(0.0, 1.0))
+        header = ("offset_index", "tau", "k", "t", "x")
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "ROW_BLOCK", data.draw(st.integers(1, 9)))
+            mp.setattr(cli, "CSV_BLOCK", data.draw(st.integers(1, 9)))
+            old = Path(oracle._write_csv(d, "old.csv", header, oracle.grid_rows(gp))).read_bytes()
+            new = Path(cli._write_csv(d, "new.csv", header, gp.csv_blocks())).read_bytes()
+            rows = cli._write_csv(d, "rows.csv", header, cli._row_blocks(oracle.grid_rows(gp)))
+            assert new == old
+            assert Path(rows).read_bytes() == old
+        assert new.count(b"\n") == 1 + int(lengths.sum())
 
     def test_mixed_scalar_types(self, tmp_path):
         def rows():
@@ -518,8 +547,10 @@ class TestCsvWriter:
     def test_commands(self, tmp_path, monkeypatch, command, csv):
         cfg = write(tmp_path, FULL)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == 0
+        # the oracle writer takes rows: the handlers hand it theirs unblocked
         monkeypatch.setattr(cli, "_write_csv", oracle._write_csv)
-        monkeypatch.setattr(GridPath, "rows", oracle.grid_rows)
+        monkeypatch.setattr(cli, "_row_blocks", iter)
+        monkeypatch.setattr(GridPath, "csv_blocks", oracle.grid_rows)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "old")]) == 0
         new = (tmp_path / "new" / csv).read_bytes()
         assert new == (tmp_path / "old" / csv).read_bytes()

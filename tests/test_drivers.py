@@ -189,6 +189,41 @@ class TestContinuousPart:
             [L.jump_sizes[L.jump_epochs <= t].sum() for t in ts])
         np.testing.assert_allclose(L(ts), Lc(ts) + jump_part, rtol=0, atol=1e-12)
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_freshly_built_driver(self, data):
+        """The shared arrays give the pieces, sums and grids of a jump-free driver
+        built and checked from scratch."""
+        Lc = data.draw(piecewise_cubics())
+        a, b = Lc.domain
+        jumps = [(t, 1.0 + t * t) for t in data.draw(st.lists(st.floats(a, b), max_size=3))
+                 if t > a]
+        got, want = BVFunction(Lc.seg_breaks, Lc.seg_coefs, jumps).continuous_part(), Lc
+        for name in ("seg_breaks", "seg_coefs", "_piece_seg", "_piece_ends",
+                     "jump_epochs", "jump_sizes", "_jump_cum"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert got.domain == want.domain
+        u, v = window_edges(data.draw, Lc, max_size=2)
+        assert got.total_variation(u, v) == want.total_variation(u, v)
+        assert got.total_variation() == want.total_variation()
+        v_max = max(want.total_variation(), 1e-3) * data.draw(st.floats(1e-2, 2.0))
+        np.testing.assert_array_equal(got.variation_steps(u, v, v_max),
+                                      want.variation_steps(u, v, v_max))
+
+    def test_cannot_alter_the_parent(self):
+        """The shared arrays are read-only, and the driver owns copies of its inputs."""
+        breaks, coefs = np.array([0.0, 0.5, 1.0]), np.array([[0.0, 2.0], [1.0, 0.0]])
+        L = BVFunction(breaks, coefs, jumps=((0.25, 1.5),))
+        Lc = L.continuous_part()
+        for name in ("seg_breaks", "seg_coefs", "_piece_seg", "_piece_ends"):
+            assert getattr(Lc, name) is getattr(L, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(Lc, name)[0] = 7.0
+        breaks[1], coefs[0, 1] = 0.4, 9.0
+        np.testing.assert_array_equal(L.seg_breaks, [0.0, 0.5, 1.0])
+        assert L(0.5) == 2.5 and L.jump_at(0.25) == 1.5 and Lc.jump_at(0.25) == 0.0
+
 
 class TestVariationSteps:
     @pytest.mark.parametrize("v_max", [0.5, 0.1, 0.013])

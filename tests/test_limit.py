@@ -28,9 +28,8 @@ def mixed_driver():
 
 class TestLimitPath:
     def path(self):
-        rows = [(0.0, 1.0, 1.0, False), (0.5, 2.0, 3.0, True),
-                (1.0, 4.0, 4.0, False)]
-        return LimitPath(rows, domain=(0.0, 1.0))
+        return LimitPath([0.0, 0.5, 1.0], [1.0, 2.0, 4.0], [1.0, 3.0, 4.0],
+                         [False, True, False], domain=(0.0, 1.0))
 
     def test_right_continuous_at_jump(self):
         p = self.path()
@@ -68,10 +67,13 @@ class TestLimitPath:
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            LimitPath([(0.0, 1.0, 1.0, False), (0.0, 1.0, 1.0, False)],
-                      domain=(0.0, 1.0))
+            LimitPath([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [False, False], domain=(0.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            LimitPath([], domain=(0.0, 1.0))
+            LimitPath([], [], [], [], domain=(0.0, 1.0))
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError, match="one entry per time"):
+            LimitPath([0.0, 1.0], [1.0, 2.0], [1.0], [False, False], domain=(0.0, 1.0))
 
     def test_rows_roundtrip(self):
         rows = list(self.path().rows())
