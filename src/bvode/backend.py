@@ -3,9 +3,9 @@
 The mollified driver lattice is a vectorized numpy kernel.  The Euler
 recursions step a whole fan of lattice offsets at once: fields affine in x
 by a closed-form scan per offset, the rest, and the mollified coefficient,
-one numpy step over the fan at a time (Python floats for a fan of one).
-The jump-map flow is in closed form per field kind (a Newton solve for
-tanh), and the Heun steps are a plain-Python loop over the field's evaluator.
+one numpy step over the fan at a time.  The jump-map flow is in closed form
+per field kind (a Newton solve for tanh), and the Heun steps are a
+plain-Python loop over the field's evaluator.
 """
 
 from __future__ import annotations
@@ -100,16 +100,6 @@ def _step_fan(rate, tau, h, dLn, x0):
     return x
 
 
-def _step_field(f, tau, h, dLn, x0):
-    """_step_fan over a field's evaluator; a fan of one steps Python floats, as heun_path does."""
-    if dLn.shape[0] != 1:
-        return _step_fan(f, tau, h, dLn, x0)
-    t0, x = float(tau[0]), [float(x0[0])]
-    for k, d in enumerate(dLn[0].tolist()):
-        x.append(x[-1] + f(t0 + k * h, x[-1]) * d)
-    return np.array([x])
-
-
 def _affine_scan(a, b, dL, x0):
     """States of x_{k+1} = x_k + (a + b x_k) dL_k in closed form, or None.
 
@@ -139,7 +129,7 @@ def euler_exact(field, tau, h, dLn, x0):
     dLn = np.asarray(dLn, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     if field.kind not in (FIELD_CONST, FIELD_AFFINE) or dLn.shape[1] == 0:
-        return _step_field(field._eval, tau, h, dLn, x0)
+        return _step_fan(field._eval, tau, h, dLn, x0)
     a, b = field.params if field.kind == FIELD_AFFINE else (field.params[0], 0.0)
     x = np.empty((dLn.shape[0], dLn.shape[1] + 1))
     x[:, 0] = x0
@@ -151,7 +141,7 @@ def euler_exact(field, tau, h, dLn, x0):
         else:
             x[j, 1:] = row
     if rest:
-        x[rest] = _step_field(field._eval, tau[rest], h, dLn[rest], x0[rest])
+        x[rest] = _step_fan(field._eval, tau[rest], h, dLn[rest], x0[rest])
     return x
 
 

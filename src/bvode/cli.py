@@ -4,10 +4,8 @@ Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
 (atomically, via a temp file and rename) and prints the summary.  Exit
 codes: 0 success, 1 invalid config, 2 step cap or argparse usage error,
-3 non-finite result (no CSV is written then).  A table is an iterable of
-blocks ``(line_format, values)``, each written as ``line_format % values``:
-tuple rows go through :func:`_row_blocks`, and :meth:`bvode.GridPath.csv_blocks`
-gives one block per offset with its constant columns already formatted.
+3 non-finite result (no CSV is written then).  A table is an iterable
+of blocks ``(line_format, values)``, each written as ``line_format % values``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .mollify import classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
-# rows per block of _row_blocks; bounds the text held in memory
+# rows per CSV block; bounds the text held in memory
 CSV_BLOCK = 16384
 
 
@@ -46,11 +44,23 @@ def _spec(value) -> str:
 
 
 def _row_blocks(rows):
-    """CSV blocks of tuple rows, CSV_BLOCK rows each; every row has the column types of the first."""
+    """CSV blocks of tuple rows; every row has the column types of the first."""
     rows = iter(rows)
     while block := list(itertools.islice(rows, CSV_BLOCK)):
         line = ",".join(map(_spec, block[0])) + "\n"
         yield line * len(block), tuple(itertools.chain.from_iterable(block))
+
+
+def _grid_blocks(gp):
+    """CSV blocks of a GridPath's rows (offset_index, tau, k, t, x), one offset per block."""
+    for j, tau in enumerate(gp.offsets.tolist()):
+        for s in range(0, gp.lengths[j], CSV_BLOCK):
+            k = np.arange(s, min(s + CSV_BLOCK, gp.lengths[j]))
+            values = [None] * (3 * k.size)
+            values[0::3], values[1::3], values[2::3] = (
+                k.tolist(), (tau + k * gp.h).tolist(), gp.values[j, s:s + k.size].tolist())
+            line = ",".join([_spec(j) % j, _spec(tau) % tau, *map(_spec, values[:3])]) + "\n"
+            yield line * k.size, tuple(values)
 
 
 def _write_csv(out_dir: str, filename: str, header, blocks) -> str:
@@ -96,7 +106,7 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, args):
         raise _NonFinite(f"non-finite state: offset {j}, step {k}, "
                          f"t={float(gp.offsets[j] + k * h)!r}")
     finals = gp.final_values()
-    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), gp.csv_blocks(),
+    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), _grid_blocks(gp),
             f"n={n} h={h:g} offsets={cfg.n_offsets} "
             f"final x in [{finals.min():.6g}, {finals.max():.6g}]")
 

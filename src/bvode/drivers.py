@@ -9,7 +9,6 @@ defined.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 
@@ -85,8 +84,6 @@ class BVFunction:
             (i, e0, e1) for i, (coef, h) in enumerate(zip(coefs, np.diff(breaks)))
             for e0, e1 in itertools.pairwise([0.0, *_stationary_points(coef, 0.0, h), np.inf])]).T
         self._piece_seg, self._piece_ends = table[0].astype(np.intp), table[1:]
-        for arr in (breaks, coefs, self._piece_seg, self._piece_ends):
-            arr.flags.writeable = False  # continuous_part shares them
         self.domain = (float(breaks[0]), float(breaks[-1]))
 
         merged: dict[float, float] = {}
@@ -165,10 +162,7 @@ class BVFunction:
         return float(self(t)) - self.jump_at(t)
 
     def continuous_part(self) -> "BVFunction":
-        """The driver without its jumps, sharing this driver's checked read-only arrays."""
-        out = copy.copy(self)
-        out.jump_epochs, out.jump_sizes, out._jump_cum = np.empty(0), np.empty(0), np.zeros(1)
-        return out
+        return BVFunction(self.seg_breaks, self.seg_coefs)
 
     # -- variation ---------------------------------------------------------
 

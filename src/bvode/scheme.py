@@ -21,10 +21,6 @@ from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
 
 
-# CSV rows per block of GridPath.csv_blocks; bounds its temporaries
-ROW_BLOCK = 65536
-
-
 def _step_counts(b: float, taus: np.ndarray, h: float, step_cap: int = STEP_CAP) -> np.ndarray:
     """Smallest K_j >= 0 with taus[j] + K_j h >= b for every offset, robust to rounding.
 
@@ -137,20 +133,6 @@ class GridPath:
 
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
-
-    def csv_blocks(self):
-        """CSV blocks (line_format, values) of rows (offset_index, tau, k, t, x), one per
-        offset and ROW_BLOCK rows; offset_index and tau are formatted into the line."""
-        for j in range(self.offsets.size):
-            tau, m = self.offsets[j], int(self.lengths[j])
-            line = ("%d,%.17g," % (j, tau)).replace("%", "%%") + "%d,%.17g,%.17g\n"
-            for start in range(0, m, ROW_BLOCK):
-                k = np.arange(start, min(start + ROW_BLOCK, m))
-                values = [None] * (3 * k.size)
-                values[0::3] = k.tolist()
-                values[1::3] = (tau + k * self.h).tolist()
-                values[2::3] = self.values[j, start:start + k.size].tolist()
-                yield line * k.size, tuple(values)
 
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,

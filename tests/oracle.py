@@ -16,7 +16,7 @@ by Gauss-Legendre quadrature and sums tail masses for the jumps.  It also
 keeps the serial mollified-coefficient recursion that
 :func:`bvode.backend.euler_mollified` replaced, the value-by-value CSV
 writer and grid-path rows (:func:`_write_csv`, :func:`grid_rows`) that the
-block writer :func:`bvode.cli._write_csv` with :meth:`bvode.GridPath.csv_blocks`
+block writer :func:`bvode.cli._write_csv` with :func:`bvode.cli._grid_blocks`
 replaced, and the per-probe shift-probe loop that the broadcast
 :func:`bvode.mollify.sigma_delta_limit` replaced.
 

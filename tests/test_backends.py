@@ -131,8 +131,8 @@ class TestEulerExact:
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_fan_of_one_matches_serial_kernel(self, f, rng):
-        """A one-offset fan steps Python floats: bit for bit the serial kernel,
-        directly and through the jump map's recursion over crossing fractions."""
+        """A one-offset fan is bit for bit the serial kernel, directly and
+        through the jump map's recursion over crossing fractions."""
         for size in (0, 1, 1024):
             dLn = rng.normal(0.0, 0.3, size=size)
             np.testing.assert_array_equal(euler_one(f, 0.1, 0.01, dLn, 0.8),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify, scheme
+from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify
 from bvode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -481,18 +481,18 @@ class TestCsvWriter:
         old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, make_rows())
         return Path(new).read_bytes(), Path(old).read_bytes()
 
-    @pytest.mark.parametrize("blocks", [None, (5, 7)], ids=["default", "small-blocks"])
-    def test_grid_path(self, tmp_path, monkeypatch, blocks):
-        if blocks:
-            monkeypatch.setattr(scheme, "ROW_BLOCK", blocks[0])
-            monkeypatch.setattr(cli, "CSV_BLOCK", blocks[1])
+    @pytest.mark.parametrize("block", [None, 4], ids=["default", "small-blocks"])
+    def test_grid_path(self, tmp_path, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
         values = np.array([[-0.0, 0.1, 1e-310, -1e300, 2.5, 2.5],
                            [0.0, -1.0 / 3.0, np.nan, np.inf, 7.0, 1e22]])
         gp = GridPath(offsets=np.array([0.0, 0.0125]), values=values,
                       lengths=np.array([5, 6]), n=8, h=0.025, profile_name="uniform",
                       domain=(0.0, 0.1))
         header = ("offset_index", "tau", "k", "t", "x")
-        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp), gp.csv_blocks)
+        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp),
+                             lambda: cli._grid_blocks(gp))
         assert new == old
         assert b"\n0,0,0,0,-0\n" in new
 
@@ -501,7 +501,7 @@ class TestCsvWriter:
     def test_grid_path_property(self, data):
         """Random fans (J = 1..6 offsets whose lengths differ by one, special
         floats among states, offsets and step) and block sizes 1..9: the
-        per-offset blocks and the row blocks both write the oracle's bytes."""
+        grid-path blocks and the row blocks both write the oracle's bytes."""
         J = data.draw(st.integers(1, 6))
         m = data.draw(st.integers(1, 12))
         lengths = m + np.array(data.draw(st.lists(st.integers(0, 1), min_size=J, max_size=J)))
@@ -515,10 +515,9 @@ class TestCsvWriter:
                       h=h, profile_name="uniform", domain=(0.0, 1.0))
         header = ("offset_index", "tau", "k", "t", "x")
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "ROW_BLOCK", data.draw(st.integers(1, 9)))
             mp.setattr(cli, "CSV_BLOCK", data.draw(st.integers(1, 9)))
             old = Path(oracle._write_csv(d, "old.csv", header, oracle.grid_rows(gp))).read_bytes()
-            new = Path(cli._write_csv(d, "new.csv", header, gp.csv_blocks())).read_bytes()
+            new = Path(cli._write_csv(d, "new.csv", header, cli._grid_blocks(gp))).read_bytes()
             rows = cli._write_csv(d, "rows.csv", header, cli._row_blocks(oracle.grid_rows(gp)))
             assert new == old
             assert Path(rows).read_bytes() == old
@@ -550,7 +549,7 @@ class TestCsvWriter:
         # the oracle writer takes rows: the handlers hand it theirs unblocked
         monkeypatch.setattr(cli, "_write_csv", oracle._write_csv)
         monkeypatch.setattr(cli, "_row_blocks", iter)
-        monkeypatch.setattr(GridPath, "csv_blocks", oracle.grid_rows)
+        monkeypatch.setattr(cli, "_grid_blocks", oracle.grid_rows)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "old")]) == 0
         new = (tmp_path / "new" / csv).read_bytes()
         assert new == (tmp_path / "old" / csv).read_bytes()

@@ -14,6 +14,7 @@ from bvode import (
     ScalarField,
     StepLimitError,
     backend,
+    cli,
     discrete_jump_map,
     get_profile,
     mollify_L,
@@ -162,7 +163,7 @@ class TestGridPath:
     def test_rows_layout(self):
         gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
                         get_profile("uniform"), 8, 0.4, 2.0, n_offsets=2)
-        text = "".join(line % values for line, values in gp.csv_blocks())
+        text = "".join(line % values for line, values in cli._grid_blocks(gp))
         rows = [row.split(",") for row in text.splitlines()]
         assert len(rows) == int(gp.lengths.sum())
         assert {r[0] for r in rows} == {"0", "1"}
