@@ -64,13 +64,6 @@ class StudyResult:
     limit_norm: float
     decreasing: bool
 
-    def rows(self):
-        """CSV rows (n, h_n, metric, value)."""
-        for n, h, e, r in zip(self.ns, self.h_values, self.l1_errors,
-                              self.rel_errors):
-            yield n, h, "l1", e
-            yield n, h, "l1_rel", r
-
 
 def convergence_study(f: ScalarField, L: BVFunction,
                       profile: MollifierProfile, sched: Schedule,
@@ -108,12 +101,6 @@ class SigmaCheckResult:
     gaps: np.ndarray  # shape (len(ns), len(probes))
     zeta: float
     decreasing: bool
-
-    def rows(self):
-        """CSV rows (n, h_n, metric, value) with metric gap@u."""
-        for i, n in enumerate(self.ns):
-            for k, u in enumerate(self.probes):
-                yield n, self.h_values[i], f"gap@{u:g}", float(self.gaps[i, k])
 
 
 def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,

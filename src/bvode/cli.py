@@ -4,15 +4,16 @@ Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
 (atomically, via a temp file and rename) and prints the summary.  Exit
 codes: 0 success, 1 invalid config, 2 step cap or argparse usage error,
-3 non-finite result (no CSV is written then).  A table is an iterable
-of blocks ``(line_format, values)``, each written as ``line_format % values``.
+3 non-finite result (no CSV is written then).  Only this module lays out
+tables: a table is an iterable of groups ``(prefix, columns)``, where the
+numbers in ``prefix`` open every line of the group (``()`` for none) and
+``columns`` are equal-length 1-D arrays, one per remaining header field.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 
@@ -34,44 +35,50 @@ class _NonFinite(Exception):
     """A non-finite result; the message locates it."""
 
 
-def _spec(value) -> str:
-    """%-format of one CSV column, chosen from its first value."""
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return "%d"
-    if isinstance(value, (float, np.floating)):
-        return "%.17g"
-    return "%s"
+def _spec(dtype) -> str:
+    """%-format of one CSV column of the given dtype."""
+    return {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}.get(dtype.kind, "%s")
 
 
-def _row_blocks(rows):
-    """CSV blocks of tuple rows; every row has the column types of the first."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, CSV_BLOCK)):
-        line = ",".join(map(_spec, block[0])) + "\n"
-        yield line * len(block), tuple(itertools.chain.from_iterable(block))
+def _blocks(prefix, columns):
+    """Blocks ``(line_format, values)`` of one group, CSV_BLOCK rows each at most;
+    the prefix is formatted once, into the line format."""
+    head = "".join(_spec(np.asarray(v).dtype) % v + "," for v in prefix)
+    columns = [np.asarray(c) for c in columns]
+    line = head + ",".join(_spec(c.dtype) for c in columns) + "\n"
+    width = len(columns)
+    for s in range(0, columns[0].size, CSV_BLOCK):
+        parts = [c[s:s + CSV_BLOCK].tolist() for c in columns]
+        values = [None] * (width * len(parts[0]))
+        for i, part in enumerate(parts):
+            values[i::width] = part
+        yield line * len(parts[0]), tuple(values)
 
 
-def _grid_blocks(gp):
-    """CSV blocks of a GridPath's rows (offset_index, tau, k, t, x), one offset per block."""
-    for j, tau in enumerate(gp.offsets.tolist()):
-        for s in range(0, gp.lengths[j], CSV_BLOCK):
-            k = np.arange(s, min(s + CSV_BLOCK, gp.lengths[j]))
-            values = [None] * (3 * k.size)
-            values[0::3], values[1::3], values[2::3] = (
-                k.tolist(), (tau + k * gp.h).tolist(), gp.values[j, s:s + k.size].tolist())
-            line = ",".join([_spec(j) % j, _spec(tau) % tau, *map(_spec, values[:3])]) + "\n"
-            yield line * k.size, tuple(values)
+def _grid_table(gp):
+    """Groups of a GridPath's table (offset_index, tau, k, t, x), one per offset."""
+    k = np.arange(gp.values.shape[1])
+    for j, (tau, m) in enumerate(zip(gp.offsets.tolist(), gp.lengths.tolist())):
+        yield (j, tau), (k[:m], tau + k[:m] * gp.h, gp.values[j, :m])
 
 
-def _write_csv(out_dir: str, filename: str, header, blocks) -> str:
-    """Write the header and then each block ``(line_format, values)`` as CSV text."""
+def _probe_table(probe):
+    """The one group of a probe grid's table (delta, u, n, value): delta-major, then u, then n."""
+    cols = np.broadcast_arrays(np.asarray(probe.delta)[..., None], np.asarray(probe.u)[..., None],
+                               np.asarray(probe.n_values), probe.values)
+    return [((), [c.ravel() for c in cols])]
+
+
+def _write_csv(out_dir: str, filename: str, header, groups) -> str:
+    """Write the header and then each group ``(prefix, columns)`` as CSV text."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for line, values in blocks:
-            fh.write(line % values)
+        for prefix, columns in groups:
+            for line, values in _blocks(prefix, columns):
+                fh.write(line % values)
     os.replace(tmp, path)
     return path
 
@@ -84,7 +91,7 @@ def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
     return JumpMeasure.lebesgue()
 
 
-# Each handler takes (cfg, args) and returns (filename, header, blocks, summary).
+# Each handler takes (cfg, args) and returns (filename, header, groups, summary).
 
 def _cmd_solve_scheme(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
@@ -106,7 +113,7 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, args):
         raise _NonFinite(f"non-finite state: offset {j}, step {k}, "
                          f"t={float(gp.offsets[j] + k * h)!r}")
     finals = gp.final_values()
-    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), _grid_blocks(gp),
+    return ("grid_path.csv", ("offset_index", "tau", "k", "t", "x"), _grid_table(gp),
             f"n={n} h={h:g} offsets={cfg.n_offsets} "
             f"final x in [{finals.min():.6g}, {finals.max():.6g}]")
 
@@ -121,7 +128,8 @@ def _cmd_solve_limit(cfg: ExperimentConfig, args):
     bad = ~(np.isfinite(lp.x_left) & np.isfinite(lp.x))
     if bad.any():
         raise _NonFinite(f"non-finite state: t={float(lp.t[bad.argmax()])!r}")
-    return ("limit_path.csv", ("t", "x_left", "x", "is_jump"), _row_blocks(lp.rows()),
+    table = [((), (lp.t, lp.x_left, lp.x, lp.is_jump.astype(int)))]
+    return ("limit_path.csv", ("t", "x_left", "x", "is_jump"), table,
             f"{lp.t.size} samples, final x={lp.x[-1]:.10g}")
 
 
@@ -131,7 +139,7 @@ def _cmd_sigma(cfg: ExperimentConfig, args):
     deltas = np.asarray(cfg.deltas, dtype=np.float64)
     us = np.asarray(cfg.u_probes, dtype=np.float64)
     probe = sigma_delta_limit(profile, sched, deltas[:, None], us[None, :])
-    return ("sigma_probes.csv", ("delta", "u", "n", "value"), _row_blocks(probe.rows()),
+    return ("sigma_probes.csv", ("delta", "u", "n", "value"), _probe_table(probe),
             f"{probe.converged.size} probes ({int(probe.converged.sum())} converged), "
             f"{len(sched.meshes)} meshes each")
 
@@ -142,8 +150,7 @@ def _cmd_classify(cfg: ExperimentConfig, args):
     report = classify_regime(profile, sched, deltas=cfg.deltas,
                              u_probes=cfg.u_probes)
     detail = f" ({report.detail})" if report.detail else ""
-    return ("classify_evidence.csv", ("delta", "u", "n", "value"),
-            _row_blocks(report.evidence),
+    return ("classify_evidence.csv", ("delta", "u", "n", "value"), _probe_table(report.probe),
             f"{report.verdict}{detail} max_spread={report.max_spread:.3g}")
 
 
@@ -164,7 +171,11 @@ def _cmd_study(cfg: ExperimentConfig, args):
     bad = ~np.isfinite(result.l1_errors)
     if bad.any():
         raise _NonFinite(f"non-finite l1: mesh n={result.ns[bad.argmax()]}")
-    return ("study.csv", ("n", "h_n", "metric", "value"), _row_blocks(result.rows()),
+    # two lines per mesh, l1 then l1_rel
+    table = [((), (np.repeat(result.ns, 2), np.repeat(result.h_values, 2),
+                   np.tile(["l1", "l1_rel"], len(result.ns)),
+                   np.column_stack((result.l1_errors, result.rel_errors)).ravel()))]
+    return ("study.csv", ("n", "h_n", "metric", "value"), table,
             f"{len(result.ns)} meshes, final l1={result.l1_errors[-1]:.6g} "
             f"(rel {result.rel_errors[-1]:.3g}), decreasing={result.decreasing}")
 
@@ -180,8 +191,6 @@ def _cmd_jumpmap(cfg: ExperimentConfig, args):
     ts = cfg.jump_t if cfg.jump_t is not None else tuple(rng.uniform(0.0, 1.0, 5))
     x_ref = cfg.x0
     rows = []
-    skipped = 0
-    max_err = 0.0
     for q in qs:
         for eps in eps_list:
             z = ramp_z(q, eps, x_ref)
@@ -189,15 +198,14 @@ def _cmd_jumpmap(cfg: ExperimentConfig, args):
                 try:
                     oracle = phi_explicit_ramp(sigma, q, eps, x_ref, t)
                 except ValueError:
-                    skipped += 1
                     continue
                 phi = phi_solve(z, x_ref, t, mu)
-                err = abs(phi - oracle)
-                max_err = max(max_err, err)
-                rows.append((q, eps, t, phi, oracle, err))
-    return ("jumpmap.csv", ("q", "eps", "t", "phi", "oracle", "abs_err"), _row_blocks(rows),
+                rows.append((q, eps, t, phi, oracle, abs(phi - oracle)))
+    columns = np.array(rows, dtype=np.float64).reshape(-1, 6).T
+    skipped = len(qs) * len(eps_list) * len(ts) - len(rows)
+    return ("jumpmap.csv", ("q", "eps", "t", "phi", "oracle", "abs_err"), [((), columns)],
             f"{len(rows)} evaluations ({skipped} skipped at "
-            f"staircase-interior q), max |err|={max_err:.3g}")
+            f"staircase-interior q), max |err|={columns[5].max(initial=0.0):.3g}")
 
 
 # subcommand: (handler, help, its one extra option as (flag, default, help) or None)
@@ -234,7 +242,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        filename, header, blocks, summary = _COMMANDS[args.command][0](cfg, args)
+        filename, header, table, summary = _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -245,7 +253,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 3
     out_dir = args.out if args.out is not None else cfg.out_dir
-    path = _write_csv(out_dir, filename, header, blocks)
+    path = _write_csv(out_dir, filename, header, table)
     print(f"{args.command}: {summary} -> {path}")
     return 0
 

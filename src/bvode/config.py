@@ -208,7 +208,9 @@ def _parse_field(sec: _Section) -> ScalarField:
     try:
         return builder(sec)
     except ValueError as exc:
-        raise ConfigError(sec.name, "name", str(exc)) from exc
+        # a constructor's message names the parameter whose check failed
+        key = next((k for k in sorted(sec.seen) if k in str(exc).split()), "name")
+        raise ConfigError(sec.name, key, str(exc)) from exc
 
 
 def _parse_mollifier(sec: _Section):
@@ -241,8 +243,12 @@ def _parse_mollifier(sec: _Section):
         Schedule(mesh_list, lambda n: 1.0)  # checks the meshes alone
         key = "table" if table is not None else "alpha"
         if table is not None:
+            if bad := [n for n, _ in table if not n.is_integer()]:
+                raise ValueError(f"non-integer mesh {bad[0]!r}")
             schedule = Schedule.from_table({int(n): h for n, h in table})
         elif alpha is not None:
+            Schedule.power(alpha, meshes=mesh_list)  # checks alpha alone
+            key = "c"
             schedule = Schedule.power(alpha, sec.floatval("c", 1.0), meshes=mesh_list)
     except ValueError as exc:
         raise ConfigError(sec.name, key, str(exc)) from exc
@@ -312,14 +318,14 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.n = run.intval("n")
     cfg.n_offsets = run.intval("n_offsets", cfg.n_offsets)
     cfg.conv_points = run.intval("conv_points", cfg.conv_points)
-    for key in ("n", "n_offsets", "conv_points"):
+    cfg.step_cap = run.intval("step_cap", cfg.step_cap)
+    for key in ("n", "n_offsets", "conv_points", "step_cap"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError("run", key, "must be a positive integer")
     cfg.v_max = run.floatval("v_max")
     if cfg.v_max is not None and cfg.v_max <= 0.0:
         raise ConfigError("run", "v_max", "must be positive")
     cfg.mollify_coefficient = run.boolval("mollify_f", False)
-    cfg.step_cap = run.intval("step_cap", cfg.step_cap)
     # comma-separated [run] lists: (key and attribute, entry name, range check, range)
     for key, name, inside, where in (
             ("deltas", "delta", lambda v: 0.0 < v < 1.0, "outside (0, 1)"),

@@ -157,7 +157,7 @@ class BVFunction:
 
     def left_limit(self, t) -> float:
         t = float(t)
-        if t <= self.domain[0]:
+        if not t > self.domain[0]:
             raise ValueError(f"left limit undefined at or before the left endpoint ({t!r})")
         return float(self(t)) - self.jump_at(t)
 
@@ -183,8 +183,8 @@ class BVFunction:
         a, b = self.domain
         u = a if u is None else float(u)
         v = b if v is None else float(v)
-        if u > v:
-            raise ValueError(f"total_variation needs u <= v, got {u!r} > {v!r}")
+        if not u <= v:
+            raise ValueError(f"total_variation needs u <= v, got u={u!r}, v={v!r}")
         u, v = max(u, a), min(v, b)
         if v <= u:
             return 0.0
@@ -205,7 +205,7 @@ class BVFunction:
         """
         if not v_max > 0.0:
             raise ValueError("v_max must be positive")
-        if v < u:
+        if not u <= v:
             raise ValueError("need u <= v")
         return self._variation_grid(np.array([u, v], dtype=np.float64), v_max)
 

@@ -40,7 +40,7 @@ class SigmaG:
 
     def __call__(self, u):
         uu = np.asarray(u, dtype=np.float64)
-        if np.any((uu < 0.0) | (uu > 1.0)):
+        if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise ValueError("sigma argument must lie in [0, 1]")
         out = uu.copy()
         if self._a.size:
@@ -110,7 +110,7 @@ class JumpMeasure:
 
     def mass_closed(self, u: float, v: float) -> float:
         """Mass of the closed window [u, v]."""
-        if v < u:
+        if not u <= v:
             raise ValueError("window needs u <= v")
         at = float(self._amass[(self._alocs >= u) & (self._alocs <= v)].sum())
         return at + self.lebesgue_mass(u, v)
@@ -209,7 +209,7 @@ def phi_recursion(z: ScalarField, x: float, grid: XiGrid) -> np.ndarray:
 def sigma_staircase(grid: XiGrid, u):
     """Staircase read-out of a grid: the smallest xi_k with u <= xi_k."""
     uu = np.asarray(u, dtype=np.float64)
-    if np.any((uu < 0.0) | (uu > 1.0)):
+    if not np.all((uu >= 0.0) & (uu <= 1.0)):
         raise ValueError("u must lie in [0, 1]")
     idx = np.searchsorted(grid.values, uu, side="left")
     return _scalar(grid.values[idx])
@@ -217,7 +217,7 @@ def sigma_staircase(grid: XiGrid, u):
 
 def ramp_z(q: float, eps: float, x_ref: float) -> ScalarField:
     """Unit-height ramp in x: 1 up to x_ref + q, linear to 0 over width eps."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return ScalarField.ramp(float(x_ref) + float(q), float(eps), height=1.0)
 
@@ -238,7 +238,7 @@ def phi_explicit_ramp(sigma: SigmaG, q: float, eps: float, x: float,
     a ValueError is raised instead of returning a wrong value.
     """
     q, eps, x, t = float(q), float(eps), float(x), float(t)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")

@@ -44,7 +44,7 @@ class LimitPath:
         arr = np.asarray(t, dtype=np.float64)
         shape = arr.shape
         tt = np.atleast_1d(arr).reshape(-1)
-        if np.any(tt < a - 1e-12) or np.any(tt > b + 1e-12):
+        if not np.all((tt >= a - 1e-12) & (tt <= b + 1e-12)):
             raise ValueError(f"times must lie in [{a!r}, {b!r}]")
         tt = np.clip(tt, a, b)
         n = self._t_dbl.size
@@ -69,11 +69,6 @@ class LimitPath:
         mids = 0.5 * (self._x_dbl[:-1] + self._x_dbl[1:])
         return float(np.sum(np.abs(mids) * np.diff(self._t_dbl)))
 
-    def rows(self):
-        """CSV rows (t, x_left, x, is_jump)."""
-        return zip(self.t.tolist(), self.x_left.tolist(), self.x.tolist(),
-                   self.is_jump.astype(int).tolist())
-
 
 def stieltjes_integrate(g, Lc: BVFunction, a: float, t: float,
                         v_max: float) -> float:
@@ -87,7 +82,7 @@ def stieltjes_integrate(g, Lc: BVFunction, a: float, t: float,
     if not v_max > 0.0:
         raise ValueError("v_max must be positive")
     a, t = float(a), float(t)
-    if t < a:
+    if not a <= t:
         raise ValueError("need a <= t")
     if t == a:
         return 0.0

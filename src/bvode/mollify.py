@@ -286,7 +286,7 @@ class Schedule:
     def power(cls, alpha, coef=1.0, meshes=DEFAULT_MESHES) -> "Schedule":
         """h(n) = coef * n**(-alpha)."""
         alpha, coef = float(alpha), float(coef)
-        if alpha <= 0.0 or coef <= 0.0:
+        if not (alpha > 0.0 and coef > 0.0):
             raise ValueError("power rule needs alpha > 0 and coef > 0")
         return cls(tuple(meshes), lambda n: coef * float(n) ** -alpha)
 
@@ -363,13 +363,6 @@ class SigmaProbe:
     tail_estimate: object
     converged: object
 
-    def rows(self):
-        """CSV rows (delta, u, n, value), delta-major, then u, then n."""
-        cols = np.broadcast_arrays(np.asarray(self.delta)[..., None],
-                                   np.asarray(self.u)[..., None],
-                                   np.asarray(self.n_values), self.values)
-        return zip(*(c.ravel().tolist() for c in cols))
-
 
 def sigma_delta_limit(profile: MollifierProfile, sched: Schedule,
                       delta, u) -> SigmaProbe:
@@ -410,8 +403,9 @@ class RegimeReport:
     """Classifier output over the (delta, u) probe grid.
 
     verdict is one of Flow, Ito, GeneralSigma, DeltaDependent, NoLimit;
-    sigma carries the fitted staircase only for GeneralSigma.  evidence
-    holds every raw (delta, u, n, value) sample.
+    sigma carries the fitted staircase only for GeneralSigma.  probe is
+    the broadcast SigmaProbe over (deltas, u_probes) that the verdict was
+    read from; its values hold every raw sample.
     """
 
     verdict: str
@@ -422,7 +416,7 @@ class RegimeReport:
     estimates: np.ndarray
     max_spread: float
     converged: np.ndarray
-    evidence: list
+    probe: SigmaProbe
     detail: str = ""
 
 
@@ -442,14 +436,13 @@ def classify_regime(profile: MollifierProfile, sched: Schedule,
     probe = sigma_delta_limit(profile, sched, np.asarray(deltas)[:, None], us[None, :])
     limits = probe.limit
     conv = probe.converged
-    evidence = list(probe.rows())
     estimates = limits.mean(axis=0)
     spread = limits.max(axis=0) - limits.min(axis=0)
     max_spread = float(spread.max())
 
     def report(verdict, sigma=None, detail=""):
         return RegimeReport(verdict, sigma, deltas, us, limits, estimates,
-                            max_spread, conv, evidence, detail)
+                            max_spread, conv, probe, detail)
 
     if not conv.all():
         bad = np.argwhere(~conv)[0]

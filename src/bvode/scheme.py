@@ -125,8 +125,10 @@ class GridPath:
         return ts, self.values[j, :m]
 
     def eval(self, j: int, t) -> np.ndarray:
-        """Piecewise-constant read-out of offset j at times t."""
+        """Piecewise-constant read-out of offset j at times t, clamped to the lattice."""
         t = np.asarray(t, dtype=np.float64)
+        if not np.isfinite(t).all():
+            raise ValueError("times must be finite")
         k = np.floor((t - self.offsets[j]) / self.h).astype(np.int64)
         k = np.clip(k, 0, int(self.lengths[j]) - 1)
         return self.values[j, k]

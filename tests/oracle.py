@@ -14,11 +14,15 @@ The package evaluates L_n exactly from incomplete moments
 loop it replaced, which convolves the base density with the continuous part
 by Gauss-Legendre quadrature and sums tail masses for the jumps.  It also
 keeps the serial mollified-coefficient recursion that
-:func:`bvode.backend.euler_mollified` replaced, the value-by-value CSV
-writer and grid-path rows (:func:`_write_csv`, :func:`grid_rows`) that the
-block writer :func:`bvode.cli._write_csv` with :func:`bvode.cli._grid_blocks`
-replaced, and the per-probe shift-probe loop that the broadcast
-:func:`bvode.mollify.sigma_delta_limit` replaced.
+:func:`bvode.backend.euler_mollified` replaced, and the per-probe
+shift-probe loop that the broadcast :func:`bvode.mollify.sigma_delta_limit`
+replaced.
+
+The CLI's tables have as reference the value-by-value CSV writer
+(:func:`_write_csv`) and the row builders the result classes and handlers
+carried before :mod:`bvode.cli` laid every table out from columns:
+:func:`grid_rows`, :func:`limit_path_rows`, :func:`probe_rows`,
+:func:`study_rows` and :func:`jumpmap_rows`.
 
 The limit layer's references are the segment-by-segment variation walk
 (:func:`total_variation`, :func:`variation_steps`), the monotone-piece
@@ -50,7 +54,8 @@ import numpy as np
 from bvode import backend
 from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
-from bvode.jumpmap import XiGrid, phi_solve, sigma_staircase
+from bvode.jumpmap import (XiGrid, measure_from_sigma, phi_explicit_ramp, phi_solve,
+                           ramp_z, sigma_staircase)
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
 
@@ -376,6 +381,51 @@ def grid_rows(gp):
             yield j, tau, k, tau + k * gp.h, float(gp.values[j, k])
 
 
+def limit_path_rows(lp):
+    """CSV rows (t, x_left, x, is_jump) of a LimitPath."""
+    return zip(lp.t.tolist(), lp.x_left.tolist(), lp.x.tolist(),
+               lp.is_jump.astype(int).tolist())
+
+
+def probe_rows(probe):
+    """CSV rows (delta, u, n, value) of a SigmaProbe, delta-major, then u, then n."""
+    cols = np.broadcast_arrays(np.asarray(probe.delta)[..., None],
+                               np.asarray(probe.u)[..., None],
+                               np.asarray(probe.n_values), probe.values)
+    return zip(*(c.ravel().tolist() for c in cols))
+
+
+def study_rows(result):
+    """CSV rows (n, h_n, metric, value) of a StudyResult."""
+    for n, h, e, r in zip(result.ns, result.h_values, result.l1_errors,
+                          result.rel_errors):
+        yield n, h, "l1", e
+        yield n, h, "l1_rel", r
+
+
+def jumpmap_rows(cfg, seed):
+    """CSV rows (q, eps, t, phi, oracle, abs_err) of ``bvode jumpmap`` on a
+    loaded config, with the command's random draws from ``seed``."""
+    sigma = cfg.sigma
+    mu = measure_from_sigma(sigma)
+    rng = np.random.default_rng(seed)
+    qs = cfg.jump_q if cfg.jump_q is not None else tuple(rng.uniform(0.0, 1.0, 6))
+    eps_list = cfg.jump_eps if cfg.jump_eps is not None else tuple(rng.uniform(0.05, 0.6, 4))
+    ts = cfg.jump_t if cfg.jump_t is not None else tuple(rng.uniform(0.0, 1.0, 5))
+    rows = []
+    for q in qs:
+        for eps in eps_list:
+            z = ramp_z(q, eps, cfg.x0)
+            for t in ts:
+                try:
+                    want = phi_explicit_ramp(sigma, q, eps, cfg.x0, t)
+                except ValueError:
+                    continue
+                phi = phi_solve(z, cfg.x0, t, mu)
+                rows.append((q, eps, t, phi, want, abs(phi - want)))
+    return rows
+
+
 def scalar_probe(profile, sched, delta, u):
     """One shift-probe trajectory F_n(F_n_inv(u) - delta*h(n)), mesh by mesh."""
     delta = float(delta)
@@ -558,7 +608,7 @@ def limit_rows(f, L, mu, x0, sample_times=None, v_max=None):
 
 def limit_columns(rows):
     """Arrays of a LimitPath built from rows one row at a time: t, x_left,
-    x, is_jump, the doubled t_dbl/x_dbl and the CSV rows."""
+    x, is_jump and the doubled t_dbl/x_dbl."""
     t = np.array([r[0] for r in rows], dtype=np.float64)
     x_left = np.array([r[1] for r in rows], dtype=np.float64)
     x = np.array([r[2] for r in rows], dtype=np.float64)
@@ -570,11 +620,9 @@ def limit_columns(rows):
             xd.append(x_left[k])
         td.append(t[k])
         xd.append(x[k])
-    csv = [(float(t[k]), float(x_left[k]), float(x[k]), int(is_jump[k]))
-           for k in range(t.size)]
     return {"t": t, "x_left": x_left, "x": x, "is_jump": is_jump,
             "_t_dbl": np.asarray(td, dtype=np.float64),
-            "_x_dbl": np.asarray(xd, dtype=np.float64), "rows": csv}
+            "_x_dbl": np.asarray(xd, dtype=np.float64)}
 
 
 def unscaled_stationary_points(coefs, lo, hi):

@@ -89,16 +89,6 @@ class TestConvergenceStudy:
                                JumpMeasure.dirac(0.3), 0.5, **kw)
         assert r1.l1_errors == r2.l1_errors
 
-    def test_rows_layout(self):
-        f, L = self.jump_setup()
-        sched = Schedule.power(2.0, meshes=(8, 16, 32))
-        res = convergence_study(f, L, get_profile("uniform"), sched,
-                                JumpMeasure.lebesgue(), 1.0, n_offsets=2)
-        rows = list(res.rows())
-        assert len(rows) == 6
-        assert rows[0][:3] == (8, sched.h(8), "l1")
-        assert rows[1][2] == "l1_rel"
-
 
 class TestSigmaNCheck:
     def test_gap_vanishes_at_zero_probe(self):
@@ -165,13 +155,3 @@ class TestSigmaNCheck:
         with pytest.raises(ValueError, match=match):
             sigma_n_check(get_profile("uniform"), Schedule.power(2.0, meshes=(16, 32, 64)),
                           0.5, SigmaG(), probes=probes)
-
-    def test_rows_layout(self):
-        sched = Schedule.power(2.0, meshes=(16, 32, 64))
-        res = sigma_n_check(get_profile("uniform"), sched, 0.5, SigmaG(),
-                            probes=(0.25, 0.75), n_offsets=4)
-        rows = list(res.rows())
-        assert len(rows) == 6
-        n, h, metric, value = rows[1]
-        assert (n, h, metric) == (16, sched.h(16), "gap@0.75")
-        assert value == float(res.gaps[0, 1])

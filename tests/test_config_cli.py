@@ -116,6 +116,15 @@ class TestLoadConfig:
          "[mollifier].meshes: meshes must be strictly increasing positive integers"),
         ("[mollifier]\nprofile = uniform\nmeshes = 32, 16\ntable = 16:0.1, 32:0.05\n",
          "[mollifier].meshes: meshes must be strictly increasing positive integers"),
+        ("[mollifier]\nprofile = uniform\ntable = 16.5:0.01, 32:0.001, 64:0.0001\n",
+         "[mollifier].table: non-integer mesh 16.5"),
+        ("[mollifier]\nprofile = uniform\ntable = inf:0.01\n",
+         "[mollifier].table: non-integer mesh inf"),
+        ("[mollifier]\nprofile = uniform\nalpha = 2\nc = -1\n",
+         "[mollifier].c: power rule needs alpha > 0 and coef > 0"),
+        ("[mollifier]\nprofile = uniform\nalpha = -2\nc = -1\n",
+         "[mollifier].alpha: power rule needs alpha > 0 and coef > 0"),
+        ("[field]\nname = ramp\nwidth = 0\n", "[field].width: ramp width must be positive"),
         ("[sigma]\nintervals = 0.1:0.6, 0.4:0.8\n[run]\n", "[sigma].intervals"),
         ("[run]\ndeltas = 0.5, 1.5\n", "[run].deltas"),
         ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
@@ -126,6 +135,8 @@ class TestLoadConfig:
         ("[run]\nn_offsets = 0\n", "[run].n_offsets"),
         ("[run]\nn = 0\n", "[run].n: must be a positive integer"),
         ("[run]\nconv_points = 0\n", "[run].conv_points"),
+        ("[run]\nstep_cap = 0\n", "[run].step_cap: must be a positive integer"),
+        ("[run]\nstep_cap = -5\n", "[run].step_cap: must be a positive integer"),
         ("[run]\nv_max = -1\n", "[run].v_max"),
         ("[run]\nmollify_f = maybe\n", "[run].mollify_f"),
         ("[run]\nmu = cauchy\n", "[run].mu"),
@@ -225,6 +236,16 @@ class TestCli:
         assert header == ["q", "eps", "t", "phi", "oracle", "abs_err"]
         assert len(rows) == 6
         assert max(float(r[5]) for r in rows) < 1e-6
+
+    def test_jumpmap_all_skipped_writes_header(self, tmp_path, capsys):
+        # q = 0.3 sits inside the staircase interval (0.2, 0.5), where the
+        # explicit formula does not hold for t > q
+        cfg = write(tmp_path, FULL + "jump_q = 0.3\njump_eps = 0.3\njump_t = 0.6, 0.9\n")
+        out = tmp_path / "res"
+        assert main(["jumpmap", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "jumpmap.csv").read_bytes() == b"q,eps,t,phi,oracle,abs_err\n"
+        assert capsys.readouterr().out.startswith(
+            "jumpmap: 0 evaluations (2 skipped at staircase-interior q), max |err|=0 -> ")
 
     def test_jumpmap_seed_reproducible(self, tmp_path):
         cfg = write(tmp_path, FULL)
@@ -475,11 +496,16 @@ class TestCsvWriter:
     """The block writer is byte-identical to the value-by-value oracle."""
 
     @staticmethod
-    def both(tmp_path, header, make_rows, new_blocks=None):
-        blocks = new_blocks() if new_blocks else cli._row_blocks(make_rows())
-        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, blocks)
-        old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, make_rows())
+    def both(tmp_path, header, rows, table):
+        """The table written by the block writer and its rows by the oracle writer."""
+        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, table)
+        old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, rows)
         return Path(new).read_bytes(), Path(old).read_bytes()
+
+    @staticmethod
+    def plain(rows):
+        """A table of one group without prefix: the columns of the rows."""
+        return [((), [np.asarray(c) for c in zip(*rows)])]
 
     @pytest.mark.parametrize("block", [None, 4], ids=["default", "small-blocks"])
     def test_grid_path(self, tmp_path, monkeypatch, block):
@@ -491,8 +517,7 @@ class TestCsvWriter:
                       lengths=np.array([5, 6]), n=8, h=0.025, profile_name="uniform",
                       domain=(0.0, 0.1))
         header = ("offset_index", "tau", "k", "t", "x")
-        new, old = self.both(tmp_path, header, lambda: oracle.grid_rows(gp),
-                             lambda: cli._grid_blocks(gp))
+        new, old = self.both(tmp_path, header, oracle.grid_rows(gp), cli._grid_table(gp))
         assert new == old
         assert b"\n0,0,0,0,-0\n" in new
 
@@ -501,7 +526,8 @@ class TestCsvWriter:
     def test_grid_path_property(self, data):
         """Random fans (J = 1..6 offsets whose lengths differ by one, special
         floats among states, offsets and step) and block sizes 1..9: the
-        grid-path blocks and the row blocks both write the oracle's bytes."""
+        grid-path groups and a plain table of the oracle's rows both write
+        the oracle's bytes."""
         J = data.draw(st.integers(1, 6))
         m = data.draw(st.integers(1, 12))
         lengths = m + np.array(data.draw(st.lists(st.integers(0, 1), min_size=J, max_size=J)))
@@ -517,23 +543,31 @@ class TestCsvWriter:
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "CSV_BLOCK", data.draw(st.integers(1, 9)))
             old = Path(oracle._write_csv(d, "old.csv", header, oracle.grid_rows(gp))).read_bytes()
-            new = Path(cli._write_csv(d, "new.csv", header, cli._grid_blocks(gp))).read_bytes()
-            rows = cli._write_csv(d, "rows.csv", header, cli._row_blocks(oracle.grid_rows(gp)))
+            new = Path(cli._write_csv(d, "new.csv", header, cli._grid_table(gp))).read_bytes()
+            rows = cli._write_csv(d, "rows.csv", header, self.plain(list(oracle.grid_rows(gp))))
             assert new == old
             assert Path(rows).read_bytes() == old
         assert new.count(b"\n") == 1 + int(lengths.sum())
 
     def test_mixed_scalar_types(self, tmp_path):
-        def rows():
-            for i in range(40):
-                yield (bool(i % 2), np.bool_(i % 3 == 0), np.int64(-i), i * 10 ** 15,
-                       np.float64(i) / 7.0, -0.0 if i % 2 else 1e-300, f"gap@{i / 8:g}")
-        new, old = self.both(tmp_path, tuple("abcdefg"), rows)
+        rows = [(bool(i % 2), np.bool_(i % 3 == 0), np.int64(-i), i * 10 ** 15,
+                 np.float64(i) / 7.0, -0.0 if i % 2 else 1e-300, f"gap@{i / 8:g}")
+                for i in range(40)]
+        new, old = self.both(tmp_path, tuple("abcdefg"), rows, self.plain(rows))
         assert new == old
 
     def test_empty_table(self, tmp_path):
-        new, old = self.both(tmp_path, ("a", "b"), lambda: iter(()))
+        new, old = self.both(tmp_path, ("a", "b"), (), [((), [np.empty(0), np.empty(0)])])
         assert new == old == b"a,b\n"
+
+    # per command: the cli name whose result the oracle lays out, and that layout
+    ORACLE_ROWS = {
+        "solve-scheme": ("solve_grid", oracle.grid_rows),
+        "solve-limit": ("solve_limit", oracle.limit_path_rows),
+        "study": ("convergence_study", oracle.study_rows),
+        "sigma": ("sigma_delta_limit", oracle.probe_rows),
+        "classify": ("classify_regime", lambda report: oracle.probe_rows(report.probe)),
+    }
 
     @pytest.mark.parametrize("command,csv", [
         ("solve-scheme", "grid_path.csv"),
@@ -544,15 +578,25 @@ class TestCsvWriter:
         ("classify", "classify_evidence.csv"),
     ])
     def test_commands(self, tmp_path, monkeypatch, command, csv):
+        """Each command's CSV equals the oracle writer's on the old row layout
+        of the same results."""
         cfg = write(tmp_path, FULL)
+        results = []
+        if command != "jumpmap":
+            name, layout = self.ORACLE_ROWS[command]
+            compute = getattr(cli, name)
+
+            def keep(*args, **kwargs):
+                results.append(compute(*args, **kwargs))
+                return results[-1]
+
+            monkeypatch.setattr(cli, name, keep)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == 0
-        # the oracle writer takes rows: the handlers hand it theirs unblocked
-        monkeypatch.setattr(cli, "_write_csv", oracle._write_csv)
-        monkeypatch.setattr(cli, "_row_blocks", iter)
-        monkeypatch.setattr(cli, "_grid_blocks", oracle.grid_rows)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "old")]) == 0
+        rows = (oracle.jumpmap_rows(load_config(cfg), seed=0) if command == "jumpmap"
+                else layout(results[-1]))
         new = (tmp_path / "new" / csv).read_bytes()
-        assert new == (tmp_path / "old" / csv).read_bytes()
+        header = new.decode().split("\n", 1)[0].split(",")
+        assert new == Path(oracle._write_csv(str(tmp_path / "old"), csv, header, rows)).read_bytes()
         assert new.count(b"\n") > 2
 
 

@@ -10,9 +10,16 @@ from bvode import (
     BVFunction,
     JumpMeasure,
     LimitPath,
+    Schedule,
     ScalarField,
     SigmaG,
+    XiGrid,
+    get_profile,
     measure_from_sigma,
+    phi_explicit_ramp,
+    ramp_z,
+    sigma_staircase,
+    solve_grid,
     solve_limit,
     stieltjes_integrate,
 )
@@ -74,11 +81,6 @@ class TestLimitPath:
     def test_columns_must_match(self):
         with pytest.raises(ValueError, match="one entry per time"):
             LimitPath([0.0, 1.0], [1.0, 2.0], [1.0], [False, False], domain=(0.0, 1.0))
-
-    def test_rows_roundtrip(self):
-        rows = list(self.path().rows())
-        assert rows[1] == (0.5, 2.0, 3.0, 1)
-        assert rows[0][3] == 0
 
 
 class TestStieltjesIntegrate:
@@ -258,9 +260,6 @@ def test_solve_limit_matches_row_oracle(di, fi, mu_name):
         for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
             np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
             assert getattr(path, name).dtype == want[name].dtype
-        got_rows = list(path.rows())
-        assert got_rows == want["rows"]
-        assert [type(v) for v in got_rows[0]] == [float, float, float, int]
 
 
 @given(data=st.data())
@@ -286,4 +285,41 @@ def test_random_drivers_match_row_oracle(data):
                                                   v_max=v_max))
     for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
         np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
-    assert list(path.rows()) == want["rows"]
+
+
+NAN = float("nan")
+LINEAR_PATH = solve_limit(ScalarField.linear_x(), BVFunction([0.0, 1.0], [[0.0, 1.0]]),
+                          JumpMeasure.lebesgue(), 1.0)
+UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LINEAR_PATH.eval(NAN),
+    lambda: LINEAR_PATH.eval_left(np.array([0.5, NAN])),
+    lambda: solve_grid(ScalarField.linear_x(), mixed_driver(), get_profile("uniform"),
+                       8, 0.125, 1.0, n_offsets=2).eval(0, NAN),
+    lambda: solve_grid(ScalarField.linear_x(), mixed_driver(), get_profile("uniform"),
+                       8, 0.125, 1.0, n_offsets=2).eval(0, np.array([0.5, np.inf])),
+    lambda: mixed_driver().variation_steps(NAN, 1.0, 0.1),
+    lambda: mixed_driver().variation_steps(0.0, NAN, 0.1),
+    lambda: mixed_driver().total_variation(NAN, 1.0),
+    lambda: mixed_driver().total_variation(0.0, NAN),
+    lambda: mixed_driver().left_limit(NAN),
+    lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), NAN, 1.0, 0.1),
+    lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), 0.0, NAN, 0.1),
+    lambda: sigma_staircase(UNIT_GRID, NAN),
+    lambda: SigmaG([(0.2, 0.5)])(np.array([0.1, NAN])),
+    lambda: measure_from_sigma(SigmaG([(0.2, 0.5)])).mass_closed(NAN, 1.0),
+    lambda: ramp_z(0.5, NAN, 0.0),
+    lambda: phi_explicit_ramp(SigmaG(), 0.5, NAN, 0.0, 0.7),
+    lambda: Schedule.power(NAN),
+], ids=["LimitPath.eval", "LimitPath.eval_left", "GridPath.eval", "GridPath.eval-inf",
+        "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
+        "left_limit", "stieltjes-a", "stieltjes-t", "sigma_staircase", "SigmaG",
+        "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power"])
+def test_nan_argument_raises(call):
+    """A NaN time, window end, probe or parameter (or an infinite lattice
+    time) fails the range check instead of reading a clamped value or an
+    index past the end."""
+    with pytest.raises(ValueError):
+        call()

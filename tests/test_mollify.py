@@ -377,7 +377,7 @@ class TestBroadcastProbe:
         us = np.array([0.0, 1e-12, 0.3, 0.5, 1.0])
         rep = classify_regime(p, sched, u_probes=us)
         old = oracle.probe_grid(p, sched, DEFAULT_DELTAS, us)
-        assert rep.evidence == oracle.evidence(old)
+        assert list(oracle.probe_rows(rep.probe)) == oracle.evidence(old)
         assert np.array_equal(rep.limits, [[q.limit for q in row] for row in old])
         assert np.array_equal(rep.converged, [[q.converged for q in row] for row in old])
 
@@ -443,10 +443,10 @@ class TestClassifyRegime:
         sched = Schedule.power(2.0, meshes=(16, 32, 64, 128))
         us = np.linspace(0.0, 1.0, 5)
         rep = classify_regime(get_profile("uniform"), sched, u_probes=us)
-        assert len(rep.evidence) == len(rep.deltas) * us.size * 4
-        d, u, n, v = rep.evidence[0]
-        assert (d, u, n) == (rep.deltas[0], 0.0, 16)
-        assert v == 0.0
+        probe = rep.probe
+        assert probe.values.shape == (len(rep.deltas), us.size, 4)
+        assert (probe.delta[0, 0], probe.u[0, 0], probe.n_values[0]) == (rep.deltas[0], 0.0, 16)
+        assert probe.values[0, 0, 0] == 0.0
 
 
 class TestFitSigma:

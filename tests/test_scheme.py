@@ -163,7 +163,8 @@ class TestGridPath:
     def test_rows_layout(self):
         gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
                         get_profile("uniform"), 8, 0.4, 2.0, n_offsets=2)
-        text = "".join(line % values for line, values in cli._grid_blocks(gp))
+        text = "".join(line % values for prefix, columns in cli._grid_table(gp)
+                       for line, values in cli._blocks(prefix, columns))
         rows = [row.split(",") for row in text.splitlines()]
         assert len(rows) == int(gp.lengths.sum())
         assert {r[0] for r in rows} == {"0", "1"}
