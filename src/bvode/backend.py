@@ -58,15 +58,10 @@ def driver_lattice_values(ts, n, profile, driver):
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     n = float(int(n))  # n**3 below must not overflow an integer type
     inv = 1.0 / n
-    breaks, coefs = driver.seg_breaks, driver.seg_coefs
-    # piece p covers [breaks[p - 1], breaks[p]); pieces 0 and S + 1 are the
-    # constant extensions, piece i + 1 is segment i
-    right = float(driver.continuous_value(breaks[-1]))
-    pc = np.vstack(([coefs[0, 0], 0.0, 0.0, 0.0], coefs, [right, 0.0, 0.0, 0.0]))
-    origin = np.concatenate((breaks[:1], breaks[:-1], breaks[-1:]))
+    # the driver's piece table: piece p covers [breaks[p - 1], breaks[p])
+    breaks, pc, origin = driver.seg_breaks, driver._ext_coefs, driver._ext_origin
     full = profile.moments(1.0)
-    jpos, jsize = driver.jump_epochs, driver.jump_sizes
-    jcum = np.concatenate(([0.0], np.cumsum(jsize)))
+    jpos, jsize, jcum = driver.jump_epochs, driver.jump_sizes, driver._jump_cum
     out = np.empty(ts.size)
     for start in range(0, ts.size, LATTICE_CHUNK):
         t = ts[start:start + LATTICE_CHUNK]
@@ -149,22 +144,21 @@ def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
     """Explicit recurrence with the mollified coefficient f_n, over a fan of offsets.
 
     ``tau`` and ``x0`` have shape (J,) and ``dLn`` shape (J, K); the result
-    holds the states, shape (J, K + 1).  Each step evaluates f once on the
-    (J, Q, Q) window grid (t_k + s_a, x_k + s_b) and contracts it with the
-    tensor-product weights outer(w, w).  A zero increment keeps the state.
+    holds the states, shape (J, K + 1).  Each step takes the fan's window
+    average (:func:`window_mean`).  A zero increment keeps the state.
     """
     tau = np.asarray(tau, dtype=np.float64)
     dLn = np.asarray(dLn, dtype=np.float64)
     conv_s = np.asarray(conv_s, dtype=np.float64)
-    J = dLn.shape[0]
-    shift_t = conv_s[:, None]
     ww = np.outer(conv_w, conv_w).ravel()
+    return _step_fan(lambda t, cur: window_mean(field, conv_s, ww, t, cur), tau, h, dLn, x0)
 
-    def rate(t, cur):
-        grid = field(t[:, None, None] + shift_t, cur[:, None, None] + conv_s)
-        return grid.reshape(J, -1) @ ww
 
-    return _step_fan(rate, tau, h, dLn, x0)
+def window_mean(f, s, ww, t, x):
+    """Window average of f at the points (t, x) of one shape: f on the grid
+    (t + s_a, x + s_b) contracted with the weights ``ww = outer(w, w).ravel()``."""
+    grid = f(t[..., None, None] + s[:, None], x[..., None, None] + s)
+    return grid.reshape(t.shape + (-1,)) @ ww
 
 
 def _ratio_expm1(r):

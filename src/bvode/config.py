@@ -245,6 +245,8 @@ def _parse_mollifier(sec: _Section):
         if table is not None:
             if bad := [n for n, _ in table if not n.is_integer()]:
                 raise ValueError(f"non-integer mesh {bad[0]!r}")
+            if rep := [n for i, (n, _) in enumerate(table) if n in dict(table[:i])]:
+                raise ValueError(f"repeated mesh {int(rep[0])}")
             schedule = Schedule.from_table({int(n): h for n, h in table})
         elif alpha is not None:
             Schedule.power(alpha, meshes=mesh_list)  # checks alpha alone

@@ -78,6 +78,11 @@ class BVFunction:
                 raise ValueError(f"continuous part breaks at t={float(breaks[i + 1])!r}: "
                                  f"{end!r} vs {nxt!r}")
         self.seg_breaks, self.seg_coefs = breaks, coefs
+        # evaluation pieces, piece p on [breaks[p - 1], breaks[p]) from _ext_origin[p]:
+        # the constant L_c(a) left of a, segment i as piece i + 1, the constant L_c(b)
+        right = _poly_eval(coefs[-1], breaks[-1] - breaks[-2])
+        self._ext_coefs = np.vstack(([coefs[0, 0], 0.0, 0.0, 0.0], coefs, [right, 0.0, 0.0, 0.0]))
+        self._ext_origin = np.concatenate((breaks[:1], breaks[:-1], breaks[-1:]))
         # monotone pieces of the continuous part: segment, local start and end;
         # a segment's last piece ends at +inf, so it reaches every window on it
         table = np.array([
@@ -135,10 +140,9 @@ class BVFunction:
         """Continuous part only, with constant extension outside the domain."""
         t = np.asarray(t, dtype=np.float64)
         tt = np.clip(t, *self.domain)
-        idx = np.clip(np.searchsorted(self.seg_breaks, tt, side="right") - 1,
-                      0, self.seg_coefs.shape[0] - 1)
-        u = tt - self.seg_breaks[idx]
-        out = _poly_eval(np.moveaxis(self.seg_coefs[idx], -1, 0), u)
+        # b itself reads the last segment, so L_c(b) keeps its own sign of zero
+        p = np.searchsorted(self.seg_breaks[:-1], tt, side="right")
+        out = _poly_eval(np.moveaxis(self._ext_coefs[p], -1, 0), tt - self._ext_origin[p])
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, t):
@@ -188,12 +192,15 @@ class BVFunction:
         u, v = max(u, a), min(v, b)
         if v <= u:
             return 0.0
-        _, seg, ends = self._clip_pieces(np.array([u]), np.array([v]))
-        p0, p1 = _poly_eval(self.seg_coefs[seg].T[:, None], ends)
-        total = np.cumsum(np.abs(p1 - p0))[-1]  # summed left to right
         jl = np.searchsorted(self.jump_epochs, u, side="right")
         jr = np.searchsorted(self.jump_epochs, v, side="right")
-        return float(total) + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
+        return self._continuous_variation(u, v) + float(np.sum(np.abs(self.jump_sizes[jl:jr])))
+
+    def _continuous_variation(self, u, v) -> float:
+        """Variation of the continuous part over [u, v], a <= u < v <= b."""
+        _, seg, ends = self._clip_pieces(np.array([u]), np.array([v]))
+        p0, p1 = _poly_eval(self.seg_coefs[seg].T[:, None], ends)
+        return float(np.cumsum(np.abs(p1 - p0))[-1])  # summed left to right
 
     def variation_steps(self, u: float, v: float, v_max: float) -> np.ndarray:
         """Grid over [u, v] whose cells each carry continuous variation <= v_max.

@@ -107,9 +107,8 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     coefficient.  ``sample_times`` adds report points to the grid.
     """
     a, b = L.domain
-    Lc = L.continuous_part()
     if v_max is None:
-        tv = Lc.total_variation()
+        tv = L._continuous_variation(a, b)
         v_max = 1e-3 * tv if tv > 0.0 else 1.0
     if not v_max > 0.0:
         raise ValueError("v_max must be positive")
@@ -124,10 +123,10 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
         raise ValueError("initial states must be finite")
     # one grid over every stretch between jumps; report points other than the edges join it
     edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
-    grid = Lc._variation_grid(edges, v_max)
+    grid = L._variation_grid(edges, v_max)
     if extra.size:
         grid = np.unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
-    Lg = Lc(grid)
+    Lg = L.continuous_value(grid)
     x, xl = np.empty_like(grid), np.full_like(grid, x_cur)
     is_jump = np.zeros(grid.shape, dtype=bool)
     for i0, i1 in itertools.pairwise(np.searchsorted(grid, edges).tolist()):

@@ -338,11 +338,8 @@ def mollify_f(f, profile: MollifierProfile, n: int, t, x, points=16):
     lipschitz_const * sqrt(2)/n of f(t, x).
     """
     s, w = profile.convolution_rule(int(n), points)
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    tt = t[..., None, None] + s[:, None]
-    xx = x[..., None, None] + s[None, :]
-    return _scalar(np.einsum("...ij,i,j->...", f(tt, xx), w, w))
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(x, dtype=np.float64))
+    return _scalar(backend.window_mean(f, s, np.outer(w, w).ravel(), t, x))
 
 
 @dataclass(frozen=True)
@@ -412,10 +409,8 @@ class RegimeReport:
     sigma: object
     deltas: tuple
     u_probes: np.ndarray
-    limits: np.ndarray
     estimates: np.ndarray
     max_spread: float
-    converged: np.ndarray
     probe: SigmaProbe
     detail: str = ""
 
@@ -434,15 +429,13 @@ def classify_regime(profile: MollifierProfile, sched: Schedule,
     us = np.asarray(DEFAULT_U_PROBES if u_probes is None else u_probes,
                     dtype=np.float64)
     probe = sigma_delta_limit(profile, sched, np.asarray(deltas)[:, None], us[None, :])
-    limits = probe.limit
-    conv = probe.converged
+    limits, conv = probe.limit, probe.converged
     estimates = limits.mean(axis=0)
     spread = limits.max(axis=0) - limits.min(axis=0)
     max_spread = float(spread.max())
 
     def report(verdict, sigma=None, detail=""):
-        return RegimeReport(verdict, sigma, deltas, us, limits, estimates,
-                            max_spread, conv, probe, detail)
+        return RegimeReport(verdict, sigma, deltas, us, estimates, max_spread, probe, detail)
 
     if not conv.all():
         bad = np.argwhere(~conv)[0]

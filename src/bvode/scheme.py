@@ -71,6 +71,9 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     if not np.all(np.isfinite(x0s)):
         raise ValueError("initial states must be finite")
     ks = _step_counts(b, taus, h, step_cap)
+    need = taus.size * float(ks.max())  # step_cap bounds each offset, STEP_CAP the fan's arrays
+    if need > STEP_CAP:
+        raise StepLimitError(f"lattice fan needs {need:.6g} steps, cap is {STEP_CAP}")
     # one lattice call for the fan: padded times lie past b, where L_n is constant
     ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
     Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)

@@ -24,10 +24,13 @@ carried before :mod:`bvode.cli` laid every table out from columns:
 :func:`grid_rows`, :func:`limit_path_rows`, :func:`probe_rows`,
 :func:`study_rows` and :func:`jumpmap_rows`.
 
-The limit layer's references are the segment-by-segment variation walk
-(:func:`total_variation`, :func:`variation_steps`), the monotone-piece
-walk that followed it (:func:`monotone_pieces`, with its piece-by-piece
-sum :func:`piece_total_variation`), both replaced by the piece table that
+The limit layer's exact reference is :func:`exact_limit`, the flow
+representation of the solution for an autonomous field under the Lebesgue
+and dirac(0) jump measures.  Its other references are the
+segment-by-segment variation walk (:func:`total_variation`,
+:func:`variation_steps`), the monotone-piece walk that followed it
+(:func:`monotone_pieces`, with its piece-by-piece sum
+:func:`piece_total_variation`), both replaced by the piece table that
 :class:`bvode.BVFunction` builds once and clips to every window, and the
 per-point row builder of the limit solve with the per-row doubled arrays
 of its path (:func:`limit_rows`, :func:`limit_columns`) that the
@@ -623,6 +626,41 @@ def limit_columns(rows):
     return {"t": t, "x_left": x_left, "x": x, "is_jump": is_jump,
             "_t_dbl": np.asarray(td, dtype=np.float64),
             "_x_dbl": np.asarray(xd, dtype=np.float64)}
+
+
+def exact_limit(f, L, mu, x0, ts):
+    """Right-continuous solution of the limit equation at the times ts, exact
+    up to rounding, for an autonomous f under Lebesgue or dirac(0).
+
+    With Phi_f(m, x) the flow of dx/dm = f(x) over mass m (a negative mass
+    flows f.scaled_frozen(0, -1)), the path is x(t) = Phi_f(L(t) - L(a), x0)
+    under Lebesgue, the jumps being flowed through (Doss 1977, Sussmann
+    1978).  Under dirac(0) it flows the continuous increments between
+    epochs and applies x += dL f(x) at each jump.
+    """
+    if not f.is_autonomous:
+        raise ValueError("exact_limit needs an autonomous field")
+    back = f.scaled_frozen(0.0, -1.0)
+
+    def flow(x, m):
+        return backend.flow_mass(f, x, m) if m >= 0.0 else backend.flow_mass(back, x, -m)
+
+    ts = np.asarray(ts, dtype=np.float64)
+    a = L.domain[0]
+    if mu.segments == ((0.0, 1.0),):
+        return np.array([flow(float(x0), m) for m in (L(ts) - L(a)).tolist()])
+    if mu.atoms != ((0.0, 1.0),):
+        raise ValueError("exact_limit knows the Lebesgue and dirac(0) measures only")
+    # the state right after each epoch, the domain's start counting as one
+    Lc = L.continuous_value
+    starts, states = [a], [float(x0)]
+    for e, dL in zip(L.jump_epochs.tolist(), L.jump_sizes.tolist()):
+        x = flow(states[-1], Lc(e) - Lc(starts[-1]))
+        starts.append(e)
+        states.append(x + dL * float(f._eval(0.0, x)))
+    k = np.searchsorted(starts, ts, side="right") - 1
+    masses = Lc(ts) - Lc(np.array(starts)[k])
+    return np.array([flow(states[j], m) for j, m in zip(k.tolist(), masses.tolist())])
 
 
 def unscaled_stationary_points(coefs, lo, hi):

@@ -120,6 +120,8 @@ class TestLoadConfig:
          "[mollifier].table: non-integer mesh 16.5"),
         ("[mollifier]\nprofile = uniform\ntable = inf:0.01\n",
          "[mollifier].table: non-integer mesh inf"),
+        ("[mollifier]\nprofile = uniform\ntable = 16:0.1, 16:0.05, 32:0.01, 64:0.001\n",
+         "[mollifier].table: repeated mesh 16"),
         ("[mollifier]\nprofile = uniform\nalpha = 2\nc = -1\n",
          "[mollifier].c: power rule needs alpha > 0 and coef > 0"),
         ("[mollifier]\nprofile = uniform\nalpha = -2\nc = -1\n",

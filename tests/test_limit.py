@@ -287,6 +287,49 @@ def test_random_drivers_match_row_oracle(data):
         np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
 
 
+EXACT_FIELDS = {
+    "tanh": ScalarField.bounded_tanh(1.0, 1.0, offset=0.2),
+    "linear": ScalarField.linear_x(),
+    "sin": ScalarField.bounded_sin(0.8, 1.3, phase=0.4, offset=0.1),
+    "ramp": ScalarField.ramp(0.3, 0.8, 1.2),
+    "affine": ScalarField.affine(0.5, -0.7),
+    "const": ScalarField.constant(-0.6),
+    "tanh-steep": ScalarField.bounded_tanh(1.5, 2.0, offset=-0.3),
+}
+EXACT_MEASURES = {"lebesgue": JumpMeasure.lebesgue(), "dirac": JumpMeasure.dirac(0.0)}
+
+
+@pytest.mark.parametrize("di", range(len(BOUND_CORPUS)))
+def test_solve_limit_matches_exact_flow(di):
+    """Every grid point of a default solve lies within 1e-5 (1 + |x|) of the
+    exact path of oracle.exact_limit, for each field, measure and start."""
+    L = BOUND_CORPUS[di]
+    for f in EXACT_FIELDS.values():
+        for mu in EXACT_MEASURES.values():
+            for x0 in (-0.7, 0.3, 1.1):
+                path = solve_limit(f, L, mu, x0)
+                exact = oracle.exact_limit(f, L, mu, x0, path.t)
+                assert np.all(np.abs(path.x - exact) <= 1e-5 * (1.0 + np.abs(exact))), \
+                    (f.name, mu, x0)
+
+
+@pytest.mark.parametrize("mu_name", list(EXACT_MEASURES))
+@pytest.mark.parametrize("fname", ["tanh", "linear", "sin", "affine", "tanh-steep"])
+@pytest.mark.parametrize("di", range(1, len(BOUND_CORPUS)))
+def test_solve_limit_error_is_second_order(di, fname, mu_name):
+    """Halving v_max from twice the default divides the largest error
+    against the exact path by at least 3.5: the Heun steps are second
+    order in the variation per cell (drivers with continuous variation,
+    smooth fields)."""
+    L, f, mu = BOUND_CORPUS[di], EXACT_FIELDS[fname], EXACT_MEASURES[mu_name]
+    tv = L.continuous_part().total_variation()
+    errs = []
+    for v_max in (2e-3 * tv, 1e-3 * tv):
+        path = solve_limit(f, L, mu, 0.3, v_max=v_max)
+        errs.append(np.max(np.abs(path.x - oracle.exact_limit(f, L, mu, 0.3, path.t))))
+    assert errs[0] >= 3.5 * errs[1], errs
+
+
 NAN = float("nan")
 LINEAR_PATH = solve_limit(ScalarField.linear_x(), BVFunction([0.0, 1.0], [[0.0, 1.0]]),
                           JumpMeasure.lebesgue(), 1.0)

@@ -378,8 +378,8 @@ class TestBroadcastProbe:
         rep = classify_regime(p, sched, u_probes=us)
         old = oracle.probe_grid(p, sched, DEFAULT_DELTAS, us)
         assert list(oracle.probe_rows(rep.probe)) == oracle.evidence(old)
-        assert np.array_equal(rep.limits, [[q.limit for q in row] for row in old])
-        assert np.array_equal(rep.converged, [[q.converged for q in row] for row in old])
+        assert np.array_equal(rep.probe.limit, [[q.limit for q in row] for row in old])
+        assert np.array_equal(rep.probe.converged, [[q.converged for q in row] for row in old])
 
     def test_default_u_grid(self):
         assert DEFAULT_U_PROBES == tuple(np.linspace(0.0, 1.0, 21))
@@ -412,7 +412,7 @@ class TestBroadcastProbe:
         assert np.all(np.isnan(probe.tail_estimate))
         rep = classify_regime(p, sched)
         assert rep.verdict == "NoLimit"
-        assert not rep.converged.any()
+        assert not rep.probe.converged.any()
 
 
 class TestClassifyRegime:

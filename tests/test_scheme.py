@@ -87,6 +87,18 @@ class TestSolveOffset:
         with pytest.raises(StepLimitError, match="needs 10 steps"):
             solve_offset(*args, step_cap=9)
 
+    def test_fan_cap_counts_every_offset(self, monkeypatch):
+        # 4 offsets of 10 steps each: the fan needs 40 steps in all, a fan of one 10
+        f, L = ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0))
+        prof = get_profile("uniform")
+        monkeypatch.setattr(scheme, "STEP_CAP", 40)
+        assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4).values.shape == (4, 11)
+        monkeypatch.setattr(scheme, "STEP_CAP", 39)
+        with pytest.raises(StepLimitError, match="lattice fan needs 40 steps, cap is 39"):
+            solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4)
+        monkeypatch.setattr(scheme, "STEP_CAP", 10)
+        assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
+
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_tiny_step_raises_before_counting(self, h):
         # 1e-30 used to hang in the rounding loop, 1e-320 to overflow
