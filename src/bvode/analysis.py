@@ -17,7 +17,7 @@ from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG
 from .limit import LimitPath, solve_limit
 from .mollify import MollifierProfile, Schedule
-from .scheme import GridPath, _crossing_fractions, solve_grid
+from .scheme import GridPath, _crossing_fractions, _offset_fan, solve_grid
 
 DEFAULT_PROBES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -117,8 +117,8 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
     a, b = float(domain[0]), float(domain[1])
     if not a < zeta <= b:
         raise ValueError("zeta must lie inside the domain")
-    if n_offsets < 1:
-        raise ValueError("need at least one offset")
+    h_values = tuple(sched.h(n) for n in sched.meshes)
+    fans = _offset_fan(a, np.array(h_values), n_offsets)
     probes = tuple(float(u) for u in probes)
     us = np.asarray(probes, dtype=np.float64)
     if us.size == 0:
@@ -128,9 +128,7 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
     target = np.asarray(sigma(us), dtype=np.float64).reshape(-1)
     gaps = np.empty((len(sched.meshes), us.size), dtype=np.float64)
     rows = np.arange(n_offsets)
-    for i, n in enumerate(sched.meshes):
-        h = sched.h(n)
-        taus = a + (h / n_offsets) * np.arange(n_offsets, dtype=np.float64)
+    for i, (n, h, taus) in enumerate(zip(sched.meshes, h_values, fans)):
         xi = _crossing_fractions(profile, n, h, taus, float(zeta))
         acc = np.empty(us.size, dtype=np.float64)
         for k, u in enumerate(us):
@@ -140,6 +138,5 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
             acc[k] = np.cumsum(np.abs(vals - target[k]))[-1]
         gaps[i] = (b - a) * acc / n_offsets
     worst = gaps.max(axis=1)
-    return SigmaCheckResult(ns=tuple(sched.meshes), probes=probes, gaps=gaps,
-                            zeta=float(zeta), decreasing=_trend_decreasing(worst),
-                            h_values=tuple(sched.h(n) for n in sched.meshes))
+    return SigmaCheckResult(ns=tuple(sched.meshes), h_values=h_values, probes=probes, gaps=gaps,
+                            zeta=float(zeta), decreasing=_trend_decreasing(worst))

@@ -339,6 +339,8 @@ def load_config(path: str) -> ExperimentConfig:
         vals = run.floatlist(key)
         if vals is None:
             continue
+        if not vals and key in ("deltas", "u_probes"):
+            raise ConfigError("run", key, "needs at least one entry")
         for v in vals:
             if inside is not None and not inside(v):
                 raise ConfigError("run", key, f"{name} {v!r} {where}")

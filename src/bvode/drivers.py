@@ -23,6 +23,22 @@ class StepLimitError(RuntimeError):
     """Raised when a run would need more steps or grid points than the cap allows."""
 
 
+def _check_cap(need, cap, what: str, unit: str) -> None:
+    """Raise StepLimitError unless need <= cap; a NaN need fails too."""
+    if not need <= cap:
+        raise StepLimitError(f"{what} needs {need:.6g} {unit}, cap is {cap}")
+
+
+def _bisect(below, lo, hi):
+    """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return lo, hi
+
+
 def _poly_eval(coefs, u):
     return ((coefs[3] * u + coefs[2]) * u + coefs[1]) * u + coefs[0]
 
@@ -230,8 +246,7 @@ class BVFunction:
         cut = np.flatnonzero((var > v_eff) & (ends[1] > ends[0]))
         n_cuts = np.ceil(var[cut] / v_eff) - 1.0
         n_total = n_cuts.sum()
-        if not n_total <= STEP_CAP:
-            raise StepLimitError(f"variation grid needs {n_total:.6g} cuts, cap is {STEP_CAP}")
+        _check_cap(n_total, STEP_CAP, "variation grid", "cuts")
         last = np.cumsum(n_cuts)
         for s in range(0, int(n_total), _CHUNK):
             i = np.arange(s, min(s + _CHUNK, int(n_total)))
@@ -240,12 +255,7 @@ class BVFunction:
             # a falling piece is negated, so that every bisection asks p(t) < goal
             sign = np.sign(p1[k] - p0[k])
             c, goal = coef[:, k] * sign, p0[k] * sign + v_eff * (i - last[j] + n_cuts[j] + 1.0)
-            t_lo, t_hi = ends[0, k], ends[1, k]
-            for _ in range(60):
-                mid = 0.5 * (t_lo + t_hi)
-                below = _poly_eval(c, mid) < goal
-                t_lo = np.where(below, mid, t_lo)
-                t_hi = np.where(below, t_hi, mid)
+            t_lo, t_hi = _bisect(lambda mid: _poly_eval(c, mid) < goal, ends[0, k], ends[1, k])
             t = origin[k] + 0.5 * (t_lo + t_hi)
             pts.append(t[(t >= us[w[k]]) & (t <= vs[w[k]])])
         return np.unique(np.concatenate(pts))

@@ -98,11 +98,6 @@ class JumpMeasure:
     def dirac(cls, loc=0.0) -> "JumpMeasure":
         return cls(atoms=((loc, 1.0),))
 
-    @property
-    def total_mass(self) -> float:
-        return float(self._amass.sum()
-                     + sum(hi - lo for lo, hi in self.segments))
-
     def lebesgue_mass(self, lo: float, hi: float) -> float:
         """Absolutely continuous mass of the window (lo, hi)."""
         return float(sum(max(0.0, min(s1, hi) - max(s0, lo))

@@ -24,7 +24,7 @@ class LimitPath:
 
     Stores the dense solver grid; values between grid points are linear
     interpolants, with the doubled entries at jump epochs making ``eval``
-    right-continuous and ``eval_left`` the left limit.
+    right-continuous; ``x_left`` holds the left limit at each grid time.
     """
 
     def __init__(self, t, x_left, x, is_jump, domain):
@@ -33,13 +33,14 @@ class LimitPath:
         self.domain = (float(domain[0]), float(domain[1]))
         if not self.t.shape == self.x_left.shape == self.x.shape == self.is_jump.shape:
             raise ValueError("path columns must have one entry per time")
-        if self.t.ndim != 1 or self.t.size < 1 or np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("path times must be strictly increasing")
+        if (self.t.ndim != 1 or self.t.size < 1 or not np.all(np.isfinite(self.t))
+                or np.any(np.diff(self.t) <= 0.0)):
+            raise ValueError("path times must be finite and strictly increasing")
         jumps = np.flatnonzero(self.is_jump)
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
         self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
 
-    def _interp(self, t, side: str):
+    def _interp(self, t):
         a, b = self.domain
         arr = np.asarray(t, dtype=np.float64)
         shape = arr.shape
@@ -48,7 +49,7 @@ class LimitPath:
             raise ValueError(f"times must lie in [{a!r}, {b!r}]")
         tt = np.clip(tt, a, b)
         n = self._t_dbl.size
-        i0 = np.clip(np.searchsorted(self._t_dbl, tt, side=side) - 1, 0, n - 1)
+        i0 = np.clip(np.searchsorted(self._t_dbl, tt, side="right") - 1, 0, n - 1)
         i1 = np.minimum(i0 + 1, n - 1)
         dt = self._t_dbl[i1] - self._t_dbl[i0]
         frac = np.where(dt > 0.0, (tt - self._t_dbl[i0]) / np.where(dt > 0.0, dt, 1.0), 0.0)
@@ -58,11 +59,7 @@ class LimitPath:
 
     def eval(self, t):
         """Right-continuous value at t (vectorized)."""
-        return self._interp(t, "right")
-
-    def eval_left(self, t):
-        """Left limit at t; equals eval(t) away from jumps."""
-        return self._interp(t, "left")
+        return self._interp(t)
 
     def l1_norm(self) -> float:
         """Midpoint-rule integral of |x| over the domain on the stored grid."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .drivers import _bisect
 from .jumpmap import SigmaG, _scalar
 
 # values of MollifierProfile.code
@@ -34,14 +35,28 @@ def _gl(points: int):
     return np.polynomial.legendre.leggauss(points)
 
 
-def _composite(fn, lo, hi, panels=64, points=32) -> float:
-    """Composite Gauss-Legendre integral of a vectorized fn over [lo, hi]."""
+def _gauss_panels(edges, points: int):
+    """Gauss-Legendre nodes and weights on each panel between edges, one row per panel."""
     gx, gw = _gl(points)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    s = mid[:, None] + half[:, None] * gx[None, :]
-    return float(np.sum(half[:, None] * gw[None, :] * fn(s)))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return mid + half * gx, half * gw
+
+
+def _composite(fn, lo, hi) -> float:
+    """Composite Gauss-Legendre integral of a vectorized fn over [lo, hi]."""
+    s, w = _gauss_panels(np.linspace(lo, hi, 65), 32)
+    return float(np.sum(w * fn(s)))
+
+
+def _bump(s):
+    """Unnormalized bump density exp(-1 / (s (1 - s))) on (0, 1), zero elsewhere."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.zeros(s.shape)
+    m = (s > 0.0) & (s < 1.0)
+    sm = s[m]
+    out[m] = np.exp(-1.0 / (sm * (1.0 - sm)))
+    return out
 
 
 _M1 = np.arange(1.0, 5.0)            # m + 1 for m = 0..3
@@ -98,9 +113,7 @@ class MollifierProfile:
             m = (s > 0.5) & (s <= 1.0)
             out[m] = 4.0 * (1.0 - s[m])
         else:
-            m = (s > 0.0) & (s < 1.0)
-            sm = s[m]
-            out[m] = self.cnorm * np.exp(-1.0 / (sm * (1.0 - sm)))
+            out = self.cnorm * _bump(s)
         return _scalar(out)
 
     def tail(self, y):
@@ -159,22 +172,13 @@ class MollifierProfile:
             out = np.where(u >= 0.5, np.sqrt((1.0 - u) / 2.0),
                            1.0 - np.sqrt(u / 2.0))
         else:
-            lo = np.zeros(u.shape)
-            hi = np.ones_like(lo)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                ge = np.interp(mid, self.table_x, self.table_tail) >= u
-                lo = np.where(ge, mid, lo)
-                hi = np.where(ge, hi, mid)
+            lo, _ = _bisect(lambda mid: np.interp(mid, self.table_x, self.table_tail) >= u,
+                            np.zeros(u.shape), np.ones(u.shape))
             # table entries near y = 0 round to exactly 1, so pin the
             # rightmost-crossing search at the true inverse there
             out = np.where(u == 1.0, 0.0, lo)
         out = np.where(u == 0.0, np.inf, out)
         return _scalar(out)
-
-    def moment(self, k=1) -> float:
-        """k-th moment of the base density."""
-        return _composite(lambda s: s ** k * self.rho(s), 0.0, 1.0)
 
     def convolution_rule(self, n, points=16):
         """Quadrature (nodes, weights) for integrals against rho_n on [0, 1/n].
@@ -184,18 +188,10 @@ class MollifierProfile:
         """
         key = (int(n), int(points))
         if key not in self._rules:
-            gx, gw = _gl(int(points))
             edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
-            ys, ws = [], []
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                if hi <= lo:
-                    continue
-                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-                y = mid + half * gx
-                ys.append(y)
-                ws.append(half * gw * self.rho(y))
-            y = np.concatenate(ys)
-            w = np.concatenate(ws)
+            wide = np.diff(edges) > 0.0  # a kink at 0, 1 or another kink adds no panel
+            y, w = (a[wide] for a in _gauss_panels(edges, int(points)))
+            y, w = y.ravel(), (w * self.rho(y)).ravel()
             self._rules[key] = (np.ascontiguousarray(y / int(n)),
                                 np.ascontiguousarray(w / w.sum()))
         return self._rules[key]
@@ -213,25 +209,20 @@ def _build_triangular() -> MollifierProfile:
 
 
 def _build_bump() -> MollifierProfile:
-    def raw(s):
-        s = np.asarray(s, dtype=np.float64)
-        out = np.zeros(np.broadcast(s).shape)
-        m = (s > 0.0) & (s < 1.0)
-        sm = s[m]
-        out[m] = np.exp(-1.0 / (sm * (1.0 - sm)))
-        return out
-
-    cnorm = 1.0 / _composite(raw, 0.0, 1.0)
+    cnorm = 1.0 / _composite(_bump, 0.0, 1.0)
     # dense tables from one pass of per-cell Gauss sums: the mass of each
     # cell, accumulated from the right, is the tail; its moments s^0..s^3,
     # accumulated from the left, are I_0..I_3.  Linear interpolation error
-    # is ~1e-9, well under the 1e-8 checks
+    # is ~1e-9, well under the 1e-8 checks.  The nodes stay one column per
+    # cell: _gauss_panels' one row per panel would have numpy add each
+    # cell's 8 terms along the contiguous axis, in another order, and move
+    # every bump output at rounding level
     xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
     gx, gw = _gl(8)
     half = 0.5 * np.diff(xs)
     mid = 0.5 * (xs[:-1] + xs[1:])
     nodes = mid + half * gx[:, None]          # one column per cell
-    weighted = half * gw[:, None] * cnorm * raw(nodes)
+    weighted = half * gw[:, None] * cnorm * _bump(nodes)
     cells = np.empty((4, xs.size - 1))
     for m in range(4):
         cells[m] = np.sum(weighted, axis=0)
@@ -428,6 +419,9 @@ def classify_regime(profile: MollifierProfile, sched: Schedule,
     deltas = tuple(float(d) for d in deltas)
     us = np.asarray(DEFAULT_U_PROBES if u_probes is None else u_probes,
                     dtype=np.float64)
+    for name, vals in (("deltas", deltas), ("u_probes", us)):
+        if np.size(vals) == 0:
+            raise ValueError(f"classify_regime needs at least one entry in {name}")
     probe = sigma_delta_limit(profile, sched, np.asarray(deltas)[:, None], us[None, :])
     limits, conv = probe.limit, probe.converged
     estimates = limits.mean(axis=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .drivers import STEP_CAP, BVFunction, StepLimitError
+from .drivers import STEP_CAP, BVFunction, StepLimitError, _check_cap
 from .fields import ScalarField
 from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
@@ -71,9 +71,8 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     if not np.all(np.isfinite(x0s)):
         raise ValueError("initial states must be finite")
     ks = _step_counts(b, taus, h, step_cap)
-    need = taus.size * float(ks.max())  # step_cap bounds each offset, STEP_CAP the fan's arrays
-    if need > STEP_CAP:
-        raise StepLimitError(f"lattice fan needs {need:.6g} steps, cap is {STEP_CAP}")
+    # step_cap bounds each offset, STEP_CAP the fan's arrays
+    _check_cap(taus.size * float(ks.max()), STEP_CAP, "lattice fan", "steps")
     # one lattice call for the fan: padded times lie past b, where L_n is constant
     ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
     Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
@@ -132,12 +131,19 @@ class GridPath:
         t = np.asarray(t, dtype=np.float64)
         if not np.isfinite(t).all():
             raise ValueError("times must be finite")
-        k = np.floor((t - self.offsets[j]) / self.h).astype(np.int64)
-        k = np.clip(k, 0, int(self.lengths[j]) - 1)
-        return self.values[j, k]
+        # clipped before the cast, which past the int64 range would not be defined
+        k = np.clip(np.floor((t - self.offsets[j]) / self.h), 0, int(self.lengths[j]) - 1)
+        return self.values[j, k.astype(np.int64)]
 
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
+
+
+def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
+    """Offsets a + k h / n_offsets in [a, a + h); an array of steps h gives a row per step."""
+    if n_offsets < 1:
+        raise ValueError("need at least one offset")
+    return a + (np.asarray(h)[..., None] / n_offsets) * np.arange(n_offsets, dtype=np.float64)
 
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
@@ -149,10 +155,7 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     (``mollify_coefficient``, ``conv_points``, ``step_cap``) are those of
     :func:`solve_offset`.
     """
-    if n_offsets < 1:
-        raise ValueError("need at least one offset")
-    a, _ = L.domain
-    taus = a + (h / n_offsets) * np.arange(n_offsets, dtype=np.float64)
+    taus = _offset_fan(L.domain[0], h, n_offsets)
     x0s = np.array([x0(float(tau)) if callable(x0) else float(x0) for tau in taus],
                    dtype=np.float64)
     values, lengths = _fan(f, L, profile, n, h, taus, x0s, **kwargs)
@@ -181,9 +184,7 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
         raise ValueError("epoch must sit at least one smoothing width past tau")
     js = (_step_counts(zeta - width, taus, h) - 1).astype(np.float64)
     p = np.floor(1.0 / (n * h) + 1e-9)  # a float: inf when 1 / (n h) overflows
-    if not taus.size * (p + 3.0) <= STEP_CAP:
-        raise StepLimitError(f"crossing grid needs {taus.size * (p + 3.0):.6g} points, "
-                             f"cap is {STEP_CAP}")
+    _check_cap(taus.size * (p + 3.0), STEP_CAP, "crossing grid", "points")
     ks = np.arange(p + 3.0)
     xi = F_n(profile, n, zeta - (taus[:, None] + (js[:, None] + ks) * h))
     xi = np.maximum.accumulate(np.clip(xi, 0.0, 1.0), axis=1)

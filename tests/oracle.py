@@ -18,6 +18,11 @@ keeps the serial mollified-coefficient recursion that
 shift-probe loop that the broadcast :func:`bvode.mollify.sigma_delta_limit`
 replaced.
 
+The profile's references are its tail inverse with the table bisection
+written out (:func:`tail_inv`) and its panel-by-panel quadrature rule
+(:func:`convolution_rule`), both replaced by helpers the package shares,
+and :func:`power_limit`, the closed-form probe limit of a power schedule.
+
 The CLI's tables have as reference the value-by-value CSV writer
 (:func:`_write_csv`) and the row builders the result classes and handlers
 carried before :mod:`bvode.cli` laid every table out from columns:
@@ -246,6 +251,64 @@ def tail_base(code, cnorm, tbl_x, tbl_tail, y):
             hi = mid
     w = (y - tbl_x[lo]) / (tbl_x[hi] - tbl_x[lo])
     return tbl_tail[lo] * (1.0 - w) + tbl_tail[hi] * w
+
+
+def tail_inv(profile, u):
+    """MollifierProfile.tail_inv with its table bisection written out, as it
+    was before the profile and the variation grid shared one bisection."""
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
+        raise ValueError("tail_inv argument must lie in [0, 1]")
+    u = np.clip(u, 0.0, 1.0)
+    if profile.code == PROFILE_UNIFORM:
+        out = 1.0 - u
+    elif profile.code == PROFILE_TRIANGULAR:
+        out = np.where(u >= 0.5, np.sqrt((1.0 - u) / 2.0), 1.0 - np.sqrt(u / 2.0))
+    else:
+        lo = np.zeros(u.shape)
+        hi = np.ones_like(lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ge = np.interp(mid, profile.table_x, profile.table_tail) >= u
+            lo = np.where(ge, mid, lo)
+            hi = np.where(ge, hi, mid)
+        out = np.where(u == 1.0, 0.0, lo)
+    return np.where(u == 0.0, np.inf, out)
+
+
+def convolution_rule(profile, n, points=16):
+    """MollifierProfile.convolution_rule built panel by panel, as it was
+    before the profile and the mass check shared one panel rule."""
+    gx, gw = np.polynomial.legendre.leggauss(int(points))
+    edges = np.concatenate(([0.0], np.sort(profile.kinks), [1.0]))
+    ys, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi <= lo:
+            continue
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        y = mid + half * gx
+        ys.append(y)
+        ws.append(half * gw * profile.rho(y))
+    y = np.concatenate(ys)
+    w = np.concatenate(ws)
+    return y / int(n), w / w.sum()
+
+
+def power_limit(profile, alpha, c, delta, u):
+    """Closed-form limit of the probe F_n(F_n_inv(u) - delta h(n)) under
+    h(n) = c n^-alpha (``Schedule.power(alpha, c)``).
+
+    The probe is tail(tail_inv(u) - delta c n^(1 - alpha)): the shift
+    vanishes for alpha > 1 (the identity, Flow), stays delta c for
+    alpha = 1 (DeltaDependent) and grows without bound for alpha < 1 (the
+    indicator of (0, 1], Ito).
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if alpha > 1.0:
+        return u
+    if alpha == 1.0:
+        return profile.tail(profile.tail_inv(u) - delta * c)
+    return np.where(u > 0.0, 1.0, 0.0)
 
 
 def _seg_index(breaks, t):

@@ -130,6 +130,8 @@ class TestLoadConfig:
         ("[sigma]\nintervals = 0.1:0.6, 0.4:0.8\n[run]\n", "[sigma].intervals"),
         ("[run]\ndeltas = 0.5, 1.5\n", "[run].deltas"),
         ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
+        ("[run]\ndeltas =\n", "[run].deltas: needs at least one entry"),
+        ("[run]\nu_probes =\n", "[run].u_probes: needs at least one entry"),
         ("[run]\njump_q = -0.5\n", "[run].jump_q: q -0.5 outside [0, 1]"),
         ("[run]\njump_q = 0.5, 1.5\n", "[run].jump_q: q 1.5 outside [0, 1]"),
         ("[run]\njump_eps = 0\n", "[run].jump_eps"),

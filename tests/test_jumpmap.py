@@ -64,20 +64,20 @@ class TestSigmaG:
 class TestJumpMeasure:
     def test_lebesgue(self):
         mu = JumpMeasure.lebesgue()
-        assert mu.total_mass == 1.0
+        assert mu.mass_closed(0.0, 1.0) == 1.0
         assert mu.atoms == ()
         assert mu.lebesgue_mass(0.25, 0.75) == pytest.approx(0.5)
 
     def test_dirac(self):
         mu = JumpMeasure.dirac(0.5)
-        assert mu.total_mass == 1.0
+        assert mu.mass_closed(0.0, 1.0) == 1.0
         assert mu.segments == ()
         assert mu.mass_closed(0.5, 0.5) == 1.0
         assert mu.mass_closed(0.0, 0.49) == 0.0
 
     def test_mixed_window_masses(self):
         mu = measure_from_sigma(SigmaG([(0.2, 0.5), (0.6, 0.9)]))
-        assert mu.total_mass == pytest.approx(1.0)
+        assert mu.mass_closed(0.0, 1.0) == pytest.approx(1.0)
         assert mu.lebesgue_mass(0.1, 0.55) == pytest.approx(0.15)
         assert mu.mass_closed(0.2, 0.6) == pytest.approx(0.7)
         assert mu.mass_closed(0.21, 0.59) == pytest.approx(0.09)

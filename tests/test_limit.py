@@ -41,19 +41,18 @@ class TestLimitPath:
     def test_right_continuous_at_jump(self):
         p = self.path()
         assert p.eval(0.5) == 3.0
-        assert p.eval_left(0.5) == 2.0
+        assert p.x_left[1] == 2.0
 
     def test_linear_between_grid_points(self):
         p = self.path()
         assert p.eval(0.25) == pytest.approx(1.5)
         assert p.eval(0.75) == pytest.approx(3.5)
-        assert p.eval_left(0.25) == p.eval(0.25)
 
     def test_endpoints(self):
         p = self.path()
         assert p.eval(0.0) == 1.0
         assert p.eval(1.0) == 4.0
-        assert p.eval_left(0.0) == 1.0
+        assert p.x_left[0] == 1.0
 
     def test_vectorized(self):
         p = self.path()
@@ -64,7 +63,7 @@ class TestLimitPath:
         with pytest.raises(ValueError, match="must lie in"):
             p.eval(1.2)
         with pytest.raises(ValueError, match="must lie in"):
-            p.eval_left(-0.1)
+            p.eval(-0.1)
         # a hair outside is treated as the endpoint
         assert p.eval(1.0 + 5e-13) == 4.0
 
@@ -135,7 +134,7 @@ class TestSolveLimit:
         L = BVFunction.from_segments([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0),))
         path = solve_limit(ScalarField.linear_x(), L, JumpMeasure.lebesgue(), 1.0)
         assert path.eval(0.4) == 1.0
-        assert path.eval_left(0.5) == 1.0
+        assert path.x_left[path.t == 0.5].tolist() == [1.0]
         assert path.eval(0.5) == pytest.approx(np.e, abs=1e-11)
         assert path.eval(1.0) == pytest.approx(np.e, abs=1e-11)
 
@@ -338,7 +337,6 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
 
 @pytest.mark.parametrize("call", [
     lambda: LINEAR_PATH.eval(NAN),
-    lambda: LINEAR_PATH.eval_left(np.array([0.5, NAN])),
     lambda: solve_grid(ScalarField.linear_x(), mixed_driver(), get_profile("uniform"),
                        8, 0.125, 1.0, n_offsets=2).eval(0, NAN),
     lambda: solve_grid(ScalarField.linear_x(), mixed_driver(), get_profile("uniform"),
@@ -356,10 +354,13 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: ramp_z(0.5, NAN, 0.0),
     lambda: phi_explicit_ramp(SigmaG(), 0.5, NAN, 0.0, 0.7),
     lambda: Schedule.power(NAN),
-], ids=["LimitPath.eval", "LimitPath.eval_left", "GridPath.eval", "GridPath.eval-inf",
+    lambda: LimitPath([0.0, NAN, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0)),
+    lambda: LimitPath([NAN], [1.0], [1.0], [False], (0.0, 1.0)),
+], ids=["LimitPath.eval", "GridPath.eval", "GridPath.eval-inf",
         "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
         "left_limit", "stieltjes-a", "stieltjes-t", "sigma_staircase", "SigmaG",
-        "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power"])
+        "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
+        "LimitPath-one-time"])
 def test_nan_argument_raises(call):
     """A NaN time, window end, probe or parameter (or an infinite lattice
     time) fails the range check instead of reading a clamped value or an

@@ -1,6 +1,7 @@
 """Mollified finite-difference scheme: lattices, offset fans, jump crossings."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ class TestGridPath:
         np.testing.assert_array_equal(gp.eval(0, ts + 0.1), xs)
         assert gp.eval(0, np.array([5.0])) == xs[-1]
         assert gp.eval(0, np.array([-5.0])) == xs[0]
+
+    def test_eval_clamps_times_past_int64(self):
+        """Step indices past the int64 range clamp too, without a cast warning."""
+        gp = solve_grid(ScalarField.constant(1.0), mixed_driver(),
+                        get_profile("uniform"), 8, 0.25, 0.0, n_offsets=1)
+        _, xs = gp.path(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gp.eval(0, 1e300) == xs[-1]
+            assert gp.eval(0, -1e300) == xs[0]
+            np.testing.assert_array_equal(gp.eval(0, np.array([1e300, -1e300])), [xs[-1], xs[0]])
 
     def test_rows_layout(self):
         gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
