@@ -2,10 +2,10 @@
 
 The mollified driver lattice is a vectorized numpy kernel.  The Euler
 recursions step a whole fan of lattice offsets at once: fields affine in x
-by a closed-form scan per offset, the rest, and the mollified coefficient,
-one numpy step over the fan at a time.  The jump-map flow is in closed form
-per field kind (a Newton solve for tanh), and the Heun steps are a
-plain-Python loop over the field's evaluator.
+by a closed-form scan over blocks of offset rows, the rest, and the
+mollified coefficient, one numpy step over the fan at a time.  The
+jump-map flow is in closed form per field kind (a Newton solve for tanh),
+and the Heun steps are a plain-Python loop over the field's evaluator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN
 # the one lane; the benchmark manifest records it
 ACTIVE = "numpy"
 
-# lattice points evaluated per vectorized pass; bounds the temporaries
+# points per vectorized pass of the lattice, the affine Euler scan and the
+# L1 score; bounds their temporaries
 LATTICE_CHUNK = 16384
 
 
@@ -95,47 +96,40 @@ def _step_fan(rate, tau, h, dLn, x0):
     return x
 
 
-def _affine_scan(a, b, dL, x0):
-    """States of x_{k+1} = x_k + (a + b x_k) dL_k in closed form, or None.
-
-    With A_k = 1 + b dL_k and P_k = A_0 ... A_k, x_{k+1} = P_k (x0 + S_k)
-    where S_k sums a dL_i / P_i.  None when the products degenerate.
-    """
-    A = 1.0 + b * dL
-    if not np.min(np.abs(A)) > 1e-12:
-        return None
-    P = np.cumprod(A)
-    if not (np.all(np.isfinite(P)) and np.min(np.abs(P)) > 1e-290
-            and np.max(np.abs(P)) < 1e290):
-        return None
-    return P * (x0 + np.cumsum(a * dL / P))
-
-
 def euler_exact(field, tau, h, dLn, x0):
     """Explicit recurrence x_{k+1} = x_k + f(t_k, x_k) dL_k, over a fan of offsets.
 
     ``tau`` and ``x0`` have shape (J,) and ``dLn`` shape (J, K); the result
     holds the states, shape (J, K + 1).  Fields affine in x (a constant is
-    slope 0) run a closed-form scan row by row; the rest, and rows whose
-    products degenerate, step the fan together.  A zero increment keeps
-    the state.
+    slope 0) run a closed-form scan over blocks of rows: with
+    A_k = 1 + b dL_k and P_k = A_0 ... A_k, x_{k+1} = P_k (x_0 + S_k) where
+    S_k sums a dL_i / P_i.  The rest, and rows whose products degenerate,
+    step the fan together.  A zero increment keeps the state.
     """
     tau = np.asarray(tau, dtype=np.float64)
     dLn = np.asarray(dLn, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    if field.kind not in (FIELD_CONST, FIELD_AFFINE) or dLn.shape[1] == 0:
+    J, K = dLn.shape
+    if field.kind not in (FIELD_CONST, FIELD_AFFINE) or K == 0:
         return _step_fan(field._eval, tau, h, dLn, x0)
     a, b = field.params if field.kind == FIELD_AFFINE else (field.params[0], 0.0)
-    x = np.empty((dLn.shape[0], dLn.shape[1] + 1))
+    x = np.empty((J, K + 1))
     x[:, 0] = x0
-    rest = []
-    for j in range(dLn.shape[0]):
-        row = _affine_scan(a, b, dLn[j], x0[j])
-        if row is None:
-            rest.append(j)
-        else:
-            x[j, 1:] = row
-    if rest:
+    ok = np.empty(J, dtype=bool)
+    rows = max(1, LATTICE_CHUNK // K)  # blocks keep the scan's temporaries in cache
+    with np.errstate(all="ignore"):  # degenerate rows are stepped again below
+        for s in range(0, J, rows):
+            dL = dLn[s:s + rows]
+            A = 1.0 + b * dL
+            P = np.cumprod(A, axis=1)
+            absP = np.abs(P)
+            # a NaN fails every comparison, so these also ask for finite products
+            ok[s:s + rows] = ((np.min(np.abs(A), axis=1) > 1e-12)
+                              & (np.min(absP, axis=1) > 1e-290)
+                              & (np.max(absP, axis=1) < 1e290))
+            x[s:s + rows, 1:] = P * (x0[s:s + rows, None] + np.cumsum(a * dL / P, axis=1))
+    rest = np.flatnonzero(~ok)
+    if rest.size:
         x[rest] = _step_fan(field._eval, tau[rest], h, dLn[rest], x0[rest])
     return x
 

@@ -339,7 +339,7 @@ def load_config(path: str) -> ExperimentConfig:
         vals = run.floatlist(key)
         if vals is None:
             continue
-        if not vals and key in ("deltas", "u_probes"):
+        if not vals and key != "sample_times":  # no extra sample times is a valid list
             raise ConfigError("run", key, "needs at least one entry")
         for v in vals:
             if inside is not None and not inside(v):

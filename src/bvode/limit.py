@@ -105,8 +105,9 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     """
     a, b = L.domain
     if v_max is None:
-        tv = L._continuous_variation(a, b)
-        v_max = 1e-3 * tv if tv > 0.0 else 1.0
+        v_max = 1e-3 * L._continuous_variation(a, b)
+        if not v_max > 0.0:  # no continuous variation, or one whose thousandth underflows
+            v_max = 1.0
     if not v_max > 0.0:
         raise ValueError("v_max must be positive")
     if sample_times is None:

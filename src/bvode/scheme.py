@@ -126,13 +126,18 @@ class GridPath:
         ts = self.offsets[j] + self.h * np.arange(m, dtype=np.float64)
         return ts, self.values[j, :m]
 
-    def eval(self, j: int, t) -> np.ndarray:
-        """Piecewise-constant read-out of offset j at times t, clamped to the lattice."""
+    def eval(self, j, t) -> np.ndarray:
+        """Piecewise-constant read-out of offset j at times t, clamped to the lattice.
+
+        ``j`` may also be a 1-D array of offset indices; then ``t`` has one
+        row per index, and row i is read on offset ``j[i]``.
+        """
         t = np.asarray(t, dtype=np.float64)
         if not np.isfinite(t).all():
             raise ValueError("times must be finite")
+        j = np.asarray(j)[..., None] if np.ndim(j) else j
         # clipped before the cast, which past the int64 range would not be defined
-        k = np.clip(np.floor((t - self.offsets[j]) / self.h), 0, int(self.lengths[j]) - 1)
+        k = np.clip(np.floor((t - self.offsets[j]) / self.h), 0, self.lengths[j] - 1)
         return self.values[j, k.astype(np.int64)]
 
     def final_values(self) -> np.ndarray:

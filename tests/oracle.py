@@ -51,7 +51,10 @@ one padded lattice call of ``bvode.scheme._fan`` replaced, and the
 per-offset crossing grids (:func:`crossing_grid`, clamped value by value)
 with the staircase gaps summed one offset at a time (:func:`sigma_n_gaps`)
 that the ``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check`
-replaced.
+replaced, and the per-offset L1 score on each offset's own union grid
+(:func:`l1_distance`) that the blocked :func:`bvode.l1_distance`
+replaced.  :func:`euler_exact_offset` is also the reference for the
+blocked affine scan of :func:`bvode.backend.euler_exact`.
 """
 
 import math
@@ -827,3 +830,18 @@ def sigma_n_gaps(profile, sched, zeta, sigma, probes, n_offsets, domain=(0.0, 1.
             acc += np.abs(vals.reshape(-1) - target)
         gaps[i] = (b - a) * acc / n_offsets
     return gaps
+
+
+def l1_distance(p, q):
+    """Offset-averaged L1 distance, one offset at a time: each offset's
+    lattice and q's times are merged by ``np.unique`` and scored by midpoints."""
+    a, b = q.domain
+    total = 0.0
+    for j in range(p.offsets.size):
+        lattice, _ = p.path(j)
+        edges = np.concatenate((np.asarray([a, b]), lattice, q.t))
+        edges = np.unique(np.clip(edges, a, b))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        dt = np.diff(edges)
+        total += float(np.sum(np.abs(p.eval(j, mids) - q.eval(mids)) * dt))
+    return total / p.offsets.size

@@ -1,15 +1,21 @@
 """Scheme-vs-limit distance, mesh sweeps, and the staircase gap check."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from bvode import (
     BVFunction,
+    GridPath,
     JumpMeasure,
+    LimitPath,
     ScalarField,
     Schedule,
     SigmaG,
+    backend,
     convergence_study,
     get_profile,
     l1_distance,
@@ -53,6 +59,100 @@ class TestL1Distance:
                         JumpMeasure.lebesgue(), 0.0)
         with pytest.raises(ValueError, match="domain mismatch"):
             l1_distance(gp, q)
+
+
+@st.composite
+def fans_and_limits(draw):
+    """A GridPath of 1 to 40 offsets with ragged lengths, and a LimitPath of
+    2 to 2,000 times (with or without jumps) on the same domain; some of
+    its times sit on lattice points, so edges repeat.  Short and long
+    lattices make blocks of many rows and of one row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = draw(st.floats(-1.0, 1.0))
+    b = a + draw(st.floats(0.5, 2.0))
+    J = draw(st.integers(1, 40))
+    steps = draw(st.integers(1, 300) | st.integers(7500, 8500))
+    h = (b - a) / steps * draw(st.floats(0.5, 1.5))
+    taus = a + h * np.sort(rng.uniform(0.0, 1.0, J))
+    lengths = rng.integers(1, steps + 2, J)
+    values = rng.normal(0.0, 1.0, (J, steps + 1))
+    M = draw(st.integers(2, 200) | st.integers(200, 2000))
+    t = np.unique(np.concatenate(([a, b], rng.uniform(a, b, M - 2),
+                                  taus[0] + h * rng.integers(0, steps, 5))))
+    t = t[(t >= a) & (t <= b)]
+    is_jump = rng.random(t.size) < (0.05 if draw(st.booleans()) else 0.0)
+    is_jump[0] = False
+    x = rng.normal(0.0, 1.0, t.size)
+    x_left = np.where(is_jump, x + rng.normal(0.0, 1.0, t.size), x)
+    gp = GridPath(offsets=taus, values=values, lengths=lengths, n=8, h=h,
+                  profile_name="uniform", domain=(a, b))
+    return gp, LimitPath(t, x_left, x, is_jump, domain=(a, b))
+
+
+def rel_gap(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+class TestL1Blocks:
+    """The blocked L1 score against the per-offset loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=fans_and_limits())
+    def test_matches_per_offset_oracle(self, pair):
+        gp, q = pair
+        assert rel_gap(l1_distance(gp, q), oracle.l1_distance(gp, q)) <= 1e-14
+
+    def test_solved_fans_match_per_offset_oracle(self):
+        L = BVFunction.from_segments([0.0, 1.0], [[0.0, 0.3]], jumps=((0.5, 1.0),))
+        f = ScalarField.linear_x()
+        for mu in (JumpMeasure.lebesgue(), JumpMeasure.dirac(0.0)):
+            q = solve_limit(f, L, mu, 1.0)
+            for n in (16, 64, 1024):
+                gp = solve_grid(f, L, get_profile("uniform"), n, n ** -0.5, 1.0)
+                assert rel_gap(l1_distance(gp, q), oracle.l1_distance(gp, q)) <= 1e-14
+
+    @pytest.mark.parametrize("chunk", [1, 2 ** 30])
+    def test_block_size_invariance(self, monkeypatch, chunk):
+        """One row per block and the whole fan in one block: the affine scan
+        is bitwise unchanged and the L1 score moves at rounding level."""
+        rng = np.random.default_rng(5)
+        f = ScalarField.affine(0.4, -0.5)
+        J, K = 37, 300
+        taus = rng.uniform(0.0, 0.01, J)
+        dLn = rng.normal(0.0, 0.2, (J, K))
+        dLn[3, 10] = 2.0     # b dL = -1: a zero factor
+        dLn[7, 0] = -1e295   # a product past 1e290
+        x0s = rng.uniform(-1.0, 1.0, J)
+        gp = GridPath(offsets=taus, values=rng.normal(0.0, 1.0, (J, 400)),
+                      lengths=rng.integers(1, 401, J), n=8, h=0.0025,
+                      profile_name="uniform", domain=(0.0, 1.0))
+        q = solve_limit(ScalarField.linear_x(), line_driver(), JumpMeasure.lebesgue(), 1.0)
+        x_before = backend.euler_exact(f, taus, 0.01, dLn, x0s)
+        l1_before = l1_distance(gp, q)
+        monkeypatch.setattr(backend, "LATTICE_CHUNK", chunk)
+        x_after = backend.euler_exact(f, taus, 0.01, dLn, x0s)
+        np.testing.assert_array_equal(x_after.view(np.uint64), x_before.view(np.uint64))
+        assert rel_gap(l1_distance(gp, q), l1_before) <= 1e-14
+
+    def test_non_finite_states(self):
+        """A row that overflowed scores inf and a NaN state scores nan,
+        with no warning: zero-width cells are masked before multiplying.
+        Row 2 has 31 points; from column 20 on, its last state is bad too,
+        and its zero-width padded cells read that state.  From column 35
+        on, no read-out reaches the bad states."""
+        J, K, h = 4, 40, 1.0 / 32
+        lengths = np.array([K, K - 5, K - 9, 12])
+        q = LimitPath(np.linspace(0.0, 1.0, 11), np.zeros(11), np.zeros(11),
+                      np.zeros(11, dtype=bool), domain=(0.0, 1.0))
+        for bad, start, check in ((np.inf, 20, np.isposinf), (np.nan, 20, np.isnan),
+                                  (np.inf, 35, np.isfinite)):
+            values = np.tile(np.linspace(0.0, 1.0, K), (J, 1))
+            values[2, start:] = bad
+            gp = GridPath(offsets=h * np.arange(J) / J, values=values, lengths=lengths, n=8,
+                          h=h, profile_name="uniform", domain=(0.0, 1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert check(l1_distance(gp, q))
 
 
 class TestConvergenceStudy:

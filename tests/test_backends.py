@@ -303,16 +303,32 @@ class TestOracleProperties:
         np.testing.assert_array_equal(backend.heun_path(f, s, Lg, x0), want)
 
     @pytest.mark.parametrize("J", [1, 3, 17])
-    @settings(max_examples=40, deadline=None)
-    @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), kmax=st.integers(0, 40))
-    def test_euler_exact_fan(self, J, f, seed, kmax):
-        # ragged runs: row j has K_j steps, then zero increments up to kmax
+    @settings(max_examples=60, deadline=None)
+    @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), kmax=st.integers(0, 40),
+           mix=st.booleans())
+    def test_euler_exact_fan(self, J, f, seed, kmax, mix):
+        """Ragged runs: row j has K_j steps, then zero increments up to kmax.
+        With ``mix`` the field is affine with a power-of-two slope and rows
+        are made degenerate at random, so healthy rows share a fan with
+        rows where b dL = -1 exactly, 1 + b dL = 2^-45 or |P| passes 1e290."""
         rng = np.random.default_rng(seed)
         h = 0.05
         taus = rng.uniform(0.0, h, J)
         x0s = rng.uniform(-2.0, 2.0, J)
         Ks = rng.integers(0, kmax + 1, J)
         dLn = rng.normal(0.0, 0.3, (J, kmax))
+        if mix:
+            b = float(rng.choice([-2.0, -0.5, -0.125, 0.25, 1.0, 2.0]))
+            f = ScalarField.affine(rng.uniform(-1.0, 1.0), b)
+            for j in np.flatnonzero((Ks > 0) & (rng.random(J) < 0.5)):
+                k, kind = rng.integers(Ks[j]), rng.integers(3)
+                if kind == 0:
+                    dLn[j, k] = -1.0 / b  # a zero factor
+                elif kind == 1:
+                    dLn[j, k] = (2.0 ** -45 - 1.0) / b  # a factor below 1e-12
+                else:
+                    dLn[j] = 0.0
+                    dLn[j, k] = 1e295 / b  # one factor past 1e290
         dLn[np.arange(kmax) >= Ks[:, None]] = 0.0
         got = backend.euler_exact(f, taus, h, dLn, x0s)
         assert got.shape == (J, kmax + 1)

@@ -132,6 +132,9 @@ class TestLoadConfig:
         ("[run]\nu_probes = 0, 1.5\n", "[run].u_probes"),
         ("[run]\ndeltas =\n", "[run].deltas: needs at least one entry"),
         ("[run]\nu_probes =\n", "[run].u_probes: needs at least one entry"),
+        ("[run]\njump_q =\n", "[run].jump_q: needs at least one entry"),
+        ("[run]\njump_eps =\n", "[run].jump_eps: needs at least one entry"),
+        ("[run]\njump_t =\n", "[run].jump_t: needs at least one entry"),
         ("[run]\njump_q = -0.5\n", "[run].jump_q: q -0.5 outside [0, 1]"),
         ("[run]\njump_q = 0.5, 1.5\n", "[run].jump_q: q 1.5 outside [0, 1]"),
         ("[run]\njump_eps = 0\n", "[run].jump_eps"),
@@ -288,6 +291,10 @@ class TestCli:
         ("jump_eps = -0.1", "[run].jump_eps: eps -0.1 must be positive"),
         ("jump_q = 0.1\njump_eps = 0.3\njump_t = 2, 0.5", "[run].jump_t: t 2.0 outside [0, 1]"),
         ("jump_q = -0.5\njump_eps = 0.3\njump_t = 0.5, 0.9", "[run].jump_q: q -0.5 outside [0, 1]"),
+        # an empty list would evaluate nothing and report a maximum over no errors
+        ("jump_q =", "[run].jump_q: needs at least one entry"),
+        ("jump_eps =", "[run].jump_eps: needs at least one entry"),
+        ("jump_q = 0.1\njump_eps = 0.3\njump_t =", "[run].jump_t: needs at least one entry"),
     ])
     def test_jumpmap_range_errors_exit_one(self, tmp_path, capsys, line, message):
         cfg = write(tmp_path, FULL + line + "\n")

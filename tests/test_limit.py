@@ -312,6 +312,39 @@ def test_solve_limit_matches_exact_flow(di):
                     (f.name, mu, x0)
 
 
+@st.composite
+def bounded_drivers(draw):
+    """A random piecewise cubic scaled to continuous variation at most 2,
+    with 0 to 3 jumps (on breakpoints and at the right end too)."""
+    Lc = draw(piecewise_cubics())
+    a, b = Lc.domain
+    tv = Lc.total_variation()
+    scale = draw(st.floats(0.0, 2.0)) / tv if tv > 0.0 else 1.0
+    times = st.floats(a, b) | st.sampled_from([*Lc.seg_breaks[1:].tolist(), b])
+    size = st.floats(-2.0, 2.0).filter(lambda x: x != 0.0)
+    jumps = [(t, draw(size)) for t in draw(st.lists(times, max_size=3, unique=True)) if t > a]
+    return BVFunction(Lc.seg_breaks, scale * Lc.seg_coefs, jumps)
+
+
+@given(L=bounded_drivers(), f=st.sampled_from(list(EXACT_FIELDS.values())),
+       mu=st.sampled_from(list(EXACT_MEASURES.values())), x0=st.floats(-1.5, 1.5))
+@settings(max_examples=100, deadline=None)
+def test_random_drivers_match_exact_flow(L, f, mu, x0):
+    """Random drivers: every grid point of a default solve lies within
+    1e-5 (1 + |x|) of the exact path of oracle.exact_limit."""
+    path = solve_limit(f, L, mu, x0)
+    exact = oracle.exact_limit(f, L, mu, x0, path.t)
+    assert np.all(np.abs(path.x - exact) <= 1e-5 * (1.0 + np.abs(exact)))
+
+
+def test_default_budget_under_tiny_variation():
+    """A continuous variation whose thousandth underflows to 0 takes the
+    budget of a driver without variation, not a zero v_max."""
+    L = BVFunction([0.0, 1.0], [[0.0, 2e-321]])
+    path = solve_limit(ScalarField.linear_x(), L, JumpMeasure.lebesgue(), 1.0)
+    np.testing.assert_array_equal(path.x, 1.0)
+
+
 @pytest.mark.parametrize("mu_name", list(EXACT_MEASURES))
 @pytest.mark.parametrize("fname", ["tanh", "linear", "sin", "affine", "tanh-steep"])
 @pytest.mark.parametrize("di", range(1, len(BOUND_CORPUS)))
