@@ -56,8 +56,9 @@ def l1_distance(p: GridPath, q: LimitPath) -> float:
         edges.sort(axis=1, kind="stable")
         mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
         dt = np.diff(edges, axis=1)
-        # masked before multiplying, so an infinite state gives inf, not inf * 0
-        gap = np.where(dt > 0.0, np.abs(p.eval(j, mids) - q.eval(mids)), 0.0)
+        # masked before multiplying, so an infinite state gives inf, not inf * 0;
+        # the midpoints lie in [a, b], so q is read without eval's range check
+        gap = np.where(dt > 0.0, np.abs(p.eval(j, mids) - q._read(mids)), 0.0)
         sums[s:s + j.size] = np.sum(gap * dt, axis=1)
     # cumsum adds the offsets in order, as a running accumulator would
     return float(np.cumsum(sums)[-1] / J)

@@ -28,17 +28,27 @@ LATTICE_CHUNK = 16384
 def _taylor(pc, origin, p, t, n):
     """Coefficients d_m n^-m of piece p's polynomial expanded at t, m = 0..3.
 
+    ``pc`` is the coefficient-major piece table, one row per coefficient.
     With u0 = t - origin[p], d_m = sum_k c_k C(k, m) u0^(k-m), so the piece
     reads sum_m d_m n^-m y^m at time t + y/n.
     """
-    c = pc[p]
-    u = t - origin[p]
-    c1, c2, c3 = c[:, 1], c[:, 2], c[:, 3]
+    c = [np.take(row, p) for row in pc]
+    _, c1, c2, c3 = c
+    u = t - np.take(origin, p)
     out = np.empty((t.size, 4))
-    out[:, 0] = _poly_eval(c.T, u)
-    out[:, 1] = ((3.0 * c3 * u + 2.0 * c2) * u + c1) / n
-    out[:, 2] = (3.0 * c3 * u + c2) / (n * n)
+    out[:, 0] = _poly_eval(c, u)
     out[:, 3] = c3 / (n * n * n)
+    # in place on the gathered rows, so a chunk makes fewer fresh temporaries,
+    # and in the formulas' own order of operations, so every bit is kept:
+    # d2 = (3 c3 u + c2) / n^2 and d1 = ((3 c3 u + 2 c2) u + c1) / n
+    w = 3.0 * c3
+    w *= u
+    np.divide(np.add(w, c2, out=c3), n * n, out=out[:, 2])
+    c2 *= 2.0
+    w += c2
+    w *= u
+    w += c1
+    np.divide(w, n, out=out[:, 1])
     return out
 
 
@@ -59,28 +69,31 @@ def driver_lattice_values(ts, n, profile, driver):
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     n = float(int(n))  # n**3 below must not overflow an integer type
     inv = 1.0 / n
-    # the driver's piece table: piece p covers [breaks[p - 1], breaks[p])
+    # the driver's piece table, one row per coefficient: piece p covers [breaks[p - 1], breaks[p])
     breaks, pc, origin = driver.seg_breaks, driver._ext_coefs, driver._ext_origin
     full = profile.moments(1.0)
     jpos, jsize, jcum = driver.jump_epochs, driver.jump_sizes, driver._jump_cum
     out = np.empty(ts.size)
     for start in range(0, ts.size, LATTICE_CHUNK):
         t = ts[start:start + LATTICE_CHUNK]
+        end = t + inv
         first = np.searchsorted(breaks, t, side="right")
-        last = np.searchsorted(breaks, t + inv, side="left")
+        last = np.searchsorted(breaks, end, side="left")
         k0 = np.searchsorted(jpos, t, side="right")
-        k1 = np.searchsorted(jpos, t + inv, side="left")
-        val = _taylor(pc, origin, last, t, n) @ full + jcum[k0]
-        for r in range(int(np.max(last - first, initial=0))):
-            i = np.nonzero(last - first > r)[0]
-            p = first[i] + r
-            ti = t[i]
+        k1 = np.searchsorted(jpos, end, side="left")
+        val = _taylor(pc, origin, last, t, n) @ full + np.take(jcum, k0)
+        inside = last - first  # breakpoints inside each window
+        for r in range(int(np.max(inside, initial=0))):
+            i = np.flatnonzero(inside > r)
+            p = np.take(first, i) + r
+            ti = np.take(t, i)
             step = _taylor(pc, origin, p, ti, n) - _taylor(pc, origin, p + 1, ti, n)
-            val[i] += np.sum(step * profile.moments((breaks[p] - ti) * n), axis=-1)
-        for r in range(int(np.max(k1 - k0, initial=0))):
-            i = np.nonzero(k1 - k0 > r)[0]
-            k = k0[i] + r
-            val[i] += jsize[k] * profile.tail((jpos[k] - t[i]) * n)
+            val[i] += np.sum(step * profile.moments((np.take(breaks, p) - ti) * n), axis=-1)
+        inside = k1 - k0  # jumps inside each window
+        for r in range(int(np.max(inside, initial=0))):
+            i = np.flatnonzero(inside > r)
+            k = np.take(k0, i) + r
+            val[i] += np.take(jsize, k) * profile.tail((np.take(jpos, k) - np.take(t, i)) * n)
         out[start:start + LATTICE_CHUNK] = val
     return out
 

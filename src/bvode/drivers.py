@@ -39,6 +39,16 @@ def _bisect(below, lo, hi):
     return lo, hi
 
 
+def _sorted_unique(x):
+    """np.unique of a 1-D float array, which sorts with the same default kind
+    and keeps the first of each run of equal values; without its numpy.ma import."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _poly_eval(coefs, u):
     return ((coefs[3] * u + coefs[2]) * u + coefs[1]) * u + coefs[0]
 
@@ -95,9 +105,11 @@ class BVFunction:
                                  f"{end!r} vs {nxt!r}")
         self.seg_breaks, self.seg_coefs = breaks, coefs
         # evaluation pieces, piece p on [breaks[p - 1], breaks[p]) from _ext_origin[p]:
-        # the constant L_c(a) left of a, segment i as piece i + 1, the constant L_c(b)
+        # the constant L_c(a) left of a, segment i as piece i + 1, the constant L_c(b);
+        # stored coefficient-major, (4, S + 2), so each coefficient is one contiguous gather
         right = _poly_eval(coefs[-1], breaks[-1] - breaks[-2])
-        self._ext_coefs = np.vstack(([coefs[0, 0], 0.0, 0.0, 0.0], coefs, [right, 0.0, 0.0, 0.0]))
+        self._ext_coefs = np.ascontiguousarray(
+            np.vstack(([coefs[0, 0], 0.0, 0.0, 0.0], coefs, [right, 0.0, 0.0, 0.0])).T)
         self._ext_origin = np.concatenate((breaks[:1], breaks[:-1], breaks[-1:]))
         # monotone pieces of the continuous part: segment, local start and end;
         # a segment's last piece ends at +inf, so it reaches every window on it
@@ -153,19 +165,28 @@ class BVFunction:
     # -- basic queries -----------------------------------------------------
 
     def continuous_value(self, t):
-        """Continuous part only, with constant extension outside the domain."""
-        t = np.asarray(t, dtype=np.float64)
-        tt = np.clip(t, *self.domain)
+        """Continuous part only, with constant extension outside the domain
+        (also at +-inf); a NaN time is a ValueError."""
+        tt = self._clipped(t)
         # b itself reads the last segment, so L_c(b) keeps its own sign of zero
         p = np.searchsorted(self.seg_breaks[:-1], tt, side="right")
-        out = _poly_eval(np.moveaxis(self._ext_coefs[p], -1, 0), tt - self._ext_origin[p])
-        return float(out) if out.ndim == 0 else out
+        u = tt - np.take(self._ext_origin, p)
+        out = _poly_eval([np.take(c, p) for c in self._ext_coefs], u)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _clipped(self, t):
+        """t clipped to the domain, after refusing NaN."""
+        t = np.asarray(t, dtype=np.float64)
+        if np.isnan(t).any():
+            raise ValueError("times must not be NaN")
+        return np.clip(t, *self.domain)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        tt = np.clip(t, *self.domain)
+        """L(t), with constant extension outside the domain (also at +-inf);
+        a NaN time is a ValueError."""
+        tt = self._clipped(t)
         njump = np.searchsorted(self.jump_epochs, tt, side="right")
-        out = self.continuous_value(tt) + self._jump_cum[njump]
+        out = self.continuous_value(tt) + np.take(self._jump_cum, njump)
         return float(out) if np.ndim(out) == 0 else out
 
     def jump_at(self, t) -> float:
@@ -258,7 +279,7 @@ class BVFunction:
             t_lo, t_hi = _bisect(lambda mid: _poly_eval(c, mid) < goal, ends[0, k], ends[1, k])
             t = origin[k] + 0.5 * (t_lo + t_hi)
             pts.append(t[(t >= us[w[k]]) & (t <= vs[w[k]])])
-        return np.unique(np.concatenate(pts))
+        return _sorted_unique(np.concatenate(pts))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"BVFunction(domain={self.domain}, segments={self.seg_coefs.shape[0]}, "

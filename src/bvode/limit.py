@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import backend
-from .drivers import BVFunction
+from .drivers import BVFunction, _sorted_unique
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, phi_solve
 
@@ -40,26 +40,37 @@ class LimitPath:
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
         self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
 
-    def _interp(self, t):
-        a, b = self.domain
-        arr = np.asarray(t, dtype=np.float64)
-        shape = arr.shape
-        tt = np.atleast_1d(arr).reshape(-1)
-        if not np.all((tt >= a - 1e-12) & (tt <= b + 1e-12)):
-            raise ValueError(f"times must lie in [{a!r}, {b!r}]")
-        tt = np.clip(tt, a, b)
-        n = self._t_dbl.size
-        i0 = np.clip(np.searchsorted(self._t_dbl, tt, side="right") - 1, 0, n - 1)
-        i1 = np.minimum(i0 + 1, n - 1)
-        dt = self._t_dbl[i1] - self._t_dbl[i0]
-        frac = np.where(dt > 0.0, (tt - self._t_dbl[i0]) / np.where(dt > 0.0, dt, 1.0), 0.0)
-        out = self._x_dbl[i0] + frac * (self._x_dbl[i1] - self._x_dbl[i0])
-        out = out.reshape(shape)
-        return float(out) if shape == () else out
-
     def eval(self, t):
         """Right-continuous value at t (vectorized)."""
-        return self._interp(t)
+        a, b = self.domain
+        arr = np.asarray(t, dtype=np.float64)
+        if not np.all((arr >= a - 1e-12) & (arr <= b + 1e-12)):
+            raise ValueError(f"times must lie in [{a!r}, {b!r}]")
+        out = self._read(np.clip(np.atleast_1d(arr), a, b))
+        return float(out[0]) if arr.ndim == 0 else out
+
+    def _read(self, tt):
+        """Values at times tt already in [a, b], an array of any shape: linear
+        between the doubled grid's entries, each table read one gather."""
+        td, xd = self._t_dbl, self._x_dbl
+        n = td.size
+        i0 = np.searchsorted(td, tt, side="right")
+        i0 -= 1
+        np.clip(i0, 0, n - 1, out=i0)
+        i1 = i0 + 1
+        np.minimum(i1, n - 1, out=i1)
+        t0 = np.take(td, i0)
+        x0 = np.take(xd, i0)
+        # x0 + frac (x1 - x0), frac = (tt - t0) / dt where the cell has width, else 0;
+        # in place, in the formula's own order of operations
+        dt = np.take(td, i1)
+        dt -= t0
+        frac = np.divide(tt - t0, dt, out=np.zeros(dt.shape), where=dt > 0.0)
+        x1 = np.take(xd, i1)
+        x1 -= x0
+        x1 *= frac
+        x1 += x0
+        return x1
 
     def l1_norm(self) -> float:
         """Midpoint-rule integral of |x| over the domain on the stored grid."""
@@ -123,7 +134,7 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
     grid = L._variation_grid(edges, v_max)
     if extra.size:
-        grid = np.unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
+        grid = _sorted_unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
     Lg = L.continuous_value(grid)
     x, xl = np.empty_like(grid), np.full_like(grid, x_cur)
     is_jump = np.zeros(grid.shape, dtype=bool)

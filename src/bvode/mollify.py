@@ -52,11 +52,11 @@ def _composite(fn, lo, hi) -> float:
 def _bump(s):
     """Unnormalized bump density exp(-1 / (s (1 - s))) on (0, 1), zero elsewhere."""
     s = np.asarray(s, dtype=np.float64)
-    out = np.zeros(s.shape)
     m = (s > 0.0) & (s < 1.0)
-    sm = s[m]
-    out[m] = np.exp(-1.0 / (sm * (1.0 - sm)))
-    return out
+    out = np.zeros(s.shape)
+    np.multiply(s, 1.0 - s, out=out, where=m)
+    np.divide(-1.0, out, out=out, where=m)
+    return np.exp(out, out=out, where=m)
 
 
 _M1 = np.arange(1.0, 5.0)            # m + 1 for m = 0..3
@@ -152,7 +152,8 @@ class MollifierProfile:
         x = self.table_x
         j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
         w = ((y - x[j]) / (x[j + 1] - x[j]))[..., None]
-        return self.table_moments[j] * (1.0 - w) + self.table_moments[j + 1] * w
+        tm = self.table_moments
+        return np.take(tm, j, axis=0) * (1.0 - w) + np.take(tm, j + 1, axis=0) * w
 
     def tail_inv(self, u):
         """Generalized inverse of the tail: sup{y : tail(y) = u}.
@@ -314,9 +315,11 @@ def mollify_L(L, profile: MollifierProfile, n: int, t):
     Exact: on each polynomial piece of the continuous part inside the
     window the integral is a combination of the profile's incomplete
     moments (``MollifierProfile.moments``), and each jump contributes
-    size * F_n(epoch - t).
+    size * F_n(epoch - t).  Times must be finite.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
     out = backend.driver_lattice_values(ts, int(n), profile, L)
     return _scalar(out[0] if np.ndim(t) == 0 else out)
 

@@ -138,7 +138,8 @@ class GridPath:
         j = np.asarray(j)[..., None] if np.ndim(j) else j
         # clipped before the cast, which past the int64 range would not be defined
         k = np.clip(np.floor((t - self.offsets[j]) / self.h), 0, self.lengths[j] - 1)
-        return self.values[j, k.astype(np.int64)]
+        # one flat gather: row j starts at j * width
+        return np.take(self.values, k.astype(np.int64) + j * self.values.shape[1])
 
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]

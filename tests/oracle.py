@@ -55,6 +55,14 @@ replaced, and the per-offset L1 score on each offset's own union grid
 (:func:`l1_distance`) that the blocked :func:`bvode.l1_distance`
 replaced.  :func:`euler_exact_offset` is also the reference for the
 blocked affine scan of :func:`bvode.backend.euler_exact`.
+
+The gate path's table reads have as references the fancy-index reads that
+one contiguous ``np.take`` per table replaced: the Taylor read of the
+piece-major ``(S + 2, 4)`` piece table (:func:`taylor`) and the
+continuous part read from it (:func:`continuous_value`), the bump's
+moment-table rows (:func:`table_moments`), the broadcast 2-D
+``GridPath`` read (:func:`grid_eval`) and ``LimitPath``'s range-checked
+read (:func:`limit_interp`).
 """
 
 import math
@@ -845,3 +853,64 @@ def l1_distance(p, q):
         dt = np.diff(edges)
         total += float(np.sum(np.abs(p.eval(j, mids) - q.eval(mids)) * dt))
     return total / p.offsets.size
+
+
+def taylor(pc, origin, p, t, n):
+    """``backend._taylor`` on the piece-major ``(S + 2, 4)`` table, read by fancy indexing."""
+    c = pc[p]
+    u = t - origin[p]
+    c1, c2, c3 = c[:, 1], c[:, 2], c[:, 3]
+    out = np.empty((t.size, 4))
+    out[:, 0] = _poly_eval(c.T, u)
+    out[:, 1] = ((3.0 * c3 * u + 2.0 * c2) * u + c1) / n
+    out[:, 2] = (3.0 * c3 * u + c2) / (n * n)
+    out[:, 3] = c3 / (n * n * n)
+    return out
+
+
+def continuous_value(L, t):
+    """``BVFunction.continuous_value`` read by fancy indexing from the piece-major table."""
+    pc = L._ext_coefs.T
+    tt = np.clip(np.asarray(t, dtype=np.float64), *L.domain)
+    p = np.searchsorted(L.seg_breaks[:-1], tt, side="right")
+    out = _poly_eval(np.moveaxis(pc[p], -1, 0), tt - L._ext_origin[p])
+    return float(out) if out.ndim == 0 else out
+
+
+def table_moments(profile, y):
+    """A table profile's incomplete moments, the table rows read by fancy indexing."""
+    y = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
+    x = profile.table_x
+    j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+    w = ((y - x[j]) / (x[j + 1] - x[j]))[..., None]
+    return profile.table_moments[j] * (1.0 - w) + profile.table_moments[j + 1] * w
+
+
+def grid_eval(gp, j, t):
+    """``GridPath.eval`` with the broadcast 2-D index into ``values``."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    j = np.asarray(j)[..., None] if np.ndim(j) else j
+    k = np.clip(np.floor((t - gp.offsets[j]) / gp.h), 0, gp.lengths[j] - 1)
+    return gp.values[j, k.astype(np.int64)]
+
+
+def limit_interp(q, t):
+    """``LimitPath.eval`` as one function: range check, clip, flatten, search
+    and five fancy-index reads of the doubled grid."""
+    a, b = q.domain
+    arr = np.asarray(t, dtype=np.float64)
+    shape = arr.shape
+    tt = np.atleast_1d(arr).reshape(-1)
+    if not np.all((tt >= a - 1e-12) & (tt <= b + 1e-12)):
+        raise ValueError(f"times must lie in [{a!r}, {b!r}]")
+    tt = np.clip(tt, a, b)
+    n = q._t_dbl.size
+    i0 = np.clip(np.searchsorted(q._t_dbl, tt, side="right") - 1, 0, n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    dt = q._t_dbl[i1] - q._t_dbl[i0]
+    frac = np.where(dt > 0.0, (tt - q._t_dbl[i0]) / np.where(dt > 0.0, dt, 1.0), 0.0)
+    out = q._x_dbl[i0] + frac * (q._x_dbl[i1] - q._x_dbl[i0])
+    out = out.reshape(shape)
+    return float(out) if shape == () else out

@@ -50,6 +50,26 @@ class TestEval:
             assert L(float(t)) == v
 
 
+class TestNonFiniteTimes:
+    def test_nan_rejected(self):
+        L = make_mixed()
+        for t in (np.nan, np.array([0.2, np.nan])):
+            with pytest.raises(ValueError, match="times must not be NaN"):
+                L(t)
+            with pytest.raises(ValueError, match="times must not be NaN"):
+                L.continuous_value(t)
+
+    def test_infinities_extend_as_constants(self):
+        """+-inf reads the constant extension: L(a) left of the domain, L(b) right of it."""
+        L = make_mixed()
+        assert L(-np.inf) == L(0.0) == 0.0
+        assert L(np.inf) == L(1.0)
+        assert L.continuous_value(-np.inf) == L.continuous_value(0.0)
+        assert L.continuous_value(np.inf) == L.continuous_value(1.0)
+        np.testing.assert_array_equal(L(np.array([-np.inf, 0.5, np.inf])),
+                                      [L(0.0), L(0.5), L(1.0)])
+
+
 class TestJumps:
     def test_jump_at(self):
         L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.3, 2.0), (0.5, -1.0)))

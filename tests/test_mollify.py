@@ -237,6 +237,15 @@ class TestMollifyDriver:
                           points=pts, limit=200)
             assert abs(mollify_L(L, p, n, t) - ref) < 1e-8
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [0.2, np.nan], [np.inf, 0.5]],
+                             ids=["nan", "inf", "-inf", "array-nan", "array-inf"])
+    def test_non_finite_times_rejected(self, t):
+        """A NaN or infinite time is a named error, not a silent NaN or a
+        RuntimeWarning from inf * 0 inside the window."""
+        L = BVFunction.from_segments([0.0, 1.0], [[0.0, 1.0]], jumps=((0.5, 1.0),))
+        with pytest.raises(ValueError, match="times must be finite"):
+            mollify_L(L, get_profile("uniform"), 8, t)
+
     def test_error_shrinks_linearly_for_smooth_driver(self):
         p = get_profile("bump")
         L = BVFunction.from_segments([0.0, 1.0], [[0.0, 0.0, 1.0, -0.5]])

@@ -1,7 +1,9 @@
-"""The README's examples run as shown, and it documents every [run] key."""
+"""The README's examples run as shown and print what they say, and it
+documents every [run] key."""
 
 import ast
 import math
+import os
 import re
 import shlex
 from pathlib import Path
@@ -50,6 +52,26 @@ def test_shell_examples_parse():
     assert {shlex.split(ln)[1] for ln in lines} == set(cli._COMMANDS)
     for line in lines:
         cli._parser().parse_args(shlex.split(line)[1:])
+
+
+def test_shell_examples_print_their_comments(tmp_path, monkeypatch, capsys):
+    """Every ``bvode ...`` line, run through ``cli.main`` on the README's
+    config saved as ``single_jump.cfg``, prints the line commented below it."""
+    (ini,) = blocks("ini")
+    (tmp_path / "single_jump.cfg").write_text(ini, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for block in blocks("sh"):
+        lines = block.splitlines()
+        for line, comment in zip(lines, lines[1:]):
+            if not line.startswith("bvode "):
+                continue
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+            summary, path = capsys.readouterr().out.strip().rsplit(" -> ", 1)
+            want_summary, want_path = comment.removeprefix("# ").rsplit(" -> ", 1)
+            assert (summary, os.path.normpath(path)) == (want_summary, want_path), line
+            checked += 1
+    assert checked == len(cli._COMMANDS)
 
 
 def test_every_run_key_documented(tmp_path):
