@@ -63,10 +63,16 @@ def _grid_table(gp):
 
 
 def _probe_table(probe):
-    """The one group of a probe grid's table (delta, u, n, value): delta-major, then u, then n."""
-    cols = np.broadcast_arrays(np.asarray(probe.delta)[..., None], np.asarray(probe.u)[..., None],
-                               np.asarray(probe.n_values), probe.values)
-    return [((), [c.ravel() for c in cols])]
+    """The one group of a probe grid's table (delta, u, n, value): delta-major, then u, then n.
+
+    Each distinct delta, u and n is formatted once; the text "delta,u,n" of a
+    row is one column, joined from those strings by broadcasting."""
+    d, u, n = (np.array([_spec(x.dtype) % v for v in x.ravel().tolist()],
+                        dtype=object).reshape(x.shape)
+               for x in map(np.asarray, (probe.delta, probe.u, probe.n_values)))
+    keys, values = np.broadcast_arrays(d[..., None] + "," + u[..., None] + "," + n,
+                                       probe.values)
+    return [((), [keys.ravel(), values.ravel()])]
 
 
 def _write_csv(out_dir: str, filename: str, header, groups) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 _CONT_TOL = 1e-9
 STEP_CAP = 10 ** 8
-_CHUNK = 16384  # cuts bisected together; bounds the bisection's temporaries
+_CHUNK = 16384  # cuts solved together; bounds the root finder's temporaries
 
 
 class StepLimitError(RuntimeError):
@@ -29,14 +29,41 @@ def _check_cap(need, cap, what: str, unit: str) -> None:
         raise StepLimitError(f"{what} needs {need:.6g} {unit}, cap is {cap}")
 
 
-def _bisect(below, lo, hi):
-    """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
+def _rising_roots(c, goal, lo, hi, t):
+    """Roots of c(t) = goal for cubics c (one column each) rising on [lo, hi],
+    from first guesses t inside the brackets; the roots overwrite t.
+
+    Bracketed Newton (rtsafe, Numerical Recipes 9.4): a Newton step that
+    leaves the bracket, or has no finite slope, is replaced by a bisection
+    step.  A root is frozen once |c(t) - goal| is at most its rounding floor,
+    2^-49 (|c0| + |c1| r + |c2| r^2 + |c3| r^3) with r = max(|lo|, |hi|):
+    Horner's rule errs by up to 6 units of 2^-53 of that sum on the bracket,
+    and rounding t to a float by up to 3 more.  Bisection alone reaches the
+    floor within 60 iterations, the cap, unless the bracket is subnormal.
+    Every update is elementwise, so a root does not depend on the other columns.
+    """
+    r = np.maximum(np.abs(lo), np.abs(hi))
+    # rows: the cubic, its derivative (1, 2, 3 times c1..c3), the goal and the floor
+    tab = np.vstack((c, c[1:] * [[1.0], [2.0], [3.0]], goal, _poly_eval(np.abs(c), r)))
+    tab[8] *= 2.0 ** -49
+    out = t
+    live = np.arange(t.size)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        up = below(mid)
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    return lo, hi
+        f = _poly_eval(tab[:4], t) - tab[7]
+        done = np.abs(f) <= tab[8]
+        if done.any():
+            out[live[done]] = t[done]
+            keep = ~done
+            live, tab, t, f, lo, hi = live[keep], tab[:, keep], t[keep], f[keep], lo[keep], hi[keep]
+            if not live.size:
+                return out
+        below = f < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = t - f / ((tab[6] * t + tab[5]) * t + tab[4])
+        t = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    out[live] = t
+    return out
 
 
 def _sorted_unique(x):
@@ -190,9 +217,12 @@ class BVFunction:
         return float(out) if np.ndim(out) == 0 else out
 
     def jump_at(self, t) -> float:
-        """Jump size at t (0 when t is not an epoch)."""
-        i = np.searchsorted(self.jump_epochs, float(t))
-        if i < self.jump_epochs.size and self.jump_epochs[i] == float(t):
+        """Jump size at t (0 when t is not an epoch); a NaN time is a ValueError."""
+        t = float(t)
+        if math.isnan(t):
+            raise ValueError("times must not be NaN")
+        i = np.searchsorted(self.jump_epochs, t)
+        if i < self.jump_epochs.size and self.jump_epochs[i] == t:
             return float(self.jump_sizes[i])
         return 0.0
 
@@ -243,9 +273,10 @@ class BVFunction:
         """Grid over [u, v] whose cells each carry continuous variation <= v_max.
 
         On each monotone polynomial piece the cumulative variation from the left
-        edge is |p(t) - p(e0)|, so cut points are located by bisection and every
-        cell carries at most 0.85 * v_max exactly.  Raises StepLimitError when
-        the cuts would exceed STEP_CAP.
+        edge is |p(t) - p(e0)|, so cut m is a root of p(t) = p(e0) +- m * 0.85 *
+        v_max (m = 1, 2, ...), found by bracketed Newton to the rounding floor of p,
+        and every cell carries 0.85 * v_max up to that floor.  Raises
+        StepLimitError when the cuts would exceed STEP_CAP.
         """
         if not v_max > 0.0:
             raise ValueError("v_max must be positive")
@@ -255,7 +286,7 @@ class BVFunction:
 
     def _variation_grid(self, edges, v_max) -> np.ndarray:
         """Sorted union of the variation_steps grids of the windows between
-        consecutive ``edges``; the cuts of all windows are bisected together,
+        consecutive ``edges``; the cuts of all windows are solved together,
         _CHUNK at a time, and counted against STEP_CAP before any is made."""
         us, vs = edges[:-1], edges[1:]
         w, seg, ends = self._clip_pieces(us, vs)
@@ -272,12 +303,14 @@ class BVFunction:
         for s in range(0, int(n_total), _CHUNK):
             i = np.arange(s, min(s + _CHUNK, int(n_total)))
             j = np.searchsorted(last, i, side="right")
-            k = cut[j[:1]] if j[0] == j[-1] else cut[j]  # one piece broadcasts
-            # a falling piece is negated, so that every bisection asks p(t) < goal
-            sign = np.sign(p1[k] - p0[k])
-            c, goal = coef[:, k] * sign, p0[k] * sign + v_eff * (i - last[j] + n_cuts[j] + 1.0)
-            t_lo, t_hi = _bisect(lambda mid: _poly_eval(c, mid) < goal, ends[0, k], ends[1, k])
-            t = origin[k] + 0.5 * (t_lo + t_hi)
+            k = cut[j]
+            # a falling piece is negated, so that every cubic rises through its goal;
+            # each cut starts from the root of its piece's chord
+            sign, rise = np.sign(p1[k] - p0[k]), v_eff * (i - last[j] + n_cuts[j] + 1.0)
+            e0, e1 = ends[0, k], ends[1, k]
+            t = _rising_roots(coef[:, k] * sign, p0[k] * sign + rise, e0, e1,
+                              e0 + (e1 - e0) * (rise / var[k]))
+            t += origin[k]
             pts.append(t[(t >= us[w[k]]) & (t <= vs[w[k]])])
         return _sorted_unique(np.concatenate(pts))
 

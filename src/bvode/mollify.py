@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .drivers import _bisect
 from .jumpmap import SigmaG, _scalar
 
 # values of MollifierProfile.code
@@ -70,6 +69,16 @@ def _powers(y, first, last):
     out = np.repeat(y[..., None], last - first + 1, axis=-1)
     out[..., 0] = y ** first
     return np.cumprod(out, axis=-1)
+
+
+def _bisect(below, lo, hi):
+    """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = below(mid)
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return lo, hi
 
 
 class MollifierProfile:
@@ -296,10 +305,14 @@ class Schedule:
 
 
 def F_n(profile: MollifierProfile, n: int, x):
-    """Tail mass of the scaled kernel: integral of rho_n over [x, 1/n]."""
+    """Tail mass of the scaled kernel: integral of rho_n over [x, 1/n]; a NaN x
+    is a ValueError."""
     if int(n) < 1:
         raise ValueError("n must be a positive integer")
-    return profile.tail(np.asarray(x, dtype=np.float64) * int(n))
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("F_n argument must not be NaN")
+    return profile.tail(x * int(n))
 
 
 def F_n_inv(profile: MollifierProfile, n: int, u):

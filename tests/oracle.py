@@ -612,7 +612,8 @@ def piece_total_variation(L, u=None, v=None):
 
 
 def variation_steps(L, u, v, v_max):
-    """Variation-equidistributed grid of L over [u, v], one segment at a time."""
+    """Variation-equidistributed grid of L over [u, v], one segment at a time,
+    each cut bisected for 60 rounds: the reference for the Newton cuts."""
     if v_max <= 0.0:
         raise ValueError("v_max must be positive")
     if v < u:

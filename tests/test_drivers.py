@@ -272,8 +272,9 @@ class TestVariationSteps:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_segment_walk_oracle(self, data):
-        """The monotone-piece walk gives the oracle's grids bit for bit, and
-        its variation within 4 ulp (the sum is associated piece by piece)."""
+        """The monotone-piece walk gives the oracle's grids to within the cut
+        floor (assert_cuts_match), and its variation within 4 ulp (the sum is
+        associated piece by piece)."""
         L = data.draw(piecewise_cubics())
         a, b = L.domain
         p, q = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
@@ -283,8 +284,30 @@ class TestVariationSteps:
         got = L.total_variation(u, v)
         assert abs(got - want) <= 4 * 2.0 ** -52 * want
         v_max = max(want, 1.0) * v_frac
-        np.testing.assert_array_equal(L.variation_steps(u, v, v_max),
-                                      oracle.variation_steps(L, u, v, v_max))
+        assert_cuts_match(L, L.variation_steps(u, v, v_max),
+                          oracle.variation_steps(L, u, v, v_max))
+
+
+def assert_cuts_match(L, got, want):
+    """got has want's point count, and each point of got lies within
+
+        2^-48 (|c0| + |c1| h + |c2| h^2 + |c3| h^3) + |L_c'(t)| spacing(t)
+
+    of its partner t in want in driver value, where c is the segment holding
+    t and h its width: twice the floor at which a cut is frozen
+    (drivers._rising_roots), as both grids miss their goals by up to a floor,
+    plus one float spacing of the time, to which each cut rounds when its
+    segment's origin is added."""
+    assert got.size == want.size
+    seg = np.clip(np.searchsorted(L.seg_breaks, want, side="right") - 1, 0,
+                  L.seg_coefs.shape[0] - 1)
+    coef = L.seg_coefs[seg].T
+    h = np.diff(L.seg_breaks)[seg]
+    u = np.clip(want, L.seg_breaks[0], L.seg_breaks[-1]) - L.seg_breaks[seg]
+    slope = np.abs((3.0 * coef[3] * u + 2.0 * coef[2]) * u + coef[1])
+    bound = drivers._poly_eval(np.abs(coef), h) * 2.0 ** -48 + slope * np.spacing(np.abs(want))
+    gap = np.abs(L.continuous_value(got) - L.continuous_value(want))
+    assert np.all(gap <= bound), float(np.max(gap / bound))
 
 
 def window_edges(draw, L, max_size=6):
@@ -307,7 +330,8 @@ def union_of_oracle_grids(L, edges, v_max):
 
 class TestPieceTable:
     """The monotone pieces are tabulated once per driver and clipped to each
-    window; every sum and grid is the per-window walk's, bit for bit."""
+    window; every sum is the per-window walk's bit for bit, and every grid
+    is its union of grids to within the cut floor (assert_cuts_match)."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -324,12 +348,12 @@ class TestPieceTable:
         edges = window_edges(data.draw, L)
         v_max = max(oracle.total_variation(L), 1.0) * data.draw(st.floats(1e-3, 2.0))
         got = L._variation_grid(np.array(edges), v_max)
-        np.testing.assert_array_equal(got, union_of_oracle_grids(L, edges, v_max))
+        assert_cuts_match(L, got, union_of_oracle_grids(L, edges, v_max))
 
     # windows whose local edges round: u - origin up to the segment's width
     # (the piece ending the segment still starts the window), u and v onto
-    # one stationary point (the piece starting there covers the window), v
-    # onto one (no piece starts at v), and cuts 1e-17 apart rounding below u
+    # one stationary point (the piece starting there covers the window), and
+    # v onto one (no piece starts at v)
     R = 1.0 + 2.0 ** -52
 
     @pytest.mark.parametrize("L,edges,v_max", [
@@ -337,12 +361,10 @@ class TestPieceTable:
         (BVFunction([-1.0, 1.0], [[0.0, -2.0 * R, 1.0]]),
          [1.5 * 2.0 ** -53, 2.5 * 2.0 ** -53], 1.0),
         (BVFunction([-1.0, 1.0], [[0.0, -2.0 * R, 1.0]]), [-0.5, 1.25 * 2.0 ** -52], 1.0),
-        (BVFunction.from_poly((-1.0, 1.0), (0.0, 1e12)),
-         [0.6095693498571635, 0.6095693498571645], 1e-5),
     ])
     def test_rounded_window_edges(self, L, edges, v_max):
-        np.testing.assert_array_equal(L._variation_grid(np.array(edges), v_max),
-                                      union_of_oracle_grids(L, edges, v_max))
+        assert_cuts_match(L, L._variation_grid(np.array(edges), v_max),
+                          union_of_oracle_grids(L, edges, v_max))
         assert L.total_variation(*edges) == oracle.piece_total_variation(L, *edges)
 
     def test_many_pieces_sum_left_to_right(self):
@@ -367,7 +389,87 @@ class TestPieceTable:
         monkeypatch.setattr(drivers, "_CHUNK", 7)
         got = L._variation_grid(edges, 0.013)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got, union_of_oracle_grids(L, edges, 0.013))
+        assert_cuts_match(L, got, union_of_oracle_grids(L, edges, 0.013))
+
+
+class RootSpy:
+    """Wraps drivers._rising_roots and keeps each call's (c, goal, lo, hi, roots)."""
+
+    def __init__(self, mp):
+        self.calls, self._roots = [], drivers._rising_roots
+        mp.setattr(drivers, "_rising_roots", self)
+
+    def __call__(self, c, goal, lo, hi, t):
+        args = (c.copy(), goal.copy(), lo.copy(), hi.copy())
+        out = self._roots(c, goal, lo, hi, t)
+        self.calls.append((*args, out.copy()))
+        return out
+
+    def check(self, frozen=True):
+        """Every root lies in its bracket and within the floor 2^-49 (|c0| +
+        |c1| r + |c2| r^2 + |c3| r^3), r = max(|lo|, |hi|), of its goal; with
+        frozen=False, every root lies in its bracket and misses the floor."""
+        for c, goal, lo, hi, t in self.calls:
+            assert np.all((lo <= t) & (t <= hi))
+            r = np.maximum(np.abs(lo), np.abs(hi))
+            floor = drivers._poly_eval(np.abs(c), r) * 2.0 ** -49
+            residual = np.abs(drivers._poly_eval(c, t) - goal)
+            assert np.all(residual <= floor) if frozen else np.all(residual > floor)
+
+
+class TestCutTermination:
+    """Bracketed Newton freezes every cut at the floor or stops after 60
+    iterations; it needs no slope at the ends and no bracket wider than a float."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_cut_meets_its_floor(self, data):
+        L = data.draw(piecewise_cubics())
+        edges = window_edges(data.draw, L)
+        v_max = max(oracle.total_variation(L), 1.0) * data.draw(st.floats(1e-3, 0.2))
+        with pytest.MonkeyPatch.context() as mp:
+            spy = RootSpy(mp)
+            L._variation_grid(np.array(edges), v_max)
+        spy.check()
+
+    @pytest.mark.parametrize("breaks,row", [
+        ([-1.0, 1.0], [0.0, 0.0, 0.0, 1.0]),   # t^3: both pieces flat at 0
+        ([0.0, 1.0], [0.0, -1.0, 1.0]),        # t^2 - t: flat at its minimum
+        ([0.0, 1.0], [0.0, 0.0, 3.0, -2.0]),   # 3 t^2 - 2 t^3: flat at both ends
+    ])
+    def test_stationary_piece_ends(self, breaks, row, monkeypatch):
+        L = BVFunction(breaks, [row])
+        spy = RootSpy(monkeypatch)
+        got = L._variation_grid(np.array(L.domain), 1e-4)
+        assert spy.calls
+        spy.check()
+        assert_cuts_match(L, got, oracle.variation_steps(L, *L.domain, 1e-4))
+
+    def test_cuts_denser_than_floats(self, monkeypatch):
+        # slope 1e12 over a window of about nine floats: 114 cuts 8.5e-18
+        # apart.  The bisection's last midpoint of two neighbouring floats
+        # rounds to the even one, so it keeps 4 of the points; each cut here
+        # keeps the float its chord or Newton step met, 6 of them.
+        L = BVFunction.from_poly((-1.0, 1.0), (0.0, 1e12))
+        edges = [0.6095693498571635, 0.6095693498571645]
+        spy = RootSpy(monkeypatch)
+        got = L._variation_grid(np.array(edges), 1e-5)
+        assert spy.calls[0][0].shape[1] == 114
+        spy.check()
+        assert got[0] == edges[0] and got[-1] == edges[-1] and np.all(np.diff(got) > 0.0)
+        assert np.isin(union_of_oracle_grids(L, edges, 1e-5), got).all()
+        assert L.total_variation(*edges) == oracle.piece_total_variation(L, *edges)
+
+    def test_subnormal_width_window(self, monkeypatch):
+        # 58 cuts in [0, 5e-324]: no float meets the floor, so each cut stops
+        # after 60 iterations, on one of the two ends
+        L = BVFunction([0.0, 1.0], [[0.0, 1e300]])
+        spy = RootSpy(monkeypatch)
+        got = L._variation_grid(np.array([0.0, 5e-324]), 1e-25)
+        spy.check(frozen=False)
+        assert spy.calls[0][0].shape[1] == 58
+        np.testing.assert_array_equal(got, [0.0, 5e-324])
+        np.testing.assert_array_equal(got, oracle.variation_steps(L, 0.0, 5e-324, 1e-25))
 
 
 class TestStationaryPoints:

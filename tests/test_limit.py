@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracle
 from bvode import (
     BVFunction,
+    F_n,
     JumpMeasure,
     LimitPath,
     Schedule,
@@ -24,7 +25,7 @@ from bvode import (
     stieltjes_integrate,
 )
 from test_acceptance import BOUND_CORPUS
-from test_drivers import piecewise_cubics
+from test_drivers import assert_cuts_match, piecewise_cubics
 
 
 def mixed_driver():
@@ -243,21 +244,44 @@ ORACLE_MEASURES = {
 }
 
 
+# The grid's cuts are found by bracketed Newton, the oracle's by 60 rounds
+# of bisection, so the two paths agree to rounding.  The measured worst case
+# for states, relative to 1 + |x|, is 1.6e-14 over the corpus and 5,000
+# random drivers.
+PATH_RTOL = 1e-13
+
+
+def assert_path_close(L, path, want):
+    """The oracle's rows and jump rows (is_jump and their times) bit for bit,
+    times within assert_cuts_match's bound in driver value, and states within
+    PATH_RTOL (1 + |x|).  Times are not bounded as times: near a stationary
+    point every time within the square root of the cut floor meets the goal."""
+    np.testing.assert_array_equal(path.is_jump, want["is_jump"])
+    np.testing.assert_array_equal(path.t[path.is_jump], want["t"][want["is_jump"]])
+    assert_cuts_match(L, path.t, want["t"])
+    assert_cuts_match(L, path._t_dbl, want["_t_dbl"])
+    for name in ("x_left", "x", "_x_dbl"):
+        got, ref = getattr(path, name), want[name]
+        gap = np.abs(got - ref) / (1.0 + np.abs(ref))
+        assert np.all(gap <= PATH_RTOL), (name, float(gap.max()))
+
+
 @pytest.mark.parametrize("mu_name", list(ORACLE_MEASURES))
 @pytest.mark.parametrize("fi", range(len(ORACLE_FIELDS)),
                          ids=["const", "affine", "linear", "ramp", "sin", "tanh"])
 @pytest.mark.parametrize("di", range(len(BOUND_CORPUS)))
 def test_solve_limit_matches_row_oracle(di, fi, mu_name):
-    """Criterion 8's drivers give the per-point row builder's path bit for
-    bit, with the default grid and with report points and a coarse budget."""
+    """Criterion 8's drivers give the per-point row builder's path to within
+    assert_path_close, with the default grid and with report points and a
+    coarse budget."""
     L, f, mu = BOUND_CORPUS[di], ORACLE_FIELDS[fi], ORACLE_MEASURES[mu_name]
     a, b = L.domain
     samples = np.linspace(a, b, 7)[1:-1]
     for kwargs in ({}, {"sample_times": samples, "v_max": 0.02}):
         path = solve_limit(f, L, mu, 0.4, **kwargs)
         want = oracle.limit_columns(oracle.limit_rows(f, L, mu, 0.4, **kwargs))
+        assert_path_close(L, path, want)
         for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
-            np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
             assert getattr(path, name).dtype == want[name].dtype
 
 
@@ -266,7 +290,7 @@ def test_solve_limit_matches_row_oracle(di, fi, mu_name):
 def test_random_drivers_match_row_oracle(data):
     """Random piecewise cubics with jumps (at breakpoints and at the right
     end too) and report points (at epochs and the ends too) give the row
-    builder's path bit for bit."""
+    builder's path to within assert_path_close."""
     Lc = data.draw(piecewise_cubics())
     a, b = Lc.domain
     times = st.floats(a, b) | st.sampled_from([*Lc.seg_breaks[1:].tolist(), b])
@@ -282,8 +306,7 @@ def test_random_drivers_match_row_oracle(data):
     path = solve_limit(f, L, mu, 0.4, sample_times=samples, v_max=v_max)
     want = oracle.limit_columns(oracle.limit_rows(f, L, mu, 0.4, sample_times=samples,
                                                   v_max=v_max))
-    for name in ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl"):
-        np.testing.assert_array_equal(getattr(path, name), want[name], err_msg=name)
+    assert_path_close(L, path, want)
 
 
 EXACT_FIELDS = {
@@ -379,6 +402,9 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: mixed_driver().total_variation(NAN, 1.0),
     lambda: mixed_driver().total_variation(0.0, NAN),
     lambda: mixed_driver().left_limit(NAN),
+    lambda: mixed_driver().jump_at(NAN),
+    lambda: F_n(get_profile("uniform"), 8, NAN),
+    lambda: F_n(get_profile("bump"), 8, np.array([0.01, NAN])),
     lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), NAN, 1.0, 0.1),
     lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), 0.0, NAN, 0.1),
     lambda: sigma_staircase(UNIT_GRID, NAN),
@@ -391,8 +417,8 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: LimitPath([NAN], [1.0], [1.0], [False], (0.0, 1.0)),
 ], ids=["LimitPath.eval", "GridPath.eval", "GridPath.eval-inf",
         "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
-        "left_limit", "stieltjes-a", "stieltjes-t", "sigma_staircase", "SigmaG",
-        "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
+        "left_limit", "jump_at", "F_n", "F_n-array", "stieltjes-a", "stieltjes-t",
+        "sigma_staircase", "SigmaG", "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
         "LimitPath-one-time"])
 def test_nan_argument_raises(call):
     """A NaN time, window end, probe or parameter (or an infinite lattice
