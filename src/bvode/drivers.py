@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 
 _CONT_TOL = 1e-9
 STEP_CAP = 10 ** 8
 _CHUNK = 16384  # cuts solved together; bounds the root finder's temporaries
+_MEMO_BYTES = 16 * 2 ** 20  # array bytes of the results one driver keeps
 
 
 class StepLimitError(RuntimeError):
@@ -64,6 +66,27 @@ def _rising_roots(c, goal, lo, hi, t):
         t = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
     out[live] = t
     return out
+
+
+class _Same:
+    """Part of a memo key that matches only the object it holds, by identity."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and self.obj is other.obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+
+def _held_arrays(result):
+    """The arrays a result holds: a tuple's items, or an object's attributes."""
+    parts = result if isinstance(result, tuple) else vars(result).values()
+    return [p for p in parts if isinstance(p, np.ndarray)]
 
 
 def _sorted_unique(x):
@@ -161,6 +184,36 @@ class BVFunction:
         self.jump_epochs = epochs
         self.jump_sizes = np.array([merged[e] for e in epochs], dtype=np.float64)
         self._jump_cum = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
+        # read-only, so that no edit leaves the derived tables, or a kept result, stale
+        for arr in _held_arrays(self):
+            arr.setflags(write=False)
+        self._memo: OrderedDict = OrderedDict()  # key -> (result, bytes), least recent first
+        self._memo_bytes = 0
+
+    def _remember(self, key, build):
+        """build()'s result, kept on this driver so that a call with an equal key
+        gets it back instead of building it again.
+
+        The arrays the result holds are made read-only.  The driver keeps the
+        most recently used results whose arrays fit in _MEMO_BYTES; a result
+        larger than that is returned and not kept.  Keys compare floats by
+        their bits, and fields and profiles by identity (_Same).
+        """
+        memo = self._memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key][0]
+        result = build()
+        size = 0
+        for arr in _held_arrays(result):
+            arr.setflags(write=False)
+            size += arr.nbytes
+        if size <= _MEMO_BYTES:
+            memo[key] = result, size
+            self._memo_bytes += size
+        while self._memo_bytes > _MEMO_BYTES:
+            self._memo_bytes -= memo.popitem(last=False)[1][1]
+        return result
 
     # -- constructors ------------------------------------------------------
 

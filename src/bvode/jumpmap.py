@@ -51,8 +51,10 @@ class SigmaG:
         return _scalar(out)
 
     def jump_at(self, u) -> float:
-        """Right jump of sigma at u: b - a when u = a_i, else 0."""
+        """Right jump of sigma at u: b - a when u = a_i, else 0; a NaN u is a ValueError."""
         u = float(u)
+        if math.isnan(u):
+            raise ValueError("sigma argument must not be NaN")
         i = np.searchsorted(self._a, u)
         if i < self._a.size and self._a[i] == u:
             return float(self._b[i] - u)
@@ -99,7 +101,9 @@ class JumpMeasure:
         return cls(atoms=((loc, 1.0),))
 
     def lebesgue_mass(self, lo: float, hi: float) -> float:
-        """Absolutely continuous mass of the window (lo, hi)."""
+        """Absolutely continuous mass of the window (lo, hi); a NaN end is a ValueError."""
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("window ends must not be NaN")
         return float(sum(max(0.0, min(s1, hi) - max(s0, lo))
                          for s0, s1 in self.segments))
 

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import backend
-from .drivers import BVFunction, _sorted_unique
+from .drivers import BVFunction, _Same, _sorted_unique
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, phi_solve
 
@@ -112,7 +112,9 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     Between jump epochs the continuous Stieltjes equation is advanced by
     a Heun rule on a variation-equidistributed grid; at each epoch the
     state is replaced by the jump map of the frozen, jump-scaled
-    coefficient.  ``sample_times`` adds report points to the grid.
+    coefficient.  ``sample_times`` adds report points to the grid.  The
+    driver keeps the read-only path (``L._remember``), so a repeated solve
+    is not run again.
     """
     a, b = L.domain
     if v_max is None:
@@ -127,26 +129,34 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
         extra = np.asarray(sample_times, dtype=np.float64).reshape(-1)
         if extra.size and not (extra.min() >= a and extra.max() <= b):
             raise ValueError(f"sample times must lie in [{a!r}, {b!r}]")
-    x_cur = float(x0)
-    if not np.isfinite(x_cur):
+    x_start = float(x0)
+    if not np.isfinite(x_start):
         raise ValueError("initial states must be finite")
-    # one grid over every stretch between jumps; report points other than the edges join it
-    edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
-    grid = L._variation_grid(edges, v_max)
-    if extra.size:
-        grid = _sorted_unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
-    Lg = L.continuous_value(grid)
-    x, xl = np.empty_like(grid), np.full_like(grid, x_cur)
-    is_jump = np.zeros(grid.shape, dtype=bool)
-    for i0, i1 in itertools.pairwise(np.searchsorted(grid, edges).tolist()):
-        # each stretch starts where the last one ended, and x_left keeps that end
-        xs = backend.heun_path(f, grid[i0:i1 + 1], Lg[i0:i1 + 1], x_cur)
-        x[i0:i1 + 1], xl[i0 + 1:i1 + 1] = xs, xs[1:]
-        x_cur = float(xs[-1])
-        dL = L.jump_at(grid[i1])
-        if dL:
-            z = f.scaled_frozen(float(grid[i1]), dL)
-            # a state that already overflowed crosses the jump unchanged
-            x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
-            x[i1], is_jump[i1] = x_cur, True
-    return LimitPath(grid, xl, x, is_jump, (a, b))
+
+    def build():
+        x_cur = x_start
+        # one grid over every stretch between jumps; report points other than the edges join it
+        edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
+        grid = L._variation_grid(edges, v_max)
+        if extra.size:
+            grid = _sorted_unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
+        Lg = L.continuous_value(grid)
+        x, xl = np.empty_like(grid), np.full_like(grid, x_cur)
+        is_jump = np.zeros(grid.shape, dtype=bool)
+        for i0, i1 in itertools.pairwise(np.searchsorted(grid, edges).tolist()):
+            # each stretch starts where the last one ended, and x_left keeps that end
+            xs = backend.heun_path(f, grid[i0:i1 + 1], Lg[i0:i1 + 1], x_cur)
+            x[i0:i1 + 1], xl[i0 + 1:i1 + 1] = xs, xs[1:]
+            x_cur = float(xs[-1])
+            dL = L.jump_at(grid[i1])
+            if dL:
+                z = f.scaled_frozen(float(grid[i1]), dL)
+                # a state that already overflowed crosses the jump unchanged
+                x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
+                x[i1], is_jump[i1] = x_cur, True
+        return LimitPath(grid, xl, x, is_jump, (a, b))
+
+    # looked up only after every check
+    return L._remember(("limit", _Same(f), np.asarray(mu.atoms, dtype=np.float64).tobytes(),
+                        np.asarray(mu.segments, dtype=np.float64).tobytes(), x_start.hex(),
+                        extra.tobytes(), float(v_max).hex()), build)

@@ -71,6 +71,14 @@ def _powers(y, first, last):
     return np.cumprod(out, axis=-1)
 
 
+def _not_nan(x, what):
+    """x as a float64 array; a NaN anywhere in it is a ValueError naming ``what``."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError(f"{what} argument must not be NaN")
+    return x
+
+
 def _bisect(below, lo, hi):
     """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
     for _ in range(60):
@@ -111,8 +119,8 @@ class MollifierProfile:
             raise ValueError(f"profile {self.name!r} has negative density")
 
     def rho(self, s):
-        """Base density, zero outside [0, 1]."""
-        s = np.asarray(s, dtype=np.float64)
+        """Base density, zero outside [0, 1]; a NaN argument is a ValueError."""
+        s = _not_nan(s, "rho")
         out = np.zeros(s.shape)
         if self.code == PROFILE_UNIFORM:
             out[(s >= 0.0) & (s <= 1.0)] = 1.0
@@ -126,8 +134,9 @@ class MollifierProfile:
         return _scalar(out)
 
     def tail(self, y):
-        """Tail mass: integral of rho over [y, 1]; 1 below 0, 0 above 1."""
-        y = np.asarray(y, dtype=np.float64)
+        """Tail mass: integral of rho over [y, 1]; 1 below 0, 0 above 1.  A NaN
+        argument is a ValueError."""
+        y = _not_nan(y, "tail")
         if self.code == PROFILE_UNIFORM:
             out = np.clip(1.0 - y, 0.0, 1.0)
         elif self.code == PROFILE_TRIANGULAR:
@@ -144,11 +153,11 @@ class MollifierProfile:
     def moments(self, y):
         """Incomplete moments I_m(y) = integral of rho(s) s^m over [0, y], m = 0..3.
 
-        y is clipped to [0, 1]; the result has shape ``y.shape + (4,)``.
-        Closed forms for the analytic profiles, linear interpolation of the
-        moment table otherwise.
+        y is clipped to [0, 1]; the result has shape ``y.shape + (4,)``, and a
+        NaN argument is a ValueError.  Closed forms for the analytic profiles,
+        linear interpolation of the moment table otherwise.
         """
-        y = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
+        y = np.clip(_not_nan(y, "moments"), 0.0, 1.0)
         if self.code == PROFILE_UNIFORM:
             return _powers(y, 1, 4) / _M1
         if self.code == PROFILE_TRIANGULAR:
@@ -306,13 +315,10 @@ class Schedule:
 
 def F_n(profile: MollifierProfile, n: int, x):
     """Tail mass of the scaled kernel: integral of rho_n over [x, 1/n]; a NaN x
-    is a ValueError."""
+    is a ValueError (from ``tail``)."""
     if int(n) < 1:
         raise ValueError("n must be a positive integer")
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ValueError("F_n argument must not be NaN")
-    return profile.tail(x * int(n))
+    return profile.tail(np.asarray(x, dtype=np.float64) * int(n))
 
 
 def F_n_inv(profile: MollifierProfile, n: int, u):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .drivers import STEP_CAP, BVFunction, StepLimitError, _check_cap
+from .drivers import STEP_CAP, BVFunction, StepLimitError, _check_cap, _Same
 from .fields import ScalarField
 from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
@@ -57,7 +57,8 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     the row repeats its final state.  The increments of all offsets share
     one (J, Kmax) array whose steps past an offset's own K_j are zero, so
     both recursions step the whole fan at once and pad by keeping the
-    final state.
+    final state.  The driver keeps the read-only result (``L._remember``),
+    so a repeated fan is not solved again.
     """
     a, b = L.domain
     if not (h > 0.0 and math.isfinite(h)):
@@ -73,17 +74,23 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     ks = _step_counts(b, taus, h, step_cap)
     # step_cap bounds each offset, STEP_CAP the fan's arrays
     _check_cap(taus.size * float(ks.max()), STEP_CAP, "lattice fan", "steps")
-    # one lattice call for the fan: padded times lie past b, where L_n is constant
-    ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
-    Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
-    del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
-    dLn = np.diff(Ln, axis=1)
-    del Ln
-    lengths = ks + 1
-    if mollify_coefficient:
-        s, w = profile.convolution_rule(n, conv_points)
-        return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
-    return backend.euler_exact(f, taus, h, dLn, x0s), lengths
+
+    def build():
+        # one lattice call for the fan: padded times lie past b, where L_n is constant
+        ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
+        Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
+        del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
+        dLn = np.diff(Ln, axis=1)
+        del Ln
+        lengths = ks + 1
+        if mollify_coefficient:
+            s, w = profile.convolution_rule(n, conv_points)
+            return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
+        return backend.euler_exact(f, taus, h, dLn, x0s), lengths
+
+    # looked up only after every check, so each error is raised as before
+    return L._remember(("fan", _Same(profile), int(n), float(h).hex(), taus.tobytes(), _Same(f),
+                        x0s.tobytes(), bool(mollify_coefficient), int(conv_points)), build)
 
 
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,

@@ -50,6 +50,22 @@ class TestEval:
             assert L(float(t)) == v
 
 
+class TestReadOnlyTables:
+    def test_edit_raises(self):
+        """The driver's arrays and the tables derived from them are read-only:
+        an in-place edit raises instead of leaving the derived tables (and the
+        results the driver keeps) stale."""
+        L = make_mixed()
+        before = L(np.linspace(0.0, 1.0, 9))
+        names = ("seg_breaks", "seg_coefs", "jump_epochs", "jump_sizes", "_ext_coefs",
+                 "_ext_origin", "_jump_cum", "_piece_seg", "_piece_ends")
+        assert {k for k, v in vars(L).items() if isinstance(v, np.ndarray)} == set(names)
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(L, name)[...] = 7
+        np.testing.assert_array_equal(L(np.linspace(0.0, 1.0, 9)), before)
+
+
 class TestNonFiniteTimes:
     def test_nan_rejected(self):
         L = make_mixed()
@@ -232,13 +248,16 @@ class TestContinuousPart:
                                       want.variation_steps(u, v, v_max))
 
     def test_cannot_alter_the_parent(self):
-        """Each driver owns copies of its inputs: changing the continuous part's
-        arrays, or the caller's, leaves the driver unchanged."""
+        """Each driver owns copies of its inputs: the continuous part shares no
+        array with the parent (and its arrays are read-only), and changing the
+        caller's arrays leaves the driver unchanged."""
         breaks, coefs = np.array([0.0, 0.5, 1.0]), np.array([[0.0, 2.0], [1.0, 0.0]])
         L = BVFunction(breaks, coefs, jumps=((0.25, 1.5),))
         Lc = L.continuous_part()
         for name in ("seg_breaks", "seg_coefs", "_piece_seg", "_piece_ends"):
-            getattr(Lc, name)[...] = 7
+            assert not np.shares_memory(getattr(Lc, name), getattr(L, name))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(Lc, name)[...] = 7
         breaks[1], coefs[0, 1] = 0.4, 9.0
         np.testing.assert_array_equal(L.seg_breaks, [0.0, 0.5, 1.0])
         assert L(0.5) == 2.5 and L.jump_at(0.25) == 1.5 and Lc.jump_at(0.25) == 0.0

@@ -410,6 +410,9 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: sigma_staircase(UNIT_GRID, NAN),
     lambda: SigmaG([(0.2, 0.5)])(np.array([0.1, NAN])),
     lambda: measure_from_sigma(SigmaG([(0.2, 0.5)])).mass_closed(NAN, 1.0),
+    lambda: JumpMeasure.lebesgue().lebesgue_mass(NAN, 0.5),
+    lambda: JumpMeasure.lebesgue().lebesgue_mass(0.2, NAN),
+    lambda: SigmaG([(0.2, 0.5)]).jump_at(NAN),
     lambda: ramp_z(0.5, NAN, 0.0),
     lambda: phi_explicit_ramp(SigmaG(), 0.5, NAN, 0.0, 0.7),
     lambda: Schedule.power(NAN),
@@ -418,7 +421,8 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
 ], ids=["LimitPath.eval", "GridPath.eval", "GridPath.eval-inf",
         "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
         "left_limit", "jump_at", "F_n", "F_n-array", "stieltjes-a", "stieltjes-t",
-        "sigma_staircase", "SigmaG", "mass_closed", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
+        "sigma_staircase", "SigmaG", "mass_closed", "lebesgue_mass-lo", "lebesgue_mass-hi",
+        "SigmaG.jump_at", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
         "LimitPath-one-time"])
 def test_nan_argument_raises(call):
     """A NaN time, window end, probe or parameter (or an infinite lattice

@@ -1,0 +1,200 @@
+"""Per-driver memo of offset fans and limit paths (BVFunction._remember)."""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from bvode import (
+    BVFunction,
+    JumpMeasure,
+    ScalarField,
+    Schedule,
+    StepLimitError,
+    backend,
+    drivers,
+    get_profile,
+    solve_grid,
+    solve_limit,
+    solve_offset,
+)
+from bvode.drivers import _held_arrays
+
+
+def unit_jump():
+    return BVFunction.from_segments([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0),))
+
+
+class Spy:
+    """Counts the calls of a backend kernel while passing them through."""
+
+    def __init__(self, mp, name):
+        self.calls, self._fn = 0, getattr(backend, name)
+        mp.setattr(backend, name, self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._fn(*args, **kwargs)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def memo_bytes(L):
+    """Bytes of the arrays the driver's kept results hold, counted afresh."""
+    return sum(a.nbytes for result, _ in L._memo.values() for a in _held_arrays(result))
+
+
+def test_criterion_2_call_list_matches_fresh_drivers(monkeypatch):
+    """Criterion 2's calls on one driver give, call by call, the bits a fresh
+    driver gives.  The shared driver solves each distinct fan once, except the
+    n = 512 flow fan (33.6 MB), which is over the budget and solved twice, and
+    each of the two limit paths once."""
+    L, f, prof = unit_jump(), ScalarField.linear_x(), get_profile("uniform")
+    flow = Schedule.power(2.0, meshes=(64, 128, 256, 512))
+    ito = Schedule.power(0.5, meshes=(512, 1024, 2048, 4096))
+    leb, dirac = JumpMeasure.lebesgue(), JumpMeasure.dirac(0.0)
+    lattice, heun = Spy(monkeypatch, "driver_lattice_values"), Spy(monkeypatch, "heun_path")
+    shared_lattice = 0
+
+    def limit(mu):
+        got, want = solve_limit(f, L, mu, 1.0), solve_limit(f, unit_jump(), mu, 1.0)
+        for name in ("t", "x_left", "x", "is_jump"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    # the studies in the criterion's order, each scored against its limit path;
+    # the flow and Ito paths are solved once more after their studies
+    for sched, mu, again in ((flow, leb, True), (ito, dirac, True),
+                             (flow, dirac, False), (ito, leb, False)):
+        limit(mu)
+        for n in sched.meshes:
+            before = lattice.calls
+            got = solve_grid(f, L, prof, n, sched.h(n), 1.0)
+            shared_lattice += lattice.calls - before
+            want = solve_grid(f, unit_jump(), prof, n, sched.h(n), 1.0)
+            assert_same_bits(got.values, want.values)
+            assert_same_bits(got.lengths, want.lengths)
+            assert_same_bits(got.offsets, want.offsets)
+        if again:
+            limit(mu)
+        assert L._memo_bytes == memo_bytes(L) <= drivers._MEMO_BYTES
+    assert shared_lattice == 9
+    # 6 limit solves on fresh drivers and 2 on the shared one, 2 stretches each
+    assert heun.calls == 2 * (6 + 2)
+
+
+def test_equal_drivers_share_nothing(monkeypatch):
+    f, prof = ScalarField.linear_x(), get_profile("uniform")
+    lattice, heun = Spy(monkeypatch, "driver_lattice_values"), Spy(monkeypatch, "heun_path")
+    first, second = unit_jump(), unit_jump()
+    for L, calls in ((first, 1), (first, 1), (second, 2), (second, 2), (first, 2)):
+        solve_grid(f, L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+        solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+        assert lattice.calls == calls and heun.calls == 2 * calls
+    assert first._memo is not second._memo
+
+
+def test_byte_budget(monkeypatch):
+    """Least recently used results go first; a result over the budget is
+    returned and not kept; the kept bytes never exceed the budget."""
+    # n_offsets = 2, h = 1/64: 2 x 65 states and 2 lengths, 1056 bytes
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", 2500)
+    L, f, prof = unit_jump(), ScalarField.linear_x(), get_profile("uniform")
+    lattice = Spy(monkeypatch, "driver_lattice_values")
+
+    def fan(x0, h=1.0 / 64):
+        solve_grid(f, L, prof, 8, h, x0, n_offsets=2)
+        assert L._memo_bytes == memo_bytes(L) <= 2500
+        return lattice.calls
+
+    assert [fan(1.0), fan(2.0), fan(1.0)] == [1, 2, 2]
+    assert fan(3.0) == 3        # evicts x0 = 2, the least recently used
+    assert fan(1.0) == 3 and fan(2.0) == 4
+    assert L._memo_bytes == 2 * 1056
+    # h = 1/256: 2 x 257 states, 4128 bytes, over the budget
+    kept = list(L._memo)
+    assert fan(1.0, 1.0 / 256) == 5 and fan(1.0, 1.0 / 256) == 6
+    assert list(L._memo) == kept
+    # a budget lowered below what is kept evicts on the next miss
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", 1500)
+    solve_grid(f, L, prof, 8, 1.0 / 64, 4.0, n_offsets=2)
+    assert L._memo_bytes == memo_bytes(L) == 1056
+
+
+def test_lower_step_cap_on_kept_fan_still_raises():
+    f, L, prof = ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0)), get_profile("uniform")
+    assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=10).size == 11
+    with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
+        solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=9)
+    assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4, step_cap=10).values.shape == (4, 11)
+    with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
+        solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4, step_cap=9)
+
+
+def test_checks_run_before_lookup():
+    """Every argument check of a kept call still fails as it did."""
+    f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
+    solve_grid(f, L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+    solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+    with pytest.raises(ValueError, match="initial states must be finite"):
+        solve_grid(f, L, prof, 8, 1.0 / 64, np.nan, n_offsets=2)
+    with pytest.raises(ValueError, match="sharpness n"):
+        solve_grid(f, L, prof, 0, 1.0 / 64, 1.0, n_offsets=2)
+    with pytest.raises(ValueError, match="initial states must be finite"):
+        solve_limit(f, L, JumpMeasure.lebesgue(), np.inf)
+    with pytest.raises(ValueError, match="v_max must be positive"):
+        solve_limit(f, L, JumpMeasure.lebesgue(), 1.0, v_max=-1.0)
+    with pytest.raises(ValueError, match="sample times"):
+        solve_limit(f, L, JumpMeasure.lebesgue(), 1.0, sample_times=[2.0])
+
+
+def test_signed_zeros_miss_each_other(monkeypatch):
+    f, L, prof = ScalarField.constant(0.0), unit_jump(), get_profile("uniform")
+    lattice, heun = Spy(monkeypatch, "driver_lattice_values"), Spy(monkeypatch, "heun_path")
+    plus = solve_grid(f, L, prof, 8, 1.0 / 64, 0.0, n_offsets=2)
+    minus = solve_grid(f, L, prof, 8, 1.0 / 64, -0.0, n_offsets=2)
+    assert lattice.calls == 2
+    assert not np.signbit(plus.values[0, 0]) and np.signbit(minus.values[0, 0])
+    plus = solve_limit(f, L, JumpMeasure.lebesgue(), 0.0)
+    minus = solve_limit(f, L, JumpMeasure.lebesgue(), -0.0)
+    assert heun.calls == 4
+    assert not np.signbit(plus.x_left[0]) and np.signbit(minus.x_left[0])
+    # atoms at 0.0 and -0.0 are different measures to the memo
+    solve_limit(f, L, JumpMeasure.dirac(0.0), 1.0)
+    solve_limit(f, L, JumpMeasure.dirac(-0.0), 1.0)
+    assert heun.calls == 8
+
+
+def test_fields_match_by_identity(monkeypatch):
+    """An equal but separately built field is solved again."""
+    L, prof = unit_jump(), get_profile("uniform")
+    lattice = Spy(monkeypatch, "driver_lattice_values")
+    solve_grid(ScalarField.linear_x(), L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+    solve_grid(ScalarField.linear_x(), L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+    assert lattice.calls == 2
+
+
+def test_results_are_read_only(monkeypatch):
+    f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
+    gp = solve_grid(f, L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+    path = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+    for arr in (gp.values, gp.lengths, solve_offset(f, L, prof, 8, 1.0 / 64, 0.0, 1.0),
+                path.t, path.x, path.x_left, path.is_jump):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # a fan over the budget is returned read-only too, and not kept
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", 100)
+    gp = solve_grid(f, L, prof, 8, 1.0 / 64, 2.0, n_offsets=2)
+    assert not gp.values.flags.writeable and not L._memo
+
+
+def test_memo_dies_with_its_driver():
+    f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
+    gp = solve_grid(f, L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
+    path = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+    driver, memo = weakref.ref(L), weakref.ref(L._memo)
+    del L  # no reference cycle holds it: it goes at once, without a collection
+    assert driver() is None and memo() is None
+    assert gp.values.shape == (2, 65) and path.x.size > 2

@@ -53,6 +53,17 @@ class TestProfiles:
         assert np.all(r >= 0.0)
         assert np.all(r[(s < 0.0) | (s > 1.0)] == 0.0)
 
+    @pytest.mark.parametrize("method", ["rho", "tail", "moments"])
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_nan_argument_raises(self, name, method):
+        """A NaN is refused, not read as a density of 0, a tail of NaN or 1
+        (triangular) or four NaN moments."""
+        fn = getattr(get_profile(name), method)
+        for y in (np.nan, np.array([0.3, np.nan]), np.array([[np.inf], [np.nan]])):
+            with pytest.raises(ValueError, match=f"{method} argument must not be NaN"):
+                fn(y)
+        assert np.all(np.isfinite(fn(np.array([-np.inf, 0.5, np.inf]))))
+
     @pytest.mark.parametrize("name", PROFILE_NAMES)
     def test_unit_mass(self, name):
         p = get_profile(name)
