@@ -35,7 +35,6 @@ from .jumpmap import (
     phi_recursion,
     phi_solve,
     ramp_z,
-    sigma_staircase,
 )
 from .scheme import (
     GridPath,
@@ -95,7 +94,6 @@ __all__ = [
     "ramp_z",
     "sigma_delta_limit",
     "sigma_n_check",
-    "sigma_staircase",
     "solve_grid",
     "solve_limit",
     "solve_offset",

@@ -221,27 +221,6 @@ class BVFunction:
     def from_segments(cls, breakpoints, coefficients, jumps=()) -> "BVFunction":
         return cls(breakpoints, coefficients, jumps)
 
-    @classmethod
-    def from_poly(cls, domain, poly_coefs, jumps=()) -> "BVFunction":
-        """Single global polynomial sum(g_j t^j), degree at most three."""
-        a, b = map(float, domain)
-        g = np.zeros(4)
-        poly_coefs = np.asarray(poly_coefs, dtype=np.float64)
-        if poly_coefs.size > 4:
-            raise ValueError("polynomial degree above three is not supported")
-        g[: poly_coefs.size] = poly_coefs
-        local = np.array([
-            g[0] + g[1] * a + g[2] * a * a + g[3] * a ** 3,
-            g[1] + 2.0 * g[2] * a + 3.0 * g[3] * a * a,
-            g[2] + 3.0 * g[3] * a,
-            g[3],
-        ])
-        return cls([a, b], local[None, :], jumps)
-
-    @classmethod
-    def constant(cls, domain, value=0.0, jumps=()) -> "BVFunction":
-        return cls.from_poly(domain, [float(value)], jumps)
-
     # -- basic queries -----------------------------------------------------
 
     def continuous_value(self, t):
@@ -278,12 +257,6 @@ class BVFunction:
         if i < self.jump_epochs.size and self.jump_epochs[i] == t:
             return float(self.jump_sizes[i])
         return 0.0
-
-    def left_limit(self, t) -> float:
-        t = float(t)
-        if not t > self.domain[0]:
-            raise ValueError(f"left limit undefined at or before the left endpoint ({t!r})")
-        return float(self(t)) - self.jump_at(t)
 
     def continuous_part(self) -> "BVFunction":
         return BVFunction(self.seg_breaks, self.seg_coefs)

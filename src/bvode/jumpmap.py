@@ -131,14 +131,6 @@ class XiGrid:
             raise ValueError("grid values must be non-decreasing")
         self.values = v
 
-    @property
-    def p(self) -> int:
-        """Interior resolution index: the grid holds p + 3 values."""
-        return self.values.size - 3
-
-    def __len__(self) -> int:
-        return self.values.size
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"XiGrid({self.values.size} values)"
 
@@ -173,7 +165,8 @@ def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure) -> float:
     applies the explicit increment phi += z(phi) * mass, each Lebesgue
     stretch advances the exact flow dphi/dm = z(phi)
     (:func:`bvode.backend.flow_mass`).  An atom exactly at u is excluded
-    by the half-open convention.
+    by the half-open convention.  One forward pass over the segments finds
+    every stretch's mass, so a call is linear in atoms plus segments.
     """
     _require_autonomous(z)
     u = float(u)
@@ -186,10 +179,19 @@ def phi_solve(z: ScalarField, x: float, u: float, mu: JumpMeasure) -> float:
         return phi
     amass = dict(mu.atoms)
     edges = [0.0] + [v for v, _ in mu.atoms if 0.0 < v < u] + [u]
+    segs, i = mu.segments, 0
     for p0, p1 in zip(edges[:-1], edges[1:]):
         if p0 in amass:
             phi = phi + float(z._eval(0.0, phi)) * amass[p0]
-        leb = mu.lebesgue_mass(p0, p1)
+        # lebesgue_mass(p0, p1) from the segments i..j that meet [p0, p1): the
+        # sorted segments before i end by p0 and those from j on start at p1 or
+        # later, so the terms they would add are exactly 0.0
+        while i < len(segs) and segs[i][1] <= p0:
+            i += 1
+        j = i
+        while j < len(segs) and segs[j][0] < p1:
+            j += 1
+        leb = float(sum(max(0.0, min(s1, p1) - max(s0, p0)) for s0, s1 in segs[i:j]))
         if leb > 0.0:
             phi = backend.flow_mass(z, phi, leb)
     return phi
@@ -203,15 +205,6 @@ def phi_recursion(z: ScalarField, x: float, grid: XiGrid) -> np.ndarray:
     _require_autonomous(z)
     return backend.euler_exact(z, np.zeros(1), 0.0, np.diff(grid.values)[None],
                                np.array([float(x)]))[0]
-
-
-def sigma_staircase(grid: XiGrid, u):
-    """Staircase read-out of a grid: the smallest xi_k with u <= xi_k."""
-    uu = np.asarray(u, dtype=np.float64)
-    if not np.all((uu >= 0.0) & (uu <= 1.0)):
-        raise ValueError("u must lie in [0, 1]")
-    idx = np.searchsorted(grid.values, uu, side="left")
-    return _scalar(grid.values[idx])
 
 
 def ramp_z(q: float, eps: float, x_ref: float) -> ScalarField:

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import backend
-from .drivers import BVFunction, _Same, _sorted_unique
+from .drivers import BVFunction, _held_arrays, _Same, _sorted_unique
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, phi_solve
 
@@ -39,6 +39,9 @@ class LimitPath:
         jumps = np.flatnonzero(self.is_jump)
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
         self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
+        # read-only, so that no edit leaves the doubled grid stale
+        for arr in _held_arrays(self):
+            arr.setflags(write=False)
 
     def eval(self, t):
         """Right-continuous value at t (vectorized)."""

@@ -79,6 +79,14 @@ def _not_nan(x, what):
     return x
 
 
+def _sharpness(n) -> int:
+    """n as an int, which must be at least 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def _bisect(below, lo, hi):
     """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
     for _ in range(60):
@@ -205,7 +213,7 @@ class MollifierProfile:
         Nodes live in [0, 1/n]; weights carry the density and are
         normalized to total mass one, so the rule is a convex average.
         """
-        key = (int(n), int(points))
+        key = (_sharpness(n), int(points))
         if key not in self._rules:
             edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
             wide = np.diff(edges) > 0.0  # a kink at 0, 1 or another kink adds no panel
@@ -316,16 +324,14 @@ class Schedule:
 def F_n(profile: MollifierProfile, n: int, x):
     """Tail mass of the scaled kernel: integral of rho_n over [x, 1/n]; a NaN x
     is a ValueError (from ``tail``)."""
-    if int(n) < 1:
-        raise ValueError("n must be a positive integer")
-    return profile.tail(np.asarray(x, dtype=np.float64) * int(n))
+    n = _sharpness(n)
+    return profile.tail(np.asarray(x, dtype=np.float64) * n)
 
 
 def F_n_inv(profile: MollifierProfile, n: int, u):
     """Generalized inverse of F_n; +inf at u = 0."""
-    if int(n) < 1:
-        raise ValueError("n must be a positive integer")
-    return profile.tail_inv(u) / int(n)
+    n = _sharpness(n)
+    return profile.tail_inv(u) / n
 
 
 def mollify_L(L, profile: MollifierProfile, n: int, t):
@@ -336,10 +342,11 @@ def mollify_L(L, profile: MollifierProfile, n: int, t):
     moments (``MollifierProfile.moments``), and each jump contributes
     size * F_n(epoch - t).  Times must be finite.
     """
+    n = _sharpness(n)
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.isfinite(ts).all():
         raise ValueError("times must be finite")
-    out = backend.driver_lattice_values(ts, int(n), profile, L)
+    out = backend.driver_lattice_values(ts, n, profile, L)
     return _scalar(out[0] if np.ndim(t) == 0 else out)
 
 

@@ -156,21 +156,21 @@ def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
     """Offsets a + k h / n_offsets in [a, a + h); an array of steps h gives a row per step."""
     if n_offsets < 1:
         raise ValueError("need at least one offset")
+    _check_cap(n_offsets, STEP_CAP, "offset fan", "offsets")
     return a + (np.asarray(h)[..., None] / n_offsets) * np.arange(n_offsets, dtype=np.float64)
 
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
-               n: int, h: float, x0, n_offsets: int = 16,
+               n: int, h: float, x0: float, n_offsets: int = 16,
                **kwargs) -> GridPath:
-    """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h).
+    """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h),
+    each from the initial state x0.
 
-    ``x0`` is a number or a callable of the offset tau.  Keyword arguments
-    (``mollify_coefficient``, ``conv_points``, ``step_cap``) are those of
-    :func:`solve_offset`.
+    Keyword arguments (``mollify_coefficient``, ``conv_points``,
+    ``step_cap``) are those of :func:`solve_offset`.
     """
     taus = _offset_fan(L.domain[0], h, n_offsets)
-    x0s = np.array([x0(float(tau)) if callable(x0) else float(x0) for tau in taus],
-                   dtype=np.float64)
+    x0s = np.full(taus.shape, float(x0))
     values, lengths = _fan(f, L, profile, n, h, taus, x0s, **kwargs)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)

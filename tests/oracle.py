@@ -29,6 +29,10 @@ carried before :mod:`bvode.cli` laid every table out from columns:
 :func:`grid_rows`, :func:`limit_path_rows`, :func:`probe_rows`,
 :func:`study_rows` and :func:`jumpmap_rows`.
 
+The jump map's reference is :func:`phi_solve`, the walk that summed
+every stretch's Lebesgue mass over all segments, which the one forward
+pass of :func:`bvode.phi_solve` replaced; the row builders below run it.
+
 The limit layer's exact reference is :func:`exact_limit`, the flow
 representation of the solution for an autonomous field under the Lebesgue
 and dirac(0) jump measures.  Its other references are the
@@ -73,8 +77,7 @@ import numpy as np
 from bvode import backend
 from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
-from bvode.jumpmap import (XiGrid, measure_from_sigma, phi_explicit_ramp, phi_solve,
-                           ramp_z, sigma_staircase)
+from bvode.jumpmap import XiGrid, measure_from_sigma, phi_explicit_ramp, ramp_z
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
 
@@ -649,6 +652,31 @@ def variation_steps(L, u, v, v_max):
     return grid[(grid >= u) & (grid <= v)]
 
 
+def phi_solve(z, x, u, mu):
+    """Jump map phi(z, x, u), one stretch between atoms at a time, each
+    stretch's Lebesgue mass summed over every segment by
+    ``JumpMeasure.lebesgue_mass``: O(k^2) for a k-interval staircase."""
+    if not z.is_autonomous:
+        raise ValueError("z must not depend on t; freeze the time argument first")
+    u = float(u)
+    if not 0.0 <= u <= 1.0:
+        raise ValueError("u must lie in [0, 1]")
+    phi = float(x)
+    if not math.isfinite(phi):
+        raise ValueError("initial states must be finite")
+    if u == 0.0:
+        return phi
+    amass = dict(mu.atoms)
+    edges = [0.0] + [v for v, _ in mu.atoms if 0.0 < v < u] + [u]
+    for p0, p1 in zip(edges[:-1], edges[1:]):
+        if p0 in amass:
+            phi = phi + float(z._eval(0.0, phi)) * amass[p0]
+        leb = mu.lebesgue_mass(p0, p1)
+        if leb > 0.0:
+            phi = backend.flow_mass(z, phi, leb)
+    return phi
+
+
 def limit_rows(f, L, mu, x0, sample_times=None, v_max=None):
     """(t, x_left, x, is_jump) rows of the limit solve, built point by point."""
     a, b = L.domain
@@ -835,8 +863,9 @@ def sigma_n_gaps(profile, sched, zeta, sigma, probes, n_offsets, domain=(0.0, 1.
         acc = np.zeros(us.size, dtype=np.float64)
         for tau in taus:
             grid = crossing_grid(profile, n, h, float(tau), float(zeta))
-            vals = np.asarray(sigma_staircase(grid, us), dtype=np.float64)
-            acc += np.abs(vals.reshape(-1) - target)
+            # the staircase read-out: the smallest xi_k with u <= xi_k
+            vals = grid.values[np.searchsorted(grid.values, us, side="left")]
+            acc += np.abs(vals - target)
         gaps[i] = (b - a) * acc / n_offsets
     return gaps
 

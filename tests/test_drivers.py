@@ -24,19 +24,20 @@ def make_mixed():
 
 class TestEval:
     def test_pure_jump_before_after(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.5, 1.0),))
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0),))
         assert L(0.25) == 0.0
         assert L(0.5) == 1.0  # right-continuous at the epoch
         assert L(0.75) == 1.0
 
     def test_extension_clamps(self):
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        L = BVFunction([0.0, 1.0], [[0.0, 1.0]])
         assert L(2.0) == 1.0
         assert L(-3.0) == 0.0
 
     def test_polynomial_matches_polyval(self, rng):
         coefs = (0.3, -1.2, 0.8, 2.0)
-        L = BVFunction.from_poly((-1.0, 2.0), coefs)
+        # the same cubic in powers of t + 1
+        L = BVFunction([-1.0, 2.0], [[0.3, 3.2, -5.2, 2.0]])
         ts = rng.uniform(-1.0, 2.0, 300)
         want = np.polyval(coefs[::-1], ts)
         np.testing.assert_allclose(L(ts), want, rtol=0, atol=1e-12)
@@ -88,21 +89,10 @@ class TestNonFiniteTimes:
 
 class TestJumps:
     def test_jump_at(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.3, 2.0), (0.5, -1.0)))
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.3, 2.0), (0.5, -1.0)))
         assert L.jump_at(0.5) == -1.0
         assert L.jump_at(0.4999) == 0.0
         assert L.jump_at(0.3) == 2.0
-
-    def test_left_limit(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.3, 2.0), (0.5, -1.0)))
-        assert L.left_limit(0.5) == 2.0
-        assert L.left_limit(0.3) == 0.0
-
-    def test_left_limit_rejects_left_endpoint(self):
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
-        assert L.left_limit(0.7) == pytest.approx(0.7)
-        with pytest.raises(ValueError):
-            L.left_limit(0.0)
 
     def test_right_continuity_probe(self):
         L = make_mixed()
@@ -113,27 +103,27 @@ class TestJumps:
             assert gap_left > 0.4  # the jump itself
 
     def test_coincident_jumps_merge(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.5, 1.0), (0.5, 2.0)))
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0), (0.5, 2.0)))
         assert L.jump_epochs.size == 1
         assert L.jump_at(0.5) == 3.0
 
     def test_merged_to_zero_drops(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.5, 1.0), (0.5, -1.0)))
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0), (0.5, -1.0)))
         assert L.jump_epochs.size == 0
 
 
 class TestValidation:
     def test_zero_jump_rejected(self):
         with pytest.raises(ValueError):
-            BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.5, 0.0),))
+            BVFunction([0.0, 1.0], [[0.0]], jumps=((0.5, 0.0),))
 
     def test_epoch_at_left_endpoint_rejected(self):
         with pytest.raises(ValueError):
-            BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.0, 1.0),))
+            BVFunction([0.0, 1.0], [[0.0]], jumps=((0.0, 1.0),))
 
     def test_epoch_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            BVFunction.constant((0.0, 1.0), 0.0, jumps=((1.5, 1.0),))
+            BVFunction([0.0, 1.0], [[0.0]], jumps=((1.5, 1.0),))
 
     def test_discontinuous_segments_rejected(self):
         with pytest.raises(ValueError):
@@ -141,7 +131,7 @@ class TestValidation:
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            BVFunction.from_poly((0.0, 1.0), (0.0, 0.0, 0.0, 0.0, 1.0))
+            BVFunction([0.0, 1.0], [[0.0, 0.0, 0.0, 0.0, 1.0]])
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
@@ -160,19 +150,19 @@ class TestValidation:
 
 class TestVariation:
     def test_linear(self):
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        L = BVFunction([0.0, 1.0], [[0.0, 1.0]])
         assert L.total_variation(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_pure_jumps(self):
-        L = BVFunction.constant((0.0, 1.0), 0.0, jumps=((0.3, 2.0), (0.5, -1.0)))
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.3, 2.0), (0.5, -1.0)))
         assert L.total_variation(0.0, 1.0) == pytest.approx(3.0, abs=1e-14)
 
     def test_point_window(self):
         assert make_mixed().total_variation(0.4, 0.4) == 0.0
 
     def test_cubic_with_extrema(self):
-        # t^3 - t on [-1.5, 1.5]: extrema at +-1/sqrt(3)
-        L = BVFunction.from_poly((-1.5, 1.5), (0.0, -1.0, 0.0, 1.0))
+        # t^3 - t on [-1.5, 1.5], in powers of t + 1.5: extrema at +-1/sqrt(3)
+        L = BVFunction([-1.5, 1.5], [[-1.875, 5.75, -4.5, 1.0]])
         c = 1.0 / np.sqrt(3.0)
         f = lambda t: t ** 3 - t
         want = (f(-c) - f(-1.5)) + (f(-c) - f(c)) + (f(1.5) - f(c))
@@ -202,17 +192,17 @@ class TestVariation:
 
 class TestContinuousPart:
     def test_jump_free_identity(self, rng):
-        L = BVFunction.from_poly((0.0, 1.0), (0.1, 0.5, -0.2))
+        L = BVFunction([0.0, 1.0], [[0.1, 0.5, -0.2]])
         Lc = L.continuous_part()
         ts = rng.uniform(0.0, 1.0, 100)
         np.testing.assert_array_equal(L(ts), Lc(ts))
 
     def test_subtracts_jump(self):
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0), jumps=((0.5, 1.0),))
+        L = BVFunction([0.0, 1.0], [[0.0, 1.0]], jumps=((0.5, 1.0),))
         assert L.continuous_part()(0.75) == pytest.approx(0.75, abs=1e-14)
 
     def test_pure_jump_gives_base(self):
-        L = BVFunction.constant((0.0, 1.0), 2.5, jumps=((0.5, 1.0),))
+        L = BVFunction([0.0, 1.0], [[2.5]], jumps=((0.5, 1.0),))
         Lc = L.continuous_part()
         assert Lc(0.9) == 2.5
         assert Lc.jump_epochs.size == 0
@@ -280,7 +270,7 @@ class TestVariationSteps:
         assert 0.5 in grid
 
     def test_zero_variation_span(self):
-        L = BVFunction.constant((0.0, 1.0), 3.0)
+        L = BVFunction([0.0, 1.0], [[3.0]])
         grid = L.variation_steps(0.2, 0.8, 0.1)
         assert grid[0] == 0.2 and grid[-1] == 0.8
 
@@ -469,7 +459,7 @@ class TestCutTermination:
         # apart.  The bisection's last midpoint of two neighbouring floats
         # rounds to the even one, so it keeps 4 of the points; each cut here
         # keeps the float its chord or Newton step met, 6 of them.
-        L = BVFunction.from_poly((-1.0, 1.0), (0.0, 1e12))
+        L = BVFunction([-1.0, 1.0], [[-1e12, 1e12]])
         edges = [0.6095693498571635, 0.6095693498571645]
         spy = RootSpy(monkeypatch)
         got = L._variation_grid(np.array(edges), 1e-5)
@@ -559,7 +549,7 @@ class TestVariationStepCap:
     """The cuts are counted before any grid is allocated."""
 
     def test_tiny_budget_raises(self):
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        L = BVFunction([0.0, 1.0], [[0.0, 1.0]])
         with pytest.raises(StepLimitError, match="variation grid needs 1.17647e\\+13 cuts"):
             L.variation_steps(0.0, 1.0, 1e-13)
         with pytest.raises(StepLimitError):
@@ -568,7 +558,7 @@ class TestVariationStepCap:
 
     def test_cap_boundary(self, monkeypatch):
         # variation 1 in cells of 0.85 v_max = 1 / 10.5: 10 cuts
-        L = BVFunction.from_poly((0.0, 1.0), (0.0, 1.0))
+        L = BVFunction([0.0, 1.0], [[0.0, 1.0]])
         v_max = 1.0 / 10.5 / 0.85
         monkeypatch.setattr(drivers, "STEP_CAP", 10)
         assert L.variation_steps(0.0, 1.0, v_max).size == 12

@@ -1,8 +1,13 @@
 """Staircase maps, their measures, and the jump-map machinery."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from bvode import (
     JumpMeasure,
     ScalarField,
@@ -13,7 +18,6 @@ from bvode import (
     phi_recursion,
     phi_solve,
     ramp_z,
-    sigma_staircase,
 )
 
 
@@ -124,8 +128,8 @@ class TestMeasureFromSigma:
 class TestXiGrid:
     def test_basic(self):
         g = XiGrid([0.0, 0.25, 0.5, 1.0])
-        assert len(g) == 4
-        assert g.p == 1
+        assert g.values.dtype == np.float64
+        np.testing.assert_array_equal(g.values, [0.0, 0.25, 0.5, 1.0])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two values"):
@@ -138,24 +142,6 @@ class TestXiGrid:
     def test_nan_value_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             XiGrid([0.0, np.nan, 1.0])
-
-
-class TestSigmaStaircase:
-    def test_rounds_up_to_grid(self):
-        g = XiGrid([0.0, 0.25, 0.5, 1.0])
-        assert sigma_staircase(g, 0.0) == 0.0
-        assert sigma_staircase(g, 0.1) == 0.25
-        assert sigma_staircase(g, 0.25) == 0.25
-        assert sigma_staircase(g, 0.3) == 0.5
-        assert sigma_staircase(g, 0.7) == 1.0
-        assert sigma_staircase(g, 1.0) == 1.0
-
-    def test_vectorized_and_validated(self):
-        g = XiGrid([0.0, 0.5, 1.0])
-        np.testing.assert_array_equal(sigma_staircase(g, [0.0, 0.4, 0.6]),
-                                      [0.0, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            sigma_staircase(g, -0.2)
 
 
 class TestPhiSolve:
@@ -216,6 +202,58 @@ class TestPhiSolve:
             phi_solve(ScalarField.constant(1.0), x, 1.0, JumpMeasure.lebesgue())
 
 
+WALK_FIELDS = (ScalarField.constant(0.7), ScalarField.affine(0.3, -1.1), ScalarField.ramp(0.4, 0.3),
+               ScalarField.bounded_sin(1.2, 2.0), ScalarField.bounded_tanh(1.5, 0.8, offset=0.2))
+
+
+@st.composite
+def walk_cases(draw):
+    """A measure with its probe points: the measure of a staircase of 0 to 50
+    intervals (the first may start at 0, neighbours may share an end), or
+    atoms of random mass laid over random segments, some of them inside one."""
+    k = draw(st.integers(0, 50))
+    ends = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k, unique=True)))
+    if ends and draw(st.booleans()):
+        ends[0] = 0.0
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if draw(st.booleans()):  # each interval ends where the next one starts
+        pairs = [(a, nxt[0]) for (a, _), nxt in zip(pairs, pairs[1:])] + pairs[-1:]
+    if draw(st.booleans()) or not pairs:
+        mu = measure_from_sigma(SigmaG(pairs))
+    else:
+        segs = [(a, b) for a, b in pairs if a < b][: draw(st.integers(0, len(pairs)))]
+        locs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20, unique=True))
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(locs), max_size=len(locs)))
+        rest = 1.0 - sum(b - a for a, b in segs)
+        assume(rest > 1e-9)
+        mu = JumpMeasure(atoms=[(v, rest * w / sum(weights)) for v, w in zip(locs, weights)],
+                         segments=segs)
+    us = [0.0, 1.0, *(v for v, _ in mu.atoms), *(e for seg in mu.segments for e in seg),
+          *draw(st.lists(st.floats(0.0, 1.0), max_size=5))]
+    return mu, us
+
+
+class TestPhiSolveWalk:
+    """The one forward pass over the segments gives the bits of the walk
+    that summed every stretch's mass over all segments (oracle.phi_solve)."""
+
+    @given(walk_cases(), st.sampled_from(WALK_FIELDS), st.floats(-2.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_bitwise(self, case, z, x):
+        mu, us = case
+        for u in us:
+            assert phi_solve(z, x, u, mu).hex() == oracle.phi_solve(z, x, u, mu).hex()
+
+    def test_long_staircase_is_linear(self):
+        # 4,000 intervals: oracle.phi_solve, quadratic in the intervals, takes about 10 s
+        mu = measure_from_sigma(SigmaG([((2 * i + 1) / 8000, (2 * i + 2) / 8000)
+                                        for i in range(4000)]))
+        z = ScalarField.bounded_tanh(1.0, 1.0, offset=0.5)
+        start = time.perf_counter()
+        phi_solve(z, 0.3, 1.0, mu)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestPhiRecursion:
     def test_equals_atomized_solve(self, rng):
         """The recursion is the jump map of the increment measure."""
@@ -225,7 +263,7 @@ class TestPhiRecursion:
         atoms = [(float(v), float(d)) for v, d in zip(vals[:-1], np.diff(vals))]
         mu = JumpMeasure(atoms=atoms)
         seq = phi_recursion(z, 0.5, grid)
-        assert seq.shape == (len(grid),)
+        assert seq.shape == grid.values.shape
         assert seq[-1] == pytest.approx(phi_solve(z, 0.5, 1.0, mu), abs=1e-13)
 
     def test_rejects_time_dependence(self):

@@ -14,12 +14,10 @@ from bvode import (
     Schedule,
     ScalarField,
     SigmaG,
-    XiGrid,
     get_profile,
     measure_from_sigma,
     phi_explicit_ramp,
     ramp_z,
-    sigma_staircase,
     solve_grid,
     solve_limit,
     stieltjes_integrate,
@@ -77,6 +75,17 @@ class TestLimitPath:
             LimitPath([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [False, False], domain=(0.0, 1.0))
         with pytest.raises(ValueError, match="strictly increasing"):
             LimitPath([], [], [], [], domain=(0.0, 1.0))
+
+    def test_edit_raises(self):
+        """The columns and the doubled grid read from them are read-only: an
+        in-place edit raises instead of leaving eval and l1_norm stale."""
+        p = LimitPath([0.0, 0.5, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0))
+        names = ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl")
+        assert {k for k, v in vars(p).items() if isinstance(v, np.ndarray)} == set(names)
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[:] = 5.0
+        assert p.eval(0.75) == 1.0 and p.l1_norm() == 1.0
 
     def test_columns_must_match(self):
         with pytest.raises(ValueError, match="one entry per time"):
@@ -388,7 +397,6 @@ def test_solve_limit_error_is_second_order(di, fname, mu_name):
 NAN = float("nan")
 LINEAR_PATH = solve_limit(ScalarField.linear_x(), BVFunction([0.0, 1.0], [[0.0, 1.0]]),
                           JumpMeasure.lebesgue(), 1.0)
-UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
 
 
 @pytest.mark.parametrize("call", [
@@ -401,13 +409,11 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: mixed_driver().variation_steps(0.0, NAN, 0.1),
     lambda: mixed_driver().total_variation(NAN, 1.0),
     lambda: mixed_driver().total_variation(0.0, NAN),
-    lambda: mixed_driver().left_limit(NAN),
     lambda: mixed_driver().jump_at(NAN),
     lambda: F_n(get_profile("uniform"), 8, NAN),
     lambda: F_n(get_profile("bump"), 8, np.array([0.01, NAN])),
     lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), NAN, 1.0, 0.1),
     lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), 0.0, NAN, 0.1),
-    lambda: sigma_staircase(UNIT_GRID, NAN),
     lambda: SigmaG([(0.2, 0.5)])(np.array([0.1, NAN])),
     lambda: measure_from_sigma(SigmaG([(0.2, 0.5)])).mass_closed(NAN, 1.0),
     lambda: JumpMeasure.lebesgue().lebesgue_mass(NAN, 0.5),
@@ -420,8 +426,8 @@ UNIT_GRID = XiGrid(np.array([0.0, 0.5, 1.0]))
     lambda: LimitPath([NAN], [1.0], [1.0], [False], (0.0, 1.0)),
 ], ids=["LimitPath.eval", "GridPath.eval", "GridPath.eval-inf",
         "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
-        "left_limit", "jump_at", "F_n", "F_n-array", "stieltjes-a", "stieltjes-t",
-        "sigma_staircase", "SigmaG", "mass_closed", "lebesgue_mass-lo", "lebesgue_mass-hi",
+        "jump_at", "F_n", "F_n-array", "stieltjes-a", "stieltjes-t",
+        "SigmaG", "mass_closed", "lebesgue_mass-lo", "lebesgue_mass-hi",
         "SigmaG.jump_at", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
         "LimitPath-one-time"])
 def test_nan_argument_raises(call):

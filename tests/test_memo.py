@@ -124,7 +124,7 @@ def test_byte_budget(monkeypatch):
 
 
 def test_lower_step_cap_on_kept_fan_still_raises():
-    f, L, prof = ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0)), get_profile("uniform")
+    f, L, prof = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]), get_profile("uniform")
     assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=10).size == 11
     with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
         solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=9)

@@ -197,13 +197,20 @@ class TestScaledTail:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             F_n_inv(get_profile(name), 4, np.nan)
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -1, -3])
     def test_positive_n_required(self, bad):
+        """mollify_L and mollify_f refuse such n too, and the shared profile
+        caches no quadrature rule for it."""
         p = get_profile("uniform")
-        with pytest.raises(ValueError):
-            F_n(p, bad, 0.1)
-        with pytest.raises(ValueError):
-            F_n_inv(p, bad, 0.5)
+        rules = dict(p._rules)
+        L = BVFunction.from_segments([0.0, 1.0], [[0.0, 1.0]], jumps=((0.5, 1.0),))
+        for call in (lambda: F_n(p, bad, 0.1), lambda: F_n_inv(p, bad, 0.5),
+                     lambda: mollify_L(L, p, bad, 0.4), lambda: p.convolution_rule(bad),
+                     lambda: mollify_f(ScalarField.linear_x(), p, bad, 0.3, 0.2)):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                call()
+        assert p._rules.keys() == rules.keys()
+        assert all(p._rules[k] is rules[k] for k in rules)
 
 
 class TestMollifyDriver:

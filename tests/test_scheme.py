@@ -13,7 +13,10 @@ import oracle
 from bvode import (
     BVFunction,
     ScalarField,
+    Schedule,
+    SigmaG,
     StepLimitError,
+    analysis,
     backend,
     cli,
     discrete_jump_map,
@@ -21,11 +24,12 @@ from bvode import (
     mollify_L,
     phi_recursion,
     scheme,
+    sigma_n_check,
     solve_grid,
     solve_offset,
     xi_grid_for_offset,
 )
-from bvode.scheme import _crossing_fractions, _fan, _step_counts
+from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_counts
 from test_drivers import piecewise_cubics
 
 PROFILES = ("uniform", "triangular", "bump")
@@ -82,7 +86,7 @@ class TestSolveOffset:
 
     def test_step_cap_boundary(self):
         # the lattice 0, 0.1, .., 1.0 takes exactly 10 steps
-        args = (ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0)),
+        args = (ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]),
                 get_profile("uniform"), 8, 0.1, 0.0, 1.0)
         assert solve_offset(*args, step_cap=10).size == 11
         with pytest.raises(StepLimitError, match="needs 10 steps"):
@@ -90,7 +94,7 @@ class TestSolveOffset:
 
     def test_fan_cap_counts_every_offset(self, monkeypatch):
         # 4 offsets of 10 steps each: the fan needs 40 steps in all, a fan of one 10
-        f, L = ScalarField.constant(0.0), BVFunction.constant((0.0, 1.0))
+        f, L = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]])
         prof = get_profile("uniform")
         monkeypatch.setattr(scheme, "STEP_CAP", 40)
         assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4).values.shape == (4, 11)
@@ -99,6 +103,24 @@ class TestSolveOffset:
             solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4)
         monkeypatch.setattr(scheme, "STEP_CAP", 10)
         assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
+
+    def test_offset_count_capped_before_the_fan_is_built(self, monkeypatch):
+        """An offset count over STEP_CAP is refused before its offsets are
+        allocated, so before any lattice or crossing call."""
+        calls = []
+        for mod, name in ((backend, "driver_lattice_values"), (analysis, "_crossing_fractions")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+        f, L, prof = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]), get_profile("uniform")
+        monkeypatch.setattr(scheme, "STEP_CAP", 4)
+        with pytest.raises(StepLimitError, match="offset fan needs 5 offsets, cap is 4"):
+            solve_grid(f, L, prof, 8, 1.0, 1.0, n_offsets=5)
+        with pytest.raises(StepLimitError, match="offset fan needs 5 offsets, cap is 4"):
+            sigma_n_check(prof, Schedule.power(2.0, meshes=(4,)), 0.5, SigmaG(), n_offsets=5)
+        assert calls == []
+        # a count at the cap is built: 4 offsets of one step each
+        assert solve_grid(f, L, prof, 8, 1.0, 1.0, n_offsets=4).values.shape == (4, 2)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_tiny_step_raises_before_counting(self, h):
@@ -157,12 +179,6 @@ class TestGridPath:
         gp = solve_grid(f, L, get_profile("bump"), 16, 0.01, 0.3, n_offsets=1)
         x = solve_offset(f, L, get_profile("bump"), 16, 0.01, 0.0, 0.3)
         np.testing.assert_array_equal(gp.values[0, :x.size], x)
-
-    def test_callable_initial_state(self):
-        gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
-                        get_profile("uniform"), 8, 0.02, lambda tau: tau,
-                        n_offsets=4)
-        np.testing.assert_array_equal(gp.final_values(), gp.offsets)
 
     def test_eval_piecewise_constant(self):
         gp = solve_grid(ScalarField.constant(1.0), mixed_driver(),
@@ -270,19 +286,21 @@ class TestFanOracle:
     @pytest.mark.parametrize("f", FAN_FIELDS, ids=lambda f: f.name)
     def test_matches_serial_runs(self, f, name, mollify):
         # h = 0.03 leaves K_j = 34 for the first offsets and 33 for the rest
+        # and each offset starts from its own state, 0.4 - 3 tau
         L, prof, n, h = mixed_driver(), get_profile(name), 8, 0.03
-        x0 = lambda tau: 0.4 - 3.0 * tau
-        gp = solve_grid(f, L, prof, n, h, x0, n_offsets=5, mollify_coefficient=mollify)
-        assert len(set(gp.lengths.tolist())) == 2
-        for j, tau in enumerate(gp.offsets):
-            want = serial_offset(f, L, prof, n, h, float(tau), x0(float(tau)), mollify)
-            assert gp.lengths[j] == want.size
-            got = gp.values[j, :want.size]
+        taus = _offset_fan(0.0, h, 5)
+        values, lengths = _fan(f, L, prof, n, h, taus, 0.4 - 3.0 * taus,
+                               mollify_coefficient=mollify)
+        assert len(set(lengths.tolist())) == 2
+        for j, tau in enumerate(taus):
+            want = serial_offset(f, L, prof, n, h, float(tau), 0.4 - 3.0 * tau, mollify)
+            assert lengths[j] == want.size
+            got = values[j, :want.size]
             if mollify:
                 assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
             else:
                 np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(gp.values[j, want.size:], got[-1])
+            np.testing.assert_array_equal(values[j, want.size:], got[-1])
 
     @pytest.mark.parametrize("mollify", [False, True], ids=["exact", "mollified"])
     def test_single_offset_fan(self, mollify):
@@ -293,9 +311,10 @@ class TestFanOracle:
         assert np.all(np.abs(gp.values[0] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_non_finite_start_rejected(self):
-        with pytest.raises(ValueError, match="initial states must be finite"):
-            solve_grid(FAN_FIELDS[4], mixed_driver(), get_profile("uniform"), 8, 0.05,
-                       lambda tau: np.nan if tau > 0.0 else 1.0, n_offsets=3)
+        for x0 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="initial states must be finite"):
+                solve_grid(FAN_FIELDS[4], mixed_driver(), get_profile("uniform"), 8, 0.05,
+                           x0, n_offsets=3)
 
 
 @st.composite
@@ -348,7 +367,7 @@ class TestXiGrid:
     def test_resolution_index(self):
         n, h = 10, 0.02
         grid = xi_grid_for_offset(get_profile("uniform"), n, h, 0.0, 0.5)
-        assert grid.p == int(np.floor(1.0 / (n * h) + 1e-9))
+        assert grid.values.size - 3 == int(np.floor(1.0 / (n * h) + 1e-9))
 
     def test_fractions_match_tail(self):
         """Interior values are the tail masses at lattice distances."""
@@ -359,7 +378,7 @@ class TestXiGrid:
         j = 0
         while tau + (j + 1) * h < zeta - 1.0 / n:
             j += 1
-        ks = np.arange(1, grid.p + 2)
+        ks = np.arange(1, grid.values.size - 1)
         np.testing.assert_allclose(grid.values[1:-1],
                                    F_n(get_profile("triangular"), n,
                                        zeta - (tau + (j + ks) * h)),
