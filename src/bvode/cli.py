@@ -97,6 +97,19 @@ def _mu_for(cfg: ExperimentConfig) -> JumpMeasure:
     return JumpMeasure.lebesgue()
 
 
+def _step(sched, n: int, a: float, section: str, key: str) -> float:
+    """The schedule's step at mesh n; a config error at [section].key when the
+    schedule has none or a lattice from the driver's start a cannot take it."""
+    try:
+        h = sched.h(n)
+    except ValueError as exc:
+        raise ConfigError(section, key, str(exc)) from exc
+    if not a + h > a:
+        raise ConfigError(section, key, f"step h={h!r} at n={n} is below the "
+                                        f"float spacing at the driver's start {a!r}")
+    return h
+
+
 # Each handler takes (cfg, args) and returns (filename, header, groups, summary).
 
 def _cmd_solve_scheme(cfg: ExperimentConfig, args):
@@ -105,7 +118,7 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, args):
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
     n = cfg.need("n", "run", "n")
-    h = sched.h(n)
+    h = _step(sched, n, L.domain[0], "run", "n")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gp = solve_grid(f, L, profile, n, h, cfg.x0, n_offsets=cfg.n_offsets,
                         mollify_coefficient=cfg.mollify_coefficient,
@@ -128,6 +141,9 @@ def _cmd_solve_limit(cfg: ExperimentConfig, args):
     L = cfg.need("driver", "driver", "breakpoints")
     f = cfg.need("field", "field", "name")
     mu = _mu_for(cfg)
+    a, b = L.domain
+    if bad := [t for t in cfg.sample_times or () if not a <= t <= b]:
+        raise ConfigError("run", "sample_times", f"time {bad[0]!r} outside [{a!r}, {b!r}]")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         lp = solve_limit(f, L, mu, cfg.x0, sample_times=cfg.sample_times,
                          v_max=cfg.v_max)
@@ -168,6 +184,8 @@ def _cmd_study(cfg: ExperimentConfig, args):
     if len(sched.meshes) < 3:
         raise ConfigError("mollifier", "meshes", "this subcommand needs at least three meshes")
     mu = _mu_for(cfg)
+    for n in sched.meshes:
+        _step(sched, n, L.domain[0], "mollifier", "meshes")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = convergence_study(f, L, profile, sched, mu, cfg.x0,
                                    n_offsets=cfg.n_offsets,

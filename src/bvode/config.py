@@ -31,6 +31,20 @@ class ConfigError(ValueError):
         super().__init__(f"[{section}].{key}: {msg}")
 
 
+def _integer(raw: str, section: str, key: str, what: str) -> int:
+    """raw as an int that converts to a float, as the step rules and the caps
+    need; else a ConfigError, which names raw after ``what`` if it is no int."""
+    try:
+        val = int(raw)
+        float(val)
+    except ValueError as exc:
+        raise ConfigError(section, key, f"{what} {raw!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(section, key, f"integer of {len(raw.strip())} characters "
+                                        "is too large for a float") from exc
+    return val
+
+
 def _floats(raw: str, section: str, key: str) -> list:
     try:
         vals = [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
@@ -82,10 +96,7 @@ class _Section:
         raw = self.raw(key)
         if raw is None:
             return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(self.name, key, f"expected an integer, got {raw!r}") from exc
+        return _integer(raw, self.name, key, "expected an integer, got")
 
     def boolval(self, key: str, default=False) -> bool:
         raw = self.raw(key)
@@ -221,16 +232,8 @@ def _parse_mollifier(sec: _Section):
         raise ConfigError(sec.name, "profile", str(exc)) from exc
     meshes = sec.raw("meshes")
     if meshes is not None:
-        mesh_list = []
-        for tok in meshes.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                mesh_list.append(int(tok))
-            except ValueError as exc:
-                raise ConfigError(sec.name, "meshes", f"non-integer mesh {tok!r}") from exc
-        mesh_list = tuple(mesh_list)
+        mesh_list = tuple(_integer(tok.strip(), sec.name, "meshes", "non-integer mesh")
+                          for tok in meshes.split(",") if tok.strip())
     else:
         mesh_list = DEFAULT_MESHES
     table = sec.pairs("table")

@@ -1,9 +1,10 @@
 """Scalar coefficient fields f(t, x) with declared Lipschitz and growth constants.
 
-Fields are stored as a small integer kind plus a parameter tuple.  Each
-field builds one evaluator specialized to its kind when it is constructed;
-``__call__``, the Euler recursions, the Heun steps and the jump-map flow all
-evaluate through it.  Every constructor computes the constants
+Fields are stored as a small integer kind plus a parameter tuple.  The
+``_KINDS`` table describes each kind once: its name, its evaluator and the
+parameters that scale with f.  Each field builds its kind's evaluator when it
+is constructed; ``__call__``, the Euler recursions, the Heun steps and the
+jump-map flow all evaluate through it.  Every constructor computes the constants
 
     |f(t, x) - f(t, y)| <= M |x - y|        (``lipschitz_const``)
     |f(t, x)|          <= K (1 + |x|)       (``growth_const``)
@@ -34,44 +35,33 @@ def _finite(*values) -> tuple:
     return out
 
 
-def _evaluator(kind: int, params: tuple):
-    """f(t, x) of one field kind, on floats or on arrays (t and x not broadcast).
-
-    The ramp branches on a float, which costs a fraction of ``np.where``
-    on a scalar; the jump map and the Heun steps evaluate one float at a time.
-    """
-    if kind == FIELD_CONST:
-        (c,) = params
-        return lambda t, x: c
-    if kind == FIELD_AFFINE:
-        a, b = params
-        return lambda t, x: a + b * x
-    if kind == FIELD_RAMP:
-        top, width, height = params
-
-        def ramp(t, x):
-            if isinstance(x, float):
-                if x <= top:
-                    return height
-                d = x - top
-                return 0.0 if d >= width else height * (1.0 - d / width)
+def _ramp(top, width, height):
+    """The ramp's evaluator.  It branches on a float, which costs a fraction
+    of ``np.where`` on a scalar; the jump map and the Heun steps evaluate one
+    float at a time."""
+    def ramp(t, x):
+        if isinstance(x, float):
+            if x <= top:
+                return height
             d = x - top
-            return np.where(d <= 0.0, height,
-                            np.where(d >= width, 0.0, height * (1.0 - d / width)))
-        return ramp
-    if kind == FIELD_SIN:
-        amp, wx, wt, phase, off = params
-        return lambda t, x: amp * np.sin(wx * x + wt * t + phase) + off
-    amp, slope, off = params
-    return lambda t, x: amp * np.tanh(slope * x) + off
+            return 0.0 if d >= width else height * (1.0 - d / width)
+        d = x - top
+        return np.where(d <= 0.0, height,
+                        np.where(d >= width, 0.0, height * (1.0 - d / width)))
+    return ramp
 
 
-_KIND_NAMES = {
-    FIELD_CONST: "constant",
-    FIELD_AFFINE: "affine",
-    FIELD_RAMP: "ramp",
-    FIELD_SIN: "sin",
-    FIELD_TANH: "tanh",
+# Each kind once: its name, its evaluator factory (the parameters in; out
+# f(t, x) on floats or on arrays, t and x not broadcast) and the positions of
+# the parameters that scale with f.
+_KINDS = {
+    FIELD_CONST: ("constant", lambda c: lambda t, x: c, (0,)),
+    FIELD_AFFINE: ("affine", lambda a, b: lambda t, x: a + b * x, (0, 1)),
+    FIELD_RAMP: ("ramp", _ramp, (2,)),
+    FIELD_SIN: ("sin", lambda amp, wx, wt, phase, off:
+                lambda t, x: amp * np.sin(wx * x + wt * t + phase) + off, (0, 4)),
+    FIELD_TANH: ("tanh", lambda amp, slope, off:
+                 lambda t, x: amp * np.tanh(slope * x) + off, (0, 2)),
 }
 
 
@@ -84,11 +74,11 @@ class ScalarField:
     lipschitz_const: float
     growth_const: float
     name: str = ""
-    # the kind's evaluator, built from the parameters; see _evaluator
+    # the kind's evaluator, built from the parameters; see _KINDS
     _eval: object = _dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_eval", _evaluator(self.kind, self.params))
+        object.__setattr__(self, "_eval", _KINDS[self.kind][1](*self.params))
 
     def __reduce__(self):
         # the evaluator is a closure, which pickle cannot store; rebuild it
@@ -186,30 +176,16 @@ class ScalarField:
         """
         t0 = float(t0)
         scale = float(scale)
-        p = self.params
-        tag = f"{scale:g}*{self.name}@t={t0:g}"
-        if self.kind == FIELD_CONST:
-            return ScalarField(FIELD_CONST, (scale * p[0],), 0.0, abs(scale) * self.growth_const, tag)
-        if self.kind == FIELD_AFFINE:
-            return ScalarField(
-                FIELD_AFFINE, (scale * p[0], scale * p[1]),
-                abs(scale) * self.lipschitz_const, abs(scale) * self.growth_const, tag,
-            )
-        if self.kind == FIELD_RAMP:
-            return ScalarField(
-                FIELD_RAMP, (p[0], p[1], scale * p[2]),
-                abs(scale) * self.lipschitz_const, abs(scale) * self.growth_const, tag,
-            )
-        if self.kind == FIELD_SIN:
-            return ScalarField(
-                FIELD_SIN, (scale * p[0], p[1], 0.0, p[2] * t0 + p[3], scale * p[4]),
-                abs(scale * p[0] * p[1]), abs(scale) * self.growth_const, tag,
-            )
-        return ScalarField(
-            FIELD_TANH, (scale * p[0], p[1], scale * p[2]),
-            abs(scale) * self.lipschitz_const, abs(scale) * self.growth_const, tag,
-        )
+        p = list(self.params)
+        for i in _KINDS[self.kind][2]:
+            p[i] = scale * p[i]
+        lip = abs(scale) * self.lipschitz_const
+        if self.kind == FIELD_SIN:  # t is frozen at t0: freq_t * t0 joins the phase
+            p[2:4] = 0.0, p[2] * t0 + p[3]
+            lip = abs(p[0] * p[1])  # frozen in t: the bound in x alone
+        return ScalarField(self.kind, tuple(p), lip, abs(scale) * self.growth_const,
+                           f"{scale:g}*{self.name}@t={t0:g}")
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"ScalarField<{_KIND_NAMES[self.kind]}:{self.name}>"
+        return f"ScalarField<{_KINDS[self.kind][0]}:{self.name}>"
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
+from .drivers import STEP_CAP, _check_cap
 from .jumpmap import SigmaG, _scalar
 
 # values of MollifierProfile.code
@@ -212,9 +213,12 @@ class MollifierProfile:
 
         Nodes live in [0, 1/n]; weights carry the density and are
         normalized to total mass one, so the rule is a convex average.
+        Raises StepLimitError when the points x points matrix whose
+        eigenvalues are the nodes would exceed STEP_CAP.
         """
         key = (_sharpness(n), int(points))
         if key not in self._rules:
+            _check_cap(float(points) * points, STEP_CAP, "convolution rule", "matrix entries")
             edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
             wide = np.diff(edges) > 0.0  # a kink at 0, 1 or another kink adds no panel
             y, w = (a[wide] for a in _gauss_panels(edges, int(points)))

@@ -63,6 +63,8 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     a, b = L.domain
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("step size h must be positive and finite")
+    if not a + h > a:  # [a, a + h) would hold no offset
+        raise ValueError(f"step h={h!r} is below the float spacing at a={a!r}")
     outside = ~((a <= taus) & (taus < a + h))
     if outside.any():
         tau = float(taus[np.argmax(outside)])
@@ -74,6 +76,9 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     ks = _step_counts(b, taus, h, step_cap)
     # step_cap bounds each offset, STEP_CAP the fan's arrays
     _check_cap(taus.size * float(ks.max()), STEP_CAP, "lattice fan", "steps")
+    if mollify_coefficient:  # each step averages f over a (J, Q, Q) window
+        s, w = profile.convolution_rule(n, conv_points)
+        _check_cap(taus.size * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
 
     def build():
         # one lattice call for the fan: padded times lie past b, where L_n is constant
@@ -84,7 +89,6 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
         del Ln
         lengths = ks + 1
         if mollify_coefficient:
-            s, w = profile.convolution_rule(n, conv_points)
             return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
         return backend.euler_exact(f, taus, h, dLn, x0s), lengths
 

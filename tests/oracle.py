@@ -29,6 +29,11 @@ carried before :mod:`bvode.cli` laid every table out from columns:
 :func:`grid_rows`, :func:`limit_path_rows`, :func:`probe_rows`,
 :func:`study_rows` and :func:`jumpmap_rows`.
 
+The fields' references are the per-kind code that the one ``_KINDS``
+table of :mod:`bvode.fields` replaced: the evaluator chain
+(:func:`evaluator`), the kind names (:data:`KIND_NAMES`) and the
+branch-per-kind :func:`scaled_frozen`.
+
 The jump map's reference is :func:`phi_solve`, the walk that summed
 every stretch's Lebesgue mass over all segments, which the one forward
 pass of :func:`bvode.phi_solve` replaced; the row builders below run it.
@@ -76,7 +81,7 @@ import numpy as np
 
 from bvode import backend
 from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
-from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH
+from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH, ScalarField
 from bvode.jumpmap import XiGrid, measure_from_sigma, phi_explicit_ramp, ramp_z
 from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
 
@@ -103,6 +108,72 @@ def field_value(kind, p, t, x):
     if kind == FIELD_SIN:
         return p[0] * np.sin(p[1] * x + p[2] * t + p[3]) + p[4]
     return p[0] * np.tanh(p[1] * x) + p[2]
+
+
+def evaluator(kind, params):
+    """f(t, x) of one field kind, on floats or on arrays (t and x not broadcast)."""
+    if kind == FIELD_CONST:
+        (c,) = params
+        return lambda t, x: c
+    if kind == FIELD_AFFINE:
+        a, b = params
+        return lambda t, x: a + b * x
+    if kind == FIELD_RAMP:
+        top, width, height = params
+
+        def ramp(t, x):
+            if isinstance(x, float):
+                if x <= top:
+                    return height
+                d = x - top
+                return 0.0 if d >= width else height * (1.0 - d / width)
+            d = x - top
+            return np.where(d <= 0.0, height,
+                            np.where(d >= width, 0.0, height * (1.0 - d / width)))
+        return ramp
+    if kind == FIELD_SIN:
+        amp, wx, wt, phase, off = params
+        return lambda t, x: amp * np.sin(wx * x + wt * t + phase) + off
+    amp, slope, off = params
+    return lambda t, x: amp * np.tanh(slope * x) + off
+
+
+KIND_NAMES = {
+    FIELD_CONST: "constant",
+    FIELD_AFFINE: "affine",
+    FIELD_RAMP: "ramp",
+    FIELD_SIN: "sin",
+    FIELD_TANH: "tanh",
+}
+
+
+def scaled_frozen(field, t0, scale):
+    """The autonomous field x -> scale * f(t0, x), one branch per kind."""
+    t0 = float(t0)
+    scale = float(scale)
+    p = field.params
+    tag = f"{scale:g}*{field.name}@t={t0:g}"
+    if field.kind == FIELD_CONST:
+        return ScalarField(FIELD_CONST, (scale * p[0],), 0.0, abs(scale) * field.growth_const, tag)
+    if field.kind == FIELD_AFFINE:
+        return ScalarField(
+            FIELD_AFFINE, (scale * p[0], scale * p[1]),
+            abs(scale) * field.lipschitz_const, abs(scale) * field.growth_const, tag,
+        )
+    if field.kind == FIELD_RAMP:
+        return ScalarField(
+            FIELD_RAMP, (p[0], p[1], scale * p[2]),
+            abs(scale) * field.lipschitz_const, abs(scale) * field.growth_const, tag,
+        )
+    if field.kind == FIELD_SIN:
+        return ScalarField(
+            FIELD_SIN, (scale * p[0], p[1], 0.0, p[2] * t0 + p[3], scale * p[4]),
+            abs(scale * p[0] * p[1]), abs(scale) * field.growth_const, tag,
+        )
+    return ScalarField(
+        FIELD_TANH, (scale * p[0], p[1], scale * p[2]),
+        abs(scale) * field.lipschitz_const, abs(scale) * field.growth_const, tag,
+    )
 
 
 def euler_exact(kind, p, tau, h, dLn, x0):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify
+from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify, scheme
 from bvode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +149,11 @@ class TestLoadConfig:
         ("[run]\nmu = cauchy\n", "[run].mu"),
         ("[run]\nmu = sigma\n", "[run].mu"),
         ("[run]\nx0 = abc\n", "[run].x0"),
+        ("[run]\nn = 1" + "0" * 400 + "\n",
+         "[run].n: integer of 401 characters is too large for a float"),
+        ("[run]\nn_offsets = 1" + "0" * 400 + "\n", "[run].n_offsets: integer of 401"),
+        ("[mollifier]\nprofile = uniform\nalpha = 2\nmeshes = 16, 1" + "0" * 400 + "\n",
+         "[mollifier].meshes: integer of 401 characters is too large for a float"),
     ])
     def test_errors_name_their_key(self, tmp_path, text, needle):
         with pytest.raises(ConfigError) as err:
@@ -308,6 +313,46 @@ class TestCli:
         assert "config error: [mollifier].meshes: this subcommand needs at least three" in (
             capsys.readouterr().err)
         assert not (tmp_path / "res").exists()
+
+    JUMP = "[driver]\nbreakpoints = 0, 1\ncoefficients = 0, 1\njumps = 0.5:1\n[field]\nname = tanh\n"
+    # float spacing 1.9e-6 at the driver's start
+    FAR = ("[driver]\nbreakpoints = 10000000000, 10000000001\ncoefficients = 0, 1\n"
+           "[field]\nname = tanh\n[mollifier]\nprofile = uniform\nalpha = 2\n"
+           "meshes = 16, 1024, 8192\n[run]\nn = 4096\n")
+    POWER = "[mollifier]\nprofile = uniform\nalpha = 2\n"
+
+    @pytest.mark.parametrize("command,text,code,prefix", [
+        ("solve-scheme", JUMP + "[mollifier]\nprofile = uniform\n"
+         "table = 64:0.001, 128:0.0005, 256:0.0002\n[run]\nn = 100\n", 1,
+         "config error: [run].n: schedule table has no entry for n=100"),
+        ("solve-scheme", JUMP + POWER + "[run]\nn = 1" + "0" * 200 + "\n", 1,
+         "config error: [run].n: step rule returned 0.0"),
+        ("solve-scheme", FAR, 1, "config error: [run].n: step h=5.960464477539063e-08 at "
+         "n=4096 is below the float spacing at the driver's start 10000000000.0"),
+        ("study", FAR, 1, "config error: [mollifier].meshes: step h=9.5367431640625e-07 at n=1024"),
+        ("solve-limit", JUMP + "[run]\nmu = lebesgue\nsample_times = 0.3, 2.0\n", 1,
+         "config error: [run].sample_times: time 2.0 outside [0.0, 1.0]"),
+        ("solve-scheme", JUMP + POWER + "[run]\nn = 8\nmollify_f = true\nconv_points = 30000\n",
+         2, "step limit: convolution rule needs 9e+08 matrix entries, cap is 100000000"),
+    ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
+            "sample-time-outside", "huge-conv-points"])
+    def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
+        """A step the lattice cannot take, a sample time outside the domain and
+        an oversized rule end in a config error or a step limit naming the
+        cause, with no traceback and no CSV."""
+        assert main([command, "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "res")]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "res").exists()
+
+    def test_mollified_window_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 8 offsets of a 16-node window: 2048 points per step, past a cap of 2047
+        monkeypatch.setattr(scheme, "STEP_CAP", 2047)
+        cfg = write(tmp_path, self.JUMP + "[mollifier]\nprofile = uniform\nalpha = 1\n"
+                    "[run]\nn = 8\nn_offsets = 8\nmollify_f = true\n")
+        assert main(["solve-scheme", "--config", cfg, "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "step limit: mollified window needs 2048 points, cap is 2047")
 
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         assert main(["study", "--config", str(tmp_path / "missing.ini")]) == 1

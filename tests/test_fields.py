@@ -4,7 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from bvode import ScalarField
 
 ALL_FIELDS = [
@@ -106,3 +108,41 @@ def test_pickle_roundtrip(field, rng):
     assert back == field
     ts, xs = rng.normal(size=(2, 20))
     np.testing.assert_array_equal(back(ts, xs), field(ts, xs))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# each kind's constructor with random finite parameters; a ramp's width is positive
+RANDOM_FIELDS = st.one_of(
+    st.builds(ScalarField.constant, FINITE),
+    st.builds(ScalarField.affine, FINITE, FINITE),
+    st.builds(ScalarField.ramp, FINITE, st.floats(0.0, exclude_min=True,
+                                                   allow_infinity=False), FINITE),
+    st.builds(ScalarField.bounded_sin, FINITE, FINITE, FINITE, FINITE, FINITE),
+    st.builds(ScalarField.bounded_tanh, FINITE, FINITE, FINITE),
+)
+
+
+def bits(v) -> bytes:
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@given(field=RANDOM_FIELDS, t0=FINITE, scale=FINITE,
+       ts=st.lists(FINITE, min_size=1, max_size=4), xs=st.lists(FINITE, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_kinds_table_matches_oracle(field, t0, scale, ts, xs):
+    """The one table gives the bits of the per-kind code it replaced: the
+    scaled frozen field's parameters, constants and name, the kind names, and
+    every evaluator on floats and on arrays."""
+    n = min(len(ts), len(xs))
+    t, x = np.array(ts[:n]), np.array(xs[:n])
+    with np.errstate(all="ignore"):  # huge parameters overflow alike on both sides
+        z, want = field.scaled_frozen(t0, scale), oracle.scaled_frozen(field, t0, scale)
+        assert (z.kind, z.name) == (want.kind, want.name)
+        assert bits(z.params) == bits(want.params)
+        assert bits(z.lipschitz_const) == bits(want.lipschitz_const)
+        assert bits(z.growth_const) == bits(want.growth_const)
+        for g in (field, z):
+            assert repr(g) == f"ScalarField<{oracle.KIND_NAMES[g.kind]}:{g.name}>"
+            ref = oracle.evaluator(g.kind, g.params)
+            assert bits(g._eval(ts[0], xs[0])) == bits(ref(ts[0], xs[0]))
+            assert bits(g._eval(t, x)) == bits(ref(t, x))

@@ -13,15 +13,17 @@ from bvode import (
     ScalarField,
     Schedule,
     SigmaG,
+    StepLimitError,
     classify_regime,
     fit_sigma_from_probes,
     get_profile,
+    mollify,
     mollify_L,
     mollify_f,
     sigma_delta_limit,
 )
 from bvode.mollify import (DEFAULT_DELTAS, DEFAULT_U_PROBES, PROFILE_TABLE, PROFILE_TRIANGULAR,
-                           MollifierProfile)
+                           PROFILE_UNIFORM, MollifierProfile)
 
 PROFILE_NAMES = ("uniform", "triangular", "bump")
 
@@ -172,6 +174,16 @@ class TestConvolutionRule:
         p = get_profile(name)
         for got, want in zip(p.convolution_rule(n, points), oracle.convolution_rule(p, n, points)):
             np.testing.assert_array_equal(got, want)
+
+    def test_points_capped_before_the_rule_is_built(self, monkeypatch):
+        """The nodes are eigenvalues of a points x points matrix, counted
+        against STEP_CAP before it is built: 30,000 points would take 7.2 GB."""
+        with pytest.raises(StepLimitError, match=r"convolution rule needs 9e\+08 matrix entries"):
+            MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 30000)
+        monkeypatch.setattr(mollify, "STEP_CAP", 256)
+        assert MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 16)[0].size == 16
+        with pytest.raises(StepLimitError, match="needs 289 matrix entries, cap is 256"):
+            MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 17)
 
     def test_zero_width_panels_dropped(self):
         """Kinks at 0, at 1 or repeated give no panel, as in the panel loop."""

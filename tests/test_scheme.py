@@ -274,6 +274,32 @@ class TestStepCounts:
         assert self.outcome(lambda: _step_counts(1.0, taus, h)) == want
         assert want.startswith("run needs ")
 
+    def test_step_below_float_spacing_named(self):
+        # at a = 1e10 the float spacing is 1.9e-6: [a, a + h) holds no offset
+        L = BVFunction([1e10, 1e10 + 1.0], [[0.0]])
+        with pytest.raises(ValueError, match=r"step h=5\.96\S* is below the float "
+                                             r"spacing at a=10000000000\.0"):
+            solve_grid(ScalarField.constant(0.0), L, get_profile("uniform"), 4096,
+                       4096.0 ** -2, 1.0)
+
+    def test_mollified_window_capped_before_the_fan_is_built(self, monkeypatch):
+        """Each mollified step averages f over a (J, Q, Q) window: 8 offsets of
+        Q = 16 nodes are 2048 points, refused before any lattice call under a
+        lower STEP_CAP, while the fan's 8 x 8 steps pass it."""
+        calls = []
+        real = backend.driver_lattice_values
+        monkeypatch.setattr(backend, "driver_lattice_values",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        args = (ScalarField.bounded_tanh(1.0, 2.0), BVFunction([0.0, 1.0], [[0.0, 1.0]]),
+                get_profile("uniform"), 8, 0.125, 1.0)
+        monkeypatch.setattr(scheme, "STEP_CAP", 2047)
+        with pytest.raises(StepLimitError, match="mollified window needs 2048 points, cap is 2047"):
+            solve_grid(*args, n_offsets=8, mollify_coefficient=True)
+        assert calls == []
+        assert solve_grid(*args, n_offsets=8).values.shape == (8, 9)
+        monkeypatch.setattr(scheme, "STEP_CAP", 2048)
+        assert solve_grid(*args, n_offsets=8, mollify_coefficient=True).values.shape == (8, 9)
+
     def test_fan_names_first_offset_outside(self):
         with pytest.raises(ValueError, match=r"offset tau=0\.2 must lie in \[0\.0, 0\.1\)"):
             _fan(ScalarField.constant(0.0), mixed_driver(), get_profile("uniform"), 8, 0.1,
