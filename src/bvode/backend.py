@@ -431,16 +431,19 @@ def flow_mass(field, x, mass, substep=1e-3):
 
 
 def heun_path(field, s_grid, L_grid, x0):
-    """Heun predictor-corrector for dx = f(s, x) dL along a grid of (s, L(s)) samples."""
+    """Heun predictor-corrector for dx = f(s, x) dL along a grid of (s, L(s)) samples.
+
+    The state stays a Python float: a tanh or sin evaluator returns a numpy
+    scalar, whose arithmetic is slower than a float's and rounds the same.
+    """
     f = field._eval
     s = np.asarray(s_grid, dtype=np.float64).tolist()
-    L = np.asarray(L_grid, dtype=np.float64).tolist()
+    dL_all = np.diff(np.asarray(L_grid, dtype=np.float64)).tolist()
     cur = float(x0)
     x = [cur]
-    for i in range(len(s) - 1):
-        dL = L[i + 1] - L[i]
-        f0 = f(s[i], cur)
+    for s0, s1, dL in zip(s, s[1:], dL_all):
+        f0 = float(f(s0, cur))
         pred = cur + f0 * dL
-        cur = cur + 0.5 * (f0 + f(s[i + 1], pred)) * dL
+        cur = cur + 0.5 * (f0 + float(f(s1, pred))) * dL
         x.append(cur)
     return np.array(x, dtype=np.float64)

@@ -159,6 +159,8 @@ class ExperimentConfig:
     jump_eps: Optional[tuple] = None
     jump_t: Optional[tuple] = None
     out_dir: str = "."
+    # the [mollifier] key that lists the schedule's meshes, for the errors that name it
+    _meshes_key: str = "meshes"
 
     def need(self, attr: str, section: str, key: str):
         val = getattr(self, attr)
@@ -257,7 +259,7 @@ def _parse_mollifier(sec: _Section):
             schedule = Schedule.power(alpha, sec.floatval("c", 1.0), meshes=mesh_list)
     except ValueError as exc:
         raise ConfigError(sec.name, key, str(exc)) from exc
-    return profile, schedule
+    return profile, schedule, "table" if table is not None else "meshes"
 
 
 def _parse_sigma(sec: _Section) -> SigmaG:
@@ -314,7 +316,7 @@ def load_config(path: str) -> ExperimentConfig:
     if "field" in secs:
         cfg.field = _parse_field(secs["field"])
     if "mollifier" in secs:
-        cfg.profile, cfg.schedule = _parse_mollifier(secs["mollifier"])
+        cfg.profile, cfg.schedule, cfg._meshes_key = _parse_mollifier(secs["mollifier"])
     if "sigma" in secs:
         cfg.sigma = _parse_sigma(secs["sigma"])
 

@@ -26,9 +26,12 @@ class StepLimitError(RuntimeError):
 
 
 def _check_cap(need, cap, what: str, unit: str) -> None:
-    """Raise StepLimitError unless need <= cap; a NaN need fails too."""
+    """Raise StepLimitError unless need <= cap; a NaN need fails too.  An int
+    need too large for a float is named by its power of two, not converted."""
     if not need <= cap:
-        raise StepLimitError(f"{what} needs {need:.6g} {unit}, cap is {cap}")
+        big = isinstance(need, int) and need.bit_length() > 1000
+        count = f"2^{need.bit_length() - 1} or more" if big else f"{need:.6g}"
+        raise StepLimitError(f"{what} needs {count} {unit}, cap is {cap}")
 
 
 def _rising_roots(c, goal, lo, hi, t):

@@ -16,6 +16,7 @@ need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -30,7 +31,7 @@ FIELD_TANH = 4
 def _finite(*values) -> tuple:
     """The values as floats; ValueError when one is not finite."""
     out = tuple(map(float, values))
-    if not all(np.isfinite(out)):
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"field parameters must be finite, got {out!r}")
     return out
 

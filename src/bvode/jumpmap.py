@@ -10,6 +10,7 @@ single explicit increment, Lebesgue stretches run the smooth flow.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -37,8 +38,14 @@ class SigmaG:
         self.intervals = tuple(ivals)
         self._a = np.array([a for a, _ in ivals], dtype=np.float64)
         self._b = np.array([b for _, b in ivals], dtype=np.float64)
+        self._a_list, self._b_list = self._a.tolist(), self._b.tolist()
 
     def __call__(self, u):
+        if isinstance(u, float):  # numpy.float64 too; one bisection on the left ends
+            if not 0.0 <= u <= 1.0:
+                raise ValueError("sigma argument must lie in [0, 1]")
+            i = bisect.bisect_left(self._a_list, u) - 1
+            return self._b_list[i] if i >= 0 and u <= self._b_list[i] else float(u)
         uu = np.asarray(u, dtype=np.float64)
         if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise ValueError("sigma argument must lie in [0, 1]")

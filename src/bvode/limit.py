@@ -116,8 +116,9 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     a Heun rule on a variation-equidistributed grid; at each epoch the
     state is replaced by the jump map of the frozen, jump-scaled
     coefficient.  ``sample_times`` adds report points to the grid.  The
-    driver keeps the read-only path (``L._remember``), so a repeated solve
-    is not run again.
+    driver keeps the read-only path and the variation grid
+    (``L._remember``), so a repeated solve is not run again, and a solve
+    under another field or measure reuses the grid.
     """
     a, b = L.domain
     if v_max is None:
@@ -140,7 +141,10 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
         x_cur = x_start
         # one grid over every stretch between jumps; report points other than the edges join it
         edges = np.concatenate(([a], L.jump_epochs[L.jump_epochs < b], [b]))
-        grid = L._variation_grid(edges, v_max)
+        # the grid depends on the driver and v_max alone, so solves under other
+        # fields and measures share it
+        (grid,) = L._remember(("grid", edges.tobytes(), float(v_max).hex()),
+                              lambda: (L._variation_grid(edges, v_max),))
         if extra.size:
             grid = _sorted_unique(np.concatenate((grid, extra[~np.isin(extra, edges)])))
         Lg = L.continuous_value(grid)

@@ -216,12 +216,13 @@ class MollifierProfile:
         Raises StepLimitError when the points x points matrix whose
         eigenvalues are the nodes would exceed STEP_CAP.
         """
-        key = (_sharpness(n), int(points))
+        points = int(points)  # an int, so that the count below cannot overflow
+        key = (_sharpness(n), points)
         if key not in self._rules:
-            _check_cap(float(points) * points, STEP_CAP, "convolution rule", "matrix entries")
+            _check_cap(points * points, STEP_CAP, "convolution rule", "matrix entries")
             edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
             wide = np.diff(edges) > 0.0  # a kink at 0, 1 or another kink adds no panel
-            y, w = (a[wide] for a in _gauss_panels(edges, int(points)))
+            y, w = (a[wide] for a in _gauss_panels(edges, points))
             y, w = y.ravel(), (w * self.rho(y)).ravel()
             self._rules[key] = (np.ascontiguousarray(y / int(n)),
                                 np.ascontiguousarray(w / w.sum()))

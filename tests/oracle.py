@@ -37,6 +37,11 @@ branch-per-kind :func:`scaled_frozen`.
 The jump map's reference is :func:`phi_solve`, the walk that summed
 every stretch's Lebesgue mass over all segments, which the one forward
 pass of :func:`bvode.phi_solve` replaced; the row builders below run it.
+The staircase map's is :func:`sigma_value`, the numpy read that
+``SigmaG.__call__`` now keeps for arrays only, a float being bisected in
+plain Python.  :func:`heun_steps` is the Heun loop that let a numpy-scalar
+field value make the state a numpy scalar, which
+:func:`bvode.backend.heun_path` replaced with Python floats.
 
 The limit layer's exact reference is :func:`exact_limit`, the flow
 representation of the solution for an autonomous field under the Lebesgue
@@ -261,6 +266,23 @@ def heun_path(kind, p, sg, Lg, x0):
         cur = cur + 0.5 * (f0 + f1) * dL
         x[i + 1] = cur
     return x
+
+
+def heun_steps(field, s_grid, L_grid, x0):
+    """Heun steps through the field's evaluator, indexing both grids as
+    Python lists; a tanh or sin field keeps the state a numpy scalar."""
+    f = field._eval
+    s = np.asarray(s_grid, dtype=np.float64).tolist()
+    L = np.asarray(L_grid, dtype=np.float64).tolist()
+    cur = float(x0)
+    x = [cur]
+    for i in range(len(s) - 1):
+        dL = L[i + 1] - L[i]
+        f0 = f(s[i], cur)
+        pred = cur + f0 * dL
+        cur = cur + 0.5 * (f0 + f(s[i + 1], pred)) * dL
+        x.append(cur)
+    return np.array(x, dtype=np.float64)
 
 
 def euler_exact_offset(field, tau, h, dLn, x0):
@@ -721,6 +743,23 @@ def variation_steps(L, u, v, v_max):
             pts.extend(L.seg_breaks[i] + 0.5 * (t_lo + t_hi))
     grid = np.unique(np.asarray(pts, dtype=np.float64))
     return grid[(grid >= u) & (grid <= v)]
+
+
+def sigma_value(sigma, u):
+    """Staircase map sigma(u) by one ``searchsorted`` on the left ends, for
+    floats and arrays alike."""
+    lefts = np.array([a for a, _ in sigma.intervals], dtype=np.float64)
+    rights = np.array([b for _, b in sigma.intervals], dtype=np.float64)
+    uu = np.asarray(u, dtype=np.float64)
+    if not np.all((uu >= 0.0) & (uu <= 1.0)):
+        raise ValueError("sigma argument must lie in [0, 1]")
+    out = uu.copy()
+    if lefts.size:
+        idx = np.searchsorted(lefts, uu, side="left") - 1
+        safe = np.clip(idx, 0, lefts.size - 1)
+        hit = (idx >= 0) & (uu <= rights[safe])
+        out[hit] = rights[safe][hit]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def phi_solve(z, x, u, mu):

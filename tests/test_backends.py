@@ -302,6 +302,22 @@ class TestOracleProperties:
         want = oracle.heun_path(f.kind, oracle.pack(f), s, Lg, x0)
         np.testing.assert_array_equal(backend.heun_path(f, s, Lg, x0), want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), size=st.integers(0, 60),
+           x0=st.floats(-3.0, 3.0), scale=st.sampled_from([1e-3, 0.1, 10.0, 1e155]))
+    def test_heun_path_keeps_numpy_scalar_bits(self, f, seed, size, x0, scale):
+        """Steps on Python floats give the bits of the steps whose tanh or sin
+        state was a numpy scalar: signed zeros, and at the largest scale the
+        overflowed and NaN states, included."""
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(0.0, 1.0, size))
+        Lg = np.cumsum(rng.normal(0.0, scale, size))
+        with np.errstate(all="ignore"):  # a huge scale overflows alike on both sides
+            want = oracle.heun_steps(f, s, Lg, x0)
+            got = backend.heun_path(f, s, Lg, x0)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("J", [1, 3, 17])
     @settings(max_examples=60, deadline=None)
     @given(f=FIELD_KINDS, seed=st.integers(0, 2 ** 32 - 1), kmax=st.integers(0, 40),

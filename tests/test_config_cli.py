@@ -330,11 +330,19 @@ class TestCli:
         ("solve-scheme", FAR, 1, "config error: [run].n: step h=5.960464477539063e-08 at "
          "n=4096 is below the float spacing at the driver's start 10000000000.0"),
         ("study", FAR, 1, "config error: [mollifier].meshes: step h=9.5367431640625e-07 at n=1024"),
+        ("study", "[driver]\nbreakpoints = 1, 2\ncoefficients = 0, 1\njumps = 1.5:1\n"
+         "[field]\nname = tanh\n[mollifier]\nprofile = uniform\n"
+         "table = 64:1e-20, 128:1e-21, 256:1e-22\n[run]\nmu = lebesgue\n", 1,
+         "config error: [mollifier].table: step h=1e-20 at n=64 is below the float spacing"),
+        ("study", JUMP + "[mollifier]\nprofile = uniform\ntable = 64:0.01, 128:0.001\n"
+         "[run]\nmu = lebesgue\n", 1,
+         "config error: [mollifier].table: this subcommand needs at least three meshes"),
         ("solve-limit", JUMP + "[run]\nmu = lebesgue\nsample_times = 0.3, 2.0\n", 1,
          "config error: [run].sample_times: time 2.0 outside [0.0, 1.0]"),
         ("solve-scheme", JUMP + POWER + "[run]\nn = 8\nmollify_f = true\nconv_points = 30000\n",
          2, "step limit: convolution rule needs 9e+08 matrix entries, cap is 100000000"),
     ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
+            "study-table-step-below-spacing", "study-table-of-two-meshes",
             "sample-time-outside", "huge-conv-points"])
     def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
         """A step the lattice cannot take, a sample time outside the domain and

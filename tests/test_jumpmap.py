@@ -21,6 +21,43 @@ from bvode import (
 )
 
 
+@st.composite
+def staircases(draw):
+    """A SigmaG on up to six intervals: consecutive pairs of sorted distinct ends."""
+    ends = sorted(draw(st.sets(st.floats(0.0, 1.0), max_size=12)))
+    return SigmaG(list(zip(ends[0::2], ends[1::2])))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestSigmaGFloats:
+    """A float argument is bisected in plain Python; it gives the bits and the
+    errors of the numpy read (oracle.sigma_value)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=staircases(), us=st.lists(st.floats(0.0, 1.0), max_size=8),
+           numpy_scalar=st.booleans())
+    def test_matches_numpy_read(self, sigma, us, numpy_scalar):
+        ends = [e for iv in sigma.intervals for e in iv]
+        near = [np.nextafter(e, d) for e in ends for d in (0.0, 1.0)]
+        for u in [0.0, -0.0, 1.0, *ends, *near, *us]:
+            u = np.float64(u) if numpy_scalar else float(u)
+            got, want = sigma(u), oracle.sigma_value(sigma, u)
+            assert type(got) is float and type(want) is float
+            assert bits(got) == bits(want), u
+
+    @pytest.mark.parametrize("sigma", [SigmaG(), SigmaG([(0.0, 0.5)]), SigmaG([(0.2, 1.0)])])
+    @pytest.mark.parametrize("u", [np.nan, -np.inf, -5e-324, np.nextafter(1.0, 2.0), np.inf])
+    @pytest.mark.parametrize("numpy_scalar", [False, True])
+    def test_nan_and_out_of_range_raise(self, sigma, u, numpy_scalar):
+        u = np.float64(u) if numpy_scalar else float(u)
+        for read in (sigma, lambda v: oracle.sigma_value(sigma, v)):
+            with pytest.raises(ValueError, match=r"sigma argument must lie in \[0, 1\]"):
+                read(u)
+
+
 class TestSigmaG:
     def test_identity_when_empty(self):
         s = SigmaG()

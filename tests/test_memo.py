@@ -198,3 +198,32 @@ def test_memo_dies_with_its_driver():
     del L  # no reference cycle holds it: it goes at once, without a collection
     assert driver() is None and memo() is None
     assert gp.values.shape == (2, 65) and path.x.size > 2
+
+
+def test_limit_solves_share_the_variation_grid(monkeypatch):
+    """The variation grid depends on the driver and v_max alone: solves under
+    other fields and measures build it once, and it is kept read-only.  Each
+    path keeps the bits a fresh driver gives."""
+    spec = ([0.0, 0.5, 1.0], [[0.0, 2.0], [1.0, 0.0, -4.0]], ((0.25, 1.5), (0.75, -0.5)))
+    L = BVFunction(*spec)
+    grids = []
+    real = BVFunction._variation_grid
+    monkeypatch.setattr(BVFunction, "_variation_grid",
+                        lambda self, *a: grids.append(a) or real(self, *a))
+    runs = [(ScalarField.bounded_tanh(1.0, 1.0, offset=0.2), JumpMeasure.lebesgue(), None),
+            (ScalarField.linear_x(), JumpMeasure.dirac(0.0), None),
+            (ScalarField.bounded_sin(0.9, 1.7), JumpMeasure.lebesgue(), [0.1, 0.6])]
+    paths = [solve_limit(f, L, mu, 0.4, sample_times=st) for f, mu, st in runs]
+    assert len(grids) == 1
+    (kept,) = [result for key, (result, _) in L._memo.items() if key[0] == "grid"]
+    assert not kept[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0][0] = 0.0
+    for path, (f, mu, st) in zip(paths, runs):
+        fresh = solve_limit(f, BVFunction(*spec), mu, 0.4, sample_times=st)
+        for col in ("t", "x_left", "x", "is_jump"):
+            assert_same_bits(getattr(path, col), getattr(fresh, col))
+    # another budget is another grid
+    built = len(grids)
+    solve_limit(runs[0][0], L, runs[0][1], 0.4, v_max=0.01)
+    assert len(grids) == built + 1

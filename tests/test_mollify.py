@@ -185,6 +185,13 @@ class TestConvolutionRule:
         with pytest.raises(StepLimitError, match="needs 289 matrix entries, cap is 256"):
             MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 17)
 
+    def test_points_past_the_float_range(self):
+        """An int point count too large for a float is refused, not converted."""
+        p = MollifierProfile("uni", PROFILE_UNIFORM)
+        with pytest.raises(StepLimitError, match=r"convolution rule needs 2\^2657 or more"):
+            p.convolution_rule(8, 10 ** 400)
+        assert not p._rules
+
     def test_zero_width_panels_dropped(self):
         """Kinks at 0, at 1 or repeated give no panel, as in the panel loop."""
         p = MollifierProfile("tri", PROFILE_TRIANGULAR, kinks=(1.0, 0.5, 0.0, 0.5))

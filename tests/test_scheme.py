@@ -122,6 +122,12 @@ class TestSolveOffset:
         assert solve_grid(f, L, prof, 8, 1.0, 1.0, n_offsets=4).values.shape == (4, 2)
         assert len(calls) == 1
 
+    def test_offset_count_past_the_float_range(self):
+        """An int count too large for a float is refused, not converted."""
+        f, L, prof = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]), get_profile("uniform")
+        with pytest.raises(StepLimitError, match=r"offset fan needs 2\^1328 or more offsets"):
+            solve_grid(f, L, prof, 8, 1.0, 1.0, n_offsets=10 ** 400)
+
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_tiny_step_raises_before_counting(self, h):
         # 1e-30 used to hang in the rounding loop, 1e-320 to overflow
