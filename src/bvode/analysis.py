@@ -88,7 +88,7 @@ class StudyResult:
 def convergence_study(f: ScalarField, L: BVFunction,
                       profile: MollifierProfile, sched: Schedule,
                       mu_expected: JumpMeasure, x0: float,
-                      n_offsets: int = 16, **kwargs) -> StudyResult:
+                      n_offsets: int = 16, mollify_coefficient: bool = False) -> StudyResult:
     """Sweep the schedule and measure the scheme's L1 distance to the limit.
 
     The limit path is solved once under ``mu_expected``; each mesh then
@@ -100,7 +100,7 @@ def convergence_study(f: ScalarField, L: BVFunction,
     norm = limit.l1_norm()
     errs = np.empty(len(sched.meshes), dtype=np.float64)
     for i, n in enumerate(sched.meshes):
-        gp = solve_grid(f, L, profile, n, sched.h(n), float(x0), n_offsets=n_offsets, **kwargs)
+        gp = solve_grid(f, L, profile, n, sched.h(n), float(x0), n_offsets, mollify_coefficient)
         errs[i] = l1_distance(gp, limit)
     rels = errs / norm if norm > 0.0 else errs.copy()
     return StudyResult(ns=tuple(sched.meshes),

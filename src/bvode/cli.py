@@ -121,8 +121,7 @@ def _cmd_solve_scheme(cfg: ExperimentConfig, args):
     h = _step(sched, n, L.domain[0], "run", "n")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gp = solve_grid(f, L, profile, n, h, cfg.x0, n_offsets=cfg.n_offsets,
-                        mollify_coefficient=cfg.mollify_coefficient,
-                        conv_points=cfg.conv_points, step_cap=cfg.step_cap)
+                        mollify_coefficient=cfg.mollify_coefficient)
     bad = ~np.isfinite(gp.values)
     if bad.any():
         # the earliest non-finite step over the fan, lowest offset first
@@ -190,9 +189,7 @@ def _cmd_study(cfg: ExperimentConfig, args):
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = convergence_study(f, L, profile, sched, mu, cfg.x0,
                                    n_offsets=cfg.n_offsets,
-                                   mollify_coefficient=cfg.mollify_coefficient,
-                                   conv_points=cfg.conv_points,
-                                   step_cap=cfg.step_cap)
+                                   mollify_coefficient=cfg.mollify_coefficient)
     bad = ~np.isfinite(result.l1_errors)
     if bad.any():
         raise _NonFinite(f"non-finite l1: mesh n={result.ns[bad.argmax()]}")

@@ -150,8 +150,6 @@ class ExperimentConfig:
     n_offsets: int = 16
     v_max: Optional[float] = None
     mollify_coefficient: bool = False
-    conv_points: int = 16
-    step_cap: int = 10 ** 8
     deltas: tuple = DEFAULT_DELTAS
     u_probes: tuple = DEFAULT_U_PROBES
     sample_times: Optional[tuple] = None
@@ -324,9 +322,7 @@ def load_config(path: str) -> ExperimentConfig:
     cfg.x0 = run.floatval("x0", cfg.x0)
     cfg.n = run.intval("n")
     cfg.n_offsets = run.intval("n_offsets", cfg.n_offsets)
-    cfg.conv_points = run.intval("conv_points", cfg.conv_points)
-    cfg.step_cap = run.intval("step_cap", cfg.step_cap)
-    for key in ("n", "n_offsets", "conv_points", "step_cap"):
+    for key in ("n", "n_offsets"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError("run", key, "must be a positive integer")
     cfg.v_max = run.floatval("v_max")

@@ -13,18 +13,13 @@ increment, and anything else selects a staircase measure in between.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
-from .drivers import STEP_CAP, _check_cap
 from .jumpmap import SigmaG, _scalar
-
-# values of MollifierProfile.code
-PROFILE_UNIFORM = 0
-PROFILE_TRIANGULAR = 1
-PROFILE_TABLE = 2
 
 DEFAULT_MESHES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -43,19 +38,14 @@ def _gauss_panels(edges, points: int):
     return mid + half * gx, half * gw
 
 
-def _composite(fn, lo, hi) -> float:
-    """Composite Gauss-Legendre integral of a vectorized fn over [lo, hi]."""
-    s, w = _gauss_panels(np.linspace(lo, hi, 65), 32)
-    return float(np.sum(w * fn(s)))
-
-
 def _bump(s):
     """Unnormalized bump density exp(-1 / (s (1 - s))) on (0, 1), zero elsewhere."""
     s = np.asarray(s, dtype=np.float64)
     m = (s > 0.0) & (s < 1.0)
     out = np.zeros(s.shape)
     np.multiply(s, 1.0 - s, out=out, where=m)
-    np.divide(-1.0, out, out=out, where=m)
+    with np.errstate(over="ignore"):  # a subnormal s gives -inf, whose exp is the limit 0
+        np.divide(-1.0, out, out=out, where=m)
     return np.exp(out, out=out, where=m)
 
 
@@ -88,6 +78,14 @@ def _sharpness(n) -> int:
     return n
 
 
+def _tolerance(tol) -> float:
+    """tol as a float, which must be finite and positive."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _bisect(below, lo, hi):
     """60 rounds of vectorized bisection, keeping [mid, hi] where below(mid) holds."""
     for _ in range(60):
@@ -99,41 +97,54 @@ def _bisect(below, lo, hi):
 
 
 class MollifierProfile:
-    """One-sided mollifier: base density rho on [0, 1] with unit mass.
+    """One-sided mollifier, built by name: base density rho on [0, 1] with unit mass.
 
-    ``code`` (one of the ``PROFILE_*`` values) selects the closed forms
-    of rho, its tail and its incomplete moments; ``kinks`` lists
-    interior points where rho is not smooth (the panels of
-    ``convolution_rule`` split there); table profiles carry dense tail-mass and incomplete-moment
-    tables on one grid for lookup.
+    ``uniform`` and ``triangular`` have closed forms of rho, its tail and
+    its incomplete moments; ``bump`` scales the one bump definition by
+    ``cnorm`` and carries dense tail-mass and incomplete-moment tables on
+    one grid for lookup.  ``kinks`` lists the interior points where rho is
+    not smooth (the panels of ``convolution_rule`` split there).
     """
 
-    def __init__(self, name, code, cnorm=1.0, kinks=(), table_x=None,
-                 table_tail=None, table_moments=None):
-        self.name = str(name)
-        self.code = int(code)
-        self.cnorm = float(cnorm)
-        self.kinks = np.asarray(kinks, dtype=np.float64)
-        self.table_x = (np.zeros(0) if table_x is None
-                        else np.ascontiguousarray(table_x, dtype=np.float64))
-        self.table_tail = (np.zeros(0) if table_tail is None
-                           else np.ascontiguousarray(table_tail, dtype=np.float64))
-        self.table_moments = (np.zeros((0, 4)) if table_moments is None
-                              else np.ascontiguousarray(table_moments, dtype=np.float64))
-        self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        mass = _composite(self.rho, 0.0, 1.0)
-        if abs(mass - 1.0) > 1e-12:
-            raise ValueError(f"profile {self.name!r} has mass {mass!r}, expected 1")
-        if np.any(self.rho(np.linspace(0.0, 1.0, 513)) < -1e-15):
-            raise ValueError(f"profile {self.name!r} has negative density")
+    def __init__(self, name):
+        self.name = str(name).lower()
+        if self.name not in _PROFILES:
+            raise ValueError(f"unknown profile {name!r}; choose from {sorted(_PROFILES)}")
+        self.kinks = np.array([0.5] if self.name == "triangular" else [])
+        self._rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if self.name == "bump":
+            s, w = _gauss_panels(np.linspace(0.0, 1.0, 65), 32)  # the bump's mass
+            self.cnorm = 1.0 / float(np.sum(w * _bump(s)))
+            # dense tables from one pass of per-cell Gauss sums: the mass of each
+            # cell, accumulated from the right, is the tail; its moments s^0..s^3,
+            # accumulated from the left, are I_0..I_3.  Linear interpolation error
+            # is ~1e-9, well under the 1e-8 checks.  The nodes stay one column per
+            # cell: _gauss_panels' one row per panel would have numpy add each
+            # cell's 8 terms along the contiguous axis, in another order, and move
+            # every bump output at rounding level
+            xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
+            gx, gw = _gl(8)
+            half = 0.5 * np.diff(xs)
+            mid = 0.5 * (xs[:-1] + xs[1:])
+            nodes = mid + half * gx[:, None]          # one column per cell
+            weighted = half * gw[:, None] * self.cnorm * _bump(nodes)
+            cells = np.empty((4, xs.size - 1))
+            for m in range(4):
+                cells[m] = np.sum(weighted, axis=0)
+                weighted *= nodes
+            tail = np.concatenate((np.cumsum(cells[0, ::-1])[::-1], [0.0]))
+            moments = np.concatenate((np.zeros((4, 1)), np.cumsum(cells, axis=1)), axis=1).T
+            # C order from the division itself: a copy after it would add 2 MB to peak RSS
+            self.table_moments = np.divide(moments, tail[0], order="C")
+            self.table_x, self.table_tail = xs, tail / tail[0]
 
     def rho(self, s):
         """Base density, zero outside [0, 1]; a NaN argument is a ValueError."""
         s = _not_nan(s, "rho")
         out = np.zeros(s.shape)
-        if self.code == PROFILE_UNIFORM:
+        if self.name == "uniform":
             out[(s >= 0.0) & (s <= 1.0)] = 1.0
-        elif self.code == PROFILE_TRIANGULAR:
+        elif self.name == "triangular":
             m = (s >= 0.0) & (s <= 0.5)
             out[m] = 4.0 * s[m]
             m = (s > 0.5) & (s <= 1.0)
@@ -146,9 +157,9 @@ class MollifierProfile:
         """Tail mass: integral of rho over [y, 1]; 1 below 0, 0 above 1.  A NaN
         argument is a ValueError."""
         y = _not_nan(y, "tail")
-        if self.code == PROFILE_UNIFORM:
+        if self.name == "uniform":
             out = np.clip(1.0 - y, 0.0, 1.0)
-        elif self.code == PROFILE_TRIANGULAR:
+        elif self.name == "triangular":
             out = np.ones(y.shape)
             m = (y > 0.0) & (y <= 0.5)
             out[m] = 1.0 - 2.0 * y[m] * y[m]
@@ -167,9 +178,9 @@ class MollifierProfile:
         linear interpolation of the moment table otherwise.
         """
         y = np.clip(_not_nan(y, "moments"), 0.0, 1.0)
-        if self.code == PROFILE_UNIFORM:
+        if self.name == "uniform":
             return _powers(y, 1, 4) / _M1
-        if self.code == PROFILE_TRIANGULAR:
+        if self.name == "triangular":
             # 4 s on [0, 1/2] and 4 (1 - s) on [1/2, 1], integrated against s^m
             lo = _powers(np.minimum(y, 0.5), 2, 5)
             hi = _powers(np.maximum(y, 0.5), 1, 5)
@@ -194,9 +205,9 @@ class MollifierProfile:
         if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
             raise ValueError("tail_inv argument must lie in [0, 1]")
         u = np.clip(u, 0.0, 1.0)
-        if self.code == PROFILE_UNIFORM:
+        if self.name == "uniform":
             out = 1.0 - u
-        elif self.code == PROFILE_TRIANGULAR:
+        elif self.name == "triangular":
             out = np.where(u >= 0.5, np.sqrt((1.0 - u) / 2.0),
                            1.0 - np.sqrt(u / 2.0))
         else:
@@ -208,77 +219,33 @@ class MollifierProfile:
         out = np.where(u == 0.0, np.inf, out)
         return _scalar(out)
 
-    def convolution_rule(self, n, points=16):
+    def convolution_rule(self, n):
         """Quadrature (nodes, weights) for integrals against rho_n on [0, 1/n].
 
-        Nodes live in [0, 1/n]; weights carry the density and are
-        normalized to total mass one, so the rule is a convex average.
-        Raises StepLimitError when the points x points matrix whose
-        eigenvalues are the nodes would exceed STEP_CAP.
+        16 Gauss-Legendre points on each panel between the kinks.  Nodes
+        live in [0, 1/n]; weights carry the density and are normalized to
+        total mass one, so the rule is a convex average.
         """
-        points = int(points)  # an int, so that the count below cannot overflow
-        key = (_sharpness(n), points)
-        if key not in self._rules:
-            _check_cap(points * points, STEP_CAP, "convolution rule", "matrix entries")
-            edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
-            wide = np.diff(edges) > 0.0  # a kink at 0, 1 or another kink adds no panel
-            y, w = (a[wide] for a in _gauss_panels(edges, points))
+        n = _sharpness(n)
+        if n not in self._rules:
+            y, w = _gauss_panels(np.concatenate(([0.0], self.kinks, [1.0])), 16)
             y, w = y.ravel(), (w * self.rho(y)).ravel()
-            self._rules[key] = (np.ascontiguousarray(y / int(n)),
-                                np.ascontiguousarray(w / w.sum()))
-        return self._rules[key]
+            self._rules[n] = (np.ascontiguousarray(y / n), np.ascontiguousarray(w / w.sum()))
+        return self._rules[n]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MollifierProfile({self.name!r})"
 
 
-def _build_uniform() -> MollifierProfile:
-    return MollifierProfile("uniform", PROFILE_UNIFORM)
-
-
-def _build_triangular() -> MollifierProfile:
-    return MollifierProfile("triangular", PROFILE_TRIANGULAR, kinks=(0.5,))
-
-
-def _build_bump() -> MollifierProfile:
-    cnorm = 1.0 / _composite(_bump, 0.0, 1.0)
-    # dense tables from one pass of per-cell Gauss sums: the mass of each
-    # cell, accumulated from the right, is the tail; its moments s^0..s^3,
-    # accumulated from the left, are I_0..I_3.  Linear interpolation error
-    # is ~1e-9, well under the 1e-8 checks.  The nodes stay one column per
-    # cell: _gauss_panels' one row per panel would have numpy add each
-    # cell's 8 terms along the contiguous axis, in another order, and move
-    # every bump output at rounding level
-    xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
-    gx, gw = _gl(8)
-    half = 0.5 * np.diff(xs)
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    nodes = mid + half * gx[:, None]          # one column per cell
-    weighted = half * gw[:, None] * cnorm * _bump(nodes)
-    cells = np.empty((4, xs.size - 1))
-    for m in range(4):
-        cells[m] = np.sum(weighted, axis=0)
-        weighted *= nodes
-    tail = np.concatenate((np.cumsum(cells[0, ::-1])[::-1], [0.0]))
-    moments = np.concatenate((np.zeros((4, 1)), np.cumsum(cells, axis=1)), axis=1).T / tail[0]
-    tail /= tail[0]
-    return MollifierProfile("bump", PROFILE_TABLE, cnorm=cnorm, table_x=xs,
-                            table_tail=tail, table_moments=moments)
-
-
-_BUILDERS = {"uniform": _build_uniform, "triangular": _build_triangular,
-             "bump": _build_bump}
-_PROFILES: dict[str, MollifierProfile] = {}
+# the shared instance of each profile name, built on first use
+_PROFILES: dict[str, MollifierProfile | None] = dict.fromkeys(("uniform", "triangular", "bump"))
 
 
 def get_profile(name: str) -> MollifierProfile:
     """Return the shared profile instance for a built-in name."""
     key = str(name).lower()
-    if key not in _BUILDERS:
-        raise ValueError(f"unknown profile {name!r}; choose from "
-                         f"{sorted(_BUILDERS)}")
-    if key not in _PROFILES:
-        _PROFILES[key] = _BUILDERS[key]()
+    if _PROFILES.get(key) is None:
+        _PROFILES[key] = MollifierProfile(name)  # refuses an unknown name
     return _PROFILES[key]
 
 
@@ -355,15 +322,17 @@ def mollify_L(L, profile: MollifierProfile, n: int, t):
     return _scalar(out[0] if np.ndim(t) == 0 else out)
 
 
-def mollify_f(f, profile: MollifierProfile, n: int, t, x, points=16):
+def mollify_f(f, profile: MollifierProfile, n: int, t, x):
     """Smoothed coefficient: tensor-product average of f over the window.
 
     Both arguments are shifted by quadrature nodes in [0, 1/n]; since the
     rule is a convex average of window values, the result stays within
-    lipschitz_const * sqrt(2)/n of f(t, x).
+    lipschitz_const * sqrt(2)/n of f(t, x).  Times and states must be finite.
     """
-    s, w = profile.convolution_rule(int(n), points)
+    s, w = profile.convolution_rule(n)
     t, x = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(x, dtype=np.float64))
+    if not (np.isfinite(t).all() and np.isfinite(x).all()):
+        raise ValueError("times and states must be finite")
     return _scalar(backend.window_mean(f, s, np.outer(w, w).ravel(), t, x))
 
 
@@ -450,6 +419,7 @@ def classify_regime(profile: MollifierProfile, sched: Schedule,
     estimates are matched against the identity (Flow), the indicator of
     (0, 1] (Ito), and finally fitted as a staircase (GeneralSigma).
     """
+    tol = _tolerance(tol)
     deltas = tuple(float(d) for d in deltas)
     us = np.asarray(DEFAULT_U_PROBES if u_probes is None else u_probes,
                     dtype=np.float64)
@@ -489,8 +459,10 @@ def fit_sigma_from_probes(u, values, tol=1e-6) -> SigmaG:
 
     Consecutive probes sharing a value above the identity form one
     plateau with right endpoint at that value; the left endpoint is the
-    last probe before the group (or the previous plateau's end).
+    last probe before the group (or the previous plateau's end).  tol must
+    be finite and positive.
     """
+    tol = _tolerance(tol)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(u)

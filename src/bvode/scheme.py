@@ -21,36 +21,34 @@ from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
 
 
-def _step_counts(b: float, taus: np.ndarray, h: float, step_cap: int = STEP_CAP) -> np.ndarray:
+def _step_counts(b: float, taus: np.ndarray, h: float) -> np.ndarray:
     """Smallest K_j >= 0 with taus[j] + K_j h >= b for every offset, robust to rounding.
 
     Raises StepLimitError for the first offset whose K_j would exceed
-    ``step_cap``.  The float estimates are checked before the rounding
+    ``STEP_CAP``.  The float estimates are checked before the rounding
     passes, which could not advance an index too large for k h to change
     with k.  Passes step every offset that still moves, until none does.
     """
     with np.errstate(over="ignore"):  # an overflowed estimate fails the cap check
         est = (b - taus) / h
-    # an int64 count stops at 2**63; no lattice near 2**62 steps could be allocated
-    fits = est <= min(step_cap, 2 ** 62) + 1
+    fits = est <= STEP_CAP + 1
     ks = np.ceil(np.where(fits, est, 0.0)).astype(np.int64)
     while (up := fits & (taus + ks * h < b)).any():
         ks += up
     while (down := fits & (ks >= 1) & (taus + (ks - 1) * h >= b)).any():
         ks -= down
     ks = np.maximum(ks, 0)
-    bad = ~fits | (ks > step_cap)
+    bad = ~fits | (ks > STEP_CAP)
     if bad.any():
         j = int(np.argmax(bad))
         need = f"{est[j]:.6g}" if not fits[j] else ks[j]
-        raise StepLimitError(f"run needs {need} steps, cap is {step_cap}")
+        raise StepLimitError(f"run needs {need} steps, cap is {STEP_CAP}")
     return ks
 
 
 def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
          h: float, taus: np.ndarray, x0s: np.ndarray,
-         mollify_coefficient: bool = False, conv_points: int = 16,
-         step_cap: int = STEP_CAP):
+         mollify_coefficient: bool = False):
     """Run the lattices of every offset in ``taus``; return (values, lengths).
 
     ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
@@ -73,11 +71,11 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
         raise ValueError("sharpness n must be a positive integer")
     if not np.all(np.isfinite(x0s)):
         raise ValueError("initial states must be finite")
-    ks = _step_counts(b, taus, h, step_cap)
-    # step_cap bounds each offset, STEP_CAP the fan's arrays
+    ks = _step_counts(b, taus, h)
+    # STEP_CAP bounds each offset, and the fan's arrays too
     _check_cap(taus.size * float(ks.max()), STEP_CAP, "lattice fan", "steps")
     if mollify_coefficient:  # each step averages f over a (J, Q, Q) window
-        s, w = profile.convolution_rule(n, conv_points)
+        s, w = profile.convolution_rule(n)
         _check_cap(taus.size * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
 
     def build():
@@ -94,13 +92,12 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
 
     # looked up only after every check, so each error is raised as before
     return L._remember(("fan", _Same(profile), int(n), float(h).hex(), taus.tobytes(), _Same(f),
-                        x0s.tobytes(), bool(mollify_coefficient), int(conv_points)), build)
+                        x0s.tobytes(), bool(mollify_coefficient)), build)
 
 
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                  n: int, h: float, tau: float, x0: float,
-                 mollify_coefficient: bool = False, conv_points: int = 16,
-                 step_cap: int = STEP_CAP) -> np.ndarray:
+                 mollify_coefficient: bool = False) -> np.ndarray:
     """Run one lattice and return the state sequence x_0 .. x_K.
 
     The lattice is t_k = tau + k h with tau in [a, a + h); the driver is
@@ -109,7 +106,7 @@ def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     kernel in both arguments instead of evaluated pointwise.
     """
     values, _ = _fan(f, L, profile, n, h, np.array([float(tau)]), np.array([float(x0)]),
-                     mollify_coefficient, conv_points, step_cap)
+                     mollify_coefficient)
     return values[0]
 
 
@@ -166,16 +163,14 @@ def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
 
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                n: int, h: float, x0: float, n_offsets: int = 16,
-               **kwargs) -> GridPath:
+               mollify_coefficient: bool = False) -> GridPath:
     """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h),
-    each from the initial state x0.
-
-    Keyword arguments (``mollify_coefficient``, ``conv_points``,
-    ``step_cap``) are those of :func:`solve_offset`.
+    each from the initial state x0; ``mollify_coefficient`` is that of
+    :func:`solve_offset`.
     """
     taus = _offset_fan(L.domain[0], h, n_offsets)
     x0s = np.full(taus.shape, float(x0))
-    values, lengths = _fan(f, L, profile, n, h, taus, x0s, **kwargs)
+    values, lengths = _fan(f, L, profile, n, h, taus, x0s, mollify_coefficient)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)
 
@@ -190,7 +185,7 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
     to exactly 0 and 1 at its ends: the fractions of the smoothed jump
     already consumed at each step the scheme takes while crossing it.
     Raises StepLimitError when a j or all J (p + 3) fractions together
-    exceed the default step cap.
+    exceed STEP_CAP.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("step size h must be positive and finite")

@@ -21,7 +21,10 @@ replaced.
 The profile's references are its tail inverse with the table bisection
 written out (:func:`tail_inv`) and its panel-by-panel quadrature rule
 (:func:`convolution_rule`), both replaced by helpers the package shares,
-and :func:`power_limit`, the closed-form probe limit of a power schedule.
+:class:`CodeProfile`, the methods keyed by a profile code that the
+name-keyed :class:`bvode.MollifierProfile` replaced (with the bump's
+builder, :func:`bump_tables`), and :func:`power_limit`, the closed-form
+probe limit of a power schedule.
 
 The CLI's tables have as reference the value-by-value CSV writer
 (:func:`_write_csv`) and the row builders the result classes and handlers
@@ -79,6 +82,7 @@ moment-table rows (:func:`table_moments`), the broadcast 2-D
 read (:func:`limit_interp`).
 """
 
+import functools
 import math
 import os
 
@@ -88,7 +92,8 @@ from bvode import backend
 from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH, ScalarField
 from bvode.jumpmap import XiGrid, measure_from_sigma, phi_explicit_ramp, ramp_z
-from bvode.mollify import PROFILE_TRIANGULAR, PROFILE_UNIFORM, F_n, F_n_inv, SigmaProbe
+from bvode.mollify import (_HALF1, _HALF2, _M1, _M2, F_n, F_n_inv, SigmaProbe, _bisect, _bump,
+                           _gauss_panels, _gl, _powers, _scalar)
 
 
 def pack(field):
@@ -312,6 +317,119 @@ def euler_exact_offset(field, tau, h, dLn, x0):
     return euler_exact(kind, p, tau, h, dLn, x0)
 
 
+# MollifierProfile.code of each profile name, from when a profile was built from a code
+PROFILE_UNIFORM, PROFILE_TRIANGULAR, PROFILE_TABLE = 0, 1, 2
+PROFILE_CODES = {"uniform": PROFILE_UNIFORM, "triangular": PROFILE_TRIANGULAR,
+                 "bump": PROFILE_TABLE}
+
+
+@functools.lru_cache(maxsize=None)
+def bump_tables():
+    """The bump's cnorm, grid, tail table and moment table, as its builder made them."""
+    s, w = _gauss_panels(np.linspace(0.0, 1.0, 65), 32)
+    cnorm = 1.0 / float(np.sum(w * _bump(s)))
+    xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
+    gx, gw = _gl(8)
+    half = 0.5 * np.diff(xs)
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    nodes = mid + half * gx[:, None]
+    weighted = half * gw[:, None] * cnorm * _bump(nodes)
+    cells = np.empty((4, xs.size - 1))
+    for m in range(4):
+        cells[m] = np.sum(weighted, axis=0)
+        weighted *= nodes
+    tail = np.concatenate((np.cumsum(cells[0, ::-1])[::-1], [0.0]))
+    moments = np.concatenate((np.zeros((4, 1)), np.cumsum(cells, axis=1)), axis=1).T / tail[0]
+    tail /= tail[0]
+    return cnorm, xs, tail, np.ascontiguousarray(moments)
+
+
+class CodeProfile:
+    """The MollifierProfile methods keyed by ``code``, as they were when a
+    caller could build a profile from a code, kinks and tables.
+
+    Built from a profile name: its code, its kinks, and for the bump the
+    ``cnorm`` and tables of :func:`bump_tables` (1 and empty tables for the
+    others, the defaults the constructor had).
+    """
+
+    def __init__(self, name):
+        self.code = PROFILE_CODES[name]
+        self.kinks = np.asarray((0.5,) if self.code == PROFILE_TRIANGULAR else (), dtype=np.float64)
+        self.cnorm, self.table_x, self.table_tail = 1.0, np.zeros(0), np.zeros(0)
+        self.table_moments = np.zeros((0, 4))
+        if self.code == PROFILE_TABLE:
+            self.cnorm, self.table_x, self.table_tail, self.table_moments = bump_tables()
+
+    def rho(self, s):
+        s = np.asarray(s, dtype=np.float64)
+        out = np.zeros(s.shape)
+        if self.code == PROFILE_UNIFORM:
+            out[(s >= 0.0) & (s <= 1.0)] = 1.0
+        elif self.code == PROFILE_TRIANGULAR:
+            m = (s >= 0.0) & (s <= 0.5)
+            out[m] = 4.0 * s[m]
+            m = (s > 0.5) & (s <= 1.0)
+            out[m] = 4.0 * (1.0 - s[m])
+        else:
+            out = self.cnorm * _bump(s)
+        return _scalar(out)
+
+    def tail(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        if self.code == PROFILE_UNIFORM:
+            out = np.clip(1.0 - y, 0.0, 1.0)
+        elif self.code == PROFILE_TRIANGULAR:
+            out = np.ones(y.shape)
+            m = (y > 0.0) & (y <= 0.5)
+            out[m] = 1.0 - 2.0 * y[m] * y[m]
+            m = (y > 0.5) & (y < 1.0)
+            out[m] = 2.0 * (1.0 - y[m]) ** 2
+            out[y >= 1.0] = 0.0
+        else:
+            out = np.interp(y, self.table_x, self.table_tail)
+        return _scalar(out)
+
+    def moments(self, y):
+        y = np.clip(np.asarray(y, dtype=np.float64), 0.0, 1.0)
+        if self.code == PROFILE_UNIFORM:
+            return _powers(y, 1, 4) / _M1
+        if self.code == PROFILE_TRIANGULAR:
+            lo = _powers(np.minimum(y, 0.5), 2, 5)
+            hi = _powers(np.maximum(y, 0.5), 1, 5)
+            rise = 4.0 * lo / _M2
+            fall = 4.0 * ((hi[..., :-1] - _HALF1) / _M1 - (hi[..., 1:] - _HALF2) / _M2)
+            return rise + fall
+        x = self.table_x
+        j = np.clip(np.searchsorted(x, y, side="right") - 1, 0, x.size - 2)
+        w = ((y - x[j]) / (x[j + 1] - x[j]))[..., None]
+        tm = self.table_moments
+        return np.take(tm, j, axis=0) * (1.0 - w) + np.take(tm, j + 1, axis=0) * w
+
+    def tail_inv(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
+            raise ValueError("tail_inv argument must lie in [0, 1]")
+        u = np.clip(u, 0.0, 1.0)
+        if self.code == PROFILE_UNIFORM:
+            out = 1.0 - u
+        elif self.code == PROFILE_TRIANGULAR:
+            out = np.where(u >= 0.5, np.sqrt((1.0 - u) / 2.0), 1.0 - np.sqrt(u / 2.0))
+        else:
+            lo, _ = _bisect(lambda mid: np.interp(mid, self.table_x, self.table_tail) >= u,
+                            np.zeros(u.shape), np.ones(u.shape))
+            out = np.where(u == 1.0, 0.0, lo)
+        out = np.where(u == 0.0, np.inf, out)
+        return _scalar(out)
+
+    def convolution_rule(self, n, points=16):
+        edges = np.concatenate(([0.0], np.sort(self.kinks), [1.0]))
+        wide = np.diff(edges) > 0.0
+        y, w = (a[wide] for a in _gauss_panels(edges, points))
+        y, w = y.ravel(), (w * self.rho(y)).ravel()
+        return np.ascontiguousarray(y / int(n)), np.ascontiguousarray(w / w.sum())
+
+
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 GL_NODES = np.ascontiguousarray(GL_NODES)
 GL_WEIGHTS = np.ascontiguousarray(GL_WEIGHTS)
@@ -367,9 +485,9 @@ def tail_inv(profile, u):
     if not np.all((u >= -1e-12) & (u <= 1.0 + 1e-12)):
         raise ValueError("tail_inv argument must lie in [0, 1]")
     u = np.clip(u, 0.0, 1.0)
-    if profile.code == PROFILE_UNIFORM:
+    if profile.name == "uniform":
         out = 1.0 - u
-    elif profile.code == PROFILE_TRIANGULAR:
+    elif profile.name == "triangular":
         out = np.where(u >= 0.5, np.sqrt((1.0 - u) / 2.0), 1.0 - np.sqrt(u / 2.0))
     else:
         lo = np.zeros(u.shape)

@@ -49,8 +49,8 @@ def cubic_driver():
 
 def lattice_args(ts, n, profile, driver):
     a, b = driver.domain
-    return (ts, n, profile.code, profile.cnorm, profile.kinks,
-            profile.table_x, profile.table_tail,
+    cp = oracle.CodeProfile(profile.name)
+    return (ts, n, cp.code, cp.cnorm, cp.kinks, cp.table_x, cp.table_tail,
             a, b, driver.seg_breaks, driver.seg_coefs,
             driver.jump_epochs, driver.jump_sizes, oracle.GL_NODES, oracle.GL_WEIGHTS)
 

@@ -1,6 +1,8 @@
 """INI config parsing and the command line entry points."""
 
+import contextlib
 import importlib
+import io
 import math
 import tempfile
 import textwrap
@@ -142,8 +144,8 @@ class TestLoadConfig:
         ("[run]\nn_offsets = 0\n", "[run].n_offsets"),
         ("[run]\nn = 0\n", "[run].n: must be a positive integer"),
         ("[run]\nconv_points = 0\n", "[run].conv_points"),
-        ("[run]\nstep_cap = 0\n", "[run].step_cap: must be a positive integer"),
-        ("[run]\nstep_cap = -5\n", "[run].step_cap: must be a positive integer"),
+        ("[run]\nstep_cap = 0\n", "[run].step_cap: unknown key"),
+        ("[run]\nstep_cap = -5\n", "[run].step_cap: unknown key"),
         ("[run]\nv_max = -1\n", "[run].v_max"),
         ("[run]\nmollify_f = maybe\n", "[run].mollify_f"),
         ("[run]\nmu = cauchy\n", "[run].mu"),
@@ -287,6 +289,9 @@ class TestCli:
         ("run", "zeta", "[run]\nzeta = 0.5\n"),
         ("field", "lipschitz", "[field]\nname = sin\nlipschitz = 10.0\n"),
         ("field", "growth", "[field]\nname = sin\ngrowth = 3.0\n"),
+        # removed: the step cap is STEP_CAP, and the rule has 16 points per panel
+        ("run", "step_cap", "[run]\nstep_cap = 1000\n"),
+        ("run", "conv_points", "[run]\nconv_points = 4\n"),
     ])
     def test_unread_key_exits_one(self, tmp_path, capsys, section, key, text):
         assert main(["classify", "--config", write(tmp_path, text)]) == 1
@@ -340,14 +345,14 @@ class TestCli:
         ("solve-limit", JUMP + "[run]\nmu = lebesgue\nsample_times = 0.3, 2.0\n", 1,
          "config error: [run].sample_times: time 2.0 outside [0.0, 1.0]"),
         ("solve-scheme", JUMP + POWER + "[run]\nn = 8\nmollify_f = true\nconv_points = 30000\n",
-         2, "step limit: convolution rule needs 9e+08 matrix entries, cap is 100000000"),
+         1, "config error: [run].conv_points: unknown key"),
     ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
             "study-table-step-below-spacing", "study-table-of-two-meshes",
             "sample-time-outside", "huge-conv-points"])
     def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
         """A step the lattice cannot take, a sample time outside the domain and
-        an oversized rule end in a config error or a step limit naming the
-        cause, with no traceback and no CSV."""
+        the removed rule size end in a config error naming the cause, with no
+        traceback and no CSV."""
         assert main([command, "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "res")]) == code
         assert capsys.readouterr().err.startswith(prefix)
@@ -366,7 +371,9 @@ class TestCli:
         assert main(["study", "--config", str(tmp_path / "missing.ini")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_step_cap_exits_two(self, tmp_path, capsys):
+    def test_step_cap_exits_two(self, tmp_path, capsys, monkeypatch):
+        # h = 1e-4 / 16^2: each offset needs 2.56e6 steps, past a cap of 1000
+        monkeypatch.setattr(scheme, "STEP_CAP", 1000)
         cfg = write(tmp_path, """
             [driver]
             breakpoints = 0, 1
@@ -380,11 +387,10 @@ class TestCli:
             meshes = 16, 32, 64
             [run]
             n = 16
-            step_cap = 1000
             """)
         assert main(["solve-scheme", "--config", cfg,
                      "--out", str(tmp_path / "res")]) == 2
-        assert "step limit" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("step limit: run needs 2.56e+06 steps, cap is 1000")
 
     def test_variation_grid_cap_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path, """
@@ -706,7 +712,7 @@ SCHEME_COMMANDS = ("solve-scheme", "solve-limit", "study")
 @st.composite
 def random_configs(draw):
     """A config of random driver (1-3 cubic segments, 0-2 jumps), field,
-    schedule and run knobs, with the work of every subcommand bounded."""
+    schedule and run knobs; the test bounds the work by lowering STEP_CAP."""
     widths = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
     breaks = np.concatenate(([0.0], np.cumsum(widths)))
     rows, start = [], draw(PARAM)
@@ -722,9 +728,9 @@ def random_configs(draw):
                                  max_size=4)))
     v_c = BVFunction(breaks, rows).total_variation()
     run = {"x0": draw(PARAM | st.just(0.0)), "n": draw(st.integers(1, 64)),
-           "n_offsets": draw(st.integers(1, 8)), "step_cap": 4000,
+           "n_offsets": draw(st.integers(1, 8)),
            "mu": draw(st.sampled_from(["lebesgue", "dirac", "dirac:0.5", "sigma"])),
-           "mollify_f": draw(st.booleans()), "conv_points": 4}
+           "mollify_f": draw(st.booleans())}
     if v_c > 0.0:
         run["v_max"] = v_c * 10.0 ** draw(st.floats(-4.0, 0.0))
     sections = {
@@ -789,7 +795,7 @@ def probe_configs(draw):
 
 class TestCliProperty:
     """Random configs end in an exit code, never a traceback, and a CSV is
-    written, finite, exactly when the code is 0."""
+    written, finite, exactly when the code is 0.  Every key they set is read."""
 
     @staticmethod
     def run(text, command):
@@ -797,7 +803,9 @@ class TestCliProperty:
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "exp.ini", Path(tmp) / "res"
             cfg.write_text(text)
-            code = main([command, "--config", str(cfg), "--out", str(out)])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            assert "unknown key" not in err.getvalue()
             assert code in (0, 1, 2, 3)
             csv = out / CSV_OF[command]
             assert csv.exists() == (code == 0)
@@ -812,7 +820,10 @@ class TestCliProperty:
     @given(text=random_configs(), command=st.sampled_from(SCHEME_COMMANDS))
     @settings(max_examples=50, deadline=None)
     def test_exit_code_and_finite_csv(self, text, command):
-        code, table = self.run(text, command)
+        # each fan of at most 4000 steps, and each mollified step's window of at most 4000 points
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "STEP_CAP", 4000)
+            code, table = self.run(text, command)
         if code == 0:
             assert table[1]
 

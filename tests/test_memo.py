@@ -14,6 +14,7 @@ from bvode import (
     backend,
     drivers,
     get_profile,
+    scheme,
     solve_grid,
     solve_limit,
     solve_offset,
@@ -123,14 +124,19 @@ def test_byte_budget(monkeypatch):
     assert L._memo_bytes == memo_bytes(L) == 1056
 
 
-def test_lower_step_cap_on_kept_fan_still_raises():
+def test_lower_step_cap_on_kept_fan_still_raises(monkeypatch):
     f, L, prof = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]), get_profile("uniform")
-    assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=10).size == 11
+    monkeypatch.setattr(scheme, "STEP_CAP", 10)
+    assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
+    monkeypatch.setattr(scheme, "STEP_CAP", 9)
     with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
-        solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0, step_cap=9)
-    assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4, step_cap=10).values.shape == (4, 11)
-    with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
-        solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4, step_cap=9)
+        solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0)
+    # 4 offsets of 10 steps: the fan's 40 steps are counted against the cap
+    monkeypatch.setattr(scheme, "STEP_CAP", 40)
+    assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4).values.shape == (4, 11)
+    monkeypatch.setattr(scheme, "STEP_CAP", 39)
+    with pytest.raises(StepLimitError, match="lattice fan needs 40 steps, cap is 39"):
+        solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4)
 
 
 def test_checks_run_before_lookup():

@@ -22,8 +22,7 @@ from bvode import (
     mollify_f,
     sigma_delta_limit,
 )
-from bvode.mollify import (DEFAULT_DELTAS, DEFAULT_U_PROBES, PROFILE_TABLE, PROFILE_TRIANGULAR,
-                           PROFILE_UNIFORM, MollifierProfile)
+from bvode.mollify import DEFAULT_DELTAS, DEFAULT_U_PROBES, MollifierProfile
 
 PROFILE_NAMES = ("uniform", "triangular", "bump")
 
@@ -34,6 +33,13 @@ def first_moment(p):
                 limit=200, epsabs=1e-14)[0]
 
 
+def same_bits(got, want):
+    """The same type and shape, and the same bits (signed zeros included)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def tri_tail(y):
     y = np.clip(y, 0.0, 1.0)
     return np.where(y <= 0.5, 1.0 - 2.0 * y ** 2, 2.0 * (1.0 - y) ** 2)
@@ -41,11 +47,58 @@ def tri_tail(y):
 
 class TestProfiles:
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown profile"):
-            get_profile("gaussian")
+        """get_profile and the constructor refuse it with one message, and
+        no instance is kept for it."""
+        msg = r"unknown profile 'Gaussian'; choose from \['bump', 'triangular', 'uniform'\]"
+        for build in (get_profile, MollifierProfile):
+            with pytest.raises(ValueError, match=msg):
+                build("Gaussian")
+        assert sorted(mollify._PROFILES) == ["bump", "triangular", "uniform"]
 
     def test_shared_instance(self):
         assert get_profile("uniform") is get_profile("UNIFORM")
+
+    def test_built_by_name_only(self):
+        """A profile takes its name alone; only the bump carries cnorm and tables."""
+        with pytest.raises(TypeError):
+            MollifierProfile("uniform", 0)
+        for name in ("uniform", "triangular"):
+            p = get_profile(name)
+            assert not any(hasattr(p, a) for a in ("cnorm", "table_x", "table_tail",
+                                                   "table_moments"))
+        assert MollifierProfile("Triangular").kinks.tolist() == [0.5]
+
+    def test_bump_tables_match_builder(self):
+        """The bump's cnorm and tables keep the bits of its builder's."""
+        p = get_profile("bump")
+        cnorm, xs, tail, moments = oracle.bump_tables()
+        same_bits(p.cnorm, cnorm)
+        for got, want in ((p.table_x, xs), (p.table_tail, tail), (p.table_moments, moments)):
+            same_bits(got, want)
+            assert got.flags.c_contiguous
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_name_keyed_methods_match_code_keyed(self, data):
+        """rho, tail, moments, tail_inv and the rule, dispatching on the name,
+        give the bits and types of the code-keyed methods they replaced, on
+        scalars and arrays inside and outside [0, 1]."""
+        name = data.draw(st.sampled_from(PROFILE_NAMES))
+        p, ref = get_profile(name), oracle.CodeProfile(name)
+        # every draw also holds the ends, the kink, both zeros, both infinities and
+        # subnormals, where the bump's -1 / (s (1 - s)) overflows
+        ys = [0.0, -0.0, 0.5, 1.0, -np.inf, np.inf, 5e-324, 1.0 - 2.0 ** -53, 2.2e-313]
+        ys += data.draw(st.lists(st.floats(-0.5, 1.5)))
+        for y in (np.array(ys), np.array(ys).reshape(-1, 1), data.draw(st.sampled_from(ys))):
+            for method in ("rho", "tail", "moments"):
+                same_bits(getattr(p, method)(y), getattr(ref, method)(y))
+        us = [0.0, 0.5, 1.0] + data.draw(st.lists(st.floats(0.0, 1.0)))
+        same_bits(p.tail_inv(np.array(us)), ref.tail_inv(np.array(us)))
+        u = data.draw(st.sampled_from(us))
+        same_bits(p.tail_inv(u), ref.tail_inv(u))
+        n = data.draw(st.integers(1, 4096))
+        for got, want in zip(p.convolution_rule(n), ref.convolution_rule(n)):
+            same_bits(got, want)
 
     @pytest.mark.parametrize("name", PROFILE_NAMES)
     def test_density_nonnegative_and_supported(self, name):
@@ -113,7 +166,7 @@ class TestProfiles:
     @pytest.mark.parametrize("name", PROFILE_NAMES)
     def test_tail_inverse_roundtrip(self, name):
         p = get_profile(name)
-        tol = 5e-8 if p.code == PROFILE_TABLE else 1e-10
+        tol = 5e-8 if name == "bump" else 1e-10
         u = np.linspace(0.002, 1.0, 97)
         np.testing.assert_allclose(p.tail(p.tail_inv(u)), u, atol=tol)
         assert p.tail_inv(1.0) == 0.0
@@ -123,7 +176,7 @@ class TestProfiles:
     @pytest.mark.parametrize("name", PROFILE_NAMES)
     def test_incomplete_moments_match_quadrature(self, name):
         p = get_profile(name)
-        tol = 1e-9 if p.code == PROFILE_TABLE else 1e-14
+        tol = 1e-9 if name == "bump" else 1e-14
         for y in (0.05, 0.3, 0.5, 0.62, 0.9, 1.0):
             for m in range(4):
                 ref, _ = quad(lambda s: p.rho(s) * s ** m, 0.0, y,
@@ -170,35 +223,17 @@ class TestConvolutionRule:
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize("points", [4, 16, 32])
     def test_rule_matches_oracle(self, name, n, points):
-        """The shared panel rule gives the panel-by-panel rule's bits."""
+        """The shared panel rule gives the panel-by-panel rule's bits at any
+        point count; the profile's rule is its 16-point case."""
         p = get_profile(name)
-        for got, want in zip(p.convolution_rule(n, points), oracle.convolution_rule(p, n, points)):
-            np.testing.assert_array_equal(got, want)
-
-    def test_points_capped_before_the_rule_is_built(self, monkeypatch):
-        """The nodes are eigenvalues of a points x points matrix, counted
-        against STEP_CAP before it is built: 30,000 points would take 7.2 GB."""
-        with pytest.raises(StepLimitError, match=r"convolution rule needs 9e\+08 matrix entries"):
-            MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 30000)
-        monkeypatch.setattr(mollify, "STEP_CAP", 256)
-        assert MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 16)[0].size == 16
-        with pytest.raises(StepLimitError, match="needs 289 matrix entries, cap is 256"):
-            MollifierProfile("uni", PROFILE_UNIFORM).convolution_rule(8, 17)
-
-    def test_points_past_the_float_range(self):
-        """An int point count too large for a float is refused, not converted."""
-        p = MollifierProfile("uni", PROFILE_UNIFORM)
-        with pytest.raises(StepLimitError, match=r"convolution rule needs 2\^2657 or more"):
-            p.convolution_rule(8, 10 ** 400)
-        assert not p._rules
-
-    def test_zero_width_panels_dropped(self):
-        """Kinks at 0, at 1 or repeated give no panel, as in the panel loop."""
-        p = MollifierProfile("tri", PROFILE_TRIANGULAR, kinks=(1.0, 0.5, 0.0, 0.5))
-        s, w = p.convolution_rule(4, 8)
-        assert s.size == 16
-        for got, want in zip((s, w), oracle.convolution_rule(p, 4, 8)):
-            np.testing.assert_array_equal(got, want)
+        want = oracle.convolution_rule(p, n, points)
+        y, w = mollify._gauss_panels(np.concatenate(([0.0], p.kinks, [1.0])), points)
+        w = (w * p.rho(y)).ravel()
+        for got, ref in zip((y.ravel() / n, w / w.sum()), want):
+            np.testing.assert_array_equal(got, ref)
+        if points == 16:
+            for got, ref in zip(p.convolution_rule(n), want):
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestScaledTail:
@@ -315,6 +350,13 @@ class TestMollifyField:
         x = rng.uniform(-2.0, 2.0, size=20)
         err = np.abs(mollify_f(f, p, n, t, x) - f(t, x))
         assert np.all(err <= 2.0 * f.lipschitz_const / n + 1e-12)
+
+    @pytest.mark.parametrize("t,x", [(np.nan, 0.0), (0.3, np.nan), (np.inf, 0.0),
+                                     (0.3, -np.inf), ([0.1, np.nan], 0.0), (0.3, [0.0, np.inf])])
+    def test_non_finite_arguments_raise(self, t, x):
+        """A NaN time once averaged to a finite value, and a NaN state to NaN."""
+        with pytest.raises(ValueError, match="times and states must be finite"):
+            mollify_f(ScalarField.bounded_tanh(1.0, 1.0), get_profile("uniform"), 8, t, x)
 
 
 class TestSchedule:
@@ -522,6 +564,15 @@ class TestClassifyRegime:
         (key,) = lists
         with pytest.raises(ValueError, match=f"at least one entry in {key}"):
             classify_regime(get_profile("uniform"), Schedule.power(2.0), **lists)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        """A NaN tol once gave GeneralSigma with an empty staircase, and
+        tol = -1 DeltaDependent (0 > -1); the fit refuses such a tol too."""
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            classify_regime(get_profile("uniform"), Schedule.power(0.5), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            fit_sigma_from_probes([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], tol=tol)
 
     def test_evidence_grid_is_complete(self):
         sched = Schedule.power(2.0, meshes=(16, 32, 64, 128))

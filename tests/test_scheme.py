@@ -78,19 +78,21 @@ class TestSolveOffset:
         with pytest.raises(ValueError):
             solve_offset(f, L, prof, 0, 0.1, 0.0, 1.0)
 
-    def test_step_cap(self):
-        with pytest.raises(StepLimitError):
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(scheme, "STEP_CAP", 1000)
+        with pytest.raises(StepLimitError, match="cap is 1000"):
             solve_offset(ScalarField.constant(0.0), mixed_driver(),
-                         get_profile("uniform"), 8, 1e-6, 0.0, 1.0,
-                         step_cap=1000)
+                         get_profile("uniform"), 8, 1e-6, 0.0, 1.0)
 
-    def test_step_cap_boundary(self):
+    def test_step_cap_boundary(self, monkeypatch):
         # the lattice 0, 0.1, .., 1.0 takes exactly 10 steps
         args = (ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]),
                 get_profile("uniform"), 8, 0.1, 0.0, 1.0)
-        assert solve_offset(*args, step_cap=10).size == 11
+        monkeypatch.setattr(scheme, "STEP_CAP", 10)
+        assert solve_offset(*args).size == 11
+        monkeypatch.setattr(scheme, "STEP_CAP", 9)
         with pytest.raises(StepLimitError, match="needs 10 steps"):
-            solve_offset(*args, step_cap=9)
+            solve_offset(*args)
 
     def test_fan_cap_counts_every_offset(self, monkeypatch):
         # 4 offsets of 10 steps each: the fan needs 40 steps in all, a fan of one 10
@@ -268,10 +270,12 @@ class TestStepCounts:
         taus = a + (h / J) * np.arange(J, dtype=np.float64)
         # caps on both sides of the largest count, offset 0's
         cap = oracle.step_count(b, float(taus[0]), h, step_cap=10 ** 9) + cap_shift
-        for fan in (taus, np.array(shuffle.sample(list(taus), J))):
-            want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in fan])
-            got = self.outcome(lambda: _step_counts(b, fan, h, cap).tolist())
-            assert got == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "STEP_CAP", cap)
+            for fan in (taus, np.array(shuffle.sample(list(taus), J))):
+                want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in fan])
+                got = self.outcome(lambda: _step_counts(b, fan, h).tolist())
+                assert got == want
 
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_estimate_checked_first(self, h):
