@@ -2,9 +2,12 @@
 
 Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
-(atomically, via a temp file and rename) and prints the summary.  Exit
-codes: 0 success, 1 invalid config, 2 step cap or argparse usage error,
-3 non-finite result (no CSV is written then).  Only this module lays out
+(atomically, via a temp file and rename) and prints the summary.  A table
+longer than one block (``CSV_BLOCK`` rows) is formatted by two processes
+where the system can fork onto a second CPU, with the same bytes.  Exit
+codes: 0 success, 1 invalid config or output error (an output directory or
+CSV that cannot be written), 2 step cap or argparse usage error, 3
+non-finite result (no CSV is written then).  Only this module lays out
 tables: a table is an iterable of groups ``(prefix, columns)``, where the
 numbers in ``prefix`` open every line of the group (``()`` for none) and
 ``columns`` are equal-length 1-D arrays, one per remaining header field.
@@ -13,8 +16,11 @@ numbers in ``prefix`` open every line of the group (``()`` for none) and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
+import shutil
+import signal
 import sys
 
 import numpy as np
@@ -75,17 +81,114 @@ def _probe_table(probe):
     return [((), [keys.ravel(), values.ravel()])]
 
 
+def _format(fh, groups) -> None:
+    """Write each group ``(prefix, columns)`` as CSV text, one ``%`` call per block."""
+    for prefix, columns in groups:
+        for line, values in _blocks(prefix, columns):
+            fh.write(line % values)
+
+
+def _halves(groups):
+    """The table's groups before and after the block boundary nearest half its
+    rows, when the table is longer than one block and a forked child may run on
+    a second CPU; otherwise the groups as given and no second part.
+
+    The boundary may fall inside a group, whose columns are then sliced there."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2:
+        return groups, []
+    groups = list(groups)
+    sizes = [len(columns[0]) for _, columns in groups]
+    total = sum(sizes)
+    if total <= CSV_BLOCK:
+        return groups, []
+    half, start, best = total / 2, 0, (total, 0, 0)
+    for i, m in enumerate(sizes):
+        # the group's block boundaries are start + s, s = 0, CSV_BLOCK, ... below m
+        s = min(max(round((half - start) / CSV_BLOCK), 0), max(m - 1, 0) // CSV_BLOCK)
+        best = min(best, (abs(start + s * CSV_BLOCK - half), i, s * CSV_BLOCK))
+        start += m
+    _, i, s = best
+    prefix, columns = groups[i]
+    head = groups[:i] + [(prefix, [c[:s] for c in columns])] if s else groups[:i]
+    return head, [(prefix, [c[s:] for c in columns])] + groups[i + 1:]
+
+
+def _fork_part(part: str, groups):
+    """Fork a child that formats groups into the new file part; its pid, or
+    None when the fork fails.
+
+    The child opens only part and runs only the block loop, whose numpy calls
+    (``asarray``, slicing, ``.tolist()``) reach no BLAS routine and no lock
+    that numpy's OpenBLAS thread could hold; it always ends in ``os._exit``,
+    0 when part is complete, so it never runs ``atexit`` handlers or flushes
+    the parent's stdio.  That narrow job is what makes the fork safe although
+    the OpenBLAS thread makes the process multi-threaded (Python 3.12 and
+    later warn about such a fork with a DeprecationWarning)."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+                _format(fh, groups)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _remove(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def _write_csv(out_dir: str, filename: str, header, groups) -> str:
-    """Write the header and then each group ``(prefix, columns)`` as CSV text."""
+    """Write the header and then each group ``(prefix, columns)`` as CSV text.
+
+    The text goes to ``<path>.tmp.<pid>``, which replaces ``path`` once it is
+    complete; on an exception it is removed and ``path`` is left as it was.
+    A table longer than one block is formatted in two parts when the process
+    can fork onto a second CPU: a child formats the second part into
+    ``<tmp>.part`` while this process formats the header and the first, then
+    appends the part's bytes.  The child is reaped on every exit path (killed
+    first on an exception), and when the fork fails or the child does not
+    exit 0 this process formats the second part itself, so the bytes never
+    depend on the child."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for prefix, columns in groups:
-            for line, values in _blocks(prefix, columns):
-                fh.write(line % values)
-    os.replace(tmp, path)
+    part = f"{tmp}.part"
+    first, second = _halves(groups)
+    pid = _fork_part(part, second) if second else None
+    forked = pid is not None
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            _format(fh, first)
+            if forked:
+                status = os.waitpid(pid, 0)[1]
+                pid = None
+                if os.waitstatus_to_exitcode(status) == 0:
+                    fh.flush()  # the text layer's pending bytes precede the part's
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+                    second = []
+            _format(fh, second)  # what no child wrote
+        os.replace(tmp, path)
+    except BaseException:
+        if pid is not None:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        _remove(tmp)
+        raise
+    finally:
+        if forked:
+            _remove(part)
     return path
 
 
@@ -275,7 +378,11 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 3
     out_dir = args.out if args.out is not None else cfg.out_dir
-    path = _write_csv(out_dir, filename, header, table)
+    try:
+        path = _write_csv(out_dir, filename, header, table)
+    except OSError as exc:
+        print(f"output error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(f"{args.command}: {summary} -> {path}")
     return 0
 

@@ -25,12 +25,17 @@ class LimitPath:
     Stores the dense solver grid; values between grid points are linear
     interpolants, with the doubled entries at jump epochs making ``eval``
     right-continuous; ``x_left`` holds the left limit at each grid time.
+    ``cells_over_v_max`` counts the grid cells across which the driver's
+    continuous part moves more than the solve's ``v_max``: cells too narrow
+    for the float spacing of ``t`` to split further (0 for a path built by a
+    caller).
     """
 
-    def __init__(self, t, x_left, x, is_jump, domain):
+    def __init__(self, t, x_left, x, is_jump, domain, cells_over_v_max=0):
         self.t, self.x_left, self.x = (np.array(c, dtype=np.float64) for c in (t, x_left, x))
         self.is_jump = np.array(is_jump, dtype=bool)
         self.domain = (float(domain[0]), float(domain[1]))
+        self.cells_over_v_max = int(cells_over_v_max)
         if not self.t.shape == self.x_left.shape == self.x.shape == self.is_jump.shape:
             raise ValueError("path columns must have one entry per time")
         if (self.t.ndim != 1 or self.t.size < 1 or not np.all(np.isfinite(self.t))
@@ -115,7 +120,8 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     Between jump epochs the continuous Stieltjes equation is advanced by
     a Heun rule on a variation-equidistributed grid; at each epoch the
     state is replaced by the jump map of the frozen, jump-scaled
-    coefficient.  ``sample_times`` adds report points to the grid.  The
+    coefficient.  ``sample_times`` adds report points to the grid, and the
+    path counts the cells that move the driver more than ``v_max``.  The
     driver keeps the read-only path and the variation grid
     (``L._remember``), so a repeated solve is not run again, and a solve
     under another field or measure reuses the grid.
@@ -161,7 +167,8 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
                 # a state that already overflowed crosses the jump unchanged
                 x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
                 x[i1], is_jump[i1] = x_cur, True
-        return LimitPath(grid, xl, x, is_jump, (a, b))
+        return LimitPath(grid, xl, x, is_jump, (a, b),
+                         np.count_nonzero(np.abs(np.diff(Lg)) > v_max))
 
     # looked up only after every check
     return L._remember(("limit", _Same(f), np.asarray(mu.atoms, dtype=np.float64).tobytes(),

@@ -1,9 +1,11 @@
 """INI config parsing and the command line entry points."""
 
 import contextlib
+import errno
 import importlib
 import io
 import math
+import os
 import tempfile
 import textwrap
 from pathlib import Path
@@ -555,6 +557,20 @@ class TestCli:
         assert main(["solve-limit", "--config", cfg, "--out", str(out)]) == 0
         assert not [p for p in out.iterdir() if ".tmp" in p.name]
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_unwritable_out_exits_one(self, tmp_path, capsys, sub):
+        """An --out that names a file (or a path below one) is an output error, not a traceback."""
+        cfg = write(tmp_path, FULL)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept")
+        out = blocker / sub if sub else blocker
+        assert main(["solve-limit", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"output error: {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "kept"
+
     def test_out_dir_from_config(self, tmp_path):
         target = tmp_path / "from_cfg"
         cfg = write(tmp_path, FULL + f"out = {target}\n")
@@ -617,6 +633,7 @@ class TestCsvWriter:
             rows = cli._write_csv(d, "rows.csv", header, self.plain(list(oracle.grid_rows(gp))))
             assert new == old
             assert Path(rows).read_bytes() == old
+            self.assert_clean(d, ["old.csv", "new.csv", "rows.csv"])
         assert new.count(b"\n") == 1 + int(lengths.sum())
 
     def test_mixed_scalar_types(self, tmp_path):
@@ -629,6 +646,124 @@ class TestCsvWriter:
     def test_empty_table(self, tmp_path):
         new, old = self.both(tmp_path, ("a", "b"), (), [((), [np.empty(0), np.empty(0)])])
         assert new == old == b"a,b\n"
+
+    @staticmethod
+    def assert_clean(directory, names=("t.csv",)):
+        """No child process is left to reap, and the directory holds the named files alone."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(p.name for p in Path(directory).iterdir()) == sorted(names)
+
+    @staticmethod
+    def big_table(rows, layout):
+        """Header, groups and oracle rows of a table of the given row count: one
+        group (k, t, x), or groups with prefix (j, tau) of 0 to 4,999 rows (k, x).
+        The states include signed zeros, subnormals, huge values, NaN and infinities."""
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+        x[::97], x[1::89], x[2::101], x[3::103] = -0.0, np.nan, np.inf, -np.inf
+        k = np.arange(rows)
+        if layout == "one-group":
+            t = x * -1e-3
+            return (("k", "t", "x"), [((), (k, t, x))],
+                    list(zip(k.tolist(), t.tolist(), x.tolist())))
+        groups, start = [], 0
+        while start < rows:
+            m = min(int(rng.integers(0, 5000)), rows - start)
+            tau = float(rng.uniform(-1.0, 1.0))
+            groups.append(((len(groups), tau), (k[:m], x[start:start + m])))
+            start += m
+        return (("j", "tau", "k", "x"), groups,
+                [(j, tau, kk, xx) for (j, tau), (ks, xs) in groups
+                 for kk, xx in zip(ks.tolist(), xs.tolist())])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process writer needs fork")
+    @pytest.mark.parametrize("layout", ["one-group", "many-groups"])
+    @pytest.mark.parametrize("excess", [-1, 0, 1, 2 * cli.CSV_BLOCK + 1],
+                             ids=["block-1", "block", "block+1", "3block+1"])
+    def test_two_processes(self, tmp_path, monkeypatch, layout, excess):
+        """Around one block of rows and past three, the writer writes the oracle's
+        bytes when its child succeeds, when the fork fails and when the child exits
+        1; a table longer than one block forks once, a shorter one never.  No child
+        process, temp file or part file is left."""
+        rows = cli.CSV_BLOCK + excess
+        header, table, oracle_rows = self.big_table(rows, layout)
+        old = Path(oracle._write_csv(str(tmp_path / "old"), "t.csv", header, oracle_rows))
+        # a second CPU, so that the split is taken on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, fork, blocks = os.getpid(), os.fork, cli._blocks
+        forks = []
+
+        def counted_fork():
+            forks.append(mode)
+            if mode == "fork-fails":
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        def blocks_of_parent(prefix, columns):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            return blocks(prefix, columns)
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for mode in ("fork", "fork-fails", "child-fails"):
+            if mode == "child-fails":
+                monkeypatch.setattr(cli, "_blocks", blocks_of_parent)
+            out = tmp_path / mode
+            new = cli._write_csv(str(out), "t.csv", header, table)
+            assert Path(new).read_bytes() == old.read_bytes()
+            self.assert_clean(out)
+        assert forks == (["fork", "fork-fails", "child-fails"] if rows > cli.CSV_BLOCK else [])
+        assert old.read_bytes().count(b"\n") == 1 + rows
+
+    @pytest.mark.parametrize("host", ["one-cpu", "no-fork"])
+    def test_serial_without_fork_or_second_cpu(self, tmp_path, monkeypatch, host):
+        """With one usable CPU, or no fork, the table is formatted in this process alone."""
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        if host == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+        else:
+            monkeypatch.delattr(os, "fork", raising=False)
+        header, table, rows = self.big_table(30, "many-groups")
+        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, table)
+        old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, rows)
+        assert Path(new).read_bytes() == Path(old).read_bytes()
+        self.assert_clean(tmp_path / "new")
+
+    @pytest.mark.parametrize("fails", ["serial", "parent", "parent-and-child", "interrupted"])
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch, fails):
+        """A write that raises after its first block, or while it waits for its
+        child, removes its temp and part files, leaves no child process and keeps
+        the bytes of the CSV already at the target."""
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        target = tmp_path / "t.csv"
+        target.write_bytes(b"kept\n")
+        parent, blocks, waitpid = os.getpid(), cli._blocks, os.waitpid
+
+        def failing(prefix, columns):
+            it = blocks(prefix, columns)
+            yield next(it)
+            if fails != "parent" or os.getpid() == parent:
+                raise RuntimeError("write failed")
+            yield from it
+
+        def interrupted(pid, options):
+            monkeypatch.setattr(os, "waitpid", waitpid)
+            raise KeyboardInterrupt
+
+        if fails == "interrupted":
+            monkeypatch.setattr(os, "waitpid", interrupted)
+        else:
+            monkeypatch.setattr(cli, "_blocks", failing)
+        rows = 3 if fails == "serial" else 30
+        table = [((), (np.arange(rows), np.linspace(0.0, 1.0, rows)))]
+        with pytest.raises(KeyboardInterrupt if fails == "interrupted" else RuntimeError):
+            cli._write_csv(str(tmp_path), "t.csv", ("k", "x"), table)
+        assert target.read_bytes() == b"kept\n"
+        self.assert_clean(tmp_path)
 
     # per command: the cli name whose result the oracle lays out, and that layout
     ORACLE_ROWS = {

@@ -91,6 +91,9 @@ class TestLimitPath:
         with pytest.raises(ValueError, match="one entry per time"):
             LimitPath([0.0, 1.0], [1.0, 2.0], [1.0], [False, False], domain=(0.0, 1.0))
 
+    def test_hand_built_path_counts_no_cell(self):
+        assert self.path().cells_over_v_max == 0
+
 
 class TestStieltjesIntegrate:
     def test_unit_integrand_telescopes(self):
@@ -187,6 +190,27 @@ class TestSolveLimit:
         with pytest.raises(ValueError, match="sample times"):
             solve_limit(ScalarField.constant(1.0), mixed_driver(), JumpMeasure.lebesgue(),
                         0.0, sample_times=[0.5, np.nan])
+
+    def test_cells_over_v_max_counted(self):
+        """Slope 1e12 over about nine floats: no grid of floats keeps every cell
+        within v_max = 1e-5, and the path counts the cells that move more."""
+        L = BVFunction([0.6095693498571635, 0.6095693498571645], [[-1e12, 1e12]])
+        path = solve_limit(ScalarField.linear_x(), L, JumpMeasure.lebesgue(), 1.0, v_max=1e-5)
+        moved = np.abs(np.diff(L.continuous_value(path.t)))
+        assert path.cells_over_v_max == np.count_nonzero(moved > 1e-5) >= 1
+        assert moved.max() > 10 * 1e-5
+
+    @pytest.mark.parametrize("v_max", [None, 1e-4], ids=["default", "1e-4"])
+    @pytest.mark.parametrize("di", range(len(BOUND_CORPUS)))
+    def test_corpus_keeps_v_max(self, di, v_max):
+        """Every criterion-8 corpus driver keeps each cell within v_max, with
+        and without report points."""
+        L = BOUND_CORPUS[di]
+        for sample_times in (None, [0.1, 0.6]):
+            path = solve_limit(ScalarField.bounded_tanh(1.0, 1.0, offset=0.2), L,
+                               JumpMeasure.lebesgue(), 0.4, sample_times=sample_times,
+                               v_max=v_max)
+            assert path.cells_over_v_max == 0
 
     def test_constant_driver_keeps_state(self):
         L = BVFunction.from_segments([0.0, 2.0], [[4.0]])
