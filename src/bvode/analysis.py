@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import backend, drivers
 from .drivers import BVFunction
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG
-from .limit import LimitPath, solve_limit
+from .limit import LimitPath, _steps, solve_limit
 from .mollify import MollifierProfile, Schedule
 from .scheme import GridPath, _crossing_fractions, _offset_fan, solve_grid
 
 DEFAULT_PROBES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+_PLAN_CELL_BYTES = 33  # a plan's bytes per cell: two intp indices, two floats and a bool
 
 
 def l1_distance(p: GridPath, q: LimitPath) -> float:
@@ -33,35 +36,87 @@ def l1_distance(p: GridPath, q: LimitPath) -> float:
     last point past its own length, merged with q's times, so repeated
     edges leave cells of zero width, which add nothing.  The row sums are
     added in offset order.
+
+    Each block is scored in two stages: a read-out plan (_plan), which
+    depends on the fan's lattices and q's times alone, and a value pass
+    (_score) over the states.  When q came from solve_limit, its driver
+    keeps the plan (``_remember``), so scoring the same fan against another
+    path on the same limit grid runs the value pass alone.  A plan over the
+    memo budget is scored block by block and not kept.
     """
     if (abs(p.domain[0] - q.domain[0]) > 1e-9
             or abs(p.domain[1] - q.domain[1]) > 1e-9):
         raise ValueError(f"domain mismatch: {p.domain!r} vs {q.domain!r}")
-    a, b = q.domain
     J, K = p.values.shape
-    rows = max(1, backend.LATTICE_CHUNK // (K + q.t.size + 2))
+    cells = K + q.t.size + 1  # per row
+    rows = max(1, backend.LATTICE_CHUNK // (cells + 1))
+    starts = range(0, J, rows)
+    widths, rises = _steps(q._t_dbl), _steps(q._x_dbl)
     sums = np.empty(J)
-    for s in range(0, J, rows):
-        j = np.arange(s, min(s + rows, J))
-        edges = np.empty((j.size, K + q.t.size + 2))
-        edges[:, 0] = a
-        lattice = edges[:, 1:K + 1]
-        np.add(p.offsets[j, None], p.h * np.arange(K), out=lattice)
-        # past its own length a row repeats its last point: cells of zero width
-        np.minimum(lattice, lattice[j - s, p.lengths[j] - 1, None], out=lattice)
-        edges[:, K + 1] = b
-        edges[:, K + 2:] = q.t
-        np.clip(edges, a, b, out=edges)
-        # two sorted runs, the lattice and q's times: a stable sort merges them
-        edges.sort(axis=1, kind="stable")
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        dt = np.diff(edges, axis=1)
-        # masked before multiplying, so an infinite state gives inf, not inf * 0;
-        # the midpoints lie in [a, b], so q is read without eval's range check
-        gap = np.where(dt > 0.0, np.abs(p.eval(j, mids) - q._read(mids)), 0.0)
-        sums[s:s + j.size] = np.sum(gap * dt, axis=1)
+    built = []
+
+    def build():
+        # the first scoring scores each block as it is planned
+        for s in starts:
+            block = _plan(p, q, widths, s, rows)
+            sums[s:s + rows] = _score(p, q, rises, *block)
+            built.extend(block)
+        return tuple(built)
+
+    driver = q._driver() if q._driver is not None else None
+    if driver is None or J * cells * _PLAN_CELL_BYTES > drivers._MEMO_BYTES:
+        for s in starts:  # streamed: no block outlives its scoring
+            sums[s:s + rows] = _score(p, q, rises, *_plan(p, q, widths, s, rows))
+    else:
+        plan = driver._remember(("plan", float(p.h).hex(), p.offsets.tobytes(), p.lengths.tobytes(),
+                                 K, q._t_dbl.tobytes(), rows), build)
+        if not built:  # a kept plan: the value pass alone
+            for s, i in zip(starts, range(0, len(plan), 5)):
+                sums[s:s + rows] = _score(p, q, rises, *plan[i:i + 5])
     # cumsum adds the offsets in order, as a running accumulator would
     return float(np.cumsum(sums)[-1] / J)
+
+
+def _plan(p: GridPath, q: LimitPath, widths, s: int, rows: int):
+    """Read-out plan of offsets s .. s + rows - 1 against q: for each merged
+    cell, the fan's flat state index, q's lower doubled-grid index and cell
+    fraction, the cell width and whether it is 0, one row per offset."""
+    a, b = q.domain
+    j = np.arange(s, min(s + rows, p.values.shape[0]))
+    K = p.values.shape[1]
+    edges = np.empty((j.size, K + q.t.size + 2))
+    edges[:, 0] = a
+    lattice = edges[:, 1:K + 1]
+    np.add(p.offsets[j, None], p.h * np.arange(K), out=lattice)
+    # past its own length a row repeats its last point: cells of zero width;
+    # before that point a rising row (h > 0) already lies below it
+    first = max(int(p.lengths[j].min()) - 1, 0) if p.h > 0.0 else 0
+    tail = lattice[:, first:]
+    np.minimum(tail, lattice[j - s, p.lengths[j] - 1, None], out=tail)
+    edges[:, K + 1] = b
+    edges[:, K + 2:] = q.t
+    np.clip(edges, a, b, out=edges)
+    # two sorted runs, the lattice and q's times: a stable sort merges them
+    edges.sort(axis=1, kind="stable")
+    mids = edges[:, :-1] + edges[:, 1:]
+    mids *= 0.5
+    # each row of midpoints rises (NaN last), so a non-finite one shows at an end
+    if not np.isfinite(mids[:, [0, -1]]).all():
+        raise ValueError("times must be finite")
+    dt = np.diff(edges, axis=1)
+    # the midpoints lie in [a, b], so q is read without eval's range check
+    return (p._flat_index(j, mids), *q._locate(mids, widths), dt, dt == 0.0)
+
+
+def _score(p: GridPath, q: LimitPath, rises, idx, i0, frac, dt, empty) -> np.ndarray:
+    """Row sums of |p - q| dt over one plan block; ``rises`` is _steps(q._x_dbl)."""
+    gap = np.take(p.values, idx)
+    gap -= q._interp(i0, frac, rises)
+    np.abs(gap, out=gap)
+    # empty cells are zeroed before multiplying, so an infinite state gives inf, not inf * 0
+    np.copyto(gap, 0.0, where=empty)
+    gap *= dt
+    return np.sum(gap, axis=1)
 
 
 def _trend_decreasing(errors: np.ndarray) -> bool:

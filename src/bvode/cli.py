@@ -383,7 +383,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    print(f"{args.command}: {summary} -> {path}")
+    try:
+        print(f"{args.command}: {summary} -> {path}", flush=True)
+    except BrokenPipeError as exc:
+        # the reader has gone; stdout now points at devnull, so the flush at exit
+        # cannot fail again (Python's note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        with contextlib.suppress(OSError):  # a closed stderr too
+            print(f"output error: <stdout>: {exc.strerror}", file=sys.stderr, flush=True)
+        return 1
     return 0
 
 

@@ -199,8 +199,11 @@ class BVFunction:
 
         The arrays the result holds are made read-only.  The driver keeps the
         most recently used results whose arrays fit in _MEMO_BYTES; a result
-        larger than that is returned and not kept.  Keys compare floats by
-        their bits, and fields and profiles by identity (_Same).
+        larger than that is returned and not kept.  When the kept bytes pass
+        the budget, the L1 score's read-out plans (keys starting "plan") go
+        first, least recently used first, and then the other results in the
+        same order: a plan costs less to rebuild than a fan.  Keys compare
+        floats by their bits, and fields and profiles by identity (_Same).
         """
         memo = self._memo
         if key in memo:
@@ -215,7 +218,8 @@ class BVFunction:
             memo[key] = result, size
             self._memo_bytes += size
         while self._memo_bytes > _MEMO_BYTES:
-            self._memo_bytes -= memo.popitem(last=False)[1][1]
+            victim = next((k for k in memo if k[0] == "plan"), next(iter(memo)))
+            self._memo_bytes -= memo.pop(victim)[1]
         return result
 
     # -- constructors ------------------------------------------------------

@@ -10,6 +10,7 @@ variation of the driver.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -17,6 +18,13 @@ from . import backend
 from .drivers import BVFunction, _held_arrays, _Same, _sorted_unique
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, phi_solve
+
+
+def _steps(arr):
+    """arr[i + 1] - arr[i] at each index i of a doubled-grid column, and the
+    last entry less itself: the x1 - x0 of the read-out's cell i, whose x1 is
+    the next entry, or the same one at the end."""
+    return np.subtract(np.append(arr[1:], arr[-1]), arr)
 
 
 class LimitPath:
@@ -28,7 +36,9 @@ class LimitPath:
     ``cells_over_v_max`` counts the grid cells across which the driver's
     continuous part moves more than the solve's ``v_max``: cells too narrow
     for the float spacing of ``t`` to split further (0 for a path built by a
-    caller).
+    caller).  A path from :func:`solve_limit` holds a weak reference to its
+    driver (``_driver``), where the L1 score keeps its read-out plans; a path
+    built by a caller has none.
     """
 
     def __init__(self, t, x_left, x, is_jump, domain, cells_over_v_max=0):
@@ -44,9 +54,14 @@ class LimitPath:
         jumps = np.flatnonzero(self.is_jump)
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
         self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
+        self._driver = None
         # read-only, so that no edit leaves the doubled grid stale
         for arr in _held_arrays(self):
             arr.setflags(write=False)
+
+    def __getstate__(self):
+        # a weak reference does not pickle: a copy has no driver, like a built path
+        return {**vars(self), "_driver": None}
 
     def eval(self, t):
         """Right-continuous value at t (vectorized)."""
@@ -58,27 +73,29 @@ class LimitPath:
         return float(out[0]) if arr.ndim == 0 else out
 
     def _read(self, tt):
-        """Values at times tt already in [a, b], an array of any shape: linear
-        between the doubled grid's entries, each table read one gather."""
-        td, xd = self._t_dbl, self._x_dbl
-        n = td.size
-        i0 = np.searchsorted(td, tt, side="right")
-        i0 -= 1
-        np.clip(i0, 0, n - 1, out=i0)
-        i1 = i0 + 1
-        np.minimum(i1, n - 1, out=i1)
+        """Values at times tt already in [a, b], an array of any shape."""
+        i0, frac = self._locate(tt, _steps(self._t_dbl))
+        return self._interp(i0, frac, _steps(self._x_dbl))
+
+    def _locate(self, tt, widths):
+        """Lower index into the doubled grid, and the fraction of its cell, of
+        each time in tt: frac = (tt - t0) / dt where the cell has width, else 0.
+        ``widths`` is _steps(_t_dbl)."""
+        td = self._t_dbl
+        # the last entry at or before tt, or the first entry when none is
+        i0 = np.searchsorted(td[1:], tt, side="right")
         t0 = np.take(td, i0)
-        x0 = np.take(xd, i0)
-        # x0 + frac (x1 - x0), frac = (tt - t0) / dt where the cell has width, else 0;
-        # in place, in the formula's own order of operations
-        dt = np.take(td, i1)
-        dt -= t0
-        frac = np.divide(tt - t0, dt, out=np.zeros(dt.shape), where=dt > 0.0)
-        x1 = np.take(xd, i1)
-        x1 -= x0
-        x1 *= frac
-        x1 += x0
-        return x1
+        dt = np.take(widths, i0)
+        np.subtract(tt, t0, out=t0)
+        return i0, np.divide(t0, dt, out=np.zeros(dt.shape), where=dt > 0.0)
+
+    def _interp(self, i0, frac, rises):
+        """x0 + frac (x1 - x0) at the cells _locate found, in place, in the
+        formula's own order of operations; ``rises`` is _steps(_x_dbl)."""
+        x = np.take(rises, i0)
+        x *= frac
+        x += np.take(self._x_dbl, i0)
+        return x
 
     def l1_norm(self) -> float:
         """Midpoint-rule integral of |x| over the domain on the stored grid."""
@@ -124,7 +141,8 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
     path counts the cells that move the driver more than ``v_max``.  The
     driver keeps the read-only path and the variation grid
     (``L._remember``), so a repeated solve is not run again, and a solve
-    under another field or measure reuses the grid.
+    under another field or measure reuses the grid.  The path links back to
+    the driver, which then keeps the L1 score's plans against it too.
     """
     a, b = L.domain
     if v_max is None:
@@ -167,8 +185,10 @@ def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
                 # a state that already overflowed crosses the jump unchanged
                 x_cur = phi_solve(z, x_cur, 1.0, mu) if np.isfinite(x_cur) else x_cur
                 x[i1], is_jump[i1] = x_cur, True
-        return LimitPath(grid, xl, x, is_jump, (a, b),
+        path = LimitPath(grid, xl, x, is_jump, (a, b),
                          np.count_nonzero(np.abs(np.diff(Lg)) > v_max))
+        path._driver = weakref.ref(L)  # weak: the driver's memo keeps the path
+        return path
 
     # looked up only after every check
     return L._remember(("limit", _Same(f), np.asarray(mu.atoms, dtype=np.float64).tobytes(),

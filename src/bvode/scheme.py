@@ -143,11 +143,20 @@ class GridPath:
         t = np.asarray(t, dtype=np.float64)
         if not np.isfinite(t).all():
             raise ValueError("times must be finite")
+        return np.take(self.values, self._flat_index(j, t))
+
+    def _flat_index(self, j, t) -> np.ndarray:
+        """Index into the flattened ``values`` of eval's read-out at finite
+        times t: row j starts at j * width."""
         j = np.asarray(j)[..., None] if np.ndim(j) else j
+        k = np.asarray(t - self.offsets[j])  # an array even for one time, for the in-place steps
+        k /= self.h
+        np.floor(k, out=k)
         # clipped before the cast, which past the int64 range would not be defined
-        k = np.clip(np.floor((t - self.offsets[j]) / self.h), 0, self.lengths[j] - 1)
-        # one flat gather: row j starts at j * width
-        return np.take(self.values, k.astype(np.int64) + j * self.values.shape[1])
+        np.clip(k, 0.0, self.lengths[j] - 1.0, out=k)
+        idx = k.astype(np.int64)
+        idx += j * self.values.shape[1]
+        return idx
 
     def final_values(self) -> np.ndarray:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]

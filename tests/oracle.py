@@ -70,7 +70,9 @@ with the staircase gaps summed one offset at a time (:func:`sigma_n_gaps`)
 that the ``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check`
 replaced, and the per-offset L1 score on each offset's own union grid
 (:func:`l1_distance`) that the blocked :func:`bvode.l1_distance`
-replaced.  :func:`euler_exact_offset` is also the reference for the
+replaced.  :func:`l1_blocked` is that blocked score as it was before it
+split into a read-out plan, which the driver keeps, and a value pass: each
+block merges, reads and masks its cells afresh on every call.  :func:`euler_exact_offset` is also the reference for the
 blocked affine scan of :func:`bvode.backend.euler_exact`.
 
 The gate path's table reads have as references the fancy-index reads that
@@ -1111,6 +1113,34 @@ def l1_distance(p, q):
         dt = np.diff(edges)
         total += float(np.sum(np.abs(p.eval(j, mids) - q.eval(mids)) * dt))
     return total / p.offsets.size
+
+
+def l1_blocked(p, q):
+    """``bvode.l1_distance`` in one stage: each block of offsets merges its
+    edges with q's times, reads both paths at the midpoints (the fan by
+    :func:`grid_eval`, q by :func:`limit_interp`), masks the cells of zero
+    width with ``np.where`` and sums each row; the row sums are added in
+    offset order."""
+    a, b = q.domain
+    J, K = p.values.shape
+    rows = max(1, backend.LATTICE_CHUNK // (K + q.t.size + 2))
+    sums = np.empty(J)
+    for s in range(0, J, rows):
+        j = np.arange(s, min(s + rows, J))
+        edges = np.empty((j.size, K + q.t.size + 2))
+        edges[:, 0] = a
+        lattice = edges[:, 1:K + 1]
+        np.add(p.offsets[j, None], p.h * np.arange(K), out=lattice)
+        np.minimum(lattice, lattice[j - s, p.lengths[j] - 1, None], out=lattice)
+        edges[:, K + 1] = b
+        edges[:, K + 2:] = q.t
+        np.clip(edges, a, b, out=edges)
+        edges.sort(axis=1, kind="stable")
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        dt = np.diff(edges, axis=1)
+        gap = np.where(dt > 0.0, np.abs(grid_eval(p, j, mids) - limit_interp(q, mids)), 0.0)
+        sums[s:s + j.size] = np.sum(gap * dt, axis=1)
+    return float(np.cumsum(sums)[-1] / J)
 
 
 def taylor(pc, origin, p, t, n):

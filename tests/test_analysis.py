@@ -1,5 +1,7 @@
 """Scheme-vs-limit distance, mesh sweeps, and the staircase gap check."""
 
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,14 +17,21 @@ from bvode import (
     ScalarField,
     Schedule,
     SigmaG,
+    analysis,
     backend,
     convergence_study,
+    drivers,
     get_profile,
     l1_distance,
     sigma_n_check,
     solve_grid,
     solve_limit,
 )
+from test_scheme import jump_drivers
+
+
+def unit_jump_driver():
+    return BVFunction.from_segments([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0),))
 
 
 def line_driver(a=0.0, b=1.0):
@@ -153,6 +162,136 @@ class TestL1Blocks:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert check(l1_distance(gp, q))
+
+
+# one field of each kind, with a time-dependent sin among them
+PLAN_FIELDS = (ScalarField.constant(0.7), ScalarField.affine(0.3, -1.2), ScalarField.ramp(0.2, 0.5),
+               ScalarField.bounded_sin(1.1, 2.0, freq_t=0.7, phase=0.3, offset=-0.2),
+               ScalarField.bounded_tanh(0.8, 2.5, offset=0.1))
+PLAN_MEASURES = (JumpMeasure.lebesgue(), JumpMeasure.dirac(0.0), JumpMeasure.dirac(1.0),
+                 JumpMeasure(atoms=((0.3, 0.5),), segments=((0.3, 0.8),)))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class PlanSpy:
+    """Counts the plans l1_distance builds, by the (fan, grid) they were built for."""
+
+    def __init__(self, mp):
+        self.built, real = [], analysis._plan
+
+        def spy(p, q, widths, s, rows):
+            if s == 0:
+                self.built.append((p.h, p.offsets.tobytes(), q._t_dbl.tobytes()))
+            return real(p, q, widths, s, rows)
+
+        mp.setattr(analysis, "_plan", spy)
+
+
+class TestL1Plan:
+    """The read-out plan that a limit path's driver keeps, against the one-stage
+    blocked score (oracle.l1_blocked)."""
+
+    @given(L=jump_drivers(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_match_blocked_oracle_bitwise(self, L, data):
+        """Random fans (n, h, 1-64 offsets, all five field kinds) against two or
+        three paths solved on one driver, under several measures, with and
+        without report points: every score has the oracle's bits, on the first
+        scoring and on the repeats that read a kept plan."""
+        a, b = L.domain
+        f = data.draw(st.sampled_from(PLAN_FIELDS))
+        prof = get_profile(data.draw(st.sampled_from(["uniform", "triangular", "bump"])))
+        x0 = data.draw(st.floats(-1.5, 1.5))
+        report = [a + (b - a) * r for r in data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))]
+        runs = data.draw(st.lists(st.tuples(st.sampled_from(PLAN_MEASURES), st.booleans()),
+                                  min_size=2, max_size=3))
+        J = data.draw(st.integers(1, 64))
+        fans = [solve_grid(f, L, prof, data.draw(st.integers(1, 400)),
+                           (b - a) / data.draw(st.floats(2.0, 120.0)), x0, J) for _ in range(2)]
+        with np.errstate(all="ignore"):
+            paths = [solve_limit(f, L, mu, x0, sample_times=report if extra else None)
+                     for mu, extra in runs]
+            for _ in range(2):
+                for gp in fans:
+                    for q in paths:
+                        assert hexes([l1_distance(gp, q)]) == hexes([oracle.l1_blocked(gp, q)])
+            # the studies on the same driver: their fans and paths are kept, and so are their plans
+            sched = Schedule.power(1.0, coef=(b - a) / 8.0, meshes=(1, 2, 4))
+            for mu, _ in runs:
+                got = convergence_study(f, L, prof, sched, mu, x0, n_offsets=J)
+                q = solve_limit(f, L, mu, x0)
+                want = [oracle.l1_blocked(solve_grid(f, L, prof, n, sched.h(n), x0, J), q)
+                        for n in sched.meshes]
+                assert hexes(got.l1_errors) == hexes(want)
+
+    def test_one_plan_per_fan_and_grid(self, monkeypatch):
+        """Two fans of one lattice (other initial states) and one of another,
+        against three paths on two limit grids, each scored twice: one plan is
+        built per distinct lattice and grid, 4 of 18 scorings."""
+        L, f, prof = unit_jump_driver(), ScalarField.linear_x(), get_profile("uniform")
+        spy = PlanSpy(monkeypatch)
+        fans = [solve_grid(f, L, prof, 8, h, x0, n_offsets=4)
+                for h, x0 in ((1.0 / 64, 1.0), (1.0 / 64, 2.0), (1.0 / 32, 1.0))]
+        paths = [solve_limit(f, L, JumpMeasure.lebesgue(), 1.0),
+                 solve_limit(f, L, JumpMeasure.dirac(0.0), 1.0),
+                 solve_limit(f, L, JumpMeasure.lebesgue(), 1.0, sample_times=[0.3])]
+        scores = [l1_distance(gp, q) for _ in range(2) for gp in fans for q in paths]
+        assert len(spy.built) == len(set(spy.built)) == 4
+        assert scores[:9] == scores[9:]
+        assert sum(key[0] == "plan" for key in L._memo) == 4
+
+    def test_plan_over_budget_is_streamed(self):
+        """A plan over _MEMO_BYTES (16 offsets of 65,537 points, 34.6 MB) is
+        scored block by block, one row of 65,541 cells per block: the score's
+        peak stays under ten float arrays of one block (5.2 MB; the one-stage
+        score peaked at 6.4 MB), and the driver keeps no plan."""
+        L, f = unit_jump_driver(), ScalarField.linear_x()
+        gp = solve_grid(f, L, get_profile("uniform"), 256, 256.0 ** -2, 1.0)
+        q = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+        assert gp.values.size * analysis._PLAN_CELL_BYTES > drivers._MEMO_BYTES
+        tracemalloc.start()
+        try:
+            got = l1_distance(gp, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * (gp.values.shape[1] + q.t.size + 1)
+        assert not [key for key in L._memo if key[0] == "plan"]
+        assert got == oracle.l1_blocked(gp, q)
+
+    @pytest.mark.parametrize("offset, edge", [(np.nan, 1.0), (0.0, 1.5e308)],
+                             ids=["nan-offset", "midpoint-overflow"])
+    def test_non_finite_midpoints_refused(self, offset, edge):
+        """A NaN lattice, or edges whose midpoint overflows, is refused as the
+        one-stage score's fan read refused it."""
+        q = LimitPath([-edge, 0.0, edge], [0.0] * 3, [0.0] * 3, [False] * 3, (-edge, edge))
+        gp = GridPath(offsets=np.array([-edge, offset]), values=np.zeros((2, 3)),
+                      lengths=np.array([3, 3]), n=8, h=0.5, profile_name="uniform",
+                      domain=(-edge, edge))
+        for score in (l1_distance, oracle.l1_blocked):
+            with np.errstate(over="ignore"):
+                with pytest.raises(ValueError, match="times must be finite"):
+                    score(gp, q)
+
+    def test_hand_built_path_keeps_nothing(self, monkeypatch):
+        """A LimitPath built by a caller, or unpickled, has no driver: each
+        scoring plans afresh and nothing is kept."""
+        L, f = unit_jump_driver(), ScalarField.linear_x()
+        gp = solve_grid(f, L, get_profile("uniform"), 8, 1.0 / 64, 1.0, n_offsets=4)
+        solved = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+        built = LimitPath(solved.t, solved.x_left, solved.x, solved.is_jump, solved.domain)
+        copied = pickle.loads(pickle.dumps(solved))
+        assert built._driver is None and copied._driver is None and solved._driver() is L
+        kept = list(L._memo)
+        spy = PlanSpy(monkeypatch)
+        scores = [l1_distance(gp, q) for q in (built, built, copied, copied)]
+        assert len(spy.built) == 4 and list(L._memo) == kept
+        assert scores == [l1_distance(gp, solved)] * 4
+        assert len(spy.built) == 5
+        assert [key[0] for key in L._memo] == [key[0] for key in kept] + ["plan"]
 
 
 class TestConvergenceStudy:

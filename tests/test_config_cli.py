@@ -6,6 +6,8 @@ import importlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -576,6 +578,29 @@ class TestCli:
         cfg = write(tmp_path, FULL + f"out = {target}\n")
         assert main(["solve-limit", "--config", cfg]) == 0
         assert (target / "limit_path.csv").exists()
+
+    def test_closed_stdout_is_an_output_error(self, tmp_path):
+        """A stdout pipe whose reader has gone before the summary line: exit 1
+        with one output-error line and no traceback, and the CSV as an
+        uninterrupted run writes it.  The child waits for its stdin to close,
+        which the test does only after closing the read end of stdout."""
+        cfg = write(tmp_path, "[mollifier]\nprofile = uniform\nalpha = 2\nmeshes = 16, 32, 64\n"
+                              "[run]\ndeltas = 0.25, 0.75\nu_probes = 0, 0.5, 1\n")
+        code = ("import sys\nsys.stdin.read()\nfrom bvode.cli import main\n"
+                f"sys.exit(main(['sigma', '--config', {cfg!r}, '--out', {str(tmp_path / 'piped')!r}]))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "output error: <stdout>: Broken pipe\n"
+        assert main(["sigma", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        piped = (tmp_path / "piped" / "sigma_probes.csv").read_bytes()
+        assert piped == (tmp_path / "plain" / "sigma_probes.csv").read_bytes()
 
 
 class TestCsvWriter:

@@ -183,8 +183,9 @@ class TestLimitRead:
 class TestL1ReadOuts:
     def test_solved_fans_bitwise_with_fancy_index_reads(self):
         """l1_distance on solved fans (flow and Ito limits, meshes 16 to
-        4096, blocks of many rows and of one) gives the same bits when its
-        read-outs are the 2-D grid index and the range-checked limit read."""
+        4096, blocks of many rows and of one) gives the bits of the one-stage
+        blocked score whose read-outs are the 2-D grid index and the
+        range-checked limit read, on the first scoring and on a kept plan."""
         L = BVFunction.from_segments([0.0, 0.5, 1.0], [[0.0, 2.0], [1.0, 0.0, -4.0]],
                                      jumps=((0.25, 1.5), (0.75, -0.5)))
         f = ScalarField.linear_x()
@@ -192,12 +193,9 @@ class TestL1ReadOuts:
             q = solve_limit(f, L, mu, 1.0)
             for n, alpha in ((16, 2.0), (64, 2.0), (1024, 0.5), (4096, 0.5)):
                 gp = solve_grid(f, L, get_profile("uniform"), n, n ** -alpha, 1.0)
-                got = l1_distance(gp, q)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(GridPath, "eval", oracle.grid_eval)
-                    mp.setattr(LimitPath, "_read", oracle.limit_interp)
-                    want = l1_distance(gp, q)
-                assert_bitwise(got, want)
+                want = oracle.l1_blocked(gp, q)
+                assert_bitwise(l1_distance(gp, q), want)
+                assert_bitwise(l1_distance(gp, q), want)
 
 
 class TestSortedUnique:

@@ -1,4 +1,5 @@
-"""Per-driver memo of offset fans and limit paths (BVFunction._remember)."""
+"""Per-driver memo of offset fans, limit paths, variation grids and L1 plans
+(BVFunction._remember)."""
 
 import weakref
 
@@ -12,8 +13,10 @@ from bvode import (
     Schedule,
     StepLimitError,
     backend,
+    convergence_study,
     drivers,
     get_profile,
+    l1_distance,
     scheme,
     solve_grid,
     solve_limit,
@@ -84,6 +87,51 @@ def test_criterion_2_call_list_matches_fresh_drivers(monkeypatch):
     assert shared_lattice == 9
     # 6 limit solves on fresh drivers and 2 on the shared one, 2 stretches each
     assert heun.calls == 2 * (6 + 2)
+
+
+def test_criterion_2_studies_keep_their_fans(monkeypatch):
+    """Criterion 2's four studies on one driver, each fan scored against its
+    limit path: the plans the scores keep push out no fan, so the 16 fans
+    still make 9 lattice calls (the n = 512 flow fan is over the budget), and
+    the kept bytes stay counted and within the budget."""
+    L, f, prof = unit_jump(), ScalarField.linear_x(), get_profile("uniform")
+    flow = Schedule.power(2.0, meshes=(64, 128, 256, 512))
+    ito = Schedule.power(0.5, meshes=(512, 1024, 2048, 4096))
+    leb, dirac = JumpMeasure.lebesgue(), JumpMeasure.dirac(0.0)
+    lattice = Spy(monkeypatch, "driver_lattice_values")
+    for sched, mu in ((flow, leb), (ito, dirac), (flow, dirac), (ito, leb)):
+        convergence_study(f, L, prof, sched, mu, 1.0)
+        assert L._memo_bytes == memo_bytes(L) <= drivers._MEMO_BYTES
+    assert lattice.calls == 9
+
+
+def test_plans_go_first(monkeypatch):
+    """Over the budget the driver drops its L1 plans, least recently used
+    first, before any fan, limit path or grid; only then the least recently
+    used of those."""
+    L, f, prof = unit_jump(), ScalarField.linear_x(), get_profile("uniform")
+    path = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
+    for h in (1.0 / 64, 1.0 / 32):
+        l1_distance(solve_grid(f, L, prof, 8, h, 1.0, n_offsets=2), path)
+    assert [key[0] for key in L._memo] == ["grid", "limit", "fan", "plan", "fan", "plan"]
+    first, second = [key for key in L._memo if key[0] == "plan"]
+    others = [key for key in L._memo if key[0] != "plan"]
+
+    def fan(x0):  # n_offsets = 2, h = 1/64: 1056 bytes, the first fan's lattice
+        solve_grid(f, L, prof, 8, 1.0 / 64, x0, n_offsets=2)
+        assert L._memo_bytes == memo_bytes(L) <= drivers._MEMO_BYTES
+
+    # room for one more fan once the older plan has gone
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", L._memo_bytes + 1056 - 1)
+    fan(2.0)
+    assert first not in L._memo and second in L._memo
+    assert all(key in L._memo for key in others)
+    # room for one more fan only once the other plan and some of the rest have gone
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", L._memo_bytes - L._memo[second][1] - 1)
+    fan(3.0)
+    assert not [key for key in L._memo if key[0] == "plan"]
+    gone = [key for key in others if key not in L._memo]
+    assert gone and gone == others[:len(gone)]
 
 
 def test_equal_drivers_share_nothing(monkeypatch):
