@@ -65,6 +65,14 @@ def driver_lattice_values(ts, n, profile, driver):
     before t count in full; a jump inside the window adds
     size * F_n(epoch - t).  Only breakpoints and jumps inside a window are
     visited, located with ``searchsorted``.
+
+    Flat pieces (c1 = c2 = c3 = 0, either sign of zero) are read without
+    the expansion, to the same bits.  While every t - origin is finite, a
+    flat piece's row is (c0, +-0, +-0, +-0), so a chunk whose windows all
+    end on flat pieces has the value c0 full[0] + jcum[k0]; a zero term
+    of either sign is absorbed, as jcum is never -0.  A breakpoint between
+    two flat pieces with equal c0 changes no coefficient: it would add a
+    zero to a value that is never -0, and is not visited.
     """
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     n = float(int(n))  # n**3 below must not overflow an integer type
@@ -73,6 +81,15 @@ def driver_lattice_values(ts, n, profile, driver):
     breaks, pc, origin = driver.seg_breaks, driver._ext_coefs, driver._ext_origin
     full = profile.moments(1.0)
     jpos, jsize, jcum = driver.jump_epochs, driver.jump_sizes, driver._jump_cum
+    # origins run from a to b, so t - origin is finite for every t when these two are
+    # (Python floats, which overflow to inf without a warning)
+    lo, hi = float(np.min(ts, initial=np.inf)), float(np.max(ts, initial=-np.inf))
+    if math.isfinite(hi - float(breaks[0])) and math.isfinite(lo - float(breaks[-1])):
+        flat = ~np.any(pc[1:], axis=0)
+        flat_c0 = pc[0] * full[0]
+        quiet = flat[:-1] & flat[1:] & (pc[0, :-1] == pc[0, 1:])  # per breakpoint
+    else:
+        flat = quiet = None
     out = np.empty(ts.size)
     for start in range(0, ts.size, LATTICE_CHUNK):
         t = ts[start:start + LATTICE_CHUNK]
@@ -81,11 +98,19 @@ def driver_lattice_values(ts, n, profile, driver):
         last = np.searchsorted(breaks, end, side="left")
         k0 = np.searchsorted(jpos, t, side="right")
         k1 = np.searchsorted(jpos, end, side="left")
-        val = _taylor(pc, origin, last, t, n) @ full + np.take(jcum, k0)
+        if flat is not None and np.take(flat, last).all():
+            val = np.take(flat_c0, last) + np.take(jcum, k0)
+        else:
+            val = _taylor(pc, origin, last, t, n) @ full + np.take(jcum, k0)
         inside = last - first  # breakpoints inside each window
         for r in range(int(np.max(inside, initial=0))):
             i = np.flatnonzero(inside > r)
             p = np.take(first, i) + r
+            if quiet is not None:
+                loud = ~np.take(quiet, p)
+                i, p = i[loud], p[loud]
+                if not i.size:
+                    continue
             ti = np.take(t, i)
             step = _taylor(pc, origin, p, ti, n) - _taylor(pc, origin, p + 1, ti, n)
             val[i] += np.sum(step * profile.moments((np.take(breaks, p) - ti) * n), axis=-1)
@@ -117,7 +142,16 @@ def euler_exact(field, tau, h, dLn, x0):
     slope 0) run a closed-form scan over blocks of rows: with
     A_k = 1 + b dL_k and P_k = A_0 ... A_k, x_{k+1} = P_k (x_0 + S_k) where
     S_k sums a dL_i / P_i.  The rest, and rows whose products degenerate,
-    step the fan together.  A zero increment keeps the state.
+    step the fan together.  In the scan a zero increment keeps the state,
+    also an infinite one; a step adds rate * 0, which keeps a state whose
+    rate is finite (a -0 may turn +0) and turns one whose rate is infinite
+    or NaN, such as an infinite state of an affine or sin field, into NaN.
+
+    The scan reads only the columns where some row's increment is non-zero
+    (-0 counts as zero) and carries each state over the others.  There
+    A = 1 and a dL / P = +-0, so P and S carry over too, S up to the sign of
+    a zero; x_0 + S hides that sign unless x_0 is zero, so a fan with a zero
+    x_0 is scanned in full, as is one whose a or b is not finite.
     """
     tau = np.asarray(tau, dtype=np.float64)
     dLn = np.asarray(dLn, dtype=np.float64)
@@ -129,18 +163,30 @@ def euler_exact(field, tau, h, dLn, x0):
     x = np.empty((J, K + 1))
     x[:, 0] = x0
     ok = np.empty(J, dtype=bool)
+    live = None
+    if math.isfinite(a) and math.isfinite(b) and x0.all():
+        live = np.flatnonzero(dLn.any(axis=0))
+        if live.size == K:
+            live = None
+        else:  # x_0 holds up to the first live column, each scanned state up to the next
+            edges = np.concatenate(([0], live, [K]))
+            runs = edges[1:] - edges[:-1]
     rows = max(1, LATTICE_CHUNK // K)  # blocks keep the scan's temporaries in cache
     with np.errstate(all="ignore"):  # degenerate rows are stepped again below
         for s in range(0, J, rows):
-            dL = dLn[s:s + rows]
+            dL = dLn[s:s + rows] if live is None else dLn[s:s + rows, live]
             A = 1.0 + b * dL
             P = np.cumprod(A, axis=1)
             absP = np.abs(P)
-            # a NaN fails every comparison, so these also ask for finite products
-            ok[s:s + rows] = ((np.min(np.abs(A), axis=1) > 1e-12)
-                              & (np.min(absP, axis=1) > 1e-290)
-                              & (np.max(absP, axis=1) < 1e290))
-            x[s:s + rows, 1:] = P * (x0[s:s + rows, None] + np.cumsum(a * dL / P, axis=1))
+            # a NaN fails every comparison, so these also ask for finite products;
+            # a skipped column, |A| = |P| = 1, passes them, as the initial 1 does
+            ok[s:s + rows] = ((np.min(np.abs(A), axis=1, initial=1.0) > 1e-12)
+                              & (np.min(absP, axis=1, initial=1.0) > 1e-290)
+                              & (np.max(absP, axis=1, initial=1.0) < 1e290))
+            xs = P * (x0[s:s + rows, None] + np.cumsum(a * dL / P, axis=1))
+            if live is not None:  # one block at a time, never a (J, K) copy
+                xs = np.repeat(np.concatenate((x0[s:s + rows, None], xs), axis=1), runs, axis=1)
+            x[s:s + rows, 1:] = xs
     rest = np.flatnonzero(~ok)
     if rest.size:
         x[rest] = _step_fan(field._eval, tau[rest], h, dLn[rest], x0[rest])
@@ -152,7 +198,8 @@ def euler_mollified(field, tau, h, dLn, x0, conv_s, conv_w):
 
     ``tau`` and ``x0`` have shape (J,) and ``dLn`` shape (J, K); the result
     holds the states, shape (J, K + 1).  Each step takes the fan's window
-    average (:func:`window_mean`).  A zero increment keeps the state.
+    average (:func:`window_mean`).  A zero increment keeps a state whose
+    window average is finite, and turns one whose average is not into NaN.
     """
     tau = np.asarray(tau, dtype=np.float64)
     dLn = np.asarray(dLn, dtype=np.float64)

@@ -139,8 +139,13 @@ class BVFunction:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.isfinite(breaks)):
             raise ValueError("breakpoints must be finite")
-        if not np.all(np.diff(breaks) > 0.0):
+        with np.errstate(over="ignore"):
+            widths = np.diff(breaks)
+        if not np.all(widths > 0.0):
             raise ValueError("breakpoints must be strictly increasing")
+        if not math.isfinite(float(breaks[-1]) - float(breaks[0])):  # bounds every width
+            raise ValueError(f"breakpoints {float(breaks[0])!r} to {float(breaks[-1])!r} "
+                             "span a width too large for a float")
         rows = [np.atleast_1d(np.asarray(row, dtype=np.float64)) for row in coefficients]
         if len(rows) != breaks.size - 1 or any(r.ndim != 1 or r.size > 4 or r.size == 0
                                                for r in rows):

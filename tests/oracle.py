@@ -73,7 +73,11 @@ replaced, and the per-offset L1 score on each offset's own union grid
 replaced.  :func:`l1_blocked` is that blocked score as it was before it
 split into a read-out plan, which the driver keeps, and a value pass: each
 block merges, reads and masks its cells afresh on every call.  :func:`euler_exact_offset` is also the reference for the
-blocked affine scan of :func:`bvode.backend.euler_exact`.
+blocked affine scan of :func:`bvode.backend.euler_exact`.  That scan and
+the lattice read flat stretches of a driver without arithmetic; their
+references are the two as they were before, every column scanned
+(:func:`euler_full_scan`) and every window's last piece expanded, every
+breakpoint inside a window visited (:func:`lattice_expanded`).
 
 The gate path's table reads have as references the fancy-index reads that
 one contiguous ``np.take`` per table replaced: the Taylor read of the
@@ -1202,3 +1206,77 @@ def limit_interp(q, t):
     out = q._x_dbl[i0] + frac * (q._x_dbl[i1] - q._x_dbl[i0])
     out = out.reshape(shape)
     return float(out) if shape == () else out
+
+
+def lattice_expanded(ts, n, profile, driver):
+    """``backend.driver_lattice_values`` with every window's last piece read
+    through its Taylor row (:func:`taylor`) and the full moments, and every
+    breakpoint inside a window visited, flat pieces included."""
+    ts = np.ascontiguousarray(ts, dtype=np.float64)
+    n = float(int(n))
+    inv = 1.0 / n
+    breaks, pc, origin = driver.seg_breaks, driver._ext_coefs.T, driver._ext_origin
+    full = profile.moments(1.0)
+    jpos, jsize, jcum = driver.jump_epochs, driver.jump_sizes, driver._jump_cum
+    out = np.empty(ts.size)
+    for start in range(0, ts.size, backend.LATTICE_CHUNK):
+        t = ts[start:start + backend.LATTICE_CHUNK]
+        end = t + inv
+        first = np.searchsorted(breaks, t, side="right")
+        last = np.searchsorted(breaks, end, side="left")
+        k0 = np.searchsorted(jpos, t, side="right")
+        k1 = np.searchsorted(jpos, end, side="left")
+        val = taylor(pc, origin, last, t, n) @ full + jcum[k0]
+        inside = last - first
+        for r in range(int(np.max(inside, initial=0))):
+            i = np.flatnonzero(inside > r)
+            p = first[i] + r
+            ti = t[i]
+            step = taylor(pc, origin, p, ti, n) - taylor(pc, origin, p + 1, ti, n)
+            val[i] += np.sum(step * profile.moments((breaks[p] - ti) * n), axis=-1)
+        inside = k1 - k0
+        for r in range(int(np.max(inside, initial=0))):
+            i = np.flatnonzero(inside > r)
+            k = k0[i] + r
+            val[i] += jsize[k] * profile.tail((jpos[k] - t[i]) * n)
+        out[start:start + backend.LATTICE_CHUNK] = val
+    return out
+
+
+def euler_full_scan(field, tau, h, dLn, x0):
+    """``backend.euler_exact`` with the affine scan over every column of the fan,
+    and the degenerate rows and other fields stepped by a loop over steps."""
+    tau = np.asarray(tau, dtype=np.float64)
+    dLn = np.asarray(dLn, dtype=np.float64)
+    x0 = np.asarray(x0, dtype=np.float64)
+    J, K = dLn.shape
+
+    def step(rows):
+        x = np.empty((rows.size, K + 1))
+        x[:, 0] = x0[rows]
+        for k in range(K):
+            cur = x[:, k]
+            x[:, k + 1] = cur + field._eval(tau[rows] + k * h, cur) * dLn[rows, k]
+        return x
+
+    if field.kind not in (FIELD_CONST, FIELD_AFFINE) or K == 0:
+        return step(np.arange(J))
+    a, b = field.params if field.kind == FIELD_AFFINE else (field.params[0], 0.0)
+    x = np.empty((J, K + 1))
+    x[:, 0] = x0
+    ok = np.empty(J, dtype=bool)
+    rows = max(1, backend.LATTICE_CHUNK // K)
+    with np.errstate(all="ignore"):
+        for s in range(0, J, rows):
+            dL = dLn[s:s + rows]
+            A = 1.0 + b * dL
+            P = np.cumprod(A, axis=1)
+            absP = np.abs(P)
+            ok[s:s + rows] = ((np.min(np.abs(A), axis=1) > 1e-12)
+                              & (np.min(absP, axis=1) > 1e-290)
+                              & (np.max(absP, axis=1) < 1e290))
+            x[s:s + rows, 1:] = P * (x0[s:s + rows, None] + np.cumsum(a * dL / P, axis=1))
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        x[rest] = step(rest)
+    return x

@@ -350,13 +350,16 @@ class TestCli:
          "config error: [run].sample_times: time 2.0 outside [0.0, 1.0]"),
         ("solve-scheme", JUMP + POWER + "[run]\nn = 8\nmollify_f = true\nconv_points = 30000\n",
          1, "config error: [run].conv_points: unknown key"),
+        ("solve-limit", "[driver]\nbreakpoints = -1e308, 1e308\ncoefficients = 2\njumps = 1:1\n"
+         "[field]\nname = linear\n", 1, "config error: [driver].breakpoints: breakpoints -1e+308 "
+         "to 1e+308 span a width too large for a float"),
     ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
             "study-table-step-below-spacing", "study-table-of-two-meshes",
-            "sample-time-outside", "huge-conv-points"])
+            "sample-time-outside", "huge-conv-points", "overflowing-width"])
     def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
-        """A step the lattice cannot take, a sample time outside the domain and
-        the removed rule size end in a config error naming the cause, with no
-        traceback and no CSV."""
+        """A step the lattice cannot take, a sample time outside the domain,
+        the removed rule size and a driver whose width overflows end in a
+        config error naming the cause, with no traceback and no CSV."""
         assert main([command, "--config", write(tmp_path, text),
                      "--out", str(tmp_path / "res")]) == code
         assert capsys.readouterr().err.startswith(prefix)

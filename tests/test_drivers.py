@@ -142,7 +142,10 @@ class TestValidation:
         ([0.0, 1.0], [[0.0, 1.0]], ((0.5, np.inf),), "jump size"),
         ([0.0, 1.0], [[0.0, np.nan]], (), "coefficients must be finite"),
         ([0.0, np.inf], [[0.0, 1.0]], (), "breakpoints must be finite"),
-    ], ids=["nan-jump", "inf-jump", "nan-coefficient", "inf-breakpoint"])
+        ([-1e308, 1e308], [[2.0]], ((1.0, 1.0),), "span a width too large for a float"),
+        ([-1e308, 0.0, 1e308], [[2.0], [2.0]], (), "span a width too large for a float"),
+    ], ids=["nan-jump", "inf-jump", "nan-coefficient", "inf-breakpoint", "inf-segment-width",
+            "inf-domain-width"])
     def test_non_finite_input_rejected(self, breaks, coefs, jumps, needle):
         with pytest.raises(ValueError, match=needle):
             BVFunction(breaks, coefs, jumps=jumps)
