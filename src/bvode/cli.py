@@ -283,12 +283,12 @@ def _cmd_study(cfg: ExperimentConfig, args):
     f = cfg.need("field", "field", "name")
     profile = cfg.need("profile", "mollifier", "profile")
     sched = cfg.need("schedule", "mollifier", "alpha")
+    key = "table" if sched.table is not None else "meshes"
     if len(sched.meshes) < 3:
-        raise ConfigError("mollifier", cfg._meshes_key,
-                          "this subcommand needs at least three meshes")
+        raise ConfigError("mollifier", key, "this subcommand needs at least three meshes")
     mu = _mu_for(cfg)
     for n in sched.meshes:
-        _step(sched, n, L.domain[0], "mollifier", cfg._meshes_key)
+        _step(sched, n, L.domain[0], "mollifier", key)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         result = convergence_study(f, L, profile, sched, mu, cfg.x0,
                                    n_offsets=cfg.n_offsets,

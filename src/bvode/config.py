@@ -19,7 +19,7 @@ from .drivers import BVFunction
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG, measure_from_sigma
 from .mollify import (DEFAULT_DELTAS, DEFAULT_MESHES, DEFAULT_U_PROBES, MollifierProfile,
-                      Schedule, get_profile)
+                      Schedule, _meshes, get_profile)
 
 
 class ConfigError(ValueError):
@@ -157,8 +157,6 @@ class ExperimentConfig:
     jump_eps: Optional[tuple] = None
     jump_t: Optional[tuple] = None
     out_dir: str = "."
-    # the [mollifier] key that lists the schedule's meshes, for the errors that name it
-    _meshes_key: str = "meshes"
 
     def need(self, attr: str, section: str, key: str):
         val = getattr(self, attr)
@@ -231,33 +229,30 @@ def _parse_mollifier(sec: _Section):
     except ValueError as exc:
         raise ConfigError(sec.name, "profile", str(exc)) from exc
     meshes = sec.raw("meshes")
-    if meshes is not None:
-        mesh_list = tuple(_integer(tok.strip(), sec.name, "meshes", "non-integer mesh")
-                          for tok in meshes.split(",") if tok.strip())
-    else:
-        mesh_list = DEFAULT_MESHES
+    mesh_list = DEFAULT_MESHES if meshes is None else tuple(
+        _integer(tok.strip(), sec.name, "meshes", "non-integer mesh")
+        for tok in meshes.split(",") if tok.strip())
     table = sec.pairs("table")
     alpha = sec.floatval("alpha")
-    schedule = None
+    coef = sec.floatval("c", 1.0) if alpha is not None else None
     if table is not None and alpha is not None:
         raise ConfigError(sec.name, "table", "give either alpha or table, not both")
     key = "meshes"  # an error names the key whose check failed
     try:
-        Schedule(mesh_list, lambda n: 1.0)  # checks the meshes alone
-        key = "table" if table is not None else "alpha"
+        _meshes(mesh_list)
         if table is not None:
-            if bad := [n for n, _ in table if not n.is_integer()]:
-                raise ValueError(f"non-integer mesh {bad[0]!r}")
-            if rep := [n for i, (n, _) in enumerate(table) if n in dict(table[:i])]:
-                raise ValueError(f"repeated mesh {int(rep[0])}")
-            schedule = Schedule.from_table({int(n): h for n, h in table})
-        elif alpha is not None:
-            Schedule.power(alpha, meshes=mesh_list)  # checks alpha alone
-            key = "c"
-            schedule = Schedule.power(alpha, sec.floatval("c", 1.0), meshes=mesh_list)
+            key = "table"
+            if meshes is not None:
+                raise ValueError("give either meshes or table, not both")
+            return profile, Schedule.from_table(table)
+        if alpha is None:
+            return profile, None
+        # alpha is at fault if its steps fail at c = 1, where the last mesh's is the
+        # least; the schedule is then built at c = 1, so that the error is alpha's
+        key = "c" if alpha > 0.0 and float(mesh_list[-1]) ** -alpha > 0.0 else "alpha"
+        return profile, Schedule.power(alpha, coef if key == "c" else 1.0, meshes=mesh_list)
     except ValueError as exc:
         raise ConfigError(sec.name, key, str(exc)) from exc
-    return profile, schedule, "table" if table is not None else "meshes"
 
 
 def _parse_sigma(sec: _Section) -> SigmaG:
@@ -314,7 +309,7 @@ def load_config(path: str) -> ExperimentConfig:
     if "field" in secs:
         cfg.field = _parse_field(secs["field"])
     if "mollifier" in secs:
-        cfg.profile, cfg.schedule, cfg._meshes_key = _parse_mollifier(secs["mollifier"])
+        cfg.profile, cfg.schedule = _parse_mollifier(secs["mollifier"])
     if "sigma" in secs:
         cfg.sigma = _parse_sigma(secs["sigma"])
 

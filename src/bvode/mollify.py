@@ -249,25 +249,46 @@ def get_profile(name: str) -> MollifierProfile:
     return _PROFILES[key]
 
 
+def _mesh(n) -> int:
+    """n as an int; a fraction, inf, nan or an int too large for a float is a ValueError."""
+    try:
+        if float(n).is_integer():
+            return int(n)
+    except OverflowError:
+        raise ValueError(f"mesh of {int(n).bit_length()} bits is too large for a float") from None
+    raise ValueError(f"non-integer mesh {n!r}")
+
+
+def _meshes(meshes) -> tuple:
+    """meshes as a tuple of ints, which must increase strictly from 1 up."""
+    meshes = tuple(map(_mesh, meshes))
+    if not meshes or meshes[0] < 1 or any(b <= a for a, b in zip(meshes[:-1], meshes[1:])):
+        raise ValueError("meshes must be strictly increasing positive integers")
+    return meshes
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Joint (n, h) refinement rule: mesh list plus a step rule h(n)."""
+    """Joint (n, h) refinement as data: meshes, steps coef * n**-alpha or table[i] at meshes[i]."""
 
     meshes: tuple
-    rule: object
+    alpha: float | None = None
+    coef: float = 1.0
+    table: tuple | None = None
 
     def __post_init__(self):
-        meshes = tuple(int(n) for n in self.meshes)
-        if len(meshes) < 1 or meshes[0] < 1 or any(
-                b <= a for a, b in zip(meshes[:-1], meshes[1:])):
-            raise ValueError("meshes must be strictly increasing positive integers")
-        object.__setattr__(self, "meshes", meshes)
-        hs = [self.h(n) for n in meshes]
-        if len(hs) > 1 and hs[-1] > hs[0]:
+        if self.table is None and not (self.alpha > 0.0 and self.coef > 0.0):
+            raise ValueError("power rule needs alpha > 0 and coef > 0")
+        object.__setattr__(self, "meshes", _meshes(self.meshes))
+        hs = [self.h(n) for n in self.meshes]
+        if hs[-1] > hs[0]:
             raise ValueError("step rule must shrink along the mesh sequence")
 
     def h(self, n) -> float:
-        v = float(self.rule(int(n)))
+        if self.table is not None and n not in self.meshes:
+            raise ValueError(f"schedule table has no entry for n={n}")
+        v = (self.coef * float(n) ** -self.alpha if self.table is None
+             else self.table[self.meshes.index(n)])
         if not np.isfinite(v) or v <= 0.0:
             raise ValueError(f"step rule returned {v!r} at n={n}")
         return v
@@ -275,22 +296,17 @@ class Schedule:
     @classmethod
     def power(cls, alpha, coef=1.0, meshes=DEFAULT_MESHES) -> "Schedule":
         """h(n) = coef * n**(-alpha)."""
-        alpha, coef = float(alpha), float(coef)
-        if not (alpha > 0.0 and coef > 0.0):
-            raise ValueError("power rule needs alpha > 0 and coef > 0")
-        return cls(tuple(meshes), lambda n: coef * float(n) ** -alpha)
+        return cls(tuple(meshes), float(alpha), float(coef))
 
     @classmethod
     def from_table(cls, table) -> "Schedule":
-        """Explicit {n: h} pairs; meshes are the sorted keys."""
-        tbl = {int(k): float(v) for k, v in dict(table).items()}
-
-        def rule(n):
-            if n not in tbl:
-                raise ValueError(f"schedule table has no entry for n={n}")
-            return tbl[n]
-
-        return cls(tuple(sorted(tbl)), rule)
+        """Explicit (n, h) pairs, a mapping or a sequence; meshes are the sorted n."""
+        pairs = list(table.items() if hasattr(table, "items") else table)
+        ns = [_mesh(n) for n, _ in pairs]
+        if rep := [n for i, n in enumerate(ns) if n in ns[:i]]:
+            raise ValueError(f"repeated mesh {rep[0]}")
+        pairs = sorted(zip(ns, (float(h) for _, h in pairs)))
+        return cls(tuple(n for n, _ in pairs), table=tuple(h for _, h in pairs))
 
 
 def F_n(profile: MollifierProfile, n: int, x):

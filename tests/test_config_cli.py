@@ -122,6 +122,8 @@ class TestLoadConfig:
          "[mollifier].meshes: meshes must be strictly increasing positive integers"),
         ("[mollifier]\nprofile = uniform\nmeshes = 32, 16\ntable = 16:0.1, 32:0.05\n",
          "[mollifier].meshes: meshes must be strictly increasing positive integers"),
+        ("[mollifier]\nprofile = uniform\nmeshes = 16, 32, 64\ntable = 8:0.1, 128:0.01\n",
+         "[mollifier].table: give either meshes or table, not both"),
         ("[mollifier]\nprofile = uniform\ntable = 16.5:0.01, 32:0.001, 64:0.0001\n",
          "[mollifier].table: non-integer mesh 16.5"),
         ("[mollifier]\nprofile = uniform\ntable = inf:0.01\n",
@@ -165,6 +167,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, text))
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("lines,message", [
+        ("alpha = 2\nc = abc", "[mollifier].c: expected a number, got 'abc'"),
+        ("alpha = 2\nc = inf", "[mollifier].c: expected a finite number, got 'inf'"),
+        ("alpha = 2\nc = 1e-400", "[mollifier].c: power rule needs alpha > 0 and coef > 0"),
+        ("alpha = 400", "[mollifier].alpha: step rule returned 0.0 at n=16"),
+        ("alpha = 400\nc = 2", "[mollifier].alpha: step rule returned 0.0 at n=16"),
+        ("alpha = 2\nc = 1e-320", "[mollifier].c: step rule returned 0.0 at n=64"),
+    ])
+    def test_power_rule_errors_name_one_key(self, tmp_path, lines, message):
+        """A power rule's error names alpha when its steps fail at c = 1, else c,
+        and a malformed c is named once."""
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, f"[mollifier]\nprofile = uniform\n{lines}\n"))
+        assert str(err.value) == message
 
     def test_documented_configs_load(self, tmp_path, monkeypatch):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -346,6 +363,9 @@ class TestCli:
         ("study", JUMP + "[mollifier]\nprofile = uniform\ntable = 64:0.01, 128:0.001\n"
          "[run]\nmu = lebesgue\n", 1,
          "config error: [mollifier].table: this subcommand needs at least three meshes"),
+        ("study", JUMP + "[mollifier]\nprofile = uniform\nmeshes = 16, 32, 64\n"
+         "table = 8:0.1, 128:0.01, 4096:0.001\n[run]\nmu = lebesgue\n", 1,
+         "config error: [mollifier].table: give either meshes or table, not both\n"),
         ("solve-limit", JUMP + "[run]\nmu = lebesgue\nsample_times = 0.3, 2.0\n", 1,
          "config error: [run].sample_times: time 2.0 outside [0.0, 1.0]"),
         ("solve-scheme", JUMP + POWER + "[run]\nn = 8\nmollify_f = true\nconv_points = 30000\n",
@@ -354,7 +374,7 @@ class TestCli:
          "[field]\nname = linear\n", 1, "config error: [driver].breakpoints: breakpoints -1e+308 "
          "to 1e+308 span a width too large for a float"),
     ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
-            "study-table-step-below-spacing", "study-table-of-two-meshes",
+            "study-table-step-below-spacing", "study-table-of-two-meshes", "study-meshes-and-table",
             "sample-time-outside", "huge-conv-points", "overflowing-width"])
     def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
         """A step the lattice cannot take, a sample time outside the domain,

@@ -1,5 +1,9 @@
 """Mollifier profiles, tail transforms, driver smoothing, and regime probes."""
 
+import math
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,14 +383,41 @@ class TestSchedule:
 
     def test_rule_must_shrink(self):
         with pytest.raises(ValueError, match="shrink"):
-            Schedule((2, 4), lambda n: float(n))
+            Schedule.from_table({2: 0.1, 4: 0.2})
 
     def test_table_schedule(self):
         s = Schedule.from_table({16: 0.01, 4: 0.1})
         assert s.meshes == (4, 16)
+        assert s.table == (0.1, 0.01) and s.alpha is None
         assert s.h(4) == 0.1
         with pytest.raises(ValueError, match="no entry"):
             s.h(5)
+
+    def test_value_semantics(self):
+        """Schedules are data: equal ones compare and hash equal, and survive pickling."""
+        for make in (lambda: Schedule.power(2.0, coef=0.5, meshes=(4, 8, 16)),
+                     lambda: Schedule.from_table([(16, 0.01), (4, 0.1)])):
+            a, b = make(), make()
+            assert a == b and hash(a) == hash(b)
+            assert pickle.loads(pickle.dumps(a)) == a
+        assert Schedule.power(2.0) != Schedule.power(2.0, coef=0.5)
+        assert Schedule.power(2.0, meshes=(4, 8)) != Schedule.from_table({4: 1 / 16, 8: 1 / 64})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Schedule.power(2.0, meshes=(16, 32.7)), "non-integer mesh 32.7"),
+        (lambda: Schedule.power(2.0, meshes=(16, 10 ** 400)), "too large for a float"),
+        (lambda: Schedule.from_table({16.5: 0.01, 32: 0.001}), "non-integer mesh 16.5"),
+        (lambda: Schedule.from_table({math.inf: 0.01}), "non-integer mesh inf"),
+        (lambda: Schedule.from_table({math.nan: 0.01}), "non-integer mesh nan"),
+        (lambda: Schedule.from_table({10 ** 400: 0.01}), "too large for a float"),
+        (lambda: Schedule.from_table([(16, 0.1), (16, 0.05), (32, 0.01)]), "repeated mesh 16"),
+        (lambda: Schedule.from_table([(16, 0.1), (16.0, 0.05)]), "repeated mesh 16"),
+    ])
+    def test_meshes_are_integers_given_once(self, build, message):
+        """A fraction, an infinity, an int beyond float range and a repeated table
+        mesh are refused, not truncated, overflowed or overwritten."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 class TestSigmaDeltaLimit:
@@ -476,6 +507,19 @@ class TestBroadcastProbe:
         u = np.asarray(DEFAULT_U_PROBES)
         self.assert_same(sigma_delta_limit(p, sched, d, u),
                          oracle.sigma_delta_limit(p, sched, d, u))
+
+    @pytest.mark.parametrize("name", PROFILE_NAMES)
+    def test_table_of_power_steps(self, name):
+        """A table holding a power rule's steps probes bitwise as that rule does."""
+        p = get_profile(name)
+        power = Schedule.power(2.0, meshes=(16, 32, 64, 128))
+        table = Schedule.from_table({n: power.h(n) for n in power.meshes})
+        d = np.asarray(DEFAULT_DELTAS)[:, None]
+        u = np.asarray(DEFAULT_U_PROBES)
+        new = sigma_delta_limit(p, table, d, u)
+        self.assert_same(new, oracle.sigma_delta_limit(p, table, d, u))
+        self.assert_same(new, oracle.sigma_delta_limit(p, power, d, u))
+        self.assert_same(sigma_delta_limit(p, power, d, u), new)
 
     @pytest.mark.parametrize("meshes", [(16, 64, 256), (16, 32)])
     @pytest.mark.parametrize("name", PROFILE_NAMES)
