@@ -16,7 +16,7 @@ from . import backend, drivers
 from .drivers import BVFunction
 from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG
-from .limit import LimitPath, _steps, solve_limit
+from .limit import LimitPath, solve_limit
 from .mollify import MollifierProfile, Schedule
 from .scheme import GridPath, _crossing_fractions, _offset_fan, solve_grid
 
@@ -42,7 +42,8 @@ def l1_distance(p: GridPath, q: LimitPath) -> float:
     (_score) over the states.  When q came from solve_limit, its driver
     keeps the plan (``_remember``), so scoring the same fan against another
     path on the same limit grid runs the value pass alone.  A plan over the
-    memo budget is scored block by block and not kept.
+    memo budget, or against a path with no driver, is planned and scored
+    block by block and not kept.
     """
     if (abs(p.domain[0] - q.domain[0]) > 1e-9
             or abs(p.domain[1] - q.domain[1]) > 1e-9):
@@ -51,33 +52,22 @@ def l1_distance(p: GridPath, q: LimitPath) -> float:
     cells = K + q.t.size + 1  # per row
     rows = max(1, backend.LATTICE_CHUNK // (cells + 1))
     starts = range(0, J, rows)
-    widths, rises = _steps(q._t_dbl), _steps(q._x_dbl)
-    sums = np.empty(J)
-    built = []
-
-    def build():
-        # the first scoring scores each block as it is planned
-        for s in starts:
-            block = _plan(p, q, widths, s, rows)
-            sums[s:s + rows] = _score(p, q, rises, *block)
-            built.extend(block)
-        return tuple(built)
-
+    blocks = (_plan(p, q, s, rows) for s in starts)
     driver = q._driver() if q._driver is not None else None
-    if driver is None or J * cells * _PLAN_CELL_BYTES > drivers._MEMO_BYTES:
-        for s in starts:  # streamed: no block outlives its scoring
-            sums[s:s + rows] = _score(p, q, rises, *_plan(p, q, widths, s, rows))
-    else:
+    if driver is not None and J * cells * _PLAN_CELL_BYTES <= drivers._MEMO_BYTES:
+        # kept as one flat tuple, five arrays a block, planned whole on a miss
         plan = driver._remember(("plan", float(p.h).hex(), p.offsets.tobytes(), p.lengths.tobytes(),
-                                 K, q._t_dbl.tobytes(), rows), build)
-        if not built:  # a kept plan: the value pass alone
-            for s, i in zip(starts, range(0, len(plan), 5)):
-                sums[s:s + rows] = _score(p, q, rises, *plan[i:i + 5])
+                                 K, q._t_dbl.tobytes(), rows),
+                                lambda: tuple(arr for block in blocks for arr in block))
+        blocks = (plan[i:i + 5] for i in range(0, len(plan), 5))
+    sums = np.empty(J)
+    for s in starts:  # one expression a block: a streamed block does not outlive its scoring
+        sums[s:s + rows] = _score(p, q, *next(blocks))
     # cumsum adds the offsets in order, as a running accumulator would
     return float(np.cumsum(sums)[-1] / J)
 
 
-def _plan(p: GridPath, q: LimitPath, widths, s: int, rows: int):
+def _plan(p: GridPath, q: LimitPath, s: int, rows: int):
     """Read-out plan of offsets s .. s + rows - 1 against q: for each merged
     cell, the fan's flat state index, q's lower doubled-grid index and cell
     fraction, the cell width and whether it is 0, one row per offset."""
@@ -105,13 +95,13 @@ def _plan(p: GridPath, q: LimitPath, widths, s: int, rows: int):
         raise ValueError("times must be finite")
     dt = np.diff(edges, axis=1)
     # the midpoints lie in [a, b], so q is read without eval's range check
-    return (p._flat_index(j, mids), *q._locate(mids, widths), dt, dt == 0.0)
+    return (p._flat_index(j, mids), *q._locate(mids), dt, dt == 0.0)
 
 
-def _score(p: GridPath, q: LimitPath, rises, idx, i0, frac, dt, empty) -> np.ndarray:
-    """Row sums of |p - q| dt over one plan block; ``rises`` is _steps(q._x_dbl)."""
+def _score(p: GridPath, q: LimitPath, idx, i0, frac, dt, empty) -> np.ndarray:
+    """Row sums of |p - q| dt over one plan block."""
     gap = np.take(p.values, idx)
-    gap -= q._interp(i0, frac, rises)
+    gap -= q._interp(i0, frac)
     np.abs(gap, out=gap)
     # empty cells are zeroed before multiplying, so an infinite state gives inf, not inf * 0
     np.copyto(gap, 0.0, where=empty)

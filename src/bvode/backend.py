@@ -67,12 +67,13 @@ def driver_lattice_values(ts, n, profile, driver):
     visited, located with ``searchsorted``.
 
     Flat pieces (c1 = c2 = c3 = 0, either sign of zero) are read without
-    the expansion, to the same bits.  While every t - origin is finite, a
-    flat piece's row is (c0, +-0, +-0, +-0), so a chunk whose windows all
-    end on flat pieces has the value c0 full[0] + jcum[k0]; a zero term
-    of either sign is absorbed, as jcum is never -0.  A breakpoint between
-    two flat pieces with equal c0 changes no coefficient: it would add a
-    zero to a value that is never -0, and is not visited.
+    the expansion, to the same bits where t - origin is finite (mollify_L
+    clips far times to keep it so).  There a flat piece's row is
+    (c0, +-0, +-0, +-0), so a chunk whose windows all end on flat pieces
+    has the value c0 full[0] + jcum[k0]; a zero term of either sign is
+    absorbed, as jcum is never -0.  A breakpoint between two flat pieces
+    with equal c0 changes no coefficient: it would add a zero to a value
+    that is never -0, and is not visited.
     """
     ts = np.ascontiguousarray(ts, dtype=np.float64)
     n = float(int(n))  # n**3 below must not overflow an integer type
@@ -81,15 +82,9 @@ def driver_lattice_values(ts, n, profile, driver):
     breaks, pc, origin = driver.seg_breaks, driver._ext_coefs, driver._ext_origin
     full = profile.moments(1.0)
     jpos, jsize, jcum = driver.jump_epochs, driver.jump_sizes, driver._jump_cum
-    # origins run from a to b, so t - origin is finite for every t when these two are
-    # (Python floats, which overflow to inf without a warning)
-    lo, hi = float(np.min(ts, initial=np.inf)), float(np.max(ts, initial=-np.inf))
-    if math.isfinite(hi - float(breaks[0])) and math.isfinite(lo - float(breaks[-1])):
-        flat = ~np.any(pc[1:], axis=0)
-        flat_c0 = pc[0] * full[0]
-        quiet = flat[:-1] & flat[1:] & (pc[0, :-1] == pc[0, 1:])  # per breakpoint
-    else:
-        flat = quiet = None
+    flat = ~np.any(pc[1:], axis=0)
+    flat_c0 = pc[0] * full[0]
+    quiet = flat[:-1] & flat[1:] & (pc[0, :-1] == pc[0, 1:])  # per breakpoint
     out = np.empty(ts.size)
     for start in range(0, ts.size, LATTICE_CHUNK):
         t = ts[start:start + LATTICE_CHUNK]
@@ -98,7 +93,7 @@ def driver_lattice_values(ts, n, profile, driver):
         last = np.searchsorted(breaks, end, side="left")
         k0 = np.searchsorted(jpos, t, side="right")
         k1 = np.searchsorted(jpos, end, side="left")
-        if flat is not None and np.take(flat, last).all():
+        if np.take(flat, last).all():
             val = np.take(flat_c0, last) + np.take(jcum, k0)
         else:
             val = _taylor(pc, origin, last, t, n) @ full + np.take(jcum, k0)
@@ -106,11 +101,10 @@ def driver_lattice_values(ts, n, profile, driver):
         for r in range(int(np.max(inside, initial=0))):
             i = np.flatnonzero(inside > r)
             p = np.take(first, i) + r
-            if quiet is not None:
-                loud = ~np.take(quiet, p)
-                i, p = i[loud], p[loud]
-                if not i.size:
-                    continue
+            loud = ~np.take(quiet, p)
+            i, p = i[loud], p[loud]
+            if not i.size:
+                continue
             ti = np.take(t, i)
             step = _taylor(pc, origin, p, ti, n) - _taylor(pc, origin, p + 1, ti, n)
             val[i] += np.sum(step * profile.moments((np.take(breaks, p) - ti) * n), axis=-1)

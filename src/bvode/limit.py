@@ -20,13 +20,6 @@ from .fields import ScalarField
 from .jumpmap import JumpMeasure, phi_solve
 
 
-def _steps(arr):
-    """arr[i + 1] - arr[i] at each index i of a doubled-grid column, and the
-    last entry less itself: the x1 - x0 of the read-out's cell i, whose x1 is
-    the next entry, or the same one at the end."""
-    return np.subtract(np.append(arr[1:], arr[-1]), arr)
-
-
 class LimitPath:
     """Right-continuous path with explicit left limits at its jumps.
 
@@ -38,7 +31,8 @@ class LimitPath:
     for the float spacing of ``t`` to split further (0 for a path built by a
     caller).  A path from :func:`solve_limit` holds a weak reference to its
     driver (``_driver``), where the L1 score keeps its read-out plans; a path
-    built by a caller has none.
+    built by a caller has none.  ``_widths`` and ``_rises`` hold t1 - t0 and
+    x1 - x0 of each cell of the doubled grid, 0 at its last entry.
     """
 
     def __init__(self, t, x_left, x, is_jump, domain, cells_over_v_max=0):
@@ -54,8 +48,10 @@ class LimitPath:
         jumps = np.flatnonzero(self.is_jump)
         self._t_dbl = np.insert(self.t, jumps, self.t[jumps])
         self._x_dbl = np.insert(self.x, jumps, self.x_left[jumps])
+        self._widths, self._rises = (np.subtract(np.append(d[1:], d[-1]), d)
+                                     for d in (self._t_dbl, self._x_dbl))
         self._driver = None
-        # read-only, so that no edit leaves the doubled grid stale
+        # read-only, so that no edit leaves the doubled grid or its cells stale
         for arr in _held_arrays(self):
             arr.setflags(write=False)
 
@@ -69,30 +65,25 @@ class LimitPath:
         arr = np.asarray(t, dtype=np.float64)
         if not np.all((arr >= a - 1e-12) & (arr <= b + 1e-12)):
             raise ValueError(f"times must lie in [{a!r}, {b!r}]")
-        out = self._read(np.clip(np.atleast_1d(arr), a, b))
+        out = self._interp(*self._locate(np.clip(np.atleast_1d(arr), a, b)))
         return float(out[0]) if arr.ndim == 0 else out
 
-    def _read(self, tt):
-        """Values at times tt already in [a, b], an array of any shape."""
-        i0, frac = self._locate(tt, _steps(self._t_dbl))
-        return self._interp(i0, frac, _steps(self._x_dbl))
-
-    def _locate(self, tt, widths):
+    def _locate(self, tt):
         """Lower index into the doubled grid, and the fraction of its cell, of
-        each time in tt: frac = (tt - t0) / dt where the cell has width, else 0.
-        ``widths`` is _steps(_t_dbl)."""
+        each time in tt, an array of any shape already in [a, b]:
+        frac = (tt - t0) / dt where the cell has width, else 0."""
         td = self._t_dbl
         # the last entry at or before tt, or the first entry when none is
         i0 = np.searchsorted(td[1:], tt, side="right")
         t0 = np.take(td, i0)
-        dt = np.take(widths, i0)
+        dt = np.take(self._widths, i0)
         np.subtract(tt, t0, out=t0)
         return i0, np.divide(t0, dt, out=np.zeros(dt.shape), where=dt > 0.0)
 
-    def _interp(self, i0, frac, rises):
+    def _interp(self, i0, frac):
         """x0 + frac (x1 - x0) at the cells _locate found, in place, in the
-        formula's own order of operations; ``rises`` is _steps(_x_dbl)."""
-        x = np.take(rises, i0)
+        formula's own order of operations."""
+        x = np.take(self._rises, i0)
         x *= frac
         x += np.take(self._x_dbl, i0)
         return x

@@ -277,9 +277,15 @@ class Schedule:
     table: tuple | None = None
 
     def __post_init__(self):
-        if self.table is None and not (self.alpha > 0.0 and self.coef > 0.0):
+        if self.table is None and not (self.alpha is not None and self.alpha > 0.0
+                                       and self.coef > 0.0):
             raise ValueError("power rule needs alpha > 0 and coef > 0")
+        if self.table is not None and (self.alpha is not None or self.coef != 1.0):
+            raise ValueError("give either alpha and coef or table, not both")
         object.__setattr__(self, "meshes", _meshes(self.meshes))
+        if self.table is not None and len(self.table) != len(self.meshes):
+            raise ValueError(f"schedule table needs one step per mesh, got {len(self.table)} "
+                             f"for {len(self.meshes)}")
         hs = [self.h(n) for n in self.meshes]
         if hs[-1] > hs[0]:
             raise ValueError("step rule must shrink along the mesh sequence")
@@ -328,13 +334,16 @@ def mollify_L(L, profile: MollifierProfile, n: int, t):
     Exact: on each polynomial piece of the continuous part inside the
     window the integral is a combination of the profile's incomplete
     moments (``MollifierProfile.moments``), and each jump contributes
-    size * F_n(epoch - t).  Times must be finite.
+    size * F_n(epoch - t).  Times must be finite; L_n is L(a) where the
+    window ends by a and L(b) from b on, so times are clipped to
+    [a - 1, b], where no t - origin the lattice forms overflows.
     """
     n = _sharpness(n)
     ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.isfinite(ts).all():
         raise ValueError("times must be finite")
-    out = backend.driver_lattice_values(ts, n, profile, L)
+    a, b = L.domain
+    out = backend.driver_lattice_values(np.clip(ts, a - 1.0, b), n, profile, L)
     return _scalar(out[0] if np.ndim(t) == 0 else out)
 
 

@@ -46,18 +46,12 @@ def _step_counts(b: float, taus: np.ndarray, h: float) -> np.ndarray:
     return ks
 
 
-def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
-         h: float, taus: np.ndarray, x0s: np.ndarray,
-         mollify_coefficient: bool = False):
-    """Run the lattices of every offset in ``taus``; return (values, lengths).
-
-    ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
-    the row repeats its final state.  The increments of all offsets share
-    one (J, Kmax) array whose steps past an offset's own K_j are zero, so
-    both recursions step the whole fan at once and pad by keeping the
-    final state.  The driver keeps the read-only result (``L._remember``),
-    so a repeated fan is not solved again.
-    """
+def _fan_steps(L: BVFunction, n: int, h: float, taus: np.ndarray, x0s: np.ndarray,
+               n_offsets: int) -> np.ndarray:
+    """Step counts of the offsets taus, after every check of a fan of n_offsets
+    offsets that holds them: taus may be its first offset alone, a, which
+    takes the most steps."""
+    _check_offsets(n_offsets)
     a, b = L.domain
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError("step size h must be positive and finite")
@@ -73,7 +67,23 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
         raise ValueError("initial states must be finite")
     ks = _step_counts(b, taus, h)
     # STEP_CAP bounds each offset, and the fan's arrays too
-    _check_cap(taus.size * float(ks.max()), STEP_CAP, "lattice fan", "steps")
+    _check_cap(n_offsets * float(ks.max()), STEP_CAP, "lattice fan", "steps")
+    return ks
+
+
+def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
+         h: float, taus: np.ndarray, x0s: np.ndarray,
+         mollify_coefficient: bool = False):
+    """Run the lattices of every offset in ``taus``; return (values, lengths).
+
+    ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
+    the row repeats its final state.  The increments of all offsets share
+    one (J, Kmax) array whose steps past an offset's own K_j are zero, so
+    both recursions step the whole fan at once and pad by keeping the
+    final state.  The driver keeps the read-only result (``L._remember``),
+    so a repeated fan is not solved again.
+    """
+    ks = _fan_steps(L, n, h, taus, x0s, taus.size)
     if mollify_coefficient:  # each step averages f over a (J, Q, Q) window
         s, w = profile.convolution_rule(n)
         _check_cap(taus.size * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
@@ -162,11 +172,16 @@ class GridPath:
         return self.values[np.arange(self.values.shape[0]), self.lengths - 1]
 
 
-def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
-    """Offsets a + k h / n_offsets in [a, a + h); an array of steps h gives a row per step."""
+def _check_offsets(n_offsets: int) -> None:
+    """Refuse an offset count below 1 or over STEP_CAP, before any offset is made."""
     if n_offsets < 1:
         raise ValueError("need at least one offset")
     _check_cap(n_offsets, STEP_CAP, "offset fan", "offsets")
+
+
+def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
+    """Offsets a + k h / n_offsets in [a, a + h); an array of steps h gives a row per step."""
+    _check_offsets(n_offsets)
     return a + (np.asarray(h)[..., None] / n_offsets) * np.arange(n_offsets, dtype=np.float64)
 
 
@@ -177,8 +192,11 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     each from the initial state x0; ``mollify_coefficient`` is that of
     :func:`solve_offset`.
     """
-    taus = _offset_fan(L.domain[0], h, n_offsets)
-    x0s = np.full(taus.shape, float(x0))
+    a, x0 = L.domain[0], float(x0)
+    # the fan is checked on its first offset before its offsets are made
+    _fan_steps(L, n, h, np.array([a]), np.array([x0]), n_offsets)
+    taus = _offset_fan(a, h, n_offsets)
+    x0s = np.full(taus.shape, x0)
     values, lengths = _fan(f, L, profile, n, h, taus, x0s, mollify_coefficient)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)

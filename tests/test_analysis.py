@@ -182,10 +182,10 @@ class PlanSpy:
     def __init__(self, mp):
         self.built, real = [], analysis._plan
 
-        def spy(p, q, widths, s, rows):
+        def spy(p, q, s, rows):
             if s == 0:
                 self.built.append((p.h, p.offsets.tobytes(), q._t_dbl.tobytes()))
-            return real(p, q, widths, s, rows)
+            return real(p, q, s, rows)
 
         mp.setattr(analysis, "_plan", spy)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from bvode import BVFunction, ScalarField, backend, get_profile, solve_grid
+from bvode import BVFunction, ScalarField, backend, get_profile, mollify_L, solve_grid
 from bvode.drivers import _poly_eval
 from test_gathers import PROFILES, assert_bitwise, seeded
 
@@ -83,23 +83,50 @@ class TestLattice:
             assert_bitwise(backend.driver_lattice_values(ts, 64, prof, L),
                            oracle.lattice_expanded(ts, 64, prof, L))
 
-    def test_far_times_keep_the_expansion(self):
-        """Where t - origin overflows the expanded read gives NaN; the flat read
-        is not taken there, so the lattice still gives those bits."""
-        L = BVFunction.from_segments([1e308, 1.5e308], [[2.0]], jumps=((1.2e308, 1.0),))
-        ts = np.array([-1e308, 1.1e308, 1.7e308])
+    @given(L=flat_and_sloped_drivers(), name=st.sampled_from(PROFILES),
+           n=st.sampled_from([1, 4, 64]))
+    @settings(max_examples=60, deadline=None)
+    def test_far_times_keep_their_bits(self, L, name, n):
+        """mollify_L clips times to [a - 1, b]: every time where the expanded
+        lattice is finite keeps that lattice's bits."""
+        a, b = L.domain
+        ts = np.array([-1.7e308, -1e308, -1e300, a - 50.0, a - 1.0 / n, b, b + 50.0,
+                       1e300, 1e308, 1.7e308])
+        prof = get_profile(name)
         with np.errstate(all="ignore"):
-            got = backend.driver_lattice_values(ts, 4, get_profile("uniform"), L)
-            want = oracle.lattice_expanded(ts, 4, get_profile("uniform"), L)
-        assert np.isnan(got[0])
-        assert_bitwise(got, want)
-        # t - a overflows while every t - origin the expansion forms is finite:
-        # no overflow warning (an error under this suite), and the expansion's bits
-        L = BVFunction.from_segments([-1e308, 0.5e308], [[2.0]])
-        ts = np.array([1e308, 0.0])
-        got = backend.driver_lattice_values(ts, 4, get_profile("uniform"), L)
-        np.testing.assert_array_equal(got, [2.0, 2.0])
-        assert_bitwise(got, oracle.lattice_expanded(ts, 4, get_profile("uniform"), L))
+            want = oracle.lattice_expanded(ts, n, prof, L)
+        assert np.isfinite(want).all()
+        assert_bitwise(mollify_L(L, prof, n, ts), want)
+
+    def test_far_times_read_the_constant_extension(self):
+        """Where t - origin overflows, the expanded lattice gives NaN; mollify_L
+        gives the value left of a or from b on, with no overflow warning (an
+        error under this suite), and the expansion's bits where those are
+        finite.  Each call is one chunk; a sloped driver's chunk holds a time
+        on its slope, so the chunk is expanded, not read flat."""
+        prof = get_profile("uniform")
+        L = BVFunction.from_segments([1e308, 1.5e308], [[2.0]])
+        assert mollify_L(L, prof, 4, -1e308) == 2.0
+        for L, ts, overflows in (
+                (BVFunction.from_segments([1e308, 1.5e308], [[2.0]], jumps=((1.2e308, 1.0),)),
+                 [-1e308, 1.1e308, 1.7e308], True),
+                (BVFunction.from_segments([1e308, 1.5e308], [[2.0, 1.0]]),
+                 [-1e308, -1.7e308, 1.7e308, 1.2e308], True),
+                (BVFunction.from_segments([-1.5e308, -1e308], [[-1.0, 1e-300]]),
+                 [1e308, 1.7e308, -1.7e308, -1.2e308], True),
+                # t - a overflows while every t - origin of the expansion is finite
+                (BVFunction.from_segments([-1e308, 0.5e308], [[2.0]]), [1e308, 0.0], False)):
+            ts = np.array(ts)
+            a, b = L.domain
+            with np.errstate(all="ignore"):
+                want = oracle.lattice_expanded(ts, 4, prof, L)
+            got = mollify_L(L, prof, 4, ts)
+            finite = np.isfinite(want)
+            assert finite.all() != overflows
+            assert_bitwise(got[finite], want[finite])
+            left, right = mollify_L(L, prof, 4, [a - 1.0, b])
+            np.testing.assert_array_equal(got[~finite], np.where(ts[~finite] < a, left, right))
+            assert np.isfinite(got).all()
 
 
 @st.composite

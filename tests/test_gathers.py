@@ -167,7 +167,7 @@ class TestLimitRead:
         q, ts = pair
         assert_bitwise(q.eval(ts), oracle.limit_interp(q, ts))
         assert_bitwise(q.eval(ts.reshape(-1, 1)), oracle.limit_interp(q, ts.reshape(-1, 1)))
-        assert_bitwise(q._read(ts), oracle.limit_interp(q, ts))
+        assert_bitwise(q._interp(*q._locate(ts)), oracle.limit_interp(q, ts))
         got = q.eval(ts[-1])
         assert type(got) is float
         assert_bitwise(got, oracle.limit_interp(q, ts[-1]))

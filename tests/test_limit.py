@@ -1,5 +1,7 @@
 """Limit equation: Stieltjes flow between epochs and jump-map replacements."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,15 +79,28 @@ class TestLimitPath:
             LimitPath([], [], [], [], domain=(0.0, 1.0))
 
     def test_edit_raises(self):
-        """The columns and the doubled grid read from them are read-only: an
-        in-place edit raises instead of leaving eval and l1_norm stale."""
+        """The columns, the doubled grid read from them and its cell widths and
+        rises are read-only: an in-place edit raises instead of leaving eval,
+        l1_norm and the L1 score stale."""
         p = LimitPath([0.0, 0.5, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0))
-        names = ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl")
+        names = ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl", "_widths", "_rises")
         assert {k for k, v in vars(p).items() if isinstance(v, np.ndarray)} == set(names)
         for name in names:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, name)[:] = 5.0
         assert p.eval(0.75) == 1.0 and p.l1_norm() == 1.0
+
+    def test_pickled_solved_path(self):
+        """A solved path survives pickling with its cell widths and rises and
+        reads the same, and the copy has no driver, like a built path."""
+        L = mixed_driver()
+        q = solve_limit(ScalarField.linear_x(), L, JumpMeasure.lebesgue(), 1.0)
+        copied = pickle.loads(pickle.dumps(q))
+        assert q._driver() is L and copied._driver is None
+        for name in ("_widths", "_rises", "_t_dbl", "_x_dbl"):
+            assert getattr(copied, name).tobytes() == getattr(q, name).tobytes()
+        ts = np.linspace(0.0, 1.0, 101)
+        assert copied.eval(ts).tobytes() == q.eval(ts).tobytes()
 
     def test_columns_must_match(self):
         with pytest.raises(ValueError, match="one entry per time"):

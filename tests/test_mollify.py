@@ -393,6 +393,19 @@ class TestSchedule:
         with pytest.raises(ValueError, match="no entry"):
             s.h(5)
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(alpha=2.0, table=(0.1, 0.01)), "either alpha and coef or table"),
+        (dict(coef=0.5, table=(0.1, 0.01)), "either alpha and coef or table"),
+        (dict(table=(0.1, 0.01, 0.001)), "one step per mesh, got 3 for 2"),
+        (dict(table=(0.1,)), "one step per mesh, got 1 for 2"),
+        (dict(), "power rule needs alpha > 0"),
+    ], ids=["alpha-and-table", "coef-and-table", "table-too-long", "table-too-short", "no-rule"])
+    def test_fields_must_fit_together(self, kw, message):
+        """A rule given twice, or a table with a step no mesh has or a mesh
+        with no step, is refused, not ignored, kept or left to an IndexError."""
+        with pytest.raises(ValueError, match=message):
+            Schedule((16, 32), **kw)
+
     def test_value_semantics(self):
         """Schedules are data: equal ones compare and hash equal, and survive pickling."""
         for make in (lambda: Schedule.power(2.0, coef=0.5, meshes=(4, 8, 16)),

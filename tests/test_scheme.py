@@ -1,6 +1,7 @@
 """Mollified finite-difference scheme: lattices, offset fans, jump crossings."""
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestSolveOffset:
         # a count at the cap is built: 4 offsets of one step each
         assert solve_grid(f, L, prof, 8, 1.0, 1.0, n_offsets=4).values.shape == (4, 2)
         assert len(calls) == 1
+
+    def test_fan_capped_before_its_offsets_are_made(self):
+        """2e6 offsets of 100 steps each: the fan is refused on its first
+        offset, which takes the most steps, before the offsets (16 MB alone)
+        are allocated."""
+        f, prof = ScalarField.linear_x(), get_profile("uniform")
+        L = BVFunction([0.0, 1.0], [[0.0]], jumps=((0.5, 1.0),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StepLimitError, match=r"lattice fan needs 2e\+08 steps"):
+                solve_grid(f, L, prof, 8, 1.0 / 100, 1.0, n_offsets=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_offset_count_past_the_float_range(self):
         """An int count too large for a float is refused, not converted."""
