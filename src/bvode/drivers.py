@@ -198,6 +198,12 @@ class BVFunction:
         self._memo: OrderedDict = OrderedDict()  # key -> (result, bytes), least recent first
         self._memo_bytes = 0
 
+    def __reduce__(self):
+        # rebuilt from its pieces, so a copy's tables are read-only and its memo,
+        # whose keys hold fields and profiles by identity, starts empty
+        return type(self), (self.seg_breaks, self.seg_coefs,
+                            tuple(zip(self.jump_epochs.tolist(), self.jump_sizes.tolist())))
+
     def _remember(self, key, build):
         """build()'s result, kept on this driver so that a call with an equal key
         gets it back instead of building it again.

@@ -55,9 +55,11 @@ class LimitPath:
         for arr in _held_arrays(self):
             arr.setflags(write=False)
 
-    def __getstate__(self):
-        # a weak reference does not pickle: a copy has no driver, like a built path
-        return {**vars(self), "_driver": None}
+    def __reduce__(self):
+        # rebuilt from its columns, read-only again; a weak reference does not
+        # pickle, so a copy has no driver, like a built path
+        return type(self), (self.t, self.x_left, self.x, self.is_jump, self.domain,
+                            self.cells_over_v_max)
 
     def eval(self, t):
         """Right-continuous value at t (vectorized)."""

@@ -39,70 +39,80 @@ def _step_counts(b: float, taus: np.ndarray, h: float) -> np.ndarray:
         ks -= down
     ks = np.maximum(ks, 0)
     bad = ~fits | (ks > STEP_CAP)
-    if bad.any():
-        j = int(np.argmax(bad))
-        need = f"{est[j]:.6g}" if not fits[j] else ks[j]
-        raise StepLimitError(f"run needs {need} steps, cap is {STEP_CAP}")
+    if bad.any():  # the scalar count raises, with that offset's need
+        _step_count(b, float(taus[np.argmax(bad)]), float(h))
     return ks
 
 
-def _fan_steps(L: BVFunction, n: int, h: float, taus: np.ndarray, x0s: np.ndarray,
-               n_offsets: int) -> np.ndarray:
-    """Step counts of the offsets taus, after every check of a fan of n_offsets
-    offsets that holds them: taus may be its first offset alone, a, which
-    takes the most steps."""
-    _check_offsets(n_offsets)
-    a, b = L.domain
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("step size h must be positive and finite")
-    if not a + h > a:  # [a, a + h) would hold no offset
-        raise ValueError(f"step h={h!r} is below the float spacing at a={a!r}")
-    outside = ~((a <= taus) & (taus < a + h))
-    if outside.any():
-        tau = float(taus[np.argmax(outside)])
-        raise ValueError(f"offset tau={tau!r} must lie in [{a!r}, {a + h!r})")
-    if n < 1:
-        raise ValueError("sharpness n must be a positive integer")
-    if not np.all(np.isfinite(x0s)):
-        raise ValueError("initial states must be finite")
-    ks = _step_counts(b, taus, h)
-    # STEP_CAP bounds each offset, and the fan's arrays too
-    _check_cap(n_offsets * float(ks.max()), STEP_CAP, "lattice fan", "steps")
-    return ks
+def _step_count(b: float, tau: float, h: float) -> int:
+    """_step_counts of one offset tau, in Python floats."""
+    est = (b - tau) / h
+    if not est <= STEP_CAP + 1:
+        raise StepLimitError(f"run needs {est:.6g} steps, cap is {STEP_CAP}")
+    k = math.ceil(est)
+    while tau + k * h < b:
+        k += 1
+    while k >= 1 and tau + (k - 1) * h >= b:
+        k -= 1
+    k = max(k, 0)
+    if k > STEP_CAP:
+        raise StepLimitError(f"run needs {k} steps, cap is {STEP_CAP}")
+    return k
 
 
 def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
-         h: float, taus: np.ndarray, x0s: np.ndarray,
-         mollify_coefficient: bool = False):
-    """Run the lattices of every offset in ``taus``; return (values, lengths).
+         h: float, tau0: float, J: int, x0: float, mollify_coefficient: bool = False):
+    """Run the lattices of the J offsets tau0 + j h / J, each from the state
+    x0; return (values, lengths).
 
     ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
     the row repeats its final state.  The increments of all offsets share
     one (J, Kmax) array whose steps past an offset's own K_j are zero, so
     both recursions step the whole fan at once and pad by keeping the
-    final state.  The driver keeps the read-only result (``L._remember``),
-    so a repeated fan is not solved again.
+    final state.  The offsets rise with j, so the checks read two: offset
+    0 takes the most steps, and only the last can round onto a + h.  The
+    driver keeps the read-only result (``L._remember``) under the fan's
+    parameters, and the offsets are made only when it is not kept.
     """
-    ks = _fan_steps(L, n, h, taus, x0s, taus.size)
+    _check_offsets(J)
+    a, b = L.domain
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("step size h must be positive and finite")
+    h = float(h)
+    if not a + h > a:  # [a, a + h) would hold no offset
+        raise ValueError(f"step h={h!r} is below the float spacing at a={a!r}")
+    if not a <= tau0 < a + h:
+        raise ValueError(f"offset tau={tau0!r} must lie in [{a!r}, {a + h!r})")
+    if n < 1:
+        raise ValueError("sharpness n must be a positive integer")
+    if not math.isfinite(x0):
+        raise ValueError("initial states must be finite")
+    # STEP_CAP bounds each offset, and the fan's arrays too
+    _check_cap(J * float(_step_count(b, tau0, h)), STEP_CAP, "lattice fan", "steps")
+    last = tau0 + (h / J) * (J - 1)
+    if not last < a + h:
+        raise ValueError(f"offset tau={last!r} must lie in [{a!r}, {a + h!r})")
     if mollify_coefficient:  # each step averages f over a (J, Q, Q) window
         s, w = profile.convolution_rule(n)
-        _check_cap(taus.size * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
+        _check_cap(J * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
 
     def build():
+        taus = _offset_fan(tau0, h, J)
+        ks = _step_counts(b, taus, h)
         # one lattice call for the fan: padded times lie past b, where L_n is constant
         ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
         Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
         del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
         dLn = np.diff(Ln, axis=1)
         del Ln
-        lengths = ks + 1
+        x0s = np.full(taus.shape, x0)
         if mollify_coefficient:
-            return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), lengths
-        return backend.euler_exact(f, taus, h, dLn, x0s), lengths
+            return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), ks + 1
+        return backend.euler_exact(f, taus, h, dLn, x0s), ks + 1
 
     # looked up only after every check, so each error is raised as before
-    return L._remember(("fan", _Same(profile), int(n), float(h).hex(), taus.tobytes(), _Same(f),
-                        x0s.tobytes(), bool(mollify_coefficient)), build)
+    return L._remember(("fan", _Same(profile), int(n), h.hex(), tau0.hex(), J, _Same(f),
+                        x0.hex(), bool(mollify_coefficient)), build)
 
 
 def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
@@ -115,8 +125,7 @@ def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     ``mollify_coefficient`` the coefficient is averaged with the same
     kernel in both arguments instead of evaluated pointwise.
     """
-    values, _ = _fan(f, L, profile, n, h, np.array([float(tau)]), np.array([float(x0)]),
-                     mollify_coefficient)
+    values, _ = _fan(f, L, profile, n, h, float(tau), 1, float(x0), mollify_coefficient)
     return values[0]
 
 
@@ -190,14 +199,13 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                mollify_coefficient: bool = False) -> GridPath:
     """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h),
     each from the initial state x0; ``mollify_coefficient`` is that of
-    :func:`solve_offset`.
+    :func:`solve_offset`.  The fan is checked, and looked up on the driver,
+    by (a, n_offsets, x0) before its offsets are made.
     """
-    a, x0 = L.domain[0], float(x0)
-    # the fan is checked on its first offset before its offsets are made
-    _fan_steps(L, n, h, np.array([a]), np.array([x0]), n_offsets)
+    a = L.domain[0]
+    values, lengths = _fan(f, L, profile, n, h, a, n_offsets, float(x0), mollify_coefficient)
     taus = _offset_fan(a, h, n_offsets)
-    x0s = np.full(taus.shape, x0)
-    values, lengths = _fan(f, L, profile, n, h, taus, x0s, mollify_coefficient)
+    taus.setflags(write=False)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)
 

@@ -1,6 +1,7 @@
 """Right-continuous BV drivers: evaluation, jumps, variation."""
 
 import itertools
+import pickle
 import warnings
 
 import numpy as np
@@ -51,20 +52,34 @@ class TestEval:
             assert L(float(t)) == v
 
 
+def pickled_with_a_kept_fan():
+    """A pickled copy of a driver that keeps a fan: it is rebuilt with
+    read-only tables and an empty memo."""
+    L = make_mixed()
+    bvode.solve_grid(bvode.ScalarField.linear_x(), L, bvode.get_profile("uniform"), 8,
+                     1.0 / 64, 1.0)
+    copied = pickle.loads(pickle.dumps(L))
+    assert len(L._memo) == 1 and not copied._memo and copied._memo_bytes == 0
+    return copied
+
+
 class TestReadOnlyTables:
     def test_edit_raises(self):
         """The driver's arrays and the tables derived from them are read-only:
         an in-place edit raises instead of leaving the derived tables (and the
-        results the driver keeps) stale."""
-        L = make_mixed()
-        before = L(np.linspace(0.0, 1.0, 9))
+        results the driver keeps) stale.  A pickled copy holds the same bits,
+        read-only again."""
+        built = make_mixed()
+        before = built(np.linspace(0.0, 1.0, 9))
         names = ("seg_breaks", "seg_coefs", "jump_epochs", "jump_sizes", "_ext_coefs",
                  "_ext_origin", "_jump_cum", "_piece_seg", "_piece_ends")
-        assert {k for k, v in vars(L).items() if isinstance(v, np.ndarray)} == set(names)
-        for name in names:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(L, name)[...] = 7
-        np.testing.assert_array_equal(L(np.linspace(0.0, 1.0, 9)), before)
+        for L in (built, pickled_with_a_kept_fan()):
+            assert {k for k, v in vars(L).items() if isinstance(v, np.ndarray)} == set(names)
+            for name in names:
+                assert getattr(L, name).tobytes() == getattr(built, name).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(L, name)[...] = 7
+            np.testing.assert_array_equal(L(np.linspace(0.0, 1.0, 9)), before)
 
 
 class TestNonFiniteTimes:

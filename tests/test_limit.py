@@ -80,15 +80,16 @@ class TestLimitPath:
 
     def test_edit_raises(self):
         """The columns, the doubled grid read from them and its cell widths and
-        rises are read-only: an in-place edit raises instead of leaving eval,
-        l1_norm and the L1 score stale."""
-        p = LimitPath([0.0, 0.5, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0))
+        rises are read-only, also in a pickled copy: an in-place edit raises
+        instead of leaving eval, l1_norm and the L1 score stale."""
+        built = LimitPath([0.0, 0.5, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0))
         names = ("t", "x_left", "x", "is_jump", "_t_dbl", "_x_dbl", "_widths", "_rises")
-        assert {k for k, v in vars(p).items() if isinstance(v, np.ndarray)} == set(names)
-        for name in names:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(p, name)[:] = 5.0
-        assert p.eval(0.75) == 1.0 and p.l1_norm() == 1.0
+        for p in (built, pickle.loads(pickle.dumps(built))):
+            assert {k for k, v in vars(p).items() if isinstance(v, np.ndarray)} == set(names)
+            for name in names:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(p, name)[:] = 5.0
+            assert p.eval(0.75) == 1.0 and p.l1_norm() == 1.0
 
     def test_pickled_solved_path(self):
         """A solved path survives pickling with its cell widths and rises and

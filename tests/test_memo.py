@@ -204,6 +204,26 @@ def test_checks_run_before_lookup():
         solve_limit(f, L, JumpMeasure.lebesgue(), 1.0, sample_times=[2.0])
 
 
+def test_kept_fan_counts_no_steps(monkeypatch):
+    """A fan is looked up by its parameters: a repeated solve_grid counts no
+    steps and makes no offsets for the lattices, only the ones its GridPath
+    holds, and those are read-only like the kept states."""
+    calls = []
+    for name in ("_step_counts", "_offset_fan"):
+        real = getattr(scheme, name)
+        monkeypatch.setattr(scheme, name, lambda *a, name=name, real=real: calls.append(name)
+                            or real(*a))
+    f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
+    first = solve_grid(f, L, prof, 64, 1.0 / 64, 1.0)
+    assert calls.count("_step_counts") == 1
+    calls.clear()
+    again = solve_grid(f, L, prof, 64, 1.0 / 64, 1.0)
+    assert calls == ["_offset_fan"] and again.values is first.values
+    assert_same_bits(again.offsets, scheme._offset_fan(0.0, 1.0 / 64, 16))
+    with pytest.raises(ValueError, match="read-only"):
+        again.offsets[0] = 1.0
+
+
 def test_signed_zeros_miss_each_other(monkeypatch):
     f, L, prof = ScalarField.constant(0.0), unit_jump(), get_profile("uniform")
     lattice, heun = Spy(monkeypatch, "driver_lattice_values"), Spy(monkeypatch, "heun_path")

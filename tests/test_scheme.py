@@ -30,7 +30,7 @@ from bvode import (
     solve_offset,
     xi_grid_for_offset,
 )
-from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_counts
+from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_count, _step_counts
 from test_drivers import piecewise_cubics
 
 PROFILES = ("uniform", "triangular", "bump")
@@ -260,7 +260,8 @@ def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
 
 
 class TestStepCounts:
-    """The whole-fan step count against the scalar count, one offset at a time."""
+    """The whole-fan step count, and the package's own scalar count, against
+    the scalar oracle, one offset at a time."""
 
     @staticmethod
     def outcome(count):
@@ -290,14 +291,15 @@ class TestStepCounts:
             mp.setattr(scheme, "STEP_CAP", cap)
             for fan in (taus, np.array(shuffle.sample(list(taus), J))):
                 want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in fan])
-                got = self.outcome(lambda: _step_counts(b, fan, h).tolist())
-                assert got == want
+                assert self.outcome(lambda: _step_counts(b, fan, h).tolist()) == want
+                assert self.outcome(lambda: [_step_count(b, float(t), h) for t in fan]) == want
 
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_estimate_checked_first(self, h):
         taus = np.array([0.0, 0.0])
         want = self.outcome(lambda: oracle.step_count(1.0, 0.0, h))
         assert self.outcome(lambda: _step_counts(1.0, taus, h)) == want
+        assert self.outcome(lambda: _step_count(1.0, 0.0, h)) == want
         assert want.startswith("run needs ")
 
     def test_step_below_float_spacing_named(self):
@@ -326,10 +328,16 @@ class TestStepCounts:
         monkeypatch.setattr(scheme, "STEP_CAP", 2048)
         assert solve_grid(*args, n_offsets=8, mollify_coefficient=True).values.shape == (8, 9)
 
-    def test_fan_names_first_offset_outside(self):
-        with pytest.raises(ValueError, match=r"offset tau=0\.2 must lie in \[0\.0, 0\.1\)"):
-            _fan(ScalarField.constant(0.0), mixed_driver(), get_profile("uniform"), 8, 0.1,
-                 np.array([0.05, 0.2, -0.05]), np.zeros(3))
+    def test_last_offset_rounding_onto_a_plus_h_refused(self):
+        """At a = 1 with h = 2^-51, two float spacings, the last of 4 offsets
+        a + 3 h / 4 rounds onto a + h; 2 and 3 offsets stay inside."""
+        args = (ScalarField.constant(0.0), BVFunction([1.0, 1.0 + 2.0 ** -40], [[0.0]]),
+                get_profile("uniform"), 8, 2.0 ** -51, 1.0)
+        for J in (2, 3):
+            assert solve_grid(*args, n_offsets=J).values.shape == (J, 2 ** 11 + 1)
+        with pytest.raises(ValueError, match=r"offset tau=1\.0000000000000004 must lie in "
+                                             r"\[1\.0, 1\.0000000000000004\)"):
+            solve_grid(*args, n_offsets=4)
 
 
 class TestFanOracle:
@@ -337,15 +345,14 @@ class TestFanOracle:
     @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
     @pytest.mark.parametrize("f", FAN_FIELDS, ids=lambda f: f.name)
     def test_matches_serial_runs(self, f, name, mollify):
-        # h = 0.03 leaves K_j = 34 for the first offsets and 33 for the rest
-        # and each offset starts from its own state, 0.4 - 3 tau
+        # h = 0.03 leaves K_j = 34 for the first offsets and 33 for the rest;
+        # per-offset start states are covered by the backend tests
         L, prof, n, h = mixed_driver(), get_profile(name), 8, 0.03
         taus = _offset_fan(0.0, h, 5)
-        values, lengths = _fan(f, L, prof, n, h, taus, 0.4 - 3.0 * taus,
-                               mollify_coefficient=mollify)
+        values, lengths = _fan(f, L, prof, n, h, 0.0, 5, 0.4, mollify_coefficient=mollify)
         assert len(set(lengths.tolist())) == 2
         for j, tau in enumerate(taus):
-            want = serial_offset(f, L, prof, n, h, float(tau), 0.4 - 3.0 * tau, mollify)
+            want = serial_offset(f, L, prof, n, h, float(tau), 0.4, mollify)
             assert lengths[j] == want.size
             got = values[j, :want.size]
             if mollify:
@@ -396,7 +403,7 @@ class TestFanLattice:
         with pytest.MonkeyPatch.context() as mp:
             # hand the increments back in place of the recursion's states
             mp.setattr(backend, "euler_exact", lambda f, taus, h, dLn, x0s: dLn)
-            got, _ = _fan(ScalarField.constant(0.0), L, prof, n, h, taus, np.zeros(J))
+            got, _ = _fan(ScalarField.constant(0.0), L, prof, n, h, a, J, 0.0)
         want = oracle.fan_increments(L, prof, n, h, taus)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
