@@ -18,7 +18,7 @@ from .fields import ScalarField
 from .jumpmap import JumpMeasure, SigmaG
 from .limit import LimitPath, solve_limit
 from .mollify import MollifierProfile, Schedule
-from .scheme import GridPath, _crossing_fractions, _offset_fan, solve_grid
+from .scheme import GridPath, _check_offsets, _crossing_fractions, solve_grid
 
 DEFAULT_PROBES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -183,7 +183,7 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
     if not a < zeta <= b:
         raise ValueError("zeta must lie inside the domain")
     h_values = tuple(sched.h(n) for n in sched.meshes)
-    fans = _offset_fan(a, np.array(h_values), n_offsets)
+    _check_offsets(n_offsets)
     probes = tuple(float(u) for u in probes)
     us = np.asarray(probes, dtype=np.float64)
     if us.size == 0:
@@ -193,8 +193,8 @@ def sigma_n_check(profile: MollifierProfile, sched: Schedule, zeta: float,
     target = np.asarray(sigma(us), dtype=np.float64).reshape(-1)
     gaps = np.empty((len(sched.meshes), us.size), dtype=np.float64)
     rows = np.arange(n_offsets)
-    for i, (n, h, taus) in enumerate(zip(sched.meshes, h_values, fans)):
-        xi = _crossing_fractions(profile, n, h, taus, float(zeta))
+    for i, (n, h) in enumerate(zip(sched.meshes, h_values)):
+        xi = _crossing_fractions(profile, n, h, a, n_offsets, float(zeta))
         acc = np.empty(us.size, dtype=np.float64)
         for k, u in enumerate(us):
             # staircase of every row: its smallest xi with u <= xi (rows are sorted);

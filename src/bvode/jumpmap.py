@@ -36,9 +36,14 @@ class SigmaG:
             if a1 < b0:
                 raise ValueError("intervals must be pairwise disjoint")
         self.intervals = tuple(ivals)
-        self._a = np.array([a for a, _ in ivals], dtype=np.float64)
-        self._b = np.array([b for _, b in ivals], dtype=np.float64)
-        self._a_list, self._b_list = self._a.tolist(), self._b.tolist()
+        # read-only, so that float calls (tuples) and array calls (arrays) read the same ends
+        self._a_list, self._b_list = tuple(a for a, _ in ivals), tuple(b for _, b in ivals)
+        self._a, self._b = np.array(self._a_list), np.array(self._b_list)
+        self._a.setflags(write=False)
+        self._b.setflags(write=False)
+
+    def __reduce__(self):  # a copy is rebuilt, with read-only ends like its original
+        return type(self), (self.intervals,)
 
     def __call__(self, u):
         if isinstance(u, float):  # numpy.float64 too; one bisection on the left ends

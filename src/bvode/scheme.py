@@ -21,31 +21,13 @@ from .jumpmap import XiGrid, phi_recursion
 from .mollify import F_n, MollifierProfile
 
 
-def _step_counts(b: float, taus: np.ndarray, h: float) -> np.ndarray:
-    """Smallest K_j >= 0 with taus[j] + K_j h >= b for every offset, robust to rounding.
-
-    Raises StepLimitError for the first offset whose K_j would exceed
-    ``STEP_CAP``.  The float estimates are checked before the rounding
-    passes, which could not advance an index too large for k h to change
-    with k.  Passes step every offset that still moves, until none does.
-    """
-    with np.errstate(over="ignore"):  # an overflowed estimate fails the cap check
-        est = (b - taus) / h
-    fits = est <= STEP_CAP + 1
-    ks = np.ceil(np.where(fits, est, 0.0)).astype(np.int64)
-    while (up := fits & (taus + ks * h < b)).any():
-        ks += up
-    while (down := fits & (ks >= 1) & (taus + (ks - 1) * h >= b)).any():
-        ks -= down
-    ks = np.maximum(ks, 0)
-    bad = ~fits | (ks > STEP_CAP)
-    if bad.any():  # the scalar count raises, with that offset's need
-        _step_count(b, float(taus[np.argmax(bad)]), float(h))
-    return ks
-
-
 def _step_count(b: float, tau: float, h: float) -> int:
-    """_step_counts of one offset tau, in Python floats."""
+    """Smallest K >= 0 with tau + K h >= b, robust to rounding, in Python floats.
+
+    Raises StepLimitError when K would exceed ``STEP_CAP``.  The float
+    estimate is checked before the rounding passes, which could not advance
+    an index too large for k h to change with k.
+    """
     est = (b - tau) / h
     if not est <= STEP_CAP + 1:
         raise StepLimitError(f"run needs {est:.6g} steps, cap is {STEP_CAP}")
@@ -60,10 +42,25 @@ def _step_count(b: float, tau: float, h: float) -> int:
     return k
 
 
+def _offset_fan(tau0: float, h: float, J: int, b: float, k0: int):
+    """The offsets tau0 + j h / J of a fan whose count J _check_offsets
+    passed, and each one's _step_count to b, from offset 0's count k0.
+
+    For a fixed k, tau + k h does not fall as tau rises, so no offset needs
+    more than k0 steps: each count is k0 stepped down while one step fewer
+    still reaches b, every offset that still moves at once.
+    """
+    taus = tau0 + (h / J) * np.arange(J, dtype=np.float64)
+    ks = np.full(J, k0, dtype=np.int64)
+    while (down := (ks >= 1) & (taus + (ks - 1) * h >= b)).any():
+        ks -= down
+    return taus, ks
+
+
 def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
          h: float, tau0: float, J: int, x0: float, mollify_coefficient: bool = False):
     """Run the lattices of the J offsets tau0 + j h / J, each from the state
-    x0; return (values, lengths).
+    x0; return (offsets, values, lengths).
 
     ``values[j, :lengths[j]]`` is offset j's state sequence and the rest of
     the row repeats its final state.  The increments of all offsets share
@@ -72,7 +69,8 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
     final state.  The offsets rise with j, so the checks read two: offset
     0 takes the most steps, and only the last can round onto a + h.  The
     driver keeps the read-only result (``L._remember``) under the fan's
-    parameters, and the offsets are made only when it is not kept.
+    parameters, and the offsets and their counts are made only when it is
+    not kept.
     """
     _check_offsets(J)
     a, b = L.domain
@@ -87,8 +85,9 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
         raise ValueError("sharpness n must be a positive integer")
     if not math.isfinite(x0):
         raise ValueError("initial states must be finite")
+    k0 = _step_count(b, tau0, h)
     # STEP_CAP bounds each offset, and the fan's arrays too
-    _check_cap(J * float(_step_count(b, tau0, h)), STEP_CAP, "lattice fan", "steps")
+    _check_cap(J * float(k0), STEP_CAP, "lattice fan", "steps")
     last = tau0 + (h / J) * (J - 1)
     if not last < a + h:
         raise ValueError(f"offset tau={last!r} must lie in [{a!r}, {a + h!r})")
@@ -97,18 +96,17 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
         _check_cap(J * float(s.size) * s.size, STEP_CAP, "mollified window", "points")
 
     def build():
-        taus = _offset_fan(tau0, h, J)
-        ks = _step_counts(b, taus, h)
+        taus, ks = _offset_fan(tau0, h, J, b, k0)
         # one lattice call for the fan: padded times lie past b, where L_n is constant
-        ts = taus[:, None] + h * np.arange(ks.max() + 1, dtype=np.float64)
+        ts = taus[:, None] + h * np.arange(k0 + 1, dtype=np.float64)
         Ln = backend.driver_lattice_values(ts.ravel(), n, profile, L).reshape(ts.shape)
         del ts  # freed before differencing: at most two (J, Kmax + 1) arrays are live
         dLn = np.diff(Ln, axis=1)
         del Ln
         x0s = np.full(taus.shape, x0)
         if mollify_coefficient:
-            return backend.euler_mollified(f, taus, h, dLn, x0s, s, w), ks + 1
-        return backend.euler_exact(f, taus, h, dLn, x0s), ks + 1
+            return taus, backend.euler_mollified(f, taus, h, dLn, x0s, s, w), ks + 1
+        return taus, backend.euler_exact(f, taus, h, dLn, x0s), ks + 1
 
     # looked up only after every check, so each error is raised as before
     return L._remember(("fan", _Same(profile), int(n), h.hex(), tau0.hex(), J, _Same(f),
@@ -125,7 +123,7 @@ def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
     ``mollify_coefficient`` the coefficient is averaged with the same
     kernel in both arguments instead of evaluated pointwise.
     """
-    values, _ = _fan(f, L, profile, n, h, float(tau), 1, float(x0), mollify_coefficient)
+    _, values, _ = _fan(f, L, profile, n, h, float(tau), 1, float(x0), mollify_coefficient)
     return values[0]
 
 
@@ -188,31 +186,24 @@ def _check_offsets(n_offsets: int) -> None:
     _check_cap(n_offsets, STEP_CAP, "offset fan", "offsets")
 
 
-def _offset_fan(a: float, h, n_offsets: int) -> np.ndarray:
-    """Offsets a + k h / n_offsets in [a, a + h); an array of steps h gives a row per step."""
-    _check_offsets(n_offsets)
-    return a + (np.asarray(h)[..., None] / n_offsets) * np.arange(n_offsets, dtype=np.float64)
-
-
 def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                n: int, h: float, x0: float, n_offsets: int = 16,
                mollify_coefficient: bool = False) -> GridPath:
     """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h),
     each from the initial state x0; ``mollify_coefficient`` is that of
     :func:`solve_offset`.  The fan is checked, and looked up on the driver,
-    by (a, n_offsets, x0) before its offsets are made.
+    by (a, n_offsets, x0) before its offsets are made; a kept fan keeps them.
     """
-    a = L.domain[0]
-    values, lengths = _fan(f, L, profile, n, h, a, n_offsets, float(x0), mollify_coefficient)
-    taus = _offset_fan(a, h, n_offsets)
-    taus.setflags(write=False)
+    taus, values, lengths = _fan(f, L, profile, n, h, L.domain[0], n_offsets, float(x0),
+                                 mollify_coefficient)
     return GridPath(offsets=taus, values=values, lengths=lengths, n=n, h=h,
                     profile_name=profile.name, domain=L.domain)
 
 
 def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
-                        taus: np.ndarray, zeta: float) -> np.ndarray:
-    """Smoothed-jump fractions seen around the epoch zeta, one row per offset.
+                        tau0: float, J: int, zeta: float) -> np.ndarray:
+    """Smoothed-jump fractions seen around the epoch zeta, one row for each
+    offset tau0 + j h / J of a fan whose count J the caller has checked.
 
     With t_j the last point of offset tau's lattice before zeta - 1/n, the
     row holds xi_k = F_n(zeta - t_{j+k}) for k = 0 .. p + 2
@@ -226,14 +217,16 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
         raise ValueError("step size h must be positive and finite")
     if n < 1:
         raise ValueError("sharpness n must be a positive integer")
-    width = 1.0 / n
-    if np.any(zeta - width <= taus):
+    if not (math.isfinite(tau0) and math.isfinite(zeta)):
+        raise ValueError("offset tau and epoch zeta must be finite")
+    start = zeta - 1.0 / n
+    if start <= tau0 + (h / J) * (J - 1):  # the last offset is the largest
         raise ValueError("epoch must sit at least one smoothing width past tau")
-    js = (_step_counts(zeta - width, taus, h) - 1).astype(np.float64)
+    taus, counts = _offset_fan(tau0, h, J, start, _step_count(start, tau0, h))
     p = np.floor(1.0 / (n * h) + 1e-9)  # a float: inf when 1 / (n h) overflows
-    _check_cap(taus.size * (p + 3.0), STEP_CAP, "crossing grid", "points")
+    _check_cap(J * (p + 3.0), STEP_CAP, "crossing grid", "points")
     ks = np.arange(p + 3.0)
-    xi = F_n(profile, n, zeta - (taus[:, None] + (js[:, None] + ks) * h))
+    xi = F_n(profile, n, zeta - (taus[:, None] + ((counts[:, None] - 1.0) + ks) * h))
     xi = np.maximum.accumulate(np.clip(xi, 0.0, 1.0), axis=1)
     xi[:, 0] = 0.0
     xi[:, -1] = 1.0
@@ -243,7 +236,7 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
 def xi_grid_for_offset(profile: MollifierProfile, n: int, h: float,
                        tau: float, zeta: float) -> XiGrid:
     """Crossing fractions around zeta of the lattice with offset tau (J = 1)."""
-    return XiGrid(_crossing_fractions(profile, n, h, np.array([float(tau)]), zeta)[0])
+    return XiGrid(_crossing_fractions(profile, n, h, float(tau), 1, zeta)[0])
 
 
 def discrete_jump_map(f: ScalarField, L: BVFunction, zeta: float,

@@ -62,8 +62,8 @@ replaced.  The walks call the package's stationary points;
 replaced, which cancels when the cubic coefficient is small.
 
 The offset fan's references are the per-offset step count
-(:func:`step_count`) that the whole-fan ``bvode.scheme._step_counts``
-replaced, the per-offset lattice fill (:func:`fan_increments`) that the
+(:func:`step_count`) that ``bvode.scheme._offset_fan`` derives from offset
+0's count, the per-offset lattice fill (:func:`fan_increments`) that the
 one padded lattice call of ``bvode.scheme._fan`` replaced, and the
 per-offset crossing grids (:func:`crossing_grid`, clamped value by value)
 with the staircase gaps summed one offset at a time (:func:`sigma_n_gaps`)

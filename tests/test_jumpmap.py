@@ -1,5 +1,6 @@
 """Staircase maps, their measures, and the jump-map machinery."""
 
+import pickle
 import time
 
 import numpy as np
@@ -26,6 +27,10 @@ def staircases(draw):
     """A SigmaG on up to six intervals: consecutive pairs of sorted distinct ends."""
     ends = sorted(draw(st.sets(st.floats(0.0, 1.0), max_size=12)))
     return SigmaG(list(zip(ends[0::2], ends[1::2])))
+
+
+def pickle_copy(obj):
+    return pickle.loads(pickle.dumps(obj))
 
 
 def bits(x):
@@ -94,6 +99,19 @@ class TestSigmaG:
             SigmaG([(0.1, 0.5), (0.4, 0.8)])
         with pytest.raises(ValueError, match="0, 1"):
             SigmaG()(1.5)
+
+    @pytest.mark.parametrize("copy", [lambda s: s, pickle_copy], ids=["original", "pickled"])
+    def test_ends_are_read_only(self, copy):
+        """The float path (tuples) and the array path (arrays) keep one set of
+        ends: an edit of either raises, on a pickled copy too."""
+        s = copy(SigmaG([(0.2, 0.5)]))
+        for arr in (s._a, s._b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.9
+        for ends in (s._a_list, s._b_list):
+            with pytest.raises(TypeError):
+                ends[0] = 0.9
+        assert s(0.3) == 0.5 and s(np.array([0.3])).tolist() == [0.5]
 
     def test_touching_intervals_allowed(self):
         s = SigmaG([(0.0, 0.5), (0.5, 1.0)])

@@ -117,12 +117,12 @@ def test_plans_go_first(monkeypatch):
     first, second = [key for key in L._memo if key[0] == "plan"]
     others = [key for key in L._memo if key[0] != "plan"]
 
-    def fan(x0):  # n_offsets = 2, h = 1/64: 1056 bytes, the first fan's lattice
+    def fan(x0):  # n_offsets = 2, h = 1/64: 1072 bytes, the first fan's lattice
         solve_grid(f, L, prof, 8, 1.0 / 64, x0, n_offsets=2)
         assert L._memo_bytes == memo_bytes(L) <= drivers._MEMO_BYTES
 
     # room for one more fan once the older plan has gone
-    monkeypatch.setattr(drivers, "_MEMO_BYTES", L._memo_bytes + 1056 - 1)
+    monkeypatch.setattr(drivers, "_MEMO_BYTES", L._memo_bytes + 1072 - 1)
     fan(2.0)
     assert first not in L._memo and second in L._memo
     assert all(key in L._memo for key in others)
@@ -148,7 +148,7 @@ def test_equal_drivers_share_nothing(monkeypatch):
 def test_byte_budget(monkeypatch):
     """Least recently used results go first; a result over the budget is
     returned and not kept; the kept bytes never exceed the budget."""
-    # n_offsets = 2, h = 1/64: 2 x 65 states and 2 lengths, 1056 bytes
+    # n_offsets = 2, h = 1/64: 2 offsets, 2 x 65 states and 2 lengths, 1072 bytes
     monkeypatch.setattr(drivers, "_MEMO_BYTES", 2500)
     L, f, prof = unit_jump(), ScalarField.linear_x(), get_profile("uniform")
     lattice = Spy(monkeypatch, "driver_lattice_values")
@@ -161,15 +161,15 @@ def test_byte_budget(monkeypatch):
     assert [fan(1.0), fan(2.0), fan(1.0)] == [1, 2, 2]
     assert fan(3.0) == 3        # evicts x0 = 2, the least recently used
     assert fan(1.0) == 3 and fan(2.0) == 4
-    assert L._memo_bytes == 2 * 1056
-    # h = 1/256: 2 x 257 states, 4128 bytes, over the budget
+    assert L._memo_bytes == 2 * 1072
+    # h = 1/256: 2 x 257 states, 4144 bytes, over the budget
     kept = list(L._memo)
     assert fan(1.0, 1.0 / 256) == 5 and fan(1.0, 1.0 / 256) == 6
     assert list(L._memo) == kept
     # a budget lowered below what is kept evicts on the next miss
     monkeypatch.setattr(drivers, "_MEMO_BYTES", 1500)
     solve_grid(f, L, prof, 8, 1.0 / 64, 4.0, n_offsets=2)
-    assert L._memo_bytes == memo_bytes(L) == 1056
+    assert L._memo_bytes == memo_bytes(L) == 1072
 
 
 def test_lower_step_cap_on_kept_fan_still_raises(monkeypatch):
@@ -205,21 +205,22 @@ def test_checks_run_before_lookup():
 
 
 def test_kept_fan_counts_no_steps(monkeypatch):
-    """A fan is looked up by its parameters: a repeated solve_grid counts no
-    steps and makes no offsets for the lattices, only the ones its GridPath
-    holds, and those are read-only like the kept states."""
+    """A fan is looked up by its parameters: a repeated solve_grid checks
+    offset 0's count against the cap, but makes no offsets and counts no
+    other offset's steps; its GridPath holds the kept, read-only offsets."""
     calls = []
-    for name in ("_step_counts", "_offset_fan"):
+    for name in ("_step_count", "_offset_fan"):
         real = getattr(scheme, name)
         monkeypatch.setattr(scheme, name, lambda *a, name=name, real=real: calls.append(name)
                             or real(*a))
     f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
     first = solve_grid(f, L, prof, 64, 1.0 / 64, 1.0)
-    assert calls.count("_step_counts") == 1
+    assert calls == ["_step_count", "_offset_fan"]
     calls.clear()
     again = solve_grid(f, L, prof, 64, 1.0 / 64, 1.0)
-    assert calls == ["_offset_fan"] and again.values is first.values
-    assert_same_bits(again.offsets, scheme._offset_fan(0.0, 1.0 / 64, 16))
+    assert calls == ["_step_count"]
+    assert again.values is first.values and again.offsets is first.offsets
+    assert_same_bits(again.offsets, 0.0 + (1.0 / 64 / 16) * np.arange(16.0))
     with pytest.raises(ValueError, match="read-only"):
         again.offsets[0] = 1.0
 

@@ -1,6 +1,5 @@
 """Mollified finite-difference scheme: lattices, offset fans, jump crossings."""
 
-import random
 import tracemalloc
 import warnings
 
@@ -30,7 +29,7 @@ from bvode import (
     solve_offset,
     xi_grid_for_offset,
 )
-from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_count, _step_counts
+from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_count
 from test_drivers import piecewise_cubics
 
 PROFILES = ("uniform", "triangular", "bump")
@@ -260,8 +259,8 @@ def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
 
 
 class TestStepCounts:
-    """The whole-fan step count, and the package's own scalar count, against
-    the scalar oracle, one offset at a time."""
+    """A fan's step counts (offset 0's count stepped down per offset) and the
+    scalar count, against the scalar oracle, one offset at a time."""
 
     @staticmethod
     def outcome(count):
@@ -270,35 +269,44 @@ class TestStepCounts:
         except StepLimitError as exc:
             return str(exc)
 
-    @given(a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0), log_h=st.floats(-7.0, 0.0),
-           steps=st.integers(1, 10 ** 6) | st.none(), ulps=st.integers(-4, 4),
-           J=st.integers(1, 64), cap_shift=st.integers(-3, 3), shuffle=st.randoms())
-    @example(a=0.0, length=7.767054460308638, log_h=0.0, steps=362851, ulps=0, J=3,
-             cap_shift=0, shuffle=random.Random(0))  # ceil((b - a) / h) steps fall short of b
+    @given(a=st.floats(-10.0, 10.0) | st.floats(-1e9, 1e9), length=st.floats(1e-3, 10.0),
+           log_h=st.floats(-7.0, 0.0), steps=st.integers(1, 10 ** 6) | st.none(),
+           ulps=st.integers(-4, 4), spacings=st.floats(1.0, 8.0) | st.none(),
+           J=st.integers(1, 64), cap_shift=st.integers(-3, 3))
+    @example(a=0.0, length=7.767054460308638, log_h=0.0, steps=362851, ulps=0, spacings=None,
+             J=3, cap_shift=0)  # ceil((b - a) / h) steps fall short of b
+    @example(a=386319582.25, length=0.3, log_h=0.0, steps=234, ulps=0, spacings=3.75, J=17,
+             cap_shift=0)  # counts 71 down to 69: the down pass moves twice
     @settings(max_examples=300, deadline=None)
-    def test_matches_scalar_oracle(self, a, length, log_h, steps, ulps, J, cap_shift, shuffle):
-        # h a few ulps off length / steps lands lattices on b up to rounding,
-        # where the corrections act
-        if steps is None:
-            h = 10.0 ** log_h
+    def test_matches_scalar_oracle(self, a, length, log_h, steps, ulps, spacings, J, cap_shift):
+        if spacings is not None:
+            # h a few float spacings at a, where offsets and lattice points round to
+            # that spacing: an offset's count can sit more than one step under offset 0's
+            h = spacings * float(np.spacing(abs(a)))
+            b = a + length * (steps or 1000) * h
+        elif steps is None:
+            h, b = 10.0 ** log_h, a + length
         else:
-            h = max(length / steps * (1.0 + ulps * 2.0 ** -53), 1e-7)
-        b = a + length
+            # h a few ulps off length / steps lands lattices on b up to rounding,
+            # where the corrections act
+            h, b = max(length / steps * (1.0 + ulps * 2.0 ** -53), 1e-7), a + length
         taus = a + (h / J) * np.arange(J, dtype=np.float64)
         # caps on both sides of the largest count, offset 0's
-        cap = oracle.step_count(b, float(taus[0]), h, step_cap=10 ** 9) + cap_shift
+        cap = oracle.step_count(b, a, h, step_cap=10 ** 9) + cap_shift
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scheme, "STEP_CAP", cap)
-            for fan in (taus, np.array(shuffle.sample(list(taus), J))):
-                want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in fan])
-                assert self.outcome(lambda: _step_counts(b, fan, h).tolist()) == want
-                assert self.outcome(lambda: [_step_count(b, float(t), h) for t in fan]) == want
+            want = self.outcome(lambda: [oracle.step_count(b, float(t), h, cap) for t in taus])
+            fan = self.outcome(lambda: _offset_fan(a, h, J, b, _step_count(b, a, h)))
+            if isinstance(fan, str):
+                assert fan == want
+            else:
+                np.testing.assert_array_equal(fan[0].view(np.uint64), taus.view(np.uint64))
+                assert fan[1].tolist() == want
+            assert self.outcome(lambda: [_step_count(b, float(t), h) for t in taus]) == want
 
     @pytest.mark.parametrize("h", [1e-30, 1e-320])
     def test_estimate_checked_first(self, h):
-        taus = np.array([0.0, 0.0])
         want = self.outcome(lambda: oracle.step_count(1.0, 0.0, h))
-        assert self.outcome(lambda: _step_counts(1.0, taus, h)) == want
         assert self.outcome(lambda: _step_count(1.0, 0.0, h)) == want
         assert want.startswith("run needs ")
 
@@ -348,8 +356,7 @@ class TestFanOracle:
         # h = 0.03 leaves K_j = 34 for the first offsets and 33 for the rest;
         # per-offset start states are covered by the backend tests
         L, prof, n, h = mixed_driver(), get_profile(name), 8, 0.03
-        taus = _offset_fan(0.0, h, 5)
-        values, lengths = _fan(f, L, prof, n, h, 0.0, 5, 0.4, mollify_coefficient=mollify)
+        taus, values, lengths = _fan(f, L, prof, n, h, 0.0, 5, 0.4, mollify_coefficient=mollify)
         assert len(set(lengths.tolist())) == 2
         for j, tau in enumerate(taus):
             want = serial_offset(f, L, prof, n, h, float(tau), 0.4, mollify)
@@ -403,7 +410,7 @@ class TestFanLattice:
         with pytest.MonkeyPatch.context() as mp:
             # hand the increments back in place of the recursion's states
             mp.setattr(backend, "euler_exact", lambda f, taus, h, dLn, x0s: dLn)
-            got, _ = _fan(ScalarField.constant(0.0), L, prof, n, h, a, J, 0.0)
+            _, got, _ = _fan(ScalarField.constant(0.0), L, prof, n, h, a, J, 0.0)
         want = oracle.fan_increments(L, prof, n, h, taus)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -458,6 +465,12 @@ class TestXiGrid:
         with pytest.raises(ValueError, match="step size h must be positive and finite"):
             xi_grid_for_offset(get_profile("uniform"), 4, h, 0.0, 0.5)
 
+    @pytest.mark.parametrize("tau, zeta", [(np.nan, 0.5), (np.inf, 0.5), (0.0, np.inf),
+                                           (0.0, np.nan), (0.0, -np.inf)])
+    def test_non_finite_offset_or_epoch_rejected(self, tau, zeta):
+        with pytest.raises(ValueError, match="offset tau and epoch zeta must be finite"):
+            xi_grid_for_offset(get_profile("uniform"), 4, 0.01, tau, zeta)
+
     def test_epoch_too_close_rejected(self):
         with pytest.raises(ValueError, match="smoothing width"):
             xi_grid_for_offset(get_profile("uniform"), 4, 0.01, 0.3, 0.4)
@@ -468,7 +481,7 @@ class TestXiGrid:
                           [1e-9, 0.2, 0.15, 0.8, 1.0 - 1e-9]])
         monkeypatch.setattr(scheme, "F_n", lambda profile, n, x: noisy + 0.0 * x)
         # n h = 0.4, so p = 2 and every row holds p + 3 = 5 fractions
-        xi = _crossing_fractions(get_profile("uniform"), 4, 0.1, np.array([0.0, 0.05]), 0.5)
+        xi = _crossing_fractions(get_profile("uniform"), 4, 0.1, 0.0, 2, 0.5)
         np.testing.assert_array_equal(xi, [[0.0, 0.2, 0.2, 0.8, 1.0]] * 2)
 
     def test_fan_cap_counts_every_row(self):
@@ -476,9 +489,9 @@ class TestXiGrid:
         prof = get_profile("uniform")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scheme, "STEP_CAP", 120)
-            assert _crossing_fractions(prof, 4, 0.25, np.zeros(30), 0.5).shape == (30, 4)
+            assert _crossing_fractions(prof, 4, 0.25, 0.0, 30, 0.5).shape == (30, 4)
             with pytest.raises(StepLimitError, match="crossing grid needs 124 points, cap is 120"):
-                _crossing_fractions(prof, 4, 0.25, np.zeros(31), 0.5)
+                _crossing_fractions(prof, 4, 0.25, 0.0, 31, 0.5)
 
     @given(name=st.sampled_from(PROFILES), n=st.integers(1, 300), ratio=st.floats(0.01, 3.0),
            J=st.integers(1, 20), gap=st.floats(0.0, 2.0))
@@ -488,7 +501,7 @@ class TestXiGrid:
         taus = (h / J) * np.arange(J, dtype=np.float64)
         zeta = h + (1.0 + gap) / n + 1e-9
         prof = get_profile(name)
-        xi = _crossing_fractions(prof, n, h, taus, zeta)
+        xi = _crossing_fractions(prof, n, h, 0.0, J, zeta)
         for j in range(J):
             want = oracle.crossing_grid(prof, n, h, float(taus[j]), zeta).values
             np.testing.assert_array_equal(xi[j].view(np.uint64), want.view(np.uint64))
@@ -512,6 +525,11 @@ class TestDiscreteJumpMap:
         want = phi_recursion(z, 0.4, grid)[-1]
         got = discrete_jump_map(f, L, zeta, get_profile("bump"), n, h, tau, 0.4)
         assert got == want
+
+    def test_non_finite_offset_rejected(self):
+        with pytest.raises(ValueError, match="offset tau and epoch zeta must be finite"):
+            discrete_jump_map(ScalarField.constant(1.0), mixed_driver(),
+                              0.25, get_profile("uniform"), 16, 0.01, np.nan, 0.0)
 
     def test_requires_jump_at_epoch(self):
         with pytest.raises(ValueError, match="no jump"):
