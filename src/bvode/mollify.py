@@ -115,23 +115,29 @@ class MollifierProfile:
         if self.name == "bump":
             s, w = _gauss_panels(np.linspace(0.0, 1.0, 65), 32)  # the bump's mass
             self.cnorm = 1.0 / float(np.sum(w * _bump(s)))
-            # dense tables from one pass of per-cell Gauss sums: the mass of each
-            # cell, accumulated from the right, is the tail; its moments s^0..s^3,
+            # dense tables from per-cell Gauss sums: the mass of each cell,
+            # accumulated from the right, is the tail; its moments s^0..s^3,
             # accumulated from the left, are I_0..I_3.  Linear interpolation error
             # is ~1e-9, well under the 1e-8 checks.  The nodes stay one column per
             # cell: _gauss_panels' one row per panel would have numpy add each
             # cell's 8 terms along the contiguous axis, in another order, and move
-            # every bump output at rounding level
+            # every bump output at rounding level.  The sums run in passes of
+            # 2,048 cells, which keeps each cell's bits and the (8, cells) node
+            # arrays small; the full-size cumulative sums below are freed
+            # when the build ends, which leaves glibc's mmap threshold high
+            # enough that the op path's arrays do not fault in fresh pages
             xs = np.linspace(0.0, 1.0, 2 ** 16 + 1)
             gx, gw = _gl(8)
-            half = 0.5 * np.diff(xs)
-            mid = 0.5 * (xs[:-1] + xs[1:])
-            nodes = mid + half * gx[:, None]          # one column per cell
-            weighted = half * gw[:, None] * self.cnorm * _bump(nodes)
             cells = np.empty((4, xs.size - 1))
-            for m in range(4):
-                cells[m] = np.sum(weighted, axis=0)
-                weighted *= nodes
+            for lo in range(0, xs.size - 1, 2048):
+                x = xs[lo:lo + 2049]
+                half = 0.5 * np.diff(x)
+                mid = 0.5 * (x[:-1] + x[1:])
+                nodes = mid + half * gx[:, None]          # one column per cell
+                weighted = half * gw[:, None] * self.cnorm * _bump(nodes)
+                for m in range(4):
+                    cells[m, lo:lo + 2048] = np.sum(weighted, axis=0)
+                    weighted *= nodes
             tail = np.concatenate((np.cumsum(cells[0, ::-1])[::-1], [0.0]))
             moments = np.concatenate((np.zeros((4, 1)), np.cumsum(cells, axis=1)), axis=1).T
             # C order from the division itself: a copy after it would add 2 MB to peak RSS

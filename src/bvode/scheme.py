@@ -25,18 +25,26 @@ def _step_count(b: float, tau: float, h: float) -> int:
     """Smallest K >= 0 with tau + K h >= b, robust to rounding, in Python floats.
 
     Raises StepLimitError when K would exceed ``STEP_CAP``.  The float
-    estimate is checked before the rounding passes, which could not advance
-    an index too large for k h to change with k.
+    estimate is checked before the rounding search, which could not advance
+    an index too large for k h to change with k.  ``tau + k h >= b`` cannot
+    fail once it holds, so the search gallops from the estimate to a
+    bracket and bisects it: ~50 tests where a step far below the float
+    spacing at tau puts K ~1e8 steps off the estimate.
     """
     est = (b - tau) / h
     if not est <= STEP_CAP + 1:
         raise StepLimitError(f"run needs {est:.6g} steps, cap is {STEP_CAP}")
-    k = math.ceil(est)
-    while tau + k * h < b:
-        k += 1
-    while k >= 1 and tau + (k - 1) * h >= b:
-        k -= 1
-    k = max(k, 0)
+    hi = max(math.ceil(est), 0)
+    lo, step = hi - 1, 1
+    while tau + hi * h < b:  # gallop up until hi reaches b
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo >= 0 and tau + lo * h >= b:  # gallop down until lo falls short
+        lo, hi, step = lo - step, lo, 2 * step
+    lo = max(lo, -1)  # -1 stands for a k that falls short
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tau + mid * h >= b else (mid, hi)
+    k = hi
     if k > STEP_CAP:
         raise StepLimitError(f"run needs {k} steps, cap is {STEP_CAP}")
     return k
@@ -226,8 +234,12 @@ def _crossing_fractions(profile: MollifierProfile, n: int, h: float,
     p = np.floor(1.0 / (n * h) + 1e-9)  # a float: inf when 1 / (n h) overflows
     _check_cap(J * (p + 3.0), STEP_CAP, "crossing grid", "points")
     ks = np.arange(p + 3.0)
-    xi = F_n(profile, n, zeta - (taus[:, None] + ((counts[:, None] - 1.0) + ks) * h))
-    xi = np.maximum.accumulate(np.clip(xi, 0.0, 1.0), axis=1)
+    xi = np.empty((J, ks.size))
+    rows = max(1, backend.LATTICE_CHUNK // ks.size)  # blocks bound the transients
+    for r in range(0, J, rows):
+        block = F_n(profile, n, zeta - (taus[r:r + rows, None]
+                                        + ((counts[r:r + rows, None] - 1.0) + ks) * h))
+        np.maximum.accumulate(np.clip(block, 0.0, 1.0, out=block), axis=1, out=xi[r:r + rows])
     xi[:, 0] = 0.0
     xi[:, -1] = 1.0
     return xi

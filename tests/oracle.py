@@ -23,8 +23,9 @@ written out (:func:`tail_inv`) and its panel-by-panel quadrature rule
 (:func:`convolution_rule`), both replaced by helpers the package shares,
 :class:`CodeProfile`, the methods keyed by a profile code that the
 name-keyed :class:`bvode.MollifierProfile` replaced (with the bump's
-builder, :func:`bump_tables`), and :func:`power_limit`, the closed-form
-probe limit of a power schedule.
+builder, :func:`bump_tables`, which sums all the table's cells in one pass
+where the profile sums them in passes of 2,048), and :func:`power_limit`,
+the closed-form probe limit of a power schedule.
 
 The CLI's tables have as reference the value-by-value CSV writer
 (:func:`_write_csv`) and the row builders the result classes and handlers
@@ -68,9 +69,11 @@ one padded lattice call of ``bvode.scheme._fan`` replaced, and the
 per-offset crossing grids (:func:`crossing_grid`, clamped value by value)
 with the staircase gaps summed one offset at a time (:func:`sigma_n_gaps`)
 that the ``(J, p + 3)`` crossing array of :func:`bvode.sigma_n_check`
-replaced, and the per-offset L1 score on each offset's own union grid
-(:func:`l1_distance`) that the blocked :func:`bvode.l1_distance`
-replaced.  :func:`l1_blocked` is that blocked score as it was before it
+replaced, that array made in one expression over the whole fan
+(:func:`crossing_fractions`), which ``bvode.scheme._crossing_fractions``
+now fills in blocks of rows, and the per-offset L1 score on each offset's
+own union grid (:func:`l1_distance`) that the blocked
+:func:`bvode.l1_distance` replaced.  :func:`l1_blocked` is that blocked score as it was before it
 split into a read-out plan, which the driver keeps, and a value pass: each
 block merges, reads and masks its cells afresh on every call.  :func:`euler_exact_offset` is also the reference for the
 blocked affine scan of :func:`bvode.backend.euler_exact`.  That scan and
@@ -1037,7 +1040,8 @@ def step_count(b, tau, h, step_cap=STEP_CAP):
 
     Raises StepLimitError when K would exceed ``step_cap``.  The float
     estimate is checked before the rounding loops, which could not advance
-    an index too large for k h to change with k.
+    an index too large for k h to change with k.  The loops move k one step
+    at a time, where ``bvode.scheme._step_count`` gallops and bisects.
     """
     est = (b - tau) / h
     if not est <= step_cap + 1:
@@ -1083,6 +1087,22 @@ def crossing_grid(profile, n, h, tau, zeta):
     v[0] = 0.0
     v[-1] = 1.0
     return XiGrid(v)
+
+
+def crossing_fractions(profile, n, h, tau0, J, zeta):
+    """The (J, p + 3) crossing fractions of the fan tau0 + j h / J around zeta,
+    made in one expression over the whole fan (no row blocks), for inputs
+    that bvode.scheme._crossing_fractions accepts."""
+    start = zeta - 1.0 / n
+    taus = tau0 + (h / J) * np.arange(J, dtype=np.float64)
+    counts = np.array([step_count(start, float(tau), h) for tau in taus], dtype=np.int64)
+    p = np.floor(1.0 / (n * h) + 1e-9)
+    ks = np.arange(p + 3.0)
+    xi = F_n(profile, n, zeta - (taus[:, None] + ((counts[:, None] - 1.0) + ks) * h))
+    xi = np.maximum.accumulate(np.clip(xi, 0.0, 1.0), axis=1)
+    xi[:, 0] = 0.0
+    xi[:, -1] = 1.0
+    return xi
 
 
 def sigma_n_gaps(profile, sched, zeta, sigma, probes, n_offsets, domain=(0.0, 1.0)):

@@ -1,11 +1,12 @@
 """Mollified finite-difference scheme: lattices, offset fans, jump crossings."""
 
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -310,6 +311,41 @@ class TestStepCounts:
         assert self.outcome(lambda: _step_count(1.0, 0.0, h)) == want
         assert want.startswith("run needs ")
 
+    @given(tau=st.floats(-1e9, 1e9), b_off=st.floats(-1e9, 1e9) | st.none(),
+           log_ratio=st.floats(-3.0, 3.0), spacings=st.integers(-20, 60),
+           steps=st.floats(-3.0, 3.0))
+    @example(tau=-579741723.7608995, b_off=None, log_ratio=-3.0, spacings=1, steps=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_search_matches_unit_steps(self, tau, b_off, log_ratio, spacings, steps):
+        """Steps from 1e-3 to 1e3 float spacings at tau, to ends a few spacings
+        and steps away or at another magnitude: the count sits up to ~1e5
+        steps off its estimate, and the gallop and bisection give the unit
+        steps' count or their error."""
+        sp = float(np.spacing(abs(tau)))
+        h = sp * 10.0 ** log_ratio
+        assume(h > 0.0)  # a subnormal spacing times 1e-3 rounds to 0
+        b = tau + (spacings * sp + steps * h) if b_off is None else b_off
+
+        def outcome(count):
+            try:
+                return count()
+            except (StepLimitError, OverflowError) as exc:  # est = -inf has no ceil
+                return type(exc).__name__, str(exc)
+
+        want = outcome(lambda: oracle.step_count(b, tau, h))
+        assert outcome(lambda: _step_count(b, tau, h)) == want
+
+    def test_step_far_below_float_spacing_counted_fast(self):
+        """h = 1.2e-15 at tau = -5.8e8, whose float spacing is 1.2e-7: the
+        epoch's count sits ~5e7 steps under its estimate, which unit steps
+        took seconds to reach, before the crossing grid's cap refuses it."""
+        start = time.perf_counter()
+        with pytest.raises(StepLimitError,
+                           match=r"^crossing grid needs 6\.00153e\+12 points, cap is 100000000$"):
+            xi_grid_for_offset(get_profile("bump"), 137, 1.216235386998668e-15,
+                               -579741723.7608995, -579741723.7536001)
+        assert time.perf_counter() - start < 1.0
+
     def test_step_below_float_spacing_named(self):
         # at a = 1e10 the float spacing is 1.9e-6: [a, a + h) holds no offset
         L = BVFunction([1e10, 1e10 + 1.0], [[0.0]])
@@ -507,6 +543,36 @@ class TestXiGrid:
             np.testing.assert_array_equal(xi[j].view(np.uint64), want.view(np.uint64))
         np.testing.assert_array_equal(xi_grid_for_offset(prof, n, h, float(taus[-1]), zeta).values,
                                       xi[-1])
+
+    @pytest.mark.parametrize("name", PROFILES)
+    @pytest.mark.parametrize("n, h, J", [(512, 512.0 ** -2, 1), (512, 512.0 ** -2, 7),
+                                         (512, 512.0 ** -2, 256), (512, 512.0 ** -2, 300),
+                                         (2, 2.0 ** -16, 3)])
+    def test_row_blocks_match_one_expression(self, name, n, h, J):
+        """Rows filled in blocks of LATTICE_CHUNK // (p + 3) give the bits of the
+        whole fan made in one expression: 31 rows at p + 3 = 515, so the fans of
+        256 and 300 offsets end their last block part-way, and one row per block
+        at p + 3 = 32,771."""
+        prof = get_profile(name)
+        got = _crossing_fractions(prof, n, h, 0.0, J, 0.75)
+        want = oracle.crossing_fractions(prof, n, h, 0.0, J, 0.75)
+        assert got.shape == want.shape == (J, 32771 if n == 2 else 515)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_row_blocks_bound_the_transients(self):
+        """256 offsets of 515 fractions hold the 1.05 MB result and one block's
+        temporaries, not the whole fan's (4.2 MB in one expression)."""
+        prof = get_profile("uniform")
+        args = (prof, 512, 512.0 ** -2, 0.0, 256, 0.5)
+        _crossing_fractions(*args)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _crossing_fractions(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
 
 class TestDiscreteJumpMap:
