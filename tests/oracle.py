@@ -1041,17 +1041,19 @@ def step_count(b, tau, h, step_cap=STEP_CAP):
     Raises StepLimitError when K would exceed ``step_cap``.  The float
     estimate is checked before the rounding loops, which could not advance
     an index too large for k h to change with k.  The loops move k one step
-    at a time, where ``bvode.scheme._step_count`` gallops and bisects.
+    at a time, where ``bvode.scheme._step_count`` gallops and bisects.  Like
+    it, they start at ``max(ceil(est), 0)``: every k <= 0 counts as 0, and
+    with b far below tau and a step far below the float spacing at b, the
+    first k with tau + k h >= b can sit ~1e14 steps above the estimate.
     """
     est = (b - tau) / h
     if not est <= step_cap + 1:
         raise StepLimitError(f"run needs {est:.6g} steps, cap is {step_cap}")
-    k = int(math.ceil(est))
+    k = max(int(math.ceil(est)), 0)
     while tau + k * h < b:
         k += 1
     while k >= 1 and tau + (k - 1) * h >= b:
         k -= 1
-    k = max(k, 0)
     if k > step_cap:
         raise StepLimitError(f"run needs {k} steps, cap is {step_cap}")
     return k

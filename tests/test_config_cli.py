@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import importlib
 import io
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from pinned import CASES
 from bvode import BVFunction, ConfigError, GridPath, cli, load_config, mollify, scheme
 from bvode.cli import main
 
@@ -348,9 +350,6 @@ class TestCli:
     POWER = "[mollifier]\nprofile = uniform\nalpha = 2\n"
 
     @pytest.mark.parametrize("command,text,code,prefix", [
-        ("solve-scheme", JUMP + "[mollifier]\nprofile = uniform\n"
-         "table = 64:0.001, 128:0.0005, 256:0.0002\n[run]\nn = 100\n", 1,
-         "config error: [run].n: schedule table has no entry for n=100"),
         ("solve-scheme", JUMP + POWER + "[run]\nn = 1" + "0" * 200 + "\n", 1,
          "config error: [run].n: step rule returned 0.0"),
         ("solve-scheme", FAR, 1, "config error: [run].n: step h=5.960464477539063e-08 at "
@@ -373,7 +372,7 @@ class TestCli:
         ("solve-limit", "[driver]\nbreakpoints = -1e308, 1e308\ncoefficients = 2\njumps = 1:1\n"
          "[field]\nname = linear\n", 1, "config error: [driver].breakpoints: breakpoints -1e+308 "
          "to 1e+308 span a width too large for a float"),
-    ], ids=["table-without-n", "underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
+    ], ids=["underflowing-step", "step-below-spacing", "study-mesh-below-spacing",
             "study-table-step-below-spacing", "study-table-of-two-meshes", "study-meshes-and-table",
             "sample-time-outside", "huge-conv-points", "overflowing-width"])
     def test_refused_inputs_name_their_cause(self, tmp_path, capsys, command, text, code, prefix):
@@ -604,11 +603,11 @@ class TestCli:
 
     def test_closed_stdout_is_an_output_error(self, tmp_path):
         """A stdout pipe whose reader has gone before the summary line: exit 1
-        with one output-error line and no traceback, and the CSV as an
-        uninterrupted run writes it.  The child waits for its stdin to close,
+        with one output-error line and no traceback, and the CSV of the pinned
+        sigma case, written in full.  The child waits for its stdin to close,
         which the test does only after closing the read end of stdout."""
-        cfg = write(tmp_path, "[mollifier]\nprofile = uniform\nalpha = 2\nmeshes = 16, 32, 64\n"
-                              "[run]\ndeltas = 0.25, 0.75\nu_probes = 0, 0.5, 1\n")
+        case = CASES["sigma"]
+        cfg = write(tmp_path, case.ini)
         code = ("import sys\nsys.stdin.read()\nfrom bvode.cli import main\n"
                 f"sys.exit(main(['sigma', '--config', {cfg!r}, '--out', {str(tmp_path / 'piped')!r}]))\n")
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -621,9 +620,8 @@ class TestCli:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == "output error: <stdout>: Broken pipe\n"
-        assert main(["sigma", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
-        piped = (tmp_path / "piped" / "sigma_probes.csv").read_bytes()
-        assert piped == (tmp_path / "plain" / "sigma_probes.csv").read_bytes()
+        piped = (tmp_path / "piped" / case.csv).read_bytes()
+        assert hashlib.sha256(piped).hexdigest() == case.sha256
 
 
 class TestCsvWriter:
