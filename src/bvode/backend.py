@@ -474,8 +474,8 @@ def flow_mass(field, x, mass, substep=1e-3):
 def heun_path(field, s_grid, L_grid, x0):
     """Heun predictor-corrector for dx = f(s, x) dL along a grid of (s, L(s)) samples.
 
-    The state stays a Python float: a tanh or sin evaluator returns a numpy
-    scalar, whose arithmetic is slower than a float's and rounds the same.
+    The state stays a Python float: every evaluator returns a float on floats
+    (see ``fields._KINDS``), so a step does no numpy-scalar arithmetic.
     """
     f = field._eval
     s = np.asarray(s_grid, dtype=np.float64).tolist()
@@ -483,8 +483,8 @@ def heun_path(field, s_grid, L_grid, x0):
     cur = float(x0)
     x = [cur]
     for s0, s1, dL in zip(s, s[1:], dL_all):
-        f0 = float(f(s0, cur))
+        f0 = f(s0, cur)
         pred = cur + f0 * dL
-        cur = cur + 0.5 * (f0 + float(f(s1, pred))) * dL
+        cur = cur + 0.5 * (f0 + f(s1, pred)) * dL
         x.append(cur)
     return np.array(x, dtype=np.float64)

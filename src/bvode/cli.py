@@ -3,8 +3,8 @@
 Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
 (atomically, via a temp file and rename) and prints the summary.  A table
-longer than one block (``CSV_BLOCK`` rows) is formatted by two processes
-where the system can fork onto a second CPU, with the same bytes.  Exit
+of up to one block (``CSV_BLOCK`` rows) is formatted by ``%``; a longer one
+by a numpy encoder that writes the same bytes, block by block.  Exit
 codes: 0 success, 1 invalid config or output error (an output directory or
 CSV that cannot be written), 2 step cap or argparse usage error, 3
 non-finite result (no CSV is written then).  Only this module lays out
@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
-import shutil
-import signal
 import sys
 
 import numpy as np
@@ -33,8 +32,10 @@ from .mollify import classify_regime, sigma_delta_limit
 from .scheme import StepLimitError, solve_grid
 
 
-# rows per CSV block; bounds the text held in memory
-CSV_BLOCK = 16384
+# rows per CSV block; bounds the text held in memory.  A table longer than
+# one block goes to the encoder, whose temporaries scale with the block:
+# blocks of 16,384 rows raised scheme_fan's peak RSS
+CSV_BLOCK = 8192
 
 
 class _NonFinite(Exception):
@@ -46,10 +47,15 @@ def _spec(dtype) -> str:
     return {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}.get(dtype.kind, "%s")
 
 
+def _head(prefix) -> str:
+    """The text of a group's prefix, each number followed by a comma."""
+    return "".join(_spec(np.asarray(v).dtype) % v + "," for v in prefix)
+
+
 def _blocks(prefix, columns):
     """Blocks ``(line_format, values)`` of one group, CSV_BLOCK rows each at most;
     the prefix is formatted once, into the line format."""
-    head = "".join(_spec(np.asarray(v).dtype) % v + "," for v in prefix)
+    head = _head(prefix)
     columns = [np.asarray(c) for c in columns]
     line = head + ",".join(_spec(c.dtype) for c in columns) + "\n"
     width = len(columns)
@@ -81,114 +87,268 @@ def _probe_table(probe):
     return [((), [keys.ravel(), values.ravel()])]
 
 
-def _format(fh, groups) -> None:
-    """Write each group ``(prefix, columns)`` as CSV text, one ``%`` call per block."""
+def _format(groups):
+    """The CSV text of the groups, one ``%`` call per block."""
     for prefix, columns in groups:
         for line, values in _blocks(prefix, columns):
-            fh.write(line % values)
+            yield (line % values).encode()
 
 
-def _halves(groups):
-    """The table's groups before and after the block boundary nearest half its
-    rows, when the table is longer than one block and a forked child may run on
-    a second CPU; otherwise the groups as given and no second part.
+# -- the exact encoder for tables longer than one block ----------------------
+#
+# A block's columns are encoded into (rows, width) uint8 arrays, one value per
+# row, padded with NUL bytes.  They are laid out side by side in one matrix
+# with the prefix text and the separators, and the matrix's bytes less the
+# NULs are the block's text.  Digits are made as little-endian uint64 lanes of
+# eight ASCII bytes, the first digit in the lowest byte.
 
-    The boundary may fall inside a group, whose columns are then sliced there."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if not hasattr(os, "fork") or cpus < 2:
-        return groups, []
-    groups = list(groups)
-    sizes = [len(columns[0]) for _, columns in groups]
-    total = sum(sizes)
-    if total <= CSV_BLOCK:
-        return groups, []
-    half, start, best = total / 2, 0, (total, 0, 0)
-    for i, m in enumerate(sizes):
-        # the group's block boundaries are start + s, s = 0, CSV_BLOCK, ... below m
-        s = min(max(round((half - start) / CSV_BLOCK), 0), max(m - 1, 0) // CSV_BLOCK)
-        best = min(best, (abs(start + s * CSV_BLOCK - half), i, s * CSV_BLOCK))
-        start += m
-    _, i, s = best
-    prefix, columns = groups[i]
-    head = groups[:i] + [(prefix, [c[:s] for c in columns])] if s else groups[:i]
-    return head, [(prefix, [c[s:] for c in columns])] + groups[i + 1:]
-
-
-def _fork_part(part: str, groups):
-    """Fork a child that formats groups into the new file part; its pid, or
-    None when the fork fails.
-
-    The child opens only part and runs only the block loop, whose numpy calls
-    (``asarray``, slicing, ``.tolist()``) reach no BLAS routine and no lock
-    that numpy's OpenBLAS thread could hold; it always ends in ``os._exit``,
-    0 when part is complete, so it never runs ``atexit`` handlers or flushes
-    the parent's stdio.  That narrow job is what makes the fork safe although
-    the OpenBLAS thread makes the process multi-threaded (Python 3.12 and
-    later warn about such a fork with a DeprecationWarning)."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            with open(part, "w", encoding="utf-8", newline="\n") as fh:
-                _format(fh, groups)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+_ASCII_ZEROS = 0x3030303030303030
+# _LOW[:, b]: three lanes (24 bytes) with their low b bytes set, b = 0..24
+_LOW = np.array([[(1 << 8 * min(max(b - 8 * i, 0), 8)) - 1 for b in range(25)]
+                 for i in range(3)], dtype=np.uint64)
+_HIGH = ~_LOW
+# _LEAD[neg, z]: the bytes before a number's first digit, "-" when neg, then z zeros
+_LEAD = np.array([[int.from_bytes(sign + b"0" * z, "little") for z in range(5)]
+                  for sign in (b"", b"-")], dtype=np.uint64)
+# _P10[:, k]: 10**k for k = 0..22 (each exact), and its high and low halves in
+# Dekker's split
+_SPLIT = 134217729.0  # 2**27 + 1
+_P10 = np.array([float(10 ** k) for k in range(23)])
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10 = np.array([_P10, _P10_HI, _P10 - _P10_HI])
+# 10**1 .. 10**16: an integer below 10**17 has one digit more than it has of these
+_P10_INT = np.array([10 ** k for k in range(1, 17)], dtype=np.uint64)
 
 
-def _remove(path: str) -> None:
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path)
+def _lane8(x):
+    """The 8 ASCII digits of each uint64 x < 10**8, as one lane."""
+    hi = x // 10000
+    v = hi | ((x - hi * 10000) << 32)  # two 4-digit halves
+    h = ((v * 10486) >> 20) & 0x7F0000007F  # v // 100 in each half
+    v = h | ((v - h * 100) << 16)  # four 2-digit quarters
+    t = ((v * 103) >> 10) & 0x000F000F000F000F  # v // 10 in each quarter
+    return t | ((v - t * 10) << 8) | _ASCII_ZEROS
+
+
+def _digits(n):
+    """Three lanes (rows) holding the 17 ASCII digits of each uint64 n < 10**17
+    in bytes 0..16."""
+    lanes = np.empty((3, n.size), dtype=np.uint64)
+    lanes[0] = n // 10 ** 9
+    r = n - lanes[0] * 10 ** 9
+    lanes[1] = r // 10
+    lanes[2] = (r - lanes[1] * 10) | 0x30
+    lanes[:2] = _lane8(lanes[:2])
+    return lanes
+
+
+def _shifted(lanes, bits):
+    """The lanes' 24 bytes moved ``bits / 8`` bytes later (0 to 56 bits, one
+    count or one per number); bytes moved past the last lane are lost."""
+    out = lanes << bits
+    carry = lanes[:-1] >> (63 - bits)
+    carry >>= 1  # two shifts: one of 64 bits is undefined
+    out[1:] |= carry
+    return out
+
+
+def _text(lanes):
+    """Rows of 24 bytes, the lanes of each number in order."""
+    return np.ascontiguousarray(lanes.T, dtype="<u8").view(np.uint8)
+
+
+def _trailing_zeros(lane):
+    """Trailing '0' digits (0 to 8) of a lane of 8 ASCII digits.
+
+    The bit length of the digit values comes from the exponent of their float,
+    which rounds no bit past the highest set one: each byte is at most 9."""
+    bits = np.frexp((lane ^ _ASCII_ZEROS).astype(np.float64))[1]
+    return 7 - ((bits - 1) >> 3)
+
+
+def _round17(a, x):
+    """``a * 10**(16 - x)`` rounded half to even, as int64, where it is at least 2**53.
+
+    Dekker's product gives it as ``p + e`` exactly, ``p`` the float product,
+    which is an integer from 2**53 on; so the rounding is that of ``e``, with
+    a tie settled on the parity of ``p + floor(e)``."""
+    b, bh, bl = _P10.take(16 - x, axis=1)
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    fe = np.floor(e)
+    fr = e - fe
+    base = p.astype(np.int64) + fe.astype(np.int64)
+    return base + ((fr > 0.5) | ((fr == 0.5) & (base & 1 == 1)))
+
+
+def _python_rows(text, rows, strings):
+    """The text with the given rows replaced by the strings, widened to fit them."""
+    if not rows.size:
+        return text
+    s = np.array([t.encode() for t in strings], dtype=bytes)
+    if s.itemsize > text.shape[1]:
+        text = np.pad(text, ((0, 0), (0, s.itemsize - text.shape[1])))
+    text[rows] = 0
+    text[rows, :s.itemsize] = s.view(np.uint8).reshape(rows.size, s.itemsize)
+    return text
+
+
+def _float_text(v):
+    """``'%.17g' % x`` for each float x of v, as rows as wide as the longest.
+
+    A finite x with 1e-4 <= |x| < 1e16 is written from its 17 significant
+    digits N = |x| 10**(16 - X) rounded half to even, 10**16 <= N < 10**17,
+    the exponent X started at floor(log10 |x|) and corrected by one until N
+    fits; zeros take N = 0 and X = 0.  The sign and, for X < 0, "0." and
+    -X - 1 zeros come before the digits, the point goes after digit X >= 0,
+    and trailing zeros of the fraction go, with the point when none is left.
+    Python formats the other values (non-finite, subnormal, below 1e-4 or
+    from 1e16 on) one at a time."""
+    v = np.asarray(v, dtype=np.float64)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n = _round17(a, x)
+    bad = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    while bad.size:  # log10 is off near powers of ten; N may round up to 10**17
+        x[bad] += np.where(n[bad] < 10 ** 16, -1, 1)
+        n[bad] = _round17(a[bad], x[bad])
+        bad = bad[(n[bad] < 10 ** 16) | (n[bad] >= 10 ** 17)]
+    n[~fast] = 0
+    x[~fast] = 0
+    lanes = _digits(n.view(np.uint64))
+    del a, n  # a block's temporaries set the writer's peak memory
+    t1 = _trailing_zeros(lanes[1])
+    zeros = (lanes[2] == 0x30) * (1 + t1 + (t1 == 8) * _trailing_zeros(lanes[0]))
+    neg = np.signbit(v)
+    z = np.maximum(-x, 0)
+    lanes = _shifted(lanes, (z + neg).astype(np.uint64) * 8)
+    lanes[0] |= _LEAD[neg.view(np.int8), z]
+    point = neg + np.maximum(x, 0) + 1
+    tail = _shifted(lanes, np.uint64(8))  # the bytes from the point on, moved past it
+    tail &= _HIGH.take(point + 1, axis=1)
+    mark = _LOW.take(point, axis=1)
+    lanes &= mark
+    lanes |= tail
+    del tail
+    mark ^= _LOW.take(point + 1, axis=1)  # the point's byte
+    mark &= 0x2E2E2E2E2E2E2E2E
+    lanes |= mark
+    frac = np.maximum(16 - zeros - x, 0)  # fraction digits left when x >= 0
+    size = neg + np.where(x >= 0, x + 1 + (frac > 0) * (frac + 1), 18 - x - zeros)
+    lanes &= _LOW.take(size, axis=1)
+    slow = np.flatnonzero(~fast & (v != 0.0))
+    return _python_rows(_text(lanes)[:, :int(size.max())], slow,
+                        ["%.17g" % s for s in v[slow].tolist()])
+
+
+def _int_text(k):
+    """``'%d' % i`` for each integer or bool i of k, as rows as wide as the longest."""
+    k = np.asarray(k)
+    k = k.astype(np.uint64 if k.dtype.kind == "u" else np.int64)  # no abs overflows below
+    fast = k < 10 ** 17 if k.dtype.kind == "u" else (k < 10 ** 17) & (k > -10 ** 17)
+    m = np.where(fast, np.abs(k), 0).astype(np.uint64)
+    width = 1 + np.searchsorted(_P10_INT, m, side="right")
+    lanes = _digits(m)
+    lanes &= _HIGH.take(17 - width, axis=1)
+    w = int(width.max())
+    text = np.empty((k.size, w + 1), dtype=np.uint8)
+    text[:, 0] = (k < 0) * 0x2D
+    text[:, 1:] = _text(lanes)[:, 17 - w:17]
+    slow = np.flatnonzero(~fast)
+    return _python_rows(text, slow, ["%d" % s for s in k[slow].tolist()])
+
+
+def _str_text(values):
+    """``'%s' % s`` for each s of values, as rows as wide as the longest (a
+    NUL in a string would be lost with the padding; the tables write none)."""
+    s = np.array([str(t).encode() for t in values.tolist()], dtype=bytes)
+    return s.view(np.uint8).reshape(s.size, s.itemsize)
+
+
+_TEXT = {"%d": _int_text, "%.17g": _float_text, "%s": _str_text}
+
+
+def _column_text(parts):
+    """The text rows of one column's parts, in order: one encoding when they
+    share a dtype, else one per part, widened to the widest."""
+    if all(p.dtype == parts[0].dtype for p in parts):
+        return _TEXT[_spec(parts[0].dtype)](np.concatenate(parts))
+    texts = [_TEXT[_spec(p.dtype)](p) for p in parts]
+    w = max(t.shape[1] for t in texts)
+    return np.vstack([np.pad(t, ((0, 0), (0, w - t.shape[1]))) for t in texts])
+
+
+def _block_text(pieces):
+    """The CSV text of one block's pieces ``(head, columns)``, head the
+    prefix's text, as a uint8 array."""
+    fields = [_column_text(parts) for parts in zip(*(columns for _, columns in pieces))]
+    rows = [len(columns[0]) for _, columns in pieces]
+    at = max(len(head) for head, _ in pieces)
+    out = np.zeros((sum(rows), at + sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
+    r = 0
+    for (head, _), m in zip(pieces, rows):
+        out[r:r + m, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        r += m
+    for f in fields:
+        out[:, at:at + f.shape[1]] = f
+        at += f.shape[1] + 1
+        out[:, at - 1] = ord(",")
+    out[:, -1] = ord("\n")
+    del fields  # before the compaction's mask and result are made
+    flat = out.ravel()
+    return flat[flat != 0]
+
+
+def _encode(groups):
+    """The CSV text of the groups, one block of CSV_BLOCK rows at a time."""
+    pieces, rows = [], 0
+    for prefix, columns in groups:
+        head = _head(prefix).encode()
+        columns = [np.asarray(c) for c in columns]
+        m, s = len(columns[0]), 0
+        while s < m:
+            take = min(m - s, CSV_BLOCK - rows)
+            pieces.append((head, [c[s:s + take] for c in columns]))
+            s += take
+            rows += take
+            if rows == CSV_BLOCK:
+                yield _block_text(pieces)
+                pieces, rows = [], 0
+    if pieces:
+        yield _block_text(pieces)
 
 
 def _write_csv(out_dir: str, filename: str, header, groups) -> str:
     """Write the header and then each group ``(prefix, columns)`` as CSV text.
 
-    The text goes to ``<path>.tmp.<pid>``, which replaces ``path`` once it is
-    complete; on an exception it is removed and ``path`` is left as it was.
-    A table longer than one block is formatted in two parts when the process
-    can fork onto a second CPU: a child formats the second part into
-    ``<tmp>.part`` while this process formats the header and the first, then
-    appends the part's bytes.  The child is reaped on every exit path (killed
-    first on an exception), and when the fork fails or the child does not
-    exit 0 this process formats the second part itself, so the bytes never
-    depend on the child."""
+    A table longer than one block (``CSV_BLOCK`` rows) is written by the
+    exact encoder, a shorter one by ``%``; the bytes are the same.  Groups
+    are read ahead only until the table is known to be longer.  The text
+    goes to ``<path>.tmp.<pid>``, which replaces ``path`` once it is
+    complete; on an exception it is removed and ``path`` is left as it was."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    part = f"{tmp}.part"
-    first, second = _halves(groups)
-    pid = _fork_part(part, second) if second else None
-    forked = pid is not None
+    groups, first, rows = iter(groups), [], 0
+    while rows <= CSV_BLOCK and (group := next(groups, None)) is not None:
+        first.append(group)
+        rows += len(group[1][0])
+    text = _encode(itertools.chain(first, groups)) if rows > CSV_BLOCK else _format(first)
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            _format(fh, first)
-            if forked:
-                status = os.waitpid(pid, 0)[1]
-                pid = None
-                if os.waitstatus_to_exitcode(status) == 0:
-                    fh.flush()  # the text layer's pending bytes precede the part's
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
-                    second = []
-            _format(fh, second)  # what no child wrote
+        with open(tmp, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for chunk in text:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
-        if pid is not None:
-            with contextlib.suppress(OSError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        _remove(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
         raise
-    finally:
-        if forked:
-            _remove(part)
     return path
 
 

@@ -52,17 +52,34 @@ def _ramp(top, width, height):
     return ramp
 
 
+def _sin(amp, wx, wt, phase, off):
+    """The sin evaluator.  On floats it makes one numpy call and returns a
+    float, which rounds as a numpy scalar would (IEEE * and + alike)."""
+    def sin(t, x):
+        if isinstance(x, float) and isinstance(t, float):
+            return amp * float(np.sin(wx * x + wt * t + phase)) + off
+        return amp * np.sin(wx * x + wt * t + phase) + off
+    return sin
+
+
+def _tanh(amp, slope, off):
+    """The tanh evaluator; on floats it returns a float, as ``_sin`` does."""
+    def tanh(t, x):
+        if isinstance(x, float):
+            return amp * float(np.tanh(slope * x)) + off
+        return amp * np.tanh(slope * x) + off
+    return tanh
+
+
 # Each kind once: its name, its evaluator factory (the parameters in; out
-# f(t, x) on floats or on arrays, t and x not broadcast) and the positions of
-# the parameters that scale with f.
+# f(t, x) on floats, as a float, or on arrays, t and x not broadcast) and the
+# positions of the parameters that scale with f.
 _KINDS = {
     FIELD_CONST: ("constant", lambda c: lambda t, x: c, (0,)),
     FIELD_AFFINE: ("affine", lambda a, b: lambda t, x: a + b * x, (0, 1)),
     FIELD_RAMP: ("ramp", _ramp, (2,)),
-    FIELD_SIN: ("sin", lambda amp, wx, wt, phase, off:
-                lambda t, x: amp * np.sin(wx * x + wt * t + phase) + off, (0, 4)),
-    FIELD_TANH: ("tanh", lambda amp, slope, off:
-                 lambda t, x: amp * np.tanh(slope * x) + off, (0, 2)),
+    FIELD_SIN: ("sin", _sin, (0, 4)),
+    FIELD_TANH: ("tanh", _tanh, (0, 2)),
 }
 
 

@@ -283,9 +283,9 @@ def heun_path(kind, p, sg, Lg, x0):
 
 
 def heun_steps(field, s_grid, L_grid, x0):
-    """Heun steps through the field's evaluator, indexing both grids as
-    Python lists; a tanh or sin field keeps the state a numpy scalar."""
-    f = field._eval
+    """Heun steps through the field's reference evaluator, indexing both
+    grids as Python lists; a tanh or sin field keeps the state a numpy scalar."""
+    f = evaluator(field.kind, field.params)
     s = np.asarray(s_grid, dtype=np.float64).tolist()
     L = np.asarray(L_grid, dtype=np.float64).tolist()
     cur = float(x0)

@@ -192,17 +192,16 @@ CASES = {
                         sha256="7456f9f31ed2d2ef5b3a3d3794e29bb8b230a6c08760ca4d6a466005667cd880"),
     # Offsets 0-2 take 3,334 steps and offsets 3-6 take 3,333, so the fan's
     # counts step down from offset 0's; 3 offsets of 3,335 lattice points and 4
-    # of 3,334, plus the header, are more than one 16,384-row block, so with two
-    # CPUs a forked child formats the second half.  The uniform profile, the
+    # of 3,334 are more than one 8,192-row block, so the encoder writes them,
+    # in three blocks whose bounds fall inside offsets.  The uniform profile, the
     # pure-jump driver and the linear field use + - * / alone, so the bytes do
     # not depend on the platform
     "uneven": Case(UNEVEN, ("solve-scheme",), r"solve-scheme: n=64 h=0\.0003 offsets=7 ",
                    csv="grid_path.csv", lines=23342,
                    sha256="a8692bfd95feb7726bdd61663a6c98b9b5ab21e0fbe95f74f43e3eeb829fe9dc"),
-    # 20 offsets of 1,025 lattice points (h = 1/1024), plus the header, are more
-    # than one 16,384-row block, so with two CPUs a forked child formats the
-    # second half; tanh makes the values platform-dependent, so the check reads
-    # the text itself
+    # 20 offsets of 1,025 lattice points (h = 1/1024) are more than one
+    # 8,192-row block, so the encoder writes them; tanh makes the values
+    # platform-dependent, so the check reads the text itself
     "split": Case(SPLIT, ("solve-scheme",), r"solve-scheme: n=32 h=0\.000976562 offsets=20 ",
                   csv="grid_path.csv", lines=20501, check=grid_in_order(20)),
     # 4,000 staircase intervals; the walk's speed bound is

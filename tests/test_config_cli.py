@@ -1,7 +1,6 @@
 """INI config parsing and the command line entry points."""
 
 import contextlib
-import errno
 import hashlib
 import importlib
 import io
@@ -11,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -682,11 +682,22 @@ class TestCsvWriter:
             self.assert_clean(d, ["old.csv", "new.csv", "rows.csv"])
         assert new.count(b"\n") == 1 + int(lengths.sum())
 
-    def test_mixed_scalar_types(self, tmp_path):
+    def test_mixed_scalar_types(self, tmp_path, monkeypatch):
+        """Every column type, in one block and through the encoder (blocks of
+        4 rows), and a column whose groups differ in dtype."""
         rows = [(bool(i % 2), np.bool_(i % 3 == 0), np.int64(-i), i * 10 ** 15,
                  np.float64(i) / 7.0, -0.0 if i % 2 else 1e-300, f"gap@{i / 8:g}")
                 for i in range(40)]
-        new, old = self.both(tmp_path, tuple("abcdefg"), rows, self.plain(rows))
+        mixed = [((7,), (np.arange(3), np.float32([0.1, -2.5, 3e-5]))),
+                 ((8,), (np.array([1.5, -0.0]), np.array(["x", "yz"])))]
+        mixed_rows = [(7, 0, 0.10000000149011612), (7, 1, -2.5), (7, 2, 2.9999999242136255e-05),
+                      (8, 1.5, "x"), (8, -0.0, "yz")]
+        for block in (cli.CSV_BLOCK, 4):
+            monkeypatch.setattr(cli, "CSV_BLOCK", block)
+            new, old = self.both(tmp_path / f"all-{block}", tuple("abcdefg"), rows,
+                                 self.plain(rows))
+            assert new == old
+        new, old = self.both(tmp_path / "mixed", tuple("jab"), mixed_rows, mixed)
         assert new == old
 
     def test_empty_table(self, tmp_path):
@@ -723,92 +734,61 @@ class TestCsvWriter:
                 [(j, tau, kk, xx) for (j, tau), (ks, xs) in groups
                  for kk, xx in zip(ks.tolist(), xs.tolist())])
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process writer needs fork")
     @pytest.mark.parametrize("layout", ["one-group", "many-groups"])
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2 * cli.CSV_BLOCK + 1],
                              ids=["block-1", "block", "block+1", "3block+1"])
     def test_two_processes(self, tmp_path, monkeypatch, layout, excess):
-        """Around one block of rows and past three, the writer writes the oracle's
-        bytes when its child succeeds, when the fork fails and when the child exits
-        1; a table longer than one block forks once, a shorter one never.  No child
-        process, temp file or part file is left."""
+        """Around one block of rows and past three, the writer writes the
+        oracle's bytes: with ``%`` up to one block, with the encoder past it,
+        in this process alone.  No temp file is left."""
         rows = cli.CSV_BLOCK + excess
         header, table, oracle_rows = self.big_table(rows, layout)
         old = Path(oracle._write_csv(str(tmp_path / "old"), "t.csv", header, oracle_rows))
-        # a second CPU, so that the split is taken on any host
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        parent, fork, blocks = os.getpid(), os.fork, cli._blocks
-        forks = []
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
+        block_text, blocks = cli._block_text, []
 
-        def counted_fork():
-            forks.append(mode)
-            if mode == "fork-fails":
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-            return fork()
+        def counted(pieces):
+            blocks.append(sum(len(columns[0]) for _, columns in pieces))
+            return block_text(pieces)
 
-        def blocks_of_parent(prefix, columns):
-            if os.getpid() != parent:
-                raise RuntimeError("the child fails")
-            return blocks(prefix, columns)
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        for mode in ("fork", "fork-fails", "child-fails"):
-            if mode == "child-fails":
-                monkeypatch.setattr(cli, "_blocks", blocks_of_parent)
-            out = tmp_path / mode
-            new = cli._write_csv(str(out), "t.csv", header, table)
-            assert Path(new).read_bytes() == old.read_bytes()
-            self.assert_clean(out)
-        assert forks == (["fork", "fork-fails", "child-fails"] if rows > cli.CSV_BLOCK else [])
+        monkeypatch.setattr(cli, "_block_text", counted)
+        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, table)
+        assert Path(new).read_bytes() == old.read_bytes()
+        self.assert_clean(tmp_path / "new")
+        assert blocks == ([] if rows <= cli.CSV_BLOCK else
+                          [min(cli.CSV_BLOCK, rows - s) for s in range(0, rows, cli.CSV_BLOCK)])
         assert old.read_bytes().count(b"\n") == 1 + rows
 
-    @pytest.mark.parametrize("host", ["one-cpu", "no-fork"])
-    def test_serial_without_fork_or_second_cpu(self, tmp_path, monkeypatch, host):
-        """With one usable CPU, or no fork, the table is formatted in this process alone."""
-        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
-        if host == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
-        else:
-            monkeypatch.delattr(os, "fork", raising=False)
-        header, table, rows = self.big_table(30, "many-groups")
-        new = cli._write_csv(str(tmp_path / "new"), "t.csv", header, table)
-        old = oracle._write_csv(str(tmp_path / "old"), "t.csv", header, rows)
-        assert Path(new).read_bytes() == Path(old).read_bytes()
-        self.assert_clean(tmp_path / "new")
-
-    @pytest.mark.parametrize("fails", ["serial", "parent", "parent-and-child", "interrupted"])
+    @pytest.mark.parametrize("fails", ["serial", "encoder", "interrupted"])
     def test_failed_write_keeps_target(self, tmp_path, monkeypatch, fails):
-        """A write that raises after its first block, or while it waits for its
-        child, removes its temp and part files, leaves no child process and keeps
-        the bytes of the CSV already at the target."""
+        """A write that raises after its first block, with ``%`` or inside the
+        encoder (also an interrupt), removes its temp file, starts no process
+        and keeps the bytes of the CSV already at the target."""
         monkeypatch.setattr(cli, "CSV_BLOCK", 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         target = tmp_path / "t.csv"
         target.write_bytes(b"kept\n")
-        parent, blocks, waitpid = os.getpid(), cli._blocks, os.waitpid
+        blocks, float_text = cli._blocks, cli._float_text
+        calls = []
 
         def failing(prefix, columns):
             it = blocks(prefix, columns)
             yield next(it)
-            if fails != "parent" or os.getpid() == parent:
-                raise RuntimeError("write failed")
-            yield from it
+            raise RuntimeError("write failed")
 
-        def interrupted(pid, options):
-            monkeypatch.setattr(os, "waitpid", waitpid)
-            raise KeyboardInterrupt
+        def failing_encoder(v):
+            calls.append(v.size)
+            if len(calls) > 1:  # the second block's floats
+                raise KeyboardInterrupt if fails == "interrupted" else RuntimeError("encoder failed")
+            return float_text(v)
 
-        if fails == "interrupted":
-            monkeypatch.setattr(os, "waitpid", interrupted)
-        else:
-            monkeypatch.setattr(cli, "_blocks", failing)
+        monkeypatch.setattr(cli, "_blocks", failing)
+        monkeypatch.setitem(cli._TEXT, "%.17g", failing_encoder)
         rows = 3 if fails == "serial" else 30
         table = [((), (np.arange(rows), np.linspace(0.0, 1.0, rows)))]
         with pytest.raises(KeyboardInterrupt if fails == "interrupted" else RuntimeError):
             cli._write_csv(str(tmp_path), "t.csv", ("k", "x"), table)
         assert target.read_bytes() == b"kept\n"
+        assert calls == ([] if fails == "serial" else [4, 4])
         self.assert_clean(tmp_path)
 
     # per command: the cli name whose result the oracle lays out, and that layout
@@ -827,12 +807,18 @@ class TestCsvWriter:
         ("jumpmap", "jumpmap.csv"),
         ("sigma", "sigma_probes.csv"),
         ("classify", "classify_evidence.csv"),
+        ("jumpmap-empty", "jumpmap.csv"),
     ])
     def test_commands(self, tmp_path, monkeypatch, command, csv):
         """Each command's CSV equals the oracle writer's on the old row layout
-        of the same results."""
-        cfg = write(tmp_path, FULL)
-        results = []
+        of the same results, and so does its table through the encoder, in
+        blocks of 4 rows, and through ``%``.  jumpmap-empty is jumpmap with
+        every q skipped: a header alone."""
+        text = FULL
+        if command == "jumpmap-empty":  # q = 0.3 is inside the staircase interval (0.2, 0.5)
+            command, text = "jumpmap", FULL + "jump_q = 0.3\njump_eps = 0.3\njump_t = 0.6, 0.9\n"
+        cfg = write(tmp_path, text)
+        results, tables = [], []
         if command != "jumpmap":
             name, layout = self.ORACLE_ROWS[command]
             compute = getattr(cli, name)
@@ -842,13 +828,87 @@ class TestCsvWriter:
                 return results[-1]
 
             monkeypatch.setattr(cli, name, keep)
+        write_csv = cli._write_csv
+
+        def keep_table(out_dir, filename, header, groups):
+            tables.append(list(groups))
+            return write_csv(out_dir, filename, header, tables[-1])
+
+        monkeypatch.setattr(cli, "_write_csv", keep_table)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "new")]) == 0
         rows = (oracle.jumpmap_rows(load_config(cfg), seed=0) if command == "jumpmap"
                 else layout(results[-1]))
         new = (tmp_path / "new" / csv).read_bytes()
         header = new.decode().split("\n", 1)[0].split(",")
-        assert new == Path(oracle._write_csv(str(tmp_path / "old"), csv, header, rows)).read_bytes()
-        assert new.count(b"\n") > 2
+        old = Path(oracle._write_csv(str(tmp_path / "old"), csv, header, rows)).read_bytes()
+        assert new == old
+        assert new.count(b"\n") > 2 if text == FULL else new == b"q,eps,t,phi,oracle,abs_err\n"
+        monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+        body = old.split(b"\n", 1)[1]
+        assert b"".join(map(bytes, cli._encode(tables[0]))) == body
+        assert b"".join(cli._format(tables[0])) == body
+
+
+def texts(text):
+    """The strings of an encoder's rows, their NUL padding dropped."""
+    return [bytes(row[row != 0]).decode() for row in text]
+
+
+class TestEncoder:
+    """Each column encoder writes the text of ``'%.17g'``, ``'%d'`` or ``'%s'``,
+    value for value."""
+
+    @staticmethod
+    def assert_floats(values):
+        v = np.asarray(values, dtype=np.float64)
+        assert texts(cli._float_text(v)) == ["%.17g" % x for x in v.tolist()]
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_float_bit_patterns(self, bits):
+        """Any 64 bits: signed zeros, subnormals, infinities and NaNs among them."""
+        self.assert_floats(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_float_specials(self):
+        """Around each power of ten 1e-5 .. 1e17, where the exponent estimate
+        and the digit count turn, both signs; and the bounds of the fast path."""
+        p = np.array([float(f"1e{j}") for j in range(-5, 18)])
+        v = np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)])
+        self.assert_floats(np.concatenate([v, -v, [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                                   np.nan, -np.nan, np.inf, -np.inf,
+                                                   9.999999999999998e15, 1e16 - 2.0]]))
+
+    @given(f=st.integers(2, 25), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_float_ties(self, f, data):
+        """Exact ties at the 17th digit, rounded half to even: an odd m below
+        2**53 over 2**f is m 5**f / 10**f, 18 significant digits ending in 5
+        when m 5**f has 18 digits; and 1 + 2**-17 = 1.00000762939453125."""
+        lo, hi = -(-10 ** 17 // 5 ** f), min(10 ** 18 // 5 ** f, 2 ** 53)
+        v = (data.draw(st.integers(lo // 2, (hi - 2) // 2)) * 2 + 1) / 2 ** f
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+        self.assert_floats([v, -v, 1 + 2 ** -17, -(1 + 2 ** -17)])
+
+    @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(0, 10 ** 9),
+                    min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_ints(self, ks):
+        """int64 over its range, 0 .. 10**9 (a step index reaches 10**8) and
+        negatives; unsigned, narrow and bool columns too."""
+        for k in (np.array(ks, dtype=np.int64), np.abs(np.array(ks, dtype=np.int64) // 2)
+                  .astype(np.uint64) + np.uint64(2 ** 63), np.array(ks).astype(np.int16),
+                  np.array(ks) % 2 == 1):
+            assert texts(cli._int_text(k)) == ["%d" % i for i in k.tolist()]
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\x00")),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_strings(self, strings):
+        """Strings (no NUL), from a str array and from an object array."""
+        for s in (np.array(strings, dtype=object), np.array(strings, dtype=str)):
+            assert texts(cli._str_text(s)) == ["%s" % x for x in strings]
 
 
 class TestProbeCsv:
