@@ -10,7 +10,8 @@ CSV that cannot be written), 2 step cap or argparse usage error, 3
 non-finite result (no CSV is written then).  Only this module lays out
 tables: a table is an iterable of groups ``(prefix, columns)``, where the
 numbers in ``prefix`` open every line of the group (``()`` for none) and
-``columns`` are equal-length 1-D arrays, one per remaining header field.
+``columns`` are equal-length 1-D arrays, one per remaining header field,
+each field of one dtype in every group.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _shifted(lanes, bits):
     """The lanes' 24 bytes moved ``bits / 8`` bytes later (0 to 56 bits, one
     count or one per number); bytes moved past the last lane are lost."""
     out = lanes << bits
-    carry = lanes[:-1] >> (63 - bits)
+    carry = lanes[:-1] >> (np.uint64(63) - bits)  # uint64 under numpy 1's promotion too
     carry >>= 1  # two shifts: one of 64 bits is undefined
     out[1:] |= carry
     return out
@@ -273,20 +274,12 @@ def _str_text(values):
 _TEXT = {"%d": _int_text, "%.17g": _float_text, "%s": _str_text}
 
 
-def _column_text(parts):
-    """The text rows of one column's parts, in order: one encoding when they
-    share a dtype, else one per part, widened to the widest."""
-    if all(p.dtype == parts[0].dtype for p in parts):
-        return _TEXT[_spec(parts[0].dtype)](np.concatenate(parts))
-    texts = [_TEXT[_spec(p.dtype)](p) for p in parts]
-    w = max(t.shape[1] for t in texts)
-    return np.vstack([np.pad(t, ((0, 0), (0, w - t.shape[1]))) for t in texts])
-
-
 def _block_text(pieces):
     """The CSV text of one block's pieces ``(head, columns)``, head the
-    prefix's text, as a uint8 array."""
-    fields = [_column_text(parts) for parts in zip(*(columns for _, columns in pieces))]
+    prefix's text, as a uint8 array; each column is encoded once, over all
+    the pieces."""
+    fields = [_TEXT[_spec(parts[0].dtype)](np.concatenate(parts))
+              for parts in zip(*(columns for _, columns in pieces))]
     rows = [len(columns[0]) for _, columns in pieces]
     at = max(len(head) for head, _ in pieces)
     out = np.zeros((sum(rows), at + sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)

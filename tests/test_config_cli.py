@@ -684,21 +684,15 @@ class TestCsvWriter:
 
     def test_mixed_scalar_types(self, tmp_path, monkeypatch):
         """Every column type, in one block and through the encoder (blocks of
-        4 rows), and a column whose groups differ in dtype."""
+        4 rows)."""
         rows = [(bool(i % 2), np.bool_(i % 3 == 0), np.int64(-i), i * 10 ** 15,
                  np.float64(i) / 7.0, -0.0 if i % 2 else 1e-300, f"gap@{i / 8:g}")
                 for i in range(40)]
-        mixed = [((7,), (np.arange(3), np.float32([0.1, -2.5, 3e-5]))),
-                 ((8,), (np.array([1.5, -0.0]), np.array(["x", "yz"])))]
-        mixed_rows = [(7, 0, 0.10000000149011612), (7, 1, -2.5), (7, 2, 2.9999999242136255e-05),
-                      (8, 1.5, "x"), (8, -0.0, "yz")]
         for block in (cli.CSV_BLOCK, 4):
             monkeypatch.setattr(cli, "CSV_BLOCK", block)
             new, old = self.both(tmp_path / f"all-{block}", tuple("abcdefg"), rows,
                                  self.plain(rows))
             assert new == old
-        new, old = self.both(tmp_path / "mixed", tuple("jab"), mixed_rows, mixed)
-        assert new == old
 
     def test_empty_table(self, tmp_path):
         new, old = self.both(tmp_path, ("a", "b"), (), [((), [np.empty(0), np.empty(0)])])
