@@ -14,7 +14,6 @@ from .mollify import (
     DEFAULT_MESHES,
     DEFAULT_U_PROBES,
     F_n,
-    F_n_inv,
     MollifierProfile,
     RegimeReport,
     Schedule,
@@ -41,10 +40,9 @@ from .scheme import (
     StepLimitError,
     discrete_jump_map,
     solve_grid,
-    solve_offset,
     xi_grid_for_offset,
 )
-from .limit import LimitPath, solve_limit, stieltjes_integrate
+from .limit import LimitPath, solve_limit
 from .analysis import (
     SigmaCheckResult,
     StudyResult,
@@ -64,7 +62,6 @@ __all__ = [
     "DEFAULT_U_PROBES",
     "ExperimentConfig",
     "F_n",
-    "F_n_inv",
     "GridPath",
     "JumpMeasure",
     "LimitPath",
@@ -96,8 +93,6 @@ __all__ = [
     "sigma_n_check",
     "solve_grid",
     "solve_limit",
-    "solve_offset",
-    "stieltjes_integrate",
     "xi_grid_for_offset",
     "__version__",
 ]

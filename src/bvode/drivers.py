@@ -276,9 +276,6 @@ class BVFunction:
             return float(self.jump_sizes[i])
         return 0.0
 
-    def continuous_part(self) -> "BVFunction":
-        return BVFunction(self.seg_breaks, self.seg_coefs)
-
     # -- variation ---------------------------------------------------------
 
     def _clip_pieces(self, us, vs):
@@ -313,25 +310,17 @@ class BVFunction:
         p0, p1 = _poly_eval(self.seg_coefs[seg].T[:, None], ends)
         return float(np.cumsum(np.abs(p1 - p0))[-1])  # summed left to right
 
-    def variation_steps(self, u: float, v: float, v_max: float) -> np.ndarray:
-        """Grid over [u, v] whose cells each carry continuous variation <= v_max.
+    def _variation_grid(self, edges, v_max) -> np.ndarray:
+        """Sorted union of the grids over the windows between consecutive
+        ``edges`` whose cells each carry continuous variation <= v_max.
 
         On each monotone polynomial piece the cumulative variation from the left
         edge is |p(t) - p(e0)|, so cut m is a root of p(t) = p(e0) +- m * 0.85 *
         v_max (m = 1, 2, ...), found by bracketed Newton to the rounding floor of p,
-        and every cell carries 0.85 * v_max up to that floor.  Raises
-        StepLimitError when the cuts would exceed STEP_CAP.
+        and every cell carries 0.85 * v_max up to that floor.  The cuts of all
+        windows are solved together, _CHUNK at a time, and counted against
+        STEP_CAP (StepLimitError) before any is made.
         """
-        if not v_max > 0.0:
-            raise ValueError("v_max must be positive")
-        if not u <= v:
-            raise ValueError("need u <= v")
-        return self._variation_grid(np.array([u, v], dtype=np.float64), v_max)
-
-    def _variation_grid(self, edges, v_max) -> np.ndarray:
-        """Sorted union of the variation_steps grids of the windows between
-        consecutive ``edges``; the cuts of all windows are solved together,
-        _CHUNK at a time, and counted against STEP_CAP before any is made."""
         us, vs = edges[:-1], edges[1:]
         w, seg, ends = self._clip_pieces(us, vs)
         origin, coef = self.seg_breaks[seg], self.seg_coefs[seg].T

@@ -62,16 +62,6 @@ class SigmaG:
             out[hit] = self._b[safe][hit]
         return _scalar(out)
 
-    def jump_at(self, u) -> float:
-        """Right jump of sigma at u: b - a when u = a_i, else 0; a NaN u is a ValueError."""
-        u = float(u)
-        if math.isnan(u):
-            raise ValueError("sigma argument must not be NaN")
-        i = np.searchsorted(self._a, u)
-        if i < self._a.size and self._a[i] == u:
-            return float(self._b[i] - u)
-        return 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SigmaG({list(self.intervals)!r})"
 

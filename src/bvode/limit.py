@@ -96,33 +96,6 @@ class LimitPath:
         return float(np.sum(np.abs(mids) * np.diff(self._t_dbl)))
 
 
-def stieltjes_integrate(g, Lc: BVFunction, a: float, t: float,
-                        v_max: float) -> float:
-    """Trapezoid value of int_a^t g(s) dLc(s) for a jump-free integrator.
-
-    The grid equidistributes the variation of Lc so that each cell moves
-    at most v_max of it; g is a function of time only.
-    """
-    if Lc.jump_epochs.size:
-        raise ValueError("integrator must be jump-free; pass continuous_part()")
-    if not v_max > 0.0:
-        raise ValueError("v_max must be positive")
-    a, t = float(a), float(t)
-    if not a <= t:
-        raise ValueError("need a <= t")
-    if t == a:
-        return 0.0
-    grid = Lc.variation_steps(a, t, v_max)
-    try:
-        gv = np.asarray(g(grid), dtype=np.float64)
-        if gv.shape != grid.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        gv = np.array([float(g(float(s))) for s in grid], dtype=np.float64)
-    dL = np.diff(Lc(grid))
-    return float(np.sum(0.5 * (gv[:-1] + gv[1:]) * dL))
-
-
 def solve_limit(f: ScalarField, L: BVFunction, mu: JumpMeasure, x0: float,
                 sample_times=None, v_max: float | None = None) -> LimitPath:
     """Solve the limit equation for driver L under jump measure mu.

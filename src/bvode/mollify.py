@@ -4,7 +4,7 @@ The solver smooths the driver with a one-sided kernel of width 1/n.  A
 profile stores the base density rho on [0, 1]; the scaled kernel is
 rho_n(s) = n*rho(n*s).  The tail mass function F_n and its generalized
 inverse control how a step-h lattice resolves a jump, and probing
-F_n(F_n_inv(u) - delta*h(n)) along an (n, h) schedule identifies the
+F_n(F_n^-1(u) - delta*h(n)) along an (n, h) schedule identifies the
 limiting jump interpretation: identity limits mean the jump is traversed
 as a continuous flow, indicator limits mean it is applied as a single
 increment, and anything else selects a staircase measure in between.
@@ -328,12 +328,6 @@ def F_n(profile: MollifierProfile, n: int, x):
     return profile.tail(np.asarray(x, dtype=np.float64) * n)
 
 
-def F_n_inv(profile: MollifierProfile, n: int, u):
-    """Generalized inverse of F_n; +inf at u = 0."""
-    n = _sharpness(n)
-    return profile.tail_inv(u) / n
-
-
 def mollify_L(L, profile: MollifierProfile, n: int, t):
     """Smoothed driver L_n(t): convolution of L with the width-1/n kernel.
 
@@ -369,7 +363,7 @@ def mollify_f(f, profile: MollifierProfile, n: int, t, x):
 
 @dataclass(frozen=True)
 class SigmaProbe:
-    """Shift-probe trajectories F_n(F_n_inv(u) - delta*h(n)) along a schedule.
+    """Shift-probe trajectories F_n(F_n^-1(u) - delta*h(n)) along a schedule.
 
     For scalar delta and u, ``values`` has one entry per mesh and the other
     fields are Python scalars.  For array arguments, ``values`` has shape

@@ -121,20 +121,6 @@ def _fan(f: ScalarField, L: BVFunction, profile: MollifierProfile, n: int,
                         x0.hex(), bool(mollify_coefficient)), build)
 
 
-def solve_offset(f: ScalarField, L: BVFunction, profile: MollifierProfile,
-                 n: int, h: float, tau: float, x0: float,
-                 mollify_coefficient: bool = False) -> np.ndarray:
-    """Run one lattice and return the state sequence x_0 .. x_K.
-
-    The lattice is t_k = tau + k h with tau in [a, a + h); the driver is
-    smoothed at sharpness n before differencing.  With
-    ``mollify_coefficient`` the coefficient is averaged with the same
-    kernel in both arguments instead of evaluated pointwise.
-    """
-    _, values, _ = _fan(f, L, profile, n, h, float(tau), 1, float(x0), mollify_coefficient)
-    return values[0]
-
-
 @dataclass(frozen=True)
 class GridPath:
     """Scheme runs over a fan of lattice offsets, padded to one array.
@@ -198,8 +184,10 @@ def solve_grid(f: ScalarField, L: BVFunction, profile: MollifierProfile,
                n: int, h: float, x0: float, n_offsets: int = 16,
                mollify_coefficient: bool = False) -> GridPath:
     """Run the scheme for n_offsets equispaced lattice offsets in [a, a + h),
-    each from the initial state x0; ``mollify_coefficient`` is that of
-    :func:`solve_offset`.  The fan is checked, and looked up on the driver,
+    each from the initial state x0.  Each lattice t_k = tau + k h differences
+    the driver smoothed at sharpness n; with ``mollify_coefficient`` the
+    coefficient is averaged with the same kernel in both arguments instead
+    of evaluated pointwise.  The fan is checked, and looked up on the driver,
     by (a, n_offsets, x0) before its offsets are made; a kept fan keeps them.
     """
     taus, values, lengths = _fan(f, L, profile, n, h, L.domain[0], n_offsets, float(x0),

@@ -61,6 +61,8 @@ column-wise :func:`bvode.solve_limit` and :class:`bvode.LimitPath`
 replaced.  The walks call the package's stationary points;
 :func:`stationary_points` is the textbook quadratic formula those
 replaced, which cancels when the cubic coefficient is small.
+:func:`stieltjes_integrate`, the trapezoid rule on the walk's grid, checks
+the limit solve's Heun steps independently.
 
 The offset fan's references are the per-offset step count
 (:func:`step_count`) that ``bvode.scheme._offset_fan`` derives from offset
@@ -98,10 +100,10 @@ import os
 import numpy as np
 
 from bvode import backend
-from bvode.drivers import STEP_CAP, StepLimitError, _poly_eval, _stationary_points
+from bvode.drivers import STEP_CAP, BVFunction, StepLimitError, _poly_eval, _stationary_points
 from bvode.fields import FIELD_AFFINE, FIELD_CONST, FIELD_RAMP, FIELD_SIN, FIELD_TANH, ScalarField
 from bvode.jumpmap import XiGrid, measure_from_sigma, phi_explicit_ramp, ramp_z
-from bvode.mollify import (_HALF1, _HALF2, _M1, _M2, F_n, F_n_inv, SigmaProbe, _bisect, _bump,
+from bvode.mollify import (_HALF1, _HALF2, _M1, _M2, F_n, SigmaProbe, _bisect, _bump,
                            _gauss_panels, _gl, _powers, _scalar)
 
 
@@ -529,7 +531,7 @@ def convolution_rule(profile, n, points=16):
 
 
 def power_limit(profile, alpha, c, delta, u):
-    """Closed-form limit of the probe F_n(F_n_inv(u) - delta h(n)) under
+    """Closed-form limit of the probe F_n(F_n^-1(u) - delta h(n)) under
     h(n) = c n^-alpha (``Schedule.power(alpha, c)``).
 
     The probe is tail(tail_inv(u) - delta c n^(1 - alpha)): the shift
@@ -727,14 +729,14 @@ def jumpmap_rows(cfg, seed):
 
 
 def scalar_probe(profile, sched, delta, u):
-    """One shift-probe trajectory F_n(F_n_inv(u) - delta*h(n)), mesh by mesh."""
+    """One shift-probe trajectory F_n(F_n^-1(u) - delta*h(n)), mesh by mesh."""
     delta = float(delta)
     u = float(u)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    values = np.array([float(F_n(profile, n, F_n_inv(profile, n, u) - delta * sched.h(n)))
+    values = np.array([float(F_n(profile, n, profile.tail_inv(u) / n - delta * sched.h(n)))
                        for n in sched.meshes])
     if values.size >= 3:
         d1 = abs(values[-2] - values[-3])
@@ -872,6 +874,19 @@ def variation_steps(L, u, v, v_max):
     return grid[(grid >= u) & (grid <= v)]
 
 
+def stieltjes_integrate(g, Lc, a, t, v_max):
+    """Trapezoid value of int_a^t g(s) dLc(s) for a jump-free integrator Lc,
+    on :func:`variation_steps`' grid; g is a function of time only."""
+    grid = variation_steps(Lc, a, t, v_max)
+    try:
+        gv = np.asarray(g(grid), dtype=np.float64)
+        if gv.shape != grid.shape:
+            raise ValueError
+    except (TypeError, ValueError):
+        gv = np.array([float(g(float(s))) for s in grid], dtype=np.float64)
+    return float(np.sum(0.5 * (gv[:-1] + gv[1:]) * np.diff(Lc(grid))))
+
+
 def sigma_value(sigma, u):
     """Staircase map sigma(u) by one ``searchsorted`` on the left ends, for
     floats and arrays alike."""
@@ -917,7 +932,7 @@ def phi_solve(z, x, u, mu):
 def limit_rows(f, L, mu, x0, sample_times=None, v_max=None):
     """(t, x_left, x, is_jump) rows of the limit solve, built point by point."""
     a, b = L.domain
-    Lc = L.continuous_part()
+    Lc = BVFunction(L.seg_breaks, L.seg_coefs)
     if v_max is None:
         tv = total_variation(Lc)
         v_max = 1e-3 * tv if tv > 0.0 else 1.0

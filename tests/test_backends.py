@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import oracle
-from bvode import BVFunction, ScalarField, XiGrid, backend, get_profile, phi_recursion, solve_offset
+from bvode import BVFunction, ScalarField, XiGrid, backend, get_profile, phi_recursion
+from test_scheme import fan_of_one
 
 FIELDS = [
     ScalarField.constant(0.7),
@@ -254,7 +255,7 @@ class TestLaneSelection:
         L = mixed_driver()
         f = ScalarField.bounded_tanh(0.8, 2.5, offset=0.1)
         prof, n, h = get_profile("triangular"), 64, 1.0 / 4096
-        got = solve_offset(f, L, prof, n, h, 0.0, 1.0)
+        got = fan_of_one(f, L, prof, n, h, 0.0, 1.0)
         ts = h * np.arange(got.size, dtype=np.float64)
         dLn = np.diff(backend.driver_lattice_values(ts, n, prof, L))
         np.testing.assert_array_equal(

@@ -731,7 +731,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("layout", ["one-group", "many-groups"])
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2 * cli.CSV_BLOCK + 1],
                              ids=["block-1", "block", "block+1", "3block+1"])
-    def test_two_processes(self, tmp_path, monkeypatch, layout, excess):
+    def test_encoder_boundary_in_one_process(self, tmp_path, monkeypatch, layout, excess):
         """Around one block of rows and past three, the writer writes the
         oracle's bytes: with ``%`` up to one block, with the encoder past it,
         in this process alone.  No temp file is left."""

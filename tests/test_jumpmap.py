@@ -84,12 +84,6 @@ class TestSigmaG:
         u = np.linspace(0.0, 1.0, 101)
         np.testing.assert_array_equal(s(s(u)), s(u))
 
-    def test_jump_at(self):
-        s = SigmaG([(0.2, 0.5)])
-        assert s.jump_at(0.2) == pytest.approx(0.3)
-        assert s.jump_at(0.3) == 0.0
-        assert s.jump_at(0.5) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="must satisfy"):
             SigmaG([(0.5, 0.5)])

@@ -22,10 +22,9 @@ from bvode import (
     ramp_z,
     solve_grid,
     solve_limit,
-    stieltjes_integrate,
 )
 from test_acceptance import BOUND_CORPUS
-from test_drivers import assert_cuts_match, piecewise_cubics
+from test_drivers import assert_cuts_match, continuous_part, piecewise_cubics
 
 
 def mixed_driver():
@@ -112,44 +111,31 @@ class TestLimitPath:
 
 
 class TestStieltjesIntegrate:
+    """The oracle's trapezoid integral, the reference of test_integral_residual."""
+
     def test_unit_integrand_telescopes(self):
-        Lc = mixed_driver().continuous_part()
-        got = stieltjes_integrate(lambda s: np.ones_like(s), Lc, 0.0, 0.8, 1e-3)
+        Lc = continuous_part(mixed_driver())
+        got = oracle.stieltjes_integrate(lambda s: np.ones_like(s), Lc, 0.0, 0.8, 1e-3)
         assert got == pytest.approx(Lc(0.8) - Lc(0.0), abs=1e-12)
 
     def test_constant_integrator_vanishes(self):
         Lc = BVFunction.from_segments([0.0, 1.0], [[2.0]])
-        assert stieltjes_integrate(lambda s: s ** 3, Lc, 0.0, 1.0, 1e-3) == 0.0
+        assert oracle.stieltjes_integrate(lambda s: s ** 3, Lc, 0.0, 1.0, 1e-3) == 0.0
 
     def test_quadratic_against_closed_form(self):
         Lc = BVFunction.from_segments([0.0, 1.0], [[0.0, 1.0]])
-        got = stieltjes_integrate(lambda s: s ** 2, Lc, 0.0, 1.0, 1e-3)
+        got = oracle.stieltjes_integrate(lambda s: s ** 2, Lc, 0.0, 1.0, 1e-3)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_decreasing_integrator_flips_sign(self):
         Lc = BVFunction.from_segments([0.0, 1.0], [[0.0, -1.0]])
-        got = stieltjes_integrate(lambda s: s, Lc, 0.0, 1.0, 1e-3)
+        got = oracle.stieltjes_integrate(lambda s: s, Lc, 0.0, 1.0, 1e-3)
         assert got == pytest.approx(-0.5, abs=1e-9)
 
     def test_scalar_integrand_accepted(self):
         Lc = BVFunction.from_segments([0.0, 1.0], [[0.0, 1.0]])
-        got = stieltjes_integrate(lambda s: float(s) ** 2, Lc, 0.0, 1.0, 1e-2)
+        got = oracle.stieltjes_integrate(lambda s: float(s) ** 2, Lc, 0.0, 1.0, 1e-2)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-4)
-
-    def test_validation(self):
-        Lc = mixed_driver().continuous_part()
-        with pytest.raises(ValueError, match="jump-free"):
-            stieltjes_integrate(lambda s: s, mixed_driver(), 0.0, 1.0, 1e-3)
-        with pytest.raises(ValueError, match="v_max"):
-            stieltjes_integrate(lambda s: s, Lc, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="a <= t"):
-            stieltjes_integrate(lambda s: s, Lc, 0.5, 0.2, 1e-3)
-        assert stieltjes_integrate(lambda s: s, Lc, 0.3, 0.3, 1e-3) == 0.0
-
-    def test_nan_budget_rejected(self):
-        Lc = mixed_driver().continuous_part()
-        with pytest.raises(ValueError, match="v_max must be positive"):
-            stieltjes_integrate(lambda s: s, Lc, 0.0, 1.0, np.nan)
 
 
 class TestSolveLimit:
@@ -270,9 +256,8 @@ class TestSolveLimit:
         f = ScalarField.bounded_tanh(1.2, 0.9, offset=0.3)
         v_max = 1e-3
         path = solve_limit(f, L, mu, 0.4, v_max=v_max)
-        Lc = L.continuous_part()
-        integral = stieltjes_integrate(lambda s: f(s, path.eval(s)),
-                                       Lc, 0.0, 1.0, v_max)
+        integral = oracle.stieltjes_integrate(lambda s: f(s, path.eval(s)),
+                                              continuous_part(L), 0.0, 1.0, v_max)
         jumps = float(np.sum(path.x[path.is_jump] - path.x_left[path.is_jump]))
         resid = path.eval(1.0) - 0.4 - integral - jumps
         assert abs(resid) <= 5.0 * v_max * (1.0 + np.max(np.abs(path.x)))
@@ -426,7 +411,7 @@ def test_solve_limit_error_is_second_order(di, fname, mu_name):
     order in the variation per cell (drivers with continuous variation,
     smooth fields)."""
     L, f, mu = BOUND_CORPUS[di], EXACT_FIELDS[fname], EXACT_MEASURES[mu_name]
-    tv = L.continuous_part().total_variation()
+    tv = continuous_part(L).total_variation()
     errs = []
     for v_max in (2e-3 * tv, 1e-3 * tv):
         path = solve_limit(f, L, mu, 0.3, v_max=v_max)
@@ -445,30 +430,24 @@ LINEAR_PATH = solve_limit(ScalarField.linear_x(), BVFunction([0.0, 1.0], [[0.0, 
                        8, 0.125, 1.0, n_offsets=2).eval(0, NAN),
     lambda: solve_grid(ScalarField.linear_x(), mixed_driver(), get_profile("uniform"),
                        8, 0.125, 1.0, n_offsets=2).eval(0, np.array([0.5, np.inf])),
-    lambda: mixed_driver().variation_steps(NAN, 1.0, 0.1),
-    lambda: mixed_driver().variation_steps(0.0, NAN, 0.1),
     lambda: mixed_driver().total_variation(NAN, 1.0),
     lambda: mixed_driver().total_variation(0.0, NAN),
     lambda: mixed_driver().jump_at(NAN),
     lambda: F_n(get_profile("uniform"), 8, NAN),
     lambda: F_n(get_profile("bump"), 8, np.array([0.01, NAN])),
-    lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), NAN, 1.0, 0.1),
-    lambda: stieltjes_integrate(np.cos, mixed_driver().continuous_part(), 0.0, NAN, 0.1),
     lambda: SigmaG([(0.2, 0.5)])(np.array([0.1, NAN])),
     lambda: measure_from_sigma(SigmaG([(0.2, 0.5)])).mass_closed(NAN, 1.0),
     lambda: JumpMeasure.lebesgue().lebesgue_mass(NAN, 0.5),
     lambda: JumpMeasure.lebesgue().lebesgue_mass(0.2, NAN),
-    lambda: SigmaG([(0.2, 0.5)]).jump_at(NAN),
     lambda: ramp_z(0.5, NAN, 0.0),
     lambda: phi_explicit_ramp(SigmaG(), 0.5, NAN, 0.0, 0.7),
     lambda: Schedule.power(NAN),
     lambda: LimitPath([0.0, NAN, 1.0], [1.0] * 3, [1.0] * 3, [False] * 3, (0.0, 1.0)),
     lambda: LimitPath([NAN], [1.0], [1.0], [False], (0.0, 1.0)),
 ], ids=["LimitPath.eval", "GridPath.eval", "GridPath.eval-inf",
-        "variation_steps-u", "variation_steps-v", "total_variation-u", "total_variation-v",
-        "jump_at", "F_n", "F_n-array", "stieltjes-a", "stieltjes-t",
+        "total_variation-u", "total_variation-v", "jump_at", "F_n", "F_n-array",
         "SigmaG", "mass_closed", "lebesgue_mass-lo", "lebesgue_mass-hi",
-        "SigmaG.jump_at", "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
+        "ramp_z", "phi_explicit_ramp", "Schedule.power", "LimitPath-times",
         "LimitPath-one-time"])
 def test_nan_argument_raises(call):
     """A NaN time, window end, probe or parameter (or an infinite lattice

@@ -20,9 +20,9 @@ from bvode import (
     scheme,
     solve_grid,
     solve_limit,
-    solve_offset,
 )
 from bvode.drivers import _held_arrays
+from test_scheme import fan_of_one
 
 
 def unit_jump():
@@ -175,10 +175,10 @@ def test_byte_budget(monkeypatch):
 def test_lower_step_cap_on_kept_fan_still_raises(monkeypatch):
     f, L, prof = ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]), get_profile("uniform")
     monkeypatch.setattr(scheme, "STEP_CAP", 10)
-    assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
+    assert fan_of_one(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
     monkeypatch.setattr(scheme, "STEP_CAP", 9)
     with pytest.raises(StepLimitError, match="run needs 10 steps, cap is 9"):
-        solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0)
+        fan_of_one(f, L, prof, 8, 0.1, 0.0, 1.0)
     # 4 offsets of 10 steps: the fan's 40 steps are counted against the cap
     monkeypatch.setattr(scheme, "STEP_CAP", 40)
     assert solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4).values.shape == (4, 11)
@@ -255,7 +255,7 @@ def test_results_are_read_only(monkeypatch):
     f, L, prof = ScalarField.linear_x(), unit_jump(), get_profile("uniform")
     gp = solve_grid(f, L, prof, 8, 1.0 / 64, 1.0, n_offsets=2)
     path = solve_limit(f, L, JumpMeasure.lebesgue(), 1.0)
-    for arr in (gp.values, gp.lengths, solve_offset(f, L, prof, 8, 1.0 / 64, 0.0, 1.0),
+    for arr in (gp.values, gp.lengths, fan_of_one(f, L, prof, 8, 1.0 / 64, 0.0, 1.0),
                 path.t, path.x, path.x_left, path.is_jump):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

@@ -14,7 +14,6 @@ import oracle
 from bvode import (
     BVFunction,
     F_n,
-    F_n_inv,
     ScalarField,
     Schedule,
     SigmaG,
@@ -258,14 +257,15 @@ class TestScaledTail:
         np.testing.assert_allclose(F_n(p, 4, [0.0, 0.1, 0.25]), [1.0, 0.6, 0.0])
 
     def test_F_n_inv_rescales_value(self):
+        """F_n^-1(u) = tail_inv(u) / n."""
         p = get_profile("uniform")
-        assert F_n_inv(p, 4, 0.6) == pytest.approx(0.1, abs=1e-14)
-        assert F_n_inv(p, 4, 0.0) == np.inf
+        assert p.tail_inv(0.6) / 4 == pytest.approx(0.1, abs=1e-14)
+        assert p.tail_inv(0.0) / 4 == np.inf
 
     @pytest.mark.parametrize("name", ["uniform", "triangular", "bump"])
     def test_F_n_inv_rejects_nan(self, name):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            F_n_inv(get_profile(name), 4, np.nan)
+            get_profile(name).tail_inv(np.nan)
 
     @pytest.mark.parametrize("bad", [0, -1, -3])
     def test_positive_n_required(self, bad):
@@ -274,8 +274,8 @@ class TestScaledTail:
         p = get_profile("uniform")
         rules = dict(p._rules)
         L = BVFunction.from_segments([0.0, 1.0], [[0.0, 1.0]], jumps=((0.5, 1.0),))
-        for call in (lambda: F_n(p, bad, 0.1), lambda: F_n_inv(p, bad, 0.5),
-                     lambda: mollify_L(L, p, bad, 0.4), lambda: p.convolution_rule(bad),
+        for call in (lambda: F_n(p, bad, 0.1), lambda: mollify_L(L, p, bad, 0.4),
+                     lambda: p.convolution_rule(bad),
                      lambda: mollify_f(ScalarField.linear_x(), p, bad, 0.3, 0.2)):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 call()

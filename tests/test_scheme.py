@@ -27,7 +27,6 @@ from bvode import (
     scheme,
     sigma_n_check,
     solve_grid,
-    solve_offset,
     xi_grid_for_offset,
 )
 from bvode.scheme import _crossing_fractions, _fan, _offset_fan, _step_count
@@ -42,10 +41,15 @@ def mixed_driver():
         jumps=((0.25, 1.5), (0.75, -0.5)))
 
 
+def fan_of_one(f, L, prof, n, h, tau, x0, mollify_coefficient=False):
+    """States x_0 .. x_K of the one lattice with offset tau: a fan of one."""
+    return _fan(f, L, prof, n, h, tau, 1, x0, mollify_coefficient)[1][0]
+
+
 class TestSolveOffset:
     def test_zero_field_stays_put(self):
-        x = solve_offset(ScalarField.constant(0.0), mixed_driver(),
-                         get_profile("uniform"), 8, 0.01, 0.0, 3.7)
+        x = fan_of_one(ScalarField.constant(0.0), mixed_driver(),
+                       get_profile("uniform"), 8, 0.01, 0.0, 3.7)
         np.testing.assert_array_equal(x, np.full(x.size, 3.7))
 
     def test_unit_field_telescopes(self):
@@ -53,15 +57,15 @@ class TestSolveOffset:
         L = mixed_driver()
         prof = get_profile("triangular")
         n, h, tau = 16, 0.015, 0.004
-        x = solve_offset(ScalarField.constant(1.0), L, prof, n, h, tau, 2.0)
+        x = fan_of_one(ScalarField.constant(1.0), L, prof, n, h, tau, 2.0)
         tk = tau + h * np.arange(x.size)
         Ln = mollify_L(L, prof, n, tk)
         np.testing.assert_allclose(x, 2.0 + Ln - Ln[0], atol=1e-12)
 
     def test_lattice_covers_domain(self):
         L = mixed_driver()
-        x = solve_offset(ScalarField.constant(0.0), L, get_profile("uniform"),
-                         8, 0.25, 0.1, 0.0)
+        x = fan_of_one(ScalarField.constant(0.0), L, get_profile("uniform"),
+                       8, 0.25, 0.1, 0.0)
         # last point at or beyond b, previous strictly before
         assert 0.1 + (x.size - 1) * 0.25 >= 1.0
         assert 0.1 + (x.size - 2) * 0.25 < 1.0
@@ -71,29 +75,29 @@ class TestSolveOffset:
         f = ScalarField.constant(0.0)
         prof = get_profile("uniform")
         with pytest.raises(ValueError):
-            solve_offset(f, L, prof, 8, 0.0, 0.0, 1.0)
+            fan_of_one(f, L, prof, 8, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            solve_offset(f, L, prof, 8, 0.1, 0.2, 1.0)   # tau >= a + h
+            fan_of_one(f, L, prof, 8, 0.1, 0.2, 1.0)   # tau >= a + h
         with pytest.raises(ValueError):
-            solve_offset(f, L, prof, 8, 0.1, -0.05, 1.0)
+            fan_of_one(f, L, prof, 8, 0.1, -0.05, 1.0)
         with pytest.raises(ValueError):
-            solve_offset(f, L, prof, 0, 0.1, 0.0, 1.0)
+            fan_of_one(f, L, prof, 0, 0.1, 0.0, 1.0)
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(scheme, "STEP_CAP", 1000)
         with pytest.raises(StepLimitError, match="cap is 1000"):
-            solve_offset(ScalarField.constant(0.0), mixed_driver(),
-                         get_profile("uniform"), 8, 1e-6, 0.0, 1.0)
+            fan_of_one(ScalarField.constant(0.0), mixed_driver(),
+                       get_profile("uniform"), 8, 1e-6, 0.0, 1.0)
 
     def test_step_cap_boundary(self, monkeypatch):
         # the lattice 0, 0.1, .., 1.0 takes exactly 10 steps
         args = (ScalarField.constant(0.0), BVFunction([0.0, 1.0], [[0.0]]),
                 get_profile("uniform"), 8, 0.1, 0.0, 1.0)
         monkeypatch.setattr(scheme, "STEP_CAP", 10)
-        assert solve_offset(*args).size == 11
+        assert fan_of_one(*args).size == 11
         monkeypatch.setattr(scheme, "STEP_CAP", 9)
         with pytest.raises(StepLimitError, match="needs 10 steps"):
-            solve_offset(*args)
+            fan_of_one(*args)
 
     def test_fan_cap_counts_every_offset(self, monkeypatch):
         # 4 offsets of 10 steps each: the fan needs 40 steps in all, a fan of one 10
@@ -105,7 +109,7 @@ class TestSolveOffset:
         with pytest.raises(StepLimitError, match="lattice fan needs 40 steps, cap is 39"):
             solve_grid(f, L, prof, 8, 0.1, 1.0, n_offsets=4)
         monkeypatch.setattr(scheme, "STEP_CAP", 10)
-        assert solve_offset(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
+        assert fan_of_one(f, L, prof, 8, 0.1, 0.0, 1.0).size == 11
 
     def test_offset_count_capped_before_the_fan_is_built(self, monkeypatch):
         """An offset count over STEP_CAP is refused before its offsets are
@@ -150,15 +154,15 @@ class TestSolveOffset:
     def test_tiny_step_raises_before_counting(self, h):
         # 1e-30 used to hang in the rounding loop, 1e-320 to overflow
         with pytest.raises(StepLimitError):
-            solve_offset(ScalarField.constant(0.0), mixed_driver(),
-                         get_profile("uniform"), 8, h, 0.0, 1.0)
+            fan_of_one(ScalarField.constant(0.0), mixed_driver(),
+                       get_profile("uniform"), 8, h, 0.0, 1.0)
 
     def test_deterministic(self):
         f = ScalarField.bounded_sin(0.9, 2.0, freq_t=0.5)
-        a = solve_offset(f, mixed_driver(), get_profile("bump"), 32, 0.003,
-                         0.001, 0.2)
-        b = solve_offset(f, mixed_driver(), get_profile("bump"), 32, 0.003,
-                         0.001, 0.2)
+        a = fan_of_one(f, mixed_driver(), get_profile("bump"), 32, 0.003,
+                       0.001, 0.2)
+        b = fan_of_one(f, mixed_driver(), get_profile("bump"), 32, 0.003,
+                       0.001, 0.2)
         np.testing.assert_array_equal(a, b)
 
     def test_consistency_order_on_smooth_drive(self):
@@ -171,8 +175,8 @@ class TestSolveOffset:
         errs = []
         for k in (6, 7, 8, 9):
             n = 2 ** k
-            x = solve_offset(f, L, get_profile("triangular"), n, 1.0 / n,
-                             0.0, 0.5)
+            x = fan_of_one(f, L, get_profile("triangular"), n, 1.0 / n,
+                           0.0, 0.5)
             errs.append(abs(x[-1] - ref))
         slope = np.polyfit(np.log([2.0 ** -k for k in (6, 7, 8, 9)]),
                            np.log(errs), 1)[0]
@@ -181,9 +185,9 @@ class TestSolveOffset:
     def test_mollified_coefficient_toggle(self):
         L = mixed_driver()
         f = ScalarField.bounded_sin(1.0, 2.0)
-        base = solve_offset(f, L, get_profile("triangular"), 16, 0.01, 0.0, 1.0)
-        soft = solve_offset(f, L, get_profile("triangular"), 16, 0.01, 0.0, 1.0,
-                            mollify_coefficient=True)
+        base = fan_of_one(f, L, get_profile("triangular"), 16, 0.01, 0.0, 1.0)
+        soft = fan_of_one(f, L, get_profile("triangular"), 16, 0.01, 0.0, 1.0,
+                          mollify_coefficient=True)
         assert base.shape == soft.shape
         assert np.max(np.abs(base - soft)) > 0.0
         # window-averaged coefficient deviates by O(1/n)
@@ -196,13 +200,6 @@ class TestGridPath:
                         get_profile("uniform"), 8, 0.02, 1.0, n_offsets=5)
         np.testing.assert_allclose(gp.offsets, 0.02 / 5 * np.arange(5))
         assert gp.values.shape[0] == 5
-
-    def test_single_offset_matches_solve_offset(self):
-        f = ScalarField.bounded_tanh(1.0, 1.5)
-        L = mixed_driver()
-        gp = solve_grid(f, L, get_profile("bump"), 16, 0.01, 0.3, n_offsets=1)
-        x = solve_offset(f, L, get_profile("bump"), 16, 0.01, 0.0, 0.3)
-        np.testing.assert_array_equal(gp.values[0, :x.size], x)
 
     def test_eval_piecewise_constant(self):
         gp = solve_grid(ScalarField.constant(1.0), mixed_driver(),
@@ -248,7 +245,7 @@ FAN_FIELDS = [
 
 def serial_offset(f, L, prof, n, h, tau, x0, mollify_coefficient):
     """One offset's run, stepped one offset at a time: the exact recursion as
-    solve_offset ran it before the fan routine, the mollified one by the
+    a single offset was run before the fan routine, the mollified one by the
     serial oracle."""
     K = oracle.step_count(L.domain[1], tau, h)
     ts = tau + h * np.arange(K + 1, dtype=np.float64)
