@@ -237,8 +237,6 @@ def _flow_ramp(top, width, height, x, m):
     of the exponent.
     """
     d = x - top
-    if d >= width or height == 0.0:
-        return x
     if d <= 0.0:
         over = height * m + d
         if height < 0.0 or over <= 0.0:

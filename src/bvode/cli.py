@@ -2,16 +2,17 @@
 
 Every subcommand reads one INI config; its handler returns one table and a
 summary, and :func:`main` writes the table as CSV into the output directory
-(atomically, via a temp file and rename) and prints the summary.  A table
-of up to one block (``CSV_BLOCK`` rows) is formatted by ``%``; a longer one
-by a numpy encoder that writes the same bytes, block by block.  Exit
-codes: 0 success, 1 invalid config or output error (an output directory or
-CSV that cannot be written), 2 step cap or argparse usage error, 3
-non-finite result (no CSV is written then).  Only this module lays out
-tables: a table is an iterable of groups ``(prefix, columns)``, where the
-numbers in ``prefix`` open every line of the group (``()`` for none) and
-``columns`` are equal-length 1-D arrays, one per remaining header field,
-each field of one dtype in every group.
+(atomically, via a temp file and rename) and prints the summary.  One
+packer cuts a table into blocks of ``CSV_BLOCK`` rows, which may span
+groups; a table of one block is formatted by one ``%`` call, each block of
+a longer one by a numpy encoder that writes the same bytes.  Exit codes: 0
+success, 1 invalid config or output error (an output directory or CSV that
+cannot be written), 2 step cap or argparse usage error, 3 non-finite
+result (no CSV is written then).  Only this module lays out tables: a
+table is an iterable of groups ``(prefix, columns)``, where the numbers in
+``prefix`` open every line of the group (``()`` for none) and ``columns``
+are equal-length 1-D arrays, one per remaining header field, each field of
+one dtype in every group.
 """
 
 from __future__ import annotations
@@ -53,19 +54,25 @@ def _head(prefix) -> str:
     return "".join(_spec(np.asarray(v).dtype) % v + "," for v in prefix)
 
 
-def _blocks(prefix, columns):
-    """Blocks ``(line_format, values)`` of one group, CSV_BLOCK rows each at most;
-    the prefix is formatted once, into the line format."""
-    head = _head(prefix)
-    columns = [np.asarray(c) for c in columns]
-    line = head + ",".join(_spec(c.dtype) for c in columns) + "\n"
-    width = len(columns)
-    for s in range(0, columns[0].size, CSV_BLOCK):
-        parts = [c[s:s + CSV_BLOCK].tolist() for c in columns]
-        values = [None] * (width * len(parts[0]))
-        for i, part in enumerate(parts):
-            values[i::width] = part
-        yield line * len(parts[0]), tuple(values)
+def _blocks(groups):
+    """The groups' rows in blocks of CSV_BLOCK rows (the last may hold fewer),
+    each a list of pieces ``(head, columns)``: the text of a group's prefix
+    and slices of its columns.  A block may span groups."""
+    pieces, rows = [], 0
+    for prefix, columns in groups:
+        head = _head(prefix)
+        columns = [np.asarray(c) for c in columns]
+        m, s = len(columns[0]), 0
+        while s < m:
+            take = min(m - s, CSV_BLOCK - rows)
+            pieces.append((head, [c[s:s + take] for c in columns]))
+            s += take
+            rows += take
+            if rows == CSV_BLOCK:
+                yield pieces
+                pieces, rows = [], 0
+    if pieces:
+        yield pieces
 
 
 def _grid_table(gp):
@@ -88,11 +95,16 @@ def _probe_table(probe):
     return [((), [keys.ravel(), values.ravel()])]
 
 
-def _format(groups):
-    """The CSV text of the groups, one ``%`` call per block."""
-    for prefix, columns in groups:
-        for line, values in _blocks(prefix, columns):
-            yield (line % values).encode()
+def _format(pieces):
+    """The CSV text of one block's pieces ``(head, columns)``, by one ``%`` call
+    over their line formats: each piece's head, then one spec per column."""
+    columns = [np.concatenate(parts).tolist() for parts in zip(*(c for _, c in pieces))]
+    width = len(columns)
+    values = [None] * (width * len(columns[0]))
+    for i, column in enumerate(columns):
+        values[i::width] = column
+    line = ",".join(_spec(c.dtype) for c in pieces[0][1]) + "\n"
+    return ("".join((head + line) * len(c[0]) for head, c in pieces) % tuple(values)).encode()
 
 
 # -- the exact encoder for tables longer than one block ----------------------
@@ -285,7 +297,7 @@ def _block_text(pieces):
     out = np.zeros((sum(rows), at + sum(f.shape[1] + 1 for f in fields)), dtype=np.uint8)
     r = 0
     for (head, _), m in zip(pieces, rows):
-        out[r:r + m, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        out[r:r + m, :len(head)] = np.frombuffer(head.encode(), dtype=np.uint8)
         r += m
     for f in fields:
         out[:, at:at + f.shape[1]] = f
@@ -297,46 +309,24 @@ def _block_text(pieces):
     return flat[flat != 0]
 
 
-def _encode(groups):
-    """The CSV text of the groups, one block of CSV_BLOCK rows at a time."""
-    pieces, rows = [], 0
-    for prefix, columns in groups:
-        head = _head(prefix).encode()
-        columns = [np.asarray(c) for c in columns]
-        m, s = len(columns[0]), 0
-        while s < m:
-            take = min(m - s, CSV_BLOCK - rows)
-            pieces.append((head, [c[s:s + take] for c in columns]))
-            s += take
-            rows += take
-            if rows == CSV_BLOCK:
-                yield _block_text(pieces)
-                pieces, rows = [], 0
-    if pieces:
-        yield _block_text(pieces)
-
-
 def _write_csv(out_dir: str, filename: str, header, groups) -> str:
     """Write the header and then each group ``(prefix, columns)`` as CSV text.
 
-    A table longer than one block (``CSV_BLOCK`` rows) is written by the
-    exact encoder, a shorter one by ``%``; the bytes are the same.  Groups
-    are read ahead only until the table is known to be longer.  The text
-    goes to ``<path>.tmp.<pid>``, which replaces ``path`` once it is
-    complete; on an exception it is removed and ``path`` is left as it was."""
+    A table of one block (``CSV_BLOCK`` rows) is formatted by ``%``, the
+    blocks of a longer one by the exact encoder; the bytes are the same.
+    The text goes to ``<path>.tmp.<pid>``, which replaces ``path`` once it
+    is complete; on an exception it is removed and ``path`` is left as it was."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    groups, first, rows = iter(groups), [], 0
-    while rows <= CSV_BLOCK and (group := next(groups, None)) is not None:
-        first.append(group)
-        rows += len(group[1][0])
-    text = _encode(itertools.chain(first, groups)) if rows > CSV_BLOCK else _format(first)
     try:
         with open(tmp, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
-            for chunk in text:
-                fh.write(chunk)
+            blocks = _blocks(groups)
+            first = list(itertools.islice(blocks, 2))
+            text = _block_text if len(first) > 1 else _format
+            for block in itertools.chain(first, blocks):
+                fh.write(text(block))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

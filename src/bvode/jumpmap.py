@@ -36,30 +36,25 @@ class SigmaG:
             if a1 < b0:
                 raise ValueError("intervals must be pairwise disjoint")
         self.intervals = tuple(ivals)
-        # read-only, so that float calls (tuples) and array calls (arrays) read the same ends
-        self._a_list, self._b_list = tuple(a for a, _ in ivals), tuple(b for _, b in ivals)
-        self._a, self._b = np.array(self._a_list), np.array(self._b_list)
-        self._a.setflags(write=False)
-        self._b.setflags(write=False)
-
-    def __reduce__(self):  # a copy is rebuilt, with read-only ends like its original
-        return type(self), (self.intervals,)
+        # the ends, held once; tuples, so that float and array calls read the same ends
+        self._a, self._b = tuple(a for a, _ in ivals), tuple(b for _, b in ivals)
 
     def __call__(self, u):
         if isinstance(u, float):  # numpy.float64 too; one bisection on the left ends
             if not 0.0 <= u <= 1.0:
                 raise ValueError("sigma argument must lie in [0, 1]")
-            i = bisect.bisect_left(self._a_list, u) - 1
-            return self._b_list[i] if i >= 0 and u <= self._b_list[i] else float(u)
+            i = bisect.bisect_left(self._a, u) - 1
+            return self._b[i] if i >= 0 and u <= self._b[i] else float(u)
         uu = np.asarray(u, dtype=np.float64)
         if not np.all((uu >= 0.0) & (uu <= 1.0)):
             raise ValueError("sigma argument must lie in [0, 1]")
         out = uu.copy()
-        if self._a.size:
-            idx = np.searchsorted(self._a, uu, side="left") - 1
-            safe = np.clip(idx, 0, self._a.size - 1)
-            hit = (idx >= 0) & (uu <= self._b[safe])
-            out[hit] = self._b[safe][hit]
+        if self._a:
+            a, b = np.asarray(self._a), np.asarray(self._b)
+            idx = np.searchsorted(a, uu, side="left") - 1
+            safe = np.clip(idx, 0, a.size - 1)
+            hit = (idx >= 0) & (uu <= b[safe])
+            out[hit] = b[safe][hit]
         return _scalar(out)
 
     def __repr__(self) -> str:  # pragma: no cover

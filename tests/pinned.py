@@ -218,4 +218,19 @@ CASES = {
     "table-without-n": Case(TABLE, ("solve-scheme",),
                             r"config error: \[run\]\.n: schedule table has no entry for n=100",
                             code=1),
+    # refused inputs, each a config error naming its key
+    "field-without-name": Case(derive(LIMIT, "name = tanh", ""), ("solve-limit",),
+                               r"config error: \[field\]\.name: required key is missing$",
+                               code=1),
+    "bad-deltas": Case(derive(SIGMA, "deltas = 0.25, 0.75", "deltas = 0.1, abc"), ("sigma",),
+                       r"config error: \[run\]\.deltas: expected comma-separated numbers",
+                       code=1),
+    "bad-jumps": Case(derive(SCHEME, "jumps = 0.5:1", "jumps = 0.5"), ("solve-scheme",),
+                      r"config error: \[driver\]\.jumps: expected 'a:b' entries", code=1),
+    "atom-outside": Case(derive(LIMIT, "mu = lebesgue", "mu = dirac:2"), ("solve-limit",),
+                         r"config error: \[run\]\.mu: atom location 2\.0 outside \[0, 1\]$",
+                         code=1),
+    "jumps-without-mu": Case(derive(LIMIT, "mu = lebesgue", ""), ("solve-limit",),
+                             r"config error: \[run\]\.mu: required when the driver has jumps$",
+                             code=1),
 }

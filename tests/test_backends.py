@@ -409,6 +409,8 @@ class TestExactFlow:
         # subnormal and tiny slope: z is the offset
         (ScalarField.bounded_tanh(1.3, 5e-324, 0.2), 0.7, 0.9, 0.7 + 0.9 * 0.2),
         (ScalarField.bounded_tanh(1.3, 1e-300, 0.2), 0.7, 0.9, 0.7 + 0.9 * 0.2),
+        # amp = 0: z is the offset
+        (ScalarField.bounded_tanh(0.0, 1.0, 0.5), 1.0, 2.0, 2.0),
         # H = 0 and subnormal H
         (ScalarField.ramp(0.2, 0.5, 0.0), 0.1, 0.9, 0.1),
         (ScalarField.ramp(0.2, 0.5, 5e-324), 0.3, 0.9, 0.3),

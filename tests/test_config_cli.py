@@ -755,18 +755,18 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("fails", ["serial", "encoder", "interrupted"])
     def test_failed_write_keeps_target(self, tmp_path, monkeypatch, fails):
-        """A write that raises after its first block, with ``%`` or inside the
-        encoder (also an interrupt), removes its temp file, starts no process
-        and keeps the bytes of the CSV already at the target."""
+        """A write that raises after its first block, in the packer of a
+        one-block table or inside the encoder (also an interrupt), removes its
+        temp file, starts no process and keeps the bytes of the CSV already
+        at the target."""
         monkeypatch.setattr(cli, "CSV_BLOCK", 4)
         target = tmp_path / "t.csv"
         target.write_bytes(b"kept\n")
         blocks, float_text = cli._blocks, cli._float_text
         calls = []
 
-        def failing(prefix, columns):
-            it = blocks(prefix, columns)
-            yield next(it)
+        def failing(groups):  # raises after its last block: the first, at 3 rows
+            yield from blocks(groups)
             raise RuntimeError("write failed")
 
         def failing_encoder(v):
@@ -805,9 +805,9 @@ class TestCsvWriter:
     ])
     def test_commands(self, tmp_path, monkeypatch, command, csv):
         """Each command's CSV equals the oracle writer's on the old row layout
-        of the same results, and so does its table through the encoder, in
-        blocks of 4 rows, and through ``%``.  jumpmap-empty is jumpmap with
-        every q skipped: a header alone."""
+        of the same results, and so does its table in blocks of 4 rows, which
+        span groups, through ``%`` and through the encoder alike.
+        jumpmap-empty is jumpmap with every q skipped: a header alone."""
         text = FULL
         if command == "jumpmap-empty":  # q = 0.3 is inside the staircase interval (0.2, 0.5)
             command, text = "jumpmap", FULL + "jump_q = 0.3\njump_eps = 0.3\njump_t = 0.6, 0.9\n"
@@ -839,8 +839,9 @@ class TestCsvWriter:
         assert new.count(b"\n") > 2 if text == FULL else new == b"q,eps,t,phi,oracle,abs_err\n"
         monkeypatch.setattr(cli, "CSV_BLOCK", 4)
         body = old.split(b"\n", 1)[1]
-        assert b"".join(map(bytes, cli._encode(tables[0]))) == body
-        assert b"".join(cli._format(tables[0])) == body
+        blocks = list(cli._blocks(tables[0]))
+        assert b"".join(map(cli._format, blocks)) == body
+        assert b"".join(bytes(cli._block_text(block)) for block in blocks) == body
 
 
 def texts(text):

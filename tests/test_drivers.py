@@ -161,6 +161,8 @@ class TestValidation:
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
             BVFunction.from_segments([0.0, 0.0, 1.0], [[1.0], [1.0]])
+        with pytest.raises(ValueError, match="at least two breakpoints"):
+            BVFunction([0.0], [])
 
     @pytest.mark.parametrize("breaks,coefs,jumps,needle", [
         ([0.0, 1.0], [[0.0, 1.0]], ((0.5, np.nan),), "jump size"),

@@ -96,13 +96,10 @@ class TestSigmaG:
 
     @pytest.mark.parametrize("copy", [lambda s: s, pickle_copy], ids=["original", "pickled"])
     def test_ends_are_read_only(self, copy):
-        """The float path (tuples) and the array path (arrays) keep one set of
-        ends: an edit of either raises, on a pickled copy too."""
+        """The float path and the array path read one set of ends, held as
+        tuples: an edit of them raises, on a pickled copy too."""
         s = copy(SigmaG([(0.2, 0.5)]))
-        for arr in (s._a, s._b):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.9
-        for ends in (s._a_list, s._b_list):
+        for ends in (s._a, s._b):
             with pytest.raises(TypeError):
                 ends[0] = 0.9
         assert s(0.3) == 0.5 and s(np.array([0.3])).tolist() == [0.5]
@@ -150,6 +147,8 @@ class TestJumpMeasure:
             JumpMeasure(atoms=((1.2, 1.0),))
         with pytest.raises(ValueError, match="overlap"):
             JumpMeasure(segments=((0.0, 0.6), (0.4, 0.8)))
+        with pytest.raises(ValueError, match="must satisfy 0 <= lo < hi <= 1"):
+            JumpMeasure(segments=[(0.5, 0.2)])
 
     def test_nan_mass_rejected(self):
         with pytest.raises(ValueError, match="nonpositive mass"):
@@ -342,6 +341,10 @@ class TestRampOracle:
             expect = x + q + eps - eps * np.exp(-(t - q) / eps)
             assert phi_explicit_ramp(SigmaG(), q, eps, x, t) == pytest.approx(
                 expect, abs=1e-14)
+
+    def test_time_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="t must lie in"):
+            phi_explicit_ramp(SigmaG(), 0.1, 0.2, 0.0, 1.5)
 
     def test_requires_identity_at_engagement(self):
         sigma = SigmaG([(0.1, 0.4)])

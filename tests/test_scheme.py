@@ -224,8 +224,7 @@ class TestGridPath:
     def test_rows_layout(self):
         gp = solve_grid(ScalarField.constant(0.0), mixed_driver(),
                         get_profile("uniform"), 8, 0.4, 2.0, n_offsets=2)
-        text = "".join(line % values for prefix, columns in cli._grid_table(gp)
-                       for line, values in cli._blocks(prefix, columns))
+        text = b"".join(map(cli._format, cli._blocks(cli._grid_table(gp)))).decode()
         rows = [row.split(",") for row in text.splitlines()]
         assert len(rows) == int(gp.lengths.sum())
         assert {r[0] for r in rows} == {"0", "1"}
@@ -503,6 +502,10 @@ class TestXiGrid:
     def test_non_finite_offset_or_epoch_rejected(self, tau, zeta):
         with pytest.raises(ValueError, match="offset tau and epoch zeta must be finite"):
             xi_grid_for_offset(get_profile("uniform"), 4, 0.01, tau, zeta)
+
+    def test_nonpositive_sharpness_rejected(self):
+        with pytest.raises(ValueError, match="sharpness n must be a positive integer"):
+            xi_grid_for_offset(get_profile("uniform"), 0, 0.01, 0.0, 0.5)
 
     def test_epoch_too_close_rejected(self):
         with pytest.raises(ValueError, match="smoothing width"):
